@@ -47,5 +47,5 @@ for name, factory in BUILTIN_PROBLEMS.items():
           f"{outcome.kkt.optimality:>11.2e} {outcome.kkt.feasibility:>12.2e}")
 
 print(f"\ntraces written to {OUT_DIR}/")
-print("feasibility equals ||c(x_k)|| from k >= 1 on, so the CSV column can be")
+print("feasibility is ||c(x_k)|| at every k, so the CSV column can be")
 print("read directly as the constraint violation curve.")

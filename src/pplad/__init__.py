@@ -10,8 +10,7 @@ solutions) converge to KKT points.
 """
 
 from .diagnostics import (InvariantViolation, KktReport, RunHistory, TraceRecord,
-                          TRACE_COLUMNS, check_trace, feasibility_residual,
-                          kkt_report, optimality_residual, perturbation_ratio,
+                          TRACE_COLUMNS, check_trace, kkt_report, perturbation_ratio,
                           read_trace_csv, tail_step_maxima, write_trace_csv)
 from .lagrangian import (FullState, PenaltyParams, eval_full, eval_reduced,
                          grad_x, lambda_hat, zhat)
@@ -22,24 +21,22 @@ from .model import (Ball, Box, DimensionMismatch, EvaluationError,
 from .numcheck import CompareResult, FdSettings, compare, fd_gradient, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
-from .solver import (IterateState, SolveOutcome, SolveStatus, SolverParams,
-                     gamma, initial_state, iterate, solve, step_lambda, step_mu,
-                     step_x, step_z)
+from .solver import (SolveOutcome, SolveStatus, SolverParams, initial_state,
+                     iterate, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "Box", "BUILTIN_PROBLEMS", "CompareResult", "DEFAULT_START",
     "DimensionMismatch", "EvaluationError", "FdSettings", "FullState",
-    "InvariantViolation", "IterateState", "KktReport", "LipschitzHints",
+    "InvariantViolation", "KktReport", "LipschitzHints",
     "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
     "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
     "TRACE_COLUMNS", "TraceRecord", "ValidationCheck", "ValidationReport",
     "WholeSpace", "check_trace", "compare", "eval_full", "eval_reduced",
     "example1", "example2", "example2_spec", "example3", "fd_gradient",
-    "fd_jacobian", "feasibility_residual", "from_qcqp", "gamma",
-    "grad_x", "initial_state", "iterate", "kkt_report", "lambda_hat",
-    "optimality_residual", "perturbation_ratio", "project", "projector",
-    "read_trace_csv", "solve", "step_lambda", "step_mu", "step_x", "step_z",
-    "tail_step_maxima", "validate", "write_trace_csv", "zhat",
+    "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate",
+    "kkt_report", "lambda_hat", "perturbation_ratio", "project", "projector",
+    "read_trace_csv", "solve", "tail_step_maxima", "validate",
+    "write_trace_csv", "zhat",
 ]

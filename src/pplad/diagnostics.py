@@ -5,11 +5,15 @@ The optimality measure is the projected-gradient fixed-point residual
     ||x - P_X[x - grad_x L(x, z, lam, mu)]||        (unit step inside P_X)
 
 which vanishes exactly at projected-stationary points, and the feasibility
-measure is ||lam - mu|| / rho, which equals ||c(x)|| from the first
-iteration onward because the lam-update sets lam = mu + rho c(x).  Note the
+measure is ||c(x)||, taken from the c(x) the solver already holds, so it is
+the true constraint violation at every iterate, k = 0 included.  Note the
 unit step inside the projection: the solver's own x-update uses the
 configured step size instead, so the reported optimality is step-size
-independent.
+independent.  ``kkt_report`` and the solver loop share one implementation
+of both residuals.
+
+``RunHistory`` is the one trace representation: the scalar trace records
+(``TraceRecord``, the CSV rows) are derived from it on demand.
 
 ``check_trace`` re-derives the convergence theory's per-iteration
 inequalities on a recorded run and reports every violation; an empty list
@@ -24,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .lagrangian import PenaltyParams, grad_x
-from .model import LipschitzHints, Problem
+from .model import LipschitzHints, Problem, check_shape
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
@@ -49,7 +53,11 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Final residual pair, multiplier, point, and the convergence verdict."""
+    """Final residual pair, multiplier, point, and the convergence verdict.
+
+    ``multiplier`` and ``x_final`` are the state's own arrays, not copies;
+    the solver never writes into an iterate in place.
+    """
 
     optimality: float
     feasibility: float
@@ -169,30 +177,21 @@ class RunHistory:
 # residuals and the KKT report
 # ---------------------------------------------------------------------------
 
-def optimality_residual(problem: Problem, params: PenaltyParams, state) -> float:
-    """||x - P_X[x - grad_x L]|| with a unit step inside the projection."""
-    g = grad_x(problem, state)
-    projected = np.asarray(problem.projection(state.x - g), dtype=float)
-    return float(np.linalg.norm(state.x - projected))
+def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
+         tol_feasibility: float) -> KktReport:
+    """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
+    projected = np.asarray(problem.projection(state.x - grad), dtype=float)
+    opt = float(np.linalg.norm(state.x - projected))
+    feas = float(np.linalg.norm(cx))
+    return KktReport(optimality=opt, feasibility=feas, multiplier=state.lam, x_final=state.x,
+                     satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
 
 
-def feasibility_residual(params: PenaltyParams, state) -> float:
-    """||lam - mu|| / rho; equals ||c(x)|| after the first lam-update."""
-    return float(np.linalg.norm(state.lam - state.mu)) / params.rho
-
-
-def kkt_report(problem: Problem, params: PenaltyParams, state, *,
-               tol_optimality: float, tol_feasibility: float) -> KktReport:
-    """Package both residuals at a state with the satisfied verdict."""
-    opt = optimality_residual(problem, params, state)
-    feas = feasibility_residual(params, state)
-    return KktReport(
-        optimality=opt,
-        feasibility=feas,
-        multiplier=np.array(state.lam, dtype=float, copy=True),
-        x_final=np.array(state.x, dtype=float, copy=True),
-        satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility),
-    )
+def kkt_report(problem: Problem, state, *, tol_optimality: float,
+               tol_feasibility: float) -> KktReport:
+    """Evaluate both residuals at a state and package them with the satisfied verdict."""
+    cx = check_shape("constraints", problem.constraints(state.x), (problem.m,))
+    return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
 
 
 # ---------------------------------------------------------------------------

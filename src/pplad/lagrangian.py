@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DimensionMismatch, EvaluationError, Problem
+from .model import DimensionMismatch, EvaluationError, Problem, check_shape
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,21 @@ class PenaltyParams:
 
 @dataclass
 class FullState:
-    """Primal point x, perturbation z, and the two multipliers."""
+    """Primal point x, perturbation z, the two multipliers, and the schedule position.
+
+    k is the iteration number, delta the dual budget decay^k * delta0 at k
+    (the default 1.0 is the budget at k = 0 under the default delta0), and
+    gamma the dual step taken entering this state (0 before the first
+    mu-update).
+    """
 
     x: np.ndarray
     z: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
+    k: int = 0
+    delta: float = 1.0
+    gamma: float = 0.0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -91,10 +100,11 @@ def grad_x(problem: Problem, state) -> np.ndarray:
     Deliberately free of z, mu, alpha and beta: the x-derivative of the
     merit function involves none of them.
     """
-    g = np.asarray(problem.objective_gradient(state.x), dtype=float)
+    g = check_shape("objective_gradient", problem.objective_gradient(state.x), (problem.n,))
     if problem.m == 0:
         return g
-    jac = np.asarray(problem.constraint_jacobian(state.x), dtype=float)
+    jac = check_shape("constraint_jacobian", problem.constraint_jacobian(state.x),
+                      (problem.m, problem.n))
     return g + jac.T @ state.lam
 
 

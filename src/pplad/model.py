@@ -33,6 +33,14 @@ class DimensionMismatch(ValueError):
         super().__init__(f"{what}: expected {expected}, got {actual}")
 
 
+def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array; raises DimensionMismatch naming the callback otherwise."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise DimensionMismatch(f"{name} output shape", shape, value.shape)
+    return value
+
+
 class EvaluationError(RuntimeError):
     """An evaluator produced a non-finite value.
 
@@ -134,22 +142,18 @@ def projector(kind: ProjectionKind) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class LipschitzHints:
-    """Optional global Lipschitz constants over X; advisory metadata only.
+    """Optional global Lipschitz constant of the constraint map over X.
 
-    L_gradf bounds the objective gradient, L_gradc the constraint Jacobian
-    map, and L_c the constraint map itself.  The solver never derives its
-    step size from these; they only enable extra trace checks.
+    Advisory metadata only: the solver never derives its step size from
+    it; it enables the ``lam_step`` and certified merit-decrease trace
+    checks.
     """
 
-    L_gradf: Optional[float] = None
-    L_gradc: Optional[float] = None
     L_c: Optional[float] = None
 
     def __post_init__(self):
-        for label in ("L_gradf", "L_gradc", "L_c"):
-            value = getattr(self, label)
-            if value is not None and value < 0:
-                raise ValueError(f"{label} must be nonnegative, got {value}")
+        if self.L_c is not None and self.L_c < 0:
+            raise ValueError(f"L_c must be nonnegative, got {self.L_c}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,7 @@ class ValidationReport:
 
 
 def _finite_vector(name, value, shape):
-    value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        return None, ValidationCheck(name, False, message=f"shape {value.shape}, expected {shape}")
+    value = check_shape(name, value, shape)
     if not np.all(np.isfinite(value)):
         return None, ValidationCheck(name, False, message="non-finite entries")
     return value, ValidationCheck(name, True)
@@ -250,7 +252,7 @@ def validate(problem: Problem, x0, settings: FdSettings | None = None) -> Valida
 
     fx = None
     try:
-        fx = float(problem.objective(x))
+        fx = float(check_shape("objective", problem.objective(x), ()))
         good = np.isfinite(fx)
         checks.append(ValidationCheck("objective", bool(good),
                                       message="" if good else "non-finite value"))

@@ -135,8 +135,7 @@ def example1() -> Problem:
         objective=objective, objective_gradient=objective_gradient,
         constraints=constraints, constraint_jacobian=constraint_jacobian,
         projection=projector(Box(lo=[-3.0, -3.0], hi=[3.0, 3.0])),
-        lipschitz_hints=LipschitzHints(L_gradf=2.0, L_gradc=2.0 * math.sqrt(2.0),
-                                       L_c=math.sqrt(208.0)),
+        lipschitz_hints=LipschitzHints(L_c=math.sqrt(208.0)),
         name="example1")
 
 

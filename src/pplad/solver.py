@@ -12,7 +12,8 @@ The mu-update reads the pre-update lam and mu; the lam-update reads the
 new x and new mu.  The damped dual step gamma keeps the total movement of
 mu summable, which is what bounds the dual iterates without any safeguard.
 Every update is a closed form or a single projection: nothing is solved
-iteratively inside an iteration.
+iteratively inside an iteration.  The formulas live once, in ``_advance``,
+which both ``solve`` and the public one-step ``iterate`` run.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import List
 
 import numpy as np
 
-from .diagnostics import (KktReport, RunHistory, TraceRecord, kkt_report)
-from .lagrangian import PenaltyParams, _value, grad_x, lambda_hat
-from .model import DimensionMismatch, EvaluationError, Problem
+from .diagnostics import KktReport, RunHistory, TraceRecord, _kkt
+from .lagrangian import FullState, PenaltyParams, _value, grad_x, zhat
+from .model import EvaluationError, Problem, check_shape
 
 
 class SolveStatus(Enum):
@@ -75,28 +76,10 @@ class SolverParams:
 
 
 @dataclass
-class IterateState:
-    """Iterate (x, z, lam, mu) with the schedule position.
-
-    delta is the current budget decay^k * delta0; gamma is the dual step
-    actually taken entering this state (0 before the first mu-update).
-    """
-
-    k: int
-    x: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    delta: float
-    gamma: float = 0.0
-
-
-@dataclass
 class SolveOutcome:
     status: SolveStatus
-    final_state: IterateState
+    final_state: FullState
     kkt: KktReport
-    trace: List[TraceRecord]
     history: RunHistory
     message: str = ""
 
@@ -104,84 +87,73 @@ class SolveOutcome:
     def iterations(self) -> int:
         return self.final_state.k
 
+    @property
+    def trace(self) -> List[TraceRecord]:
+        """Scalar trace records, one per stored row of ``history``."""
+        return self.history.records()
+
 
 # ---------------------------------------------------------------------------
-# individual update steps
+# the iteration kernel
 # ---------------------------------------------------------------------------
 
-def step_x(problem: Problem, params: SolverParams, state) -> np.ndarray:
-    """Projected gradient step on the merit function in x."""
-    return np.asarray(
-        problem.projection(state.x - params.step_size * grad_x(problem, state)),
-        dtype=float)
-
-
-def gamma(params: SolverParams, state) -> float:
-    """Damped dual step rho * delta / (||lam - mu||^2 + 1); gamma/rho <= delta <= 1."""
-    d = state.lam - state.mu
-    return params.penalty.rho * state.delta / (float(d @ d) + 1.0)
-
-
-def step_mu(params: SolverParams, state) -> np.ndarray:
-    """Ascent step mu + (gamma/rho)(lam - mu); moves mu by at most delta/2."""
-    return state.mu + (gamma(params, state) / params.penalty.rho) * (state.lam - state.mu)
-
-
-def step_lambda(problem: Problem, params: SolverParams, x_next, mu_next) -> np.ndarray:
-    """Exact maximization in lam at the new point: mu_next + rho c(x_next)."""
-    return lambda_hat(problem, params.penalty, x_next, mu_next)
-
-
-def step_z(params: SolverParams, lam_next, mu_next) -> np.ndarray:
-    """Exact minimization in z: (lam_next - mu_next) / alpha."""
-    return (np.asarray(lam_next, dtype=float) - np.asarray(mu_next, dtype=float)) \
-        / params.penalty.alpha
-
-
-def iterate(problem: Problem, params: SolverParams, state: IterateState) -> IterateState:
-    """Apply one full iteration and return the successor state.
+def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
+    """One iteration from ``state`` given grad_x L there; returns (successor, c(x_next)).
 
     Order is normative: the mu-update uses the pre-update lam and mu, the
-    lam-update uses the new x and new mu.  Raises EvaluationError if any
-    component comes out non-finite.
+    lam-update uses the new x and new mu.  c(x_next) is returned so that
+    the caller's residuals and merit reuse it instead of evaluating c again.
     """
-    x_next = step_x(problem, params, state)
-    gam = gamma(params, state)
-    mu_next = step_mu(params, state)
-    lam_next = step_lambda(problem, params, x_next, mu_next)
-    z_next = step_z(params, lam_next, mu_next)
+    rho = params.penalty.rho
+    d = state.lam - state.mu
+    gam = rho * state.delta / (float(d @ d) + 1.0)
+    x_next = np.asarray(problem.projection(state.x - params.step_size * grad), dtype=float)
+    mu_next = state.mu + (gam / rho) * d
+    cx = check_shape("constraints", problem.constraints(x_next), (problem.m,))
+    lam_next = mu_next + rho * cx
     k_next = state.k + 1
-    next_state = IterateState(
-        k=k_next, x=x_next, z=z_next, lam=lam_next, mu=mu_next,
-        delta=params.delta0 * params.decay ** k_next, gamma=gam)
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(lam_next))
-            and np.all(np.isfinite(mu_next)) and np.all(np.isfinite(z_next))):
+    return FullState(x_next, zhat(params.penalty, lam_next, mu_next), lam_next, mu_next,
+                     k=k_next, delta=params.delta0 * params.decay ** k_next,
+                     gamma=gam), cx
+
+
+def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
+    """Apply one full iteration and return the successor state.
+
+    Raises EvaluationError if any component comes out non-finite.
+    """
+    next_state, _ = _advance(problem, params, state, grad_x(problem, state))
+    if not all(np.all(np.isfinite(v))
+               for v in (next_state.x, next_state.z, next_state.lam, next_state.mu)):
         raise EvaluationError("non-finite iterate component", state=next_state,
-                              iteration=k_next)
+                              iteration=next_state.k)
     return next_state
 
 
 def initial_state(problem: Problem, params: SolverParams, x0,
-                  z0=None, lam0=None, mu0=None) -> IterateState:
+                  z0=None, lam0=None, mu0=None) -> FullState:
     """Build the starting state: x0 projected onto X, duals defaulting to zero."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n,):
-        raise DimensionMismatch("x0 length", problem.n, x0.shape)
+    def dual(value):
+        return np.zeros(problem.m) if value is None else value
 
-    def _dual(value, label):
-        out = np.zeros(problem.m) if value is None else np.asarray(value, dtype=float)
-        if out.shape != (problem.m,):
-            raise DimensionMismatch(f"{label} length", problem.m, out.shape)
-        return out
+    state = FullState(x0, dual(z0), dual(lam0), dual(mu0), delta=params.delta0)
+    state.check_dims(problem)
+    state.x = np.asarray(problem.projection(state.x), dtype=float)
+    return state
 
-    return IterateState(
-        k=0,
-        x=np.asarray(problem.projection(x0), dtype=float),
-        z=_dual(z0, "z0"),
-        lam=_dual(lam0, "lam0"),
-        mu=_dual(mu0, "mu0"),
-        delta=params.delta0,
-        gamma=0.0)
+
+def _stop(params: SolverParams, k: int, kkt: KktReport, row: dict):
+    """Status and message if the loop stops at iteration k, else (None, "")."""
+    if not all(math.isfinite(row[name])
+               for name in ("objective", "optimality", "feasibility", "lagrangian")):
+        return SolveStatus.EVALUATION_ERROR, f"non-finite iterate at k={k}"
+    if kkt.satisfied:
+        return SolveStatus.CONVERGED, ""
+    if row["norm_x"] > params.divergence_bound:
+        return SolveStatus.DIVERGED, f"||x|| exceeded {params.divergence_bound:g} at k={k}"
+    if k >= params.max_iterations:
+        return SolveStatus.ITERATION_LIMIT, ""
+    return None, ""
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +165,17 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     """Run the alternating-direction loop from x0 until a stopping condition.
 
     Stops with CONVERGED when the projected-gradient optimality residual
-    and the feasibility residual ||lam - mu||/rho are simultaneously below
-    their tolerances, with ITERATION_LIMIT at the iteration budget, with
-    DIVERGED when ||x|| exceeds the divergence bound (the boundedness
-    assumption failing in practice), and with EVALUATION_ERROR when an
-    iterate turns non-finite (the partial trace is retained).
+    and the feasibility residual ||c(x)|| are simultaneously below their
+    tolerances, with ITERATION_LIMIT at the iteration budget, with DIVERGED
+    when ||x|| exceeds the divergence bound (the boundedness assumption
+    failing in practice), and with EVALUATION_ERROR when an iterate turns
+    non-finite or a problem callback raises after the starting point was
+    evaluated.  In both EVALUATION_ERROR cases the partial history is kept
+    and the final state is the last fully evaluated one.
+
+    The output shapes of f, grad f, c and J are checked against the
+    evaluator contract; a wrong shape at the starting point raises
+    DimensionMismatch naming the callback.
 
     The history records iterations k with k % trace_stride == 0 plus the
     final one; invariant checking requires trace_stride == 1.
@@ -215,84 +193,50 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     Returns
     -------
     SolveOutcome
-        Final state, KKT report, trace records, and the full history.
+        Final state, KKT report and the history (``trace`` derives from it).
     """
     if trace_stride < 1:
         raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
-    penalty = params.penalty
-    rho, alpha, beta = penalty.rho, penalty.alpha, penalty.beta
+    alpha, beta = params.penalty.alpha, params.penalty.beta
+    history = RunHistory()
+
+    def measure(state, grad, cx, step_norm):
+        # residuals and merit at state, from the grad and c(x) already evaluated there
+        fx = float(check_shape("objective", problem.objective(state.x), ()))
+        kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
+        return kkt, dict(
+            objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
+            lagrangian=float(_value(fx, cx, state.z, state.lam, state.mu, alpha, beta)),
+            norm_x=float(np.linalg.norm(state.x)),
+            norm_lambda=float(np.linalg.norm(state.lam)),
+            norm_mu=float(np.linalg.norm(state.mu)),
+            step_x_norm=step_norm, gamma=state.gamma, delta=state.delta)
 
     cur = initial_state(problem, params, x0, z0=z0, lam0=lam0, mu0=mu0)
-    history = RunHistory()
+    grad = grad_x(problem, cur)
+    cx = check_shape("constraints", problem.constraints(cur.x), (problem.m,))
+    kkt, row = measure(cur, grad, cx, 0.0)
     recorded_k = -1
-
-    def record(fx, opt, feas, merit, step_norm):
-        nonlocal recorded_k
-        history.append(
-            cur.k, cur.x, cur.z, cur.lam, cur.mu,
-            objective=fx, feasibility=feas, optimality=opt, lagrangian=merit,
-            norm_x=float(np.linalg.norm(cur.x)),
-            norm_lambda=float(np.linalg.norm(cur.lam)),
-            norm_mu=float(np.linalg.norm(cur.mu)),
-            step_x_norm=step_norm, gamma=cur.gamma, delta=cur.delta)
-        recorded_k = cur.k
-
-    cx = np.asarray(problem.constraints(cur.x), dtype=float)
-    step_norm = 0.0
-    status = None
-    message = ""
     while True:
-        # residuals and merit at the current state; grad is reused by the x-step
-        grad = grad_x(problem, cur)
-        fx = float(problem.objective(cur.x))
-        opt = float(np.linalg.norm(
-            cur.x - np.asarray(problem.projection(cur.x - grad), dtype=float)))
-        d = cur.lam - cur.mu
-        feas = float(np.linalg.norm(d)) / rho
-        merit = float(_value(fx, cx, cur.z, cur.lam, cur.mu, alpha, beta))
-
         if cur.k % trace_stride == 0:
-            record(fx, opt, feas, merit, step_norm)
-
-        if not (math.isfinite(fx) and math.isfinite(opt)
-                and math.isfinite(feas) and math.isfinite(merit)):
+            history.append(cur.k, cur.x, cur.z, cur.lam, cur.mu, **row)
+            recorded_k = cur.k
+        status, message = _stop(params, cur.k, kkt, row)
+        if status is not None:
+            break
+        try:
+            nxt, cx = _advance(problem, params, cur, grad)
+            grad = grad_x(problem, nxt)
+            kkt, row = measure(nxt, grad, cx, float(np.linalg.norm(nxt.x - cur.x)))
+        except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
-            message = f"non-finite iterate at k={cur.k}"
+            message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"
             break
-        if opt <= params.tol_optimality and feas <= params.tol_feasibility:
-            status = SolveStatus.CONVERGED
-            break
-        if np.linalg.norm(cur.x) > params.divergence_bound:
-            status = SolveStatus.DIVERGED
-            message = f"||x|| exceeded {params.divergence_bound:g} at k={cur.k}"
-            break
-        if cur.k >= params.max_iterations:
-            status = SolveStatus.ITERATION_LIMIT
-            break
-
-        # advance; formulas identical to step_x / gamma / step_mu /
-        # step_lambda / step_z, with grad and c(x) evaluations shared
-        x_next = np.asarray(problem.projection(cur.x - params.step_size * grad),
-                            dtype=float)
-        gam = gamma(params, cur)
-        mu_next = cur.mu + (gam / rho) * d
-        cx = np.asarray(problem.constraints(x_next), dtype=float)
-        lam_next = mu_next + rho * cx
-        z_next = (lam_next - mu_next) / alpha
-        step_norm = float(np.linalg.norm(x_next - cur.x))
-        cur.k += 1
-        cur.x, cur.z, cur.lam, cur.mu = x_next, z_next, lam_next, mu_next
-        cur.delta = params.delta0 * params.decay ** cur.k
-        cur.gamma = gam
+        cur = nxt
 
     if recorded_k != cur.k:
-        record(fx, opt, feas, merit, step_norm)
+        history.append(cur.k, cur.x, cur.z, cur.lam, cur.mu, **row)
     history.freeze()
-
-    final = replace(cur, x=cur.x.copy(), z=cur.z.copy(),
-                    lam=cur.lam.copy(), mu=cur.mu.copy())
-    report = kkt_report(problem, penalty, final,
-                        tol_optimality=params.tol_optimality,
-                        tol_feasibility=params.tol_feasibility)
-    return SolveOutcome(status=status, final_state=final, kkt=report,
-                        trace=history.records(), history=history, message=message)
+    final = replace(cur, x=cur.x.copy(), z=cur.z.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
+    return SolveOutcome(status=status, final_state=final, kkt=kkt, history=history,
+                        message=message)

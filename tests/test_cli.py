@@ -304,3 +304,13 @@ class TestMain:
                      "--report", str(tmp_path / "r.txt")])
         assert code == 5
         assert "problem" in capsys.readouterr().err
+
+    def test_stationary_infeasible_start_exit_one(self, tmp_path, capsys):
+        # example3 from the origin never moves and c = (-4, 0): not converged
+        code = main(["solve", "--problem", "example3", "--step-size", "0.004",
+                     "--delta0", "0.5", "--x0", "0,0", "--max-iters", "50",
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert "iteration_limit after 50 iterations" in capsys.readouterr().out
+        assert "feasibility = 4.0" in (tmp_path / "r.txt").read_text()

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pplad import (FullState, LipschitzHints, PenaltyParams, Problem,
-                   SolverParams, TRACE_COLUMNS, check_trace,
-                   feasibility_residual, kkt_report, optimality_residual,
+                   SolverParams, TRACE_COLUMNS, check_trace, kkt_report,
                    perturbation_ratio, read_trace_csv, solve, tail_step_maxima,
                    write_trace_csv)
 from pplad.problems import example1, example3
@@ -20,12 +19,16 @@ def run1():
     return example1(), params, solve(example1(), params, [3.0, 3.0])
 
 
+def kkt(problem, state, tol=1e-6):
+    return kkt_report(problem, state, tol_optimality=tol, tol_feasibility=tol)
+
+
 class TestResiduals:
     def test_interior_stationary_point_has_zero_optimality(self):
         p = example1()
         # grad f(1,0) = 0 and the two constraint gradients cancel for lam=(t,t)
         s = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[4.0, 4.0], mu=[4.0, 4.0])
-        assert optimality_residual(p, RHO2, s) == 0.0
+        assert kkt(p, s).optimality == 0.0
 
     def test_whole_space_residual_is_gradient_norm(self):
         p = Problem(n=2, m=0, objective=lambda x: float(x @ x),
@@ -34,23 +37,24 @@ class TestResiduals:
                     constraint_jacobian=lambda x: np.zeros((0, 2)),
                     projection=lambda v: v, name="quad")
         s = FullState(x=[3.0, 4.0], z=[], lam=[], mu=[])
-        assert optimality_residual(p, RHO2, s) == pytest.approx(10.0)
+        assert kkt(p, s).optimality == pytest.approx(10.0)
+        assert kkt(p, s).feasibility == 0.0
 
-    def test_feasibility_zero_when_multipliers_agree(self):
-        s = FullState(x=[0.0], z=[0.0, 0.0], lam=[2.0, -1.0], mu=[2.0, -1.0])
-        assert feasibility_residual(RHO2, s) == 0.0
+    def test_feasibility_zero_at_feasible_point_whatever_the_multipliers(self):
+        s = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[2.0, -1.0], mu=[0.0, 5.0])
+        assert kkt(example1(), s).feasibility == 0.0
 
     def test_feasibility_direct_arithmetic(self):
-        s = FullState(x=[0.0], z=[0.0, 0.0], lam=[3.0, 4.0], mu=[0.0, 0.0])
-        assert feasibility_residual(RHO2, s) == pytest.approx(2.5)
+        # c(5, 5) = (-4, 25), whatever the multipliers: lam = mu here
+        s = FullState(x=[5.0, 5.0], z=[0.0, 0.0], lam=[1.0, 1.0], mu=[1.0, 1.0])
+        assert kkt(example3(), s).feasibility == pytest.approx(np.hypot(4.0, 25.0))
 
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
         p, params, out = run1
         feas = out.history.column("feasibility")
         X = out.history.X
-        for k in range(1, len(out.history)):
-            ck = np.linalg.norm(p.constraints(X[k]))
-            assert abs(feas[k] - ck) <= 1e-8 * (1.0 + ck)
+        for k in range(len(out.history)):
+            assert feas[k] == np.linalg.norm(p.constraints(X[k]))
 
 
 class TestKktReport:
@@ -59,32 +63,38 @@ class TestKktReport:
         assert out.kkt.satisfied
         assert_allclose(out.kkt.x_final, [1.0, 0.0], atol=1e-3)
 
+    def test_solve_report_matches_a_fresh_evaluation(self, run1):
+        p, params, out = run1
+        fresh = kkt_report(p, out.final_state, tol_optimality=params.tol_optimality,
+                           tol_feasibility=params.tol_feasibility)
+        assert (fresh.optimality, fresh.feasibility, fresh.satisfied) == \
+            (out.kkt.optimality, out.kkt.feasibility, out.kkt.satisfied)
+        np.testing.assert_array_equal(fresh.multiplier, out.kkt.multiplier)
+        np.testing.assert_array_equal(fresh.x_final, out.kkt.x_final)
+
     def test_initial_state_of_example1_not_satisfied(self):
         p = example1()
         s = FullState(x=[3.0, 3.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
-        report = kkt_report(p, RHO2, s, tol_optimality=1e-6, tol_feasibility=1e-6)
+        report = kkt(p, s)
         assert not report.satisfied
-        # infeasible start: c(3,3) != 0, but lam = mu so the violation shows
-        # up through the optimality residual
+        # infeasible start: c(3,3) = (17, 9) shows up even though lam = mu
+        assert report.feasibility == pytest.approx(np.hypot(17.0, 9.0))
         assert report.optimality > 1e-6
 
     def test_feasible_but_nonstationary_state(self):
         p = example3()
         # (2, 0) is feasible; a wrong multiplier leaves the gradient nonzero
         s = FullState(x=[2.0, 0.0], z=[0.0, 0.0], lam=[5.0, 5.0], mu=[5.0, 5.0])
-        report = kkt_report(p, RHO2, s, tol_optimality=1e-6, tol_feasibility=1e-6)
+        report = kkt(p, s)
         assert report.feasibility == 0.0
         assert not report.satisfied
 
     def test_satisfied_monotone_in_tolerances(self, run1):
         p, params, out = run1
         s = out.final_state
-        tight = kkt_report(p, params.penalty, s, tol_optimality=1e-6,
-                           tol_feasibility=1e-6)
+        tight = kkt(p, s)
         for factor in (10.0, 1e3, 1e6):
-            loose = kkt_report(p, params.penalty, s,
-                               tol_optimality=1e-6 * factor,
-                               tol_feasibility=1e-6 * factor)
+            loose = kkt(p, s, tol=1e-6 * factor)
             assert loose.satisfied or not tight.satisfied
 
 

@@ -108,6 +108,18 @@ def test_validate_flags_wrong_gradient_length():
     assert "shape" in report.check("objective_gradient").message
 
 
+def test_validate_flags_wrong_objective_shape():
+    base = example1()
+    broken = Problem(n=2, m=2, objective=lambda x: np.array([base.objective(x)]),
+                     objective_gradient=base.objective_gradient,
+                     constraints=base.constraints,
+                     constraint_jacobian=base.constraint_jacobian,
+                     projection=base.projection, name="vector-f")
+    report = validate(broken, np.array([3.0, 3.0]))
+    assert not report.check("objective").passed
+    assert "shape" in report.check("objective").message
+
+
 def test_validate_flags_non_finite_objective():
     base = example1()
     broken = Problem(n=2, m=2, objective=lambda x: np.nan,

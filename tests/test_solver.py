@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (EvaluationError, IterateState, PenaltyParams, Problem,
-                   SolveStatus, SolverParams, WholeSpace, gamma, initial_state,
-                   iterate, projector, solve, step_lambda, step_mu, step_x,
-                   step_z)
+from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
+                   Problem, SolveStatus, SolverParams, initial_state, iterate,
+                   solve)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
@@ -19,9 +18,17 @@ def fig1_params(**kw):
 
 
 def state(k, x, z, lam, mu, delta, gam=0.0):
-    return IterateState(k=k, x=np.asarray(x, float), z=np.asarray(z, float),
-                        lam=np.asarray(lam, float), mu=np.asarray(mu, float),
-                        delta=delta, gamma=gam)
+    return FullState(x, z, lam, mu, k=k, delta=delta, gamma=gam)
+
+
+def constant_constraints(c):
+    """One variable, f = 0, and constraints fixed at c: the x-step never moves."""
+    c = np.asarray(c, float)
+    return Problem(n=1, m=c.size, objective=lambda x: 0.0,
+                   objective_gradient=lambda x: np.zeros(1),
+                   constraints=lambda x: c,
+                   constraint_jacobian=lambda x: np.zeros((c.size, 1)),
+                   projection=lambda v: v, name="const")
 
 
 def unconstrained_quadratic(target):
@@ -37,100 +44,107 @@ def unconstrained_quadratic(target):
 
 
 class TestSteps:
+    """Each update formula, read off one call of ``iterate``."""
+
     def test_step_x_fixed_point_at_stationary_state(self):
         p = example1()
         # grad f(1,0) = 0 and J(1,0)^T (t,t) = 0: any equal multipliers work
         s = state(0, [1.0, 0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0], 1.0)
-        assert_allclose(step_x(p, fig1_params(), s), [1.0, 0.0])
+        assert_allclose(iterate(p, fig1_params(), s).x, [1.0, 0.0])
 
     def test_step_x_hand_arithmetic_with_clamp(self):
         # x - 0.002 * (-4, 6) = (3.008, 2.988), clamped to (3, 2.988)
         p = example1()
         s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0)
-        assert_allclose(step_x(p, fig1_params(), s), [3.0, 2.988])
+        assert_allclose(iterate(p, fig1_params(), s).x, [3.0, 2.988])
 
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
         s = state(0, [3.0, 3.0], [], [], [], 1.0)
         params = SolverParams(penalty=RHO2, step_size=0.25)
-        assert_allclose(step_x(p, params, s), [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
+        assert_allclose(iterate(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
 
     def test_gamma_unit_denominator(self):
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
         s = state(0, [0.0], [0.0], [2.0], [2.0], delta=1.0)
-        assert gamma(params, s) == pytest.approx(2.0)
+        assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(2.0)
 
     def test_gamma_zero_budget(self):
         params = SolverParams(penalty=RHO2, step_size=0.1)
         s = state(0, [0.0], [0.0], [5.0], [1.0], delta=0.0)
-        assert gamma(params, s) == 0.0
+        assert iterate(constant_constraints([0.0]), params, s).gamma == 0.0
 
     def test_gamma_direct_arithmetic(self):
         # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
         params = SolverParams(penalty=RHO2, step_size=0.1)
         s = state(0, [0.0], [0.0], [np.sqrt(3.0)], [0.0], delta=0.5)
-        assert gamma(params, s) == pytest.approx(0.25)
+        assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(0.25)
 
     def test_gamma_over_rho_bounded_by_delta(self):
         rng = np.random.default_rng(2)
+        p = constant_constraints([0.0, 0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(100):
             delta = float(rng.uniform(0.0, 1.0))
-            s = state(0, [0.0], [0.0], rng.standard_normal(3) * 10,
+            s = state(0, [0.0], [0.0] * 3, rng.standard_normal(3) * 10,
                       rng.standard_normal(3) * 10, delta=delta)
-            assert 0.0 <= gamma(params, s) / RHO2.rho <= delta <= 1.0
+            assert 0.0 <= iterate(p, params, s).gamma / RHO2.rho <= delta <= 1.0
 
     def test_step_mu_no_move_cases(self):
+        p = constant_constraints([0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        same = state(0, [0.0], [0.0], [1.5, -1.0], [1.5, -1.0], delta=1.0)
-        assert_allclose(step_mu(params, same), same.mu)
-        frozen = state(0, [0.0], [0.0], [9.0, 0.0], [0.0, 0.0], delta=0.0)
-        assert_allclose(step_mu(params, frozen), frozen.mu)
+        same = state(0, [0.0], [0.0, 0.0], [1.5, -1.0], [1.5, -1.0], delta=1.0)
+        assert_allclose(iterate(p, params, same).mu, same.mu)
+        frozen = state(0, [0.0], [0.0, 0.0], [9.0, 0.0], [0.0, 0.0], delta=0.0)
+        assert_allclose(iterate(p, params, frozen).mu, frozen.mu)
 
     def test_step_mu_direct_arithmetic(self):
         # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
         s = state(0, [0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], delta=1.0)
-        assert_allclose(step_mu(params, s), [0.5, 0.0])
+        assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
 
     def test_step_mu_moves_at_most_half_delta(self):
         rng = np.random.default_rng(4)
+        p = constant_constraints([0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(200):
             delta = float(rng.uniform(0.0, 1.0))
             s = state(0, [0.0], [0.0, 0.0], 10 * rng.standard_normal(2),
                       10 * rng.standard_normal(2), delta=delta)
-            moved = np.linalg.norm(step_mu(params, s) - s.mu)
+            moved = np.linalg.norm(iterate(p, params, s).mu - s.mu)
             assert moved <= 0.5 * delta + 1e-15
 
     def test_step_lambda_feasible_point(self):
+        # x stays at the feasible (1, 0) because lam = (t, t); delta = 0 keeps mu
         params = SolverParams(penalty=RHO2, step_size=0.1)
         mu = np.array([0.7, -0.3])
-        assert_allclose(step_lambda(example1(), params, np.array([1.0, 0.0]), mu), mu)
+        s = state(0, [1.0, 0.0], [0.0, 0.0], [2.0, 2.0], mu, delta=0.0)
+        assert_allclose(iterate(example1(), params, s).lam, mu)
 
     def test_step_lambda_at_qcqp_solution_any_mu(self):
+        # at (0, 0, 8) the constraint gradients vanish and the objective
+        # gradient (4, 2, 0) points out of the orthant, so x stays put
         params = fig1_params()
         for mu in ([0.0, 0.0], [3.0, -1.0], [100.0, 7.0]):
-            out = step_lambda(example2(), params, np.array([0.0, 0.0, 8.0]),
-                              np.asarray(mu, float))
-            assert_allclose(out, mu, atol=1e-12)
+            s = state(0, [0.0, 0.0, 8.0], [0.0, 0.0], mu, mu, delta=1.0)
+            assert_allclose(iterate(example2(), params, s).lam, mu, atol=1e-12)
 
     def test_step_lambda_direct_formula(self):
         # rho=2, mu=(1,1), c=(0.5,-1) -> (2, -1)
-        p = Problem(n=1, m=2, objective=lambda x: 0.0,
-                    objective_gradient=lambda x: np.zeros(1),
-                    constraints=lambda x: np.array([0.5, -1.0]),
-                    constraint_jacobian=lambda x: np.zeros((2, 1)),
-                    projection=lambda v: v, name="const")
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        assert_allclose(step_lambda(p, params, np.zeros(1), np.array([1.0, 1.0])),
+        s = state(0, [0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], delta=1.0)
+        assert_allclose(iterate(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
 
     def test_step_z_cases(self):
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.1)
-        assert_allclose(step_z(params, [3.0, 3.0], [3.0, 3.0]), [0.0, 0.0])
-        assert_allclose(step_z(params, [2.0, -1.0], [0.0, 0.0]), [0.001, -0.0005])
+        penalty = PenaltyParams(alpha=2000.0, beta=0.5)
+        params = SolverParams(penalty=penalty, step_size=0.1)
+        s = state(0, [0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0], delta=1.0)
+        assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).z, [0.0, 0.0])
+        # lam - mu = rho c = (2, -1) after the step
+        c = np.array([2.0, -1.0]) / penalty.rho
+        assert_allclose(iterate(constant_constraints(c), params, s).z, [0.001, -0.0005])
 
 
 class TestIterate:
@@ -285,6 +299,60 @@ class TestSolve:
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert len(out.trace) >= 1
         assert "non-finite" in out.message
+
+    def test_stationary_infeasible_start_is_not_converged(self):
+        # grad f(0, 0) = 0 and J(0, 0) = 0, so x never moves from an
+        # infeasible point with c = (-4, 0); zero duals must not hide that
+        params = fig1_params(step_size=0.004, delta0=0.5, max_iterations=50)
+        out = solve(example3(), params, [0.0, 0.0])
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.kkt.satisfied is False
+        assert out.kkt.feasibility == 4.0
+        assert out.history.column("feasibility")[0] == 4.0
+
+    @pytest.mark.parametrize("callback", ["objective", "objective_gradient",
+                                          "constraints", "constraint_jacobian"])
+    def test_wrong_callback_shape_raises_at_entry(self, callback):
+        # the circle problem with one callback's output reshaped
+        callbacks = dict(objective=lambda x: float(x @ x),
+                         objective_gradient=lambda x: 2.0 * x,
+                         constraints=lambda x: np.array([x @ x - 1.0]),
+                         constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1))
+        good = callbacks[callback]
+        bad_shape = {"objective": (1,), "objective_gradient": (2, 1),
+                     "constraints": (1, 1), "constraint_jacobian": (2,)}[callback]
+        callbacks[callback] = lambda x: np.reshape(good(x), bad_shape)
+        p = Problem(n=2, m=1, projection=lambda v: v, name="circle", **callbacks)
+        with pytest.raises(DimensionMismatch, match=callback):
+            solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0, 1.0])
+
+    def test_callback_exception_becomes_evaluation_error(self):
+        calls = {"n": 0}
+
+        def objective(x):
+            calls["n"] += 1  # one call per iteration, the first at k = 0
+            if calls["n"] == 6:
+                raise ZeroDivisionError("division by zero")
+            return float(x @ x)
+
+        p = Problem(n=1, m=0, objective=objective, objective_gradient=lambda x: 2.0 * x,
+                    constraints=lambda x: np.zeros(0),
+                    constraint_jacobian=lambda x: np.zeros((0, 1)),
+                    projection=lambda v: v, name="raises")
+        out = solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0])
+        assert out.status is SolveStatus.EVALUATION_ERROR
+        assert "ZeroDivisionError" in out.message and "iteration 5" in out.message
+        assert out.history.ks.tolist() == [0, 1, 2, 3, 4]
+        assert out.iterations == 4
+        assert_allclose(out.final_state.x, out.history.X[-1])
+
+    @pytest.mark.parametrize("name", ["x0", "z0", "lam0", "mu0"])
+    def test_wrong_length_starting_value_raises(self, name):
+        start = dict(x0=[3.0, 3.0], z0=None, lam0=None, mu0=None)
+        start[name] = [1.0, 2.0, 3.0]
+        x0 = start.pop("x0")
+        with pytest.raises(DimensionMismatch):
+            solve(example1(), fig1_params(max_iterations=5), x0, **start)
 
     def test_x0_projected_before_first_iteration(self):
         p = example1()
