@@ -38,7 +38,7 @@ for name, factory in BUILTIN_PROBLEMS.items():
     outcome = solve(problem, params, DEFAULT_START[name])
 
     path = os.path.join(OUT_DIR, f"{name}_trace.csv")
-    write_trace_csv(outcome.trace, path)
+    write_trace_csv(outcome.history, path)
 
     x = outcome.final_state.x
     print(f"{name:<10} {outcome.status.value:<10} {outcome.iterations:>6} "

@@ -9,9 +9,9 @@ what lets the built-in test problems (all of which violate LICQ at their
 solutions) converge to KKT points.
 """
 
-from .diagnostics import (InvariantViolation, KktReport, RunHistory, TraceRecord,
-                          TRACE_COLUMNS, check_trace, kkt_report, perturbation_ratio,
-                          read_trace_csv, tail_step_maxima, write_trace_csv)
+from .diagnostics import (InvariantViolation, KktReport, RunHistory, TRACE_COLUMNS,
+                          check_trace, kkt_report, perturbation_ratio, read_trace_csv,
+                          tail_step_maxima, write_trace_csv)
 from .lagrangian import (FullState, PenaltyParams, eval_full, eval_reduced,
                          grad_x, lambda_hat, zhat)
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
@@ -32,7 +32,7 @@ __all__ = [
     "InvariantViolation", "KktReport", "LipschitzHints",
     "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
     "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
-    "TRACE_COLUMNS", "TraceRecord", "ValidationCheck", "ValidationReport",
+    "TRACE_COLUMNS", "ValidationCheck", "ValidationReport",
     "WholeSpace", "check_trace", "compare", "eval_full", "eval_reduced",
     "example1", "example2", "example2_spec", "example3", "fd_gradient",
     "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate",

@@ -1,4 +1,4 @@
-"""Residual measures, per-iteration trace records, and machine-checked run invariants.
+"""Residual measures, the run history and its CSV form, and machine-checked run invariants.
 
 The optimality measure is the projected-gradient fixed-point residual
 
@@ -12,8 +12,9 @@ configured step size instead, so the reported optimality is step-size
 independent.  ``kkt_report`` and the solver loop share one implementation
 of both residuals.
 
-``RunHistory`` is the one trace representation: the scalar trace records
-(``TraceRecord``, the CSV rows) are derived from it on demand.
+``RunHistory`` is the one trace representation.  ``write_trace_csv``
+writes its scalar columns straight to CSV, keeping every stride-th row plus
+the last, and ``read_trace_csv`` reads them back as one array per column.
 
 ``check_trace`` re-derives the convergence theory's per-iteration
 inequalities on a recorded run and reports every violation; an empty list
@@ -23,7 +24,7 @@ is a machine-checked consistency certificate for the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -32,23 +33,6 @@ from .model import LipschitzHints, Problem, check_shape
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One iteration's scalar diagnostics; field order matches the CSV contract."""
-
-    k: int
-    objective: float
-    feasibility: float
-    optimality: float
-    lagrangian: float
-    norm_x: float
-    norm_lambda: float
-    norm_mu: float
-    step_x_norm: float
-    gamma: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -82,7 +66,7 @@ def _violation(name, k, lhs, rhs):
 
 
 class RunHistory:
-    """Column-oriented record of every stored iteration of a solve run.
+    """Column-oriented record of every iteration of a solve run.
 
     Holds the full iterate vectors (x, z, lam, mu) alongside the scalar
     trace columns, so that vector-level invariants can be re-checked after
@@ -92,33 +76,27 @@ class RunHistory:
     """
 
     _VECTOR = ("x", "z", "lam", "mu")
-    _SCALAR = ("objective", "feasibility", "optimality", "lagrangian",
-               "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
+    _STATE = ("k", *_VECTOR, "gamma", "delta")
+    _ROW = ("objective", "feasibility", "optimality", "lagrangian",
+            "norm_x", "norm_lambda", "norm_mu", "step_x_norm")
 
     def __init__(self):
-        self._rows = {name: [] for name in ("k", *self._VECTOR, *self._SCALAR)}
+        self._rows = {name: [] for name in (*self._STATE, *self._ROW)}
         self._frozen = None
 
-    def append(self, k, x, z, lam, mu, *, objective, feasibility, optimality,
-               lagrangian, norm_x, norm_lambda, norm_mu, step_x_norm, gamma, delta):
+    def append(self, state, row: dict) -> None:
+        """Store one iteration from its state and the loop's scalar row.
+
+        The state supplies k, x, z, lam, mu, gamma and delta; ``row`` maps
+        each other trace column (objective .. step_x_norm) to its value.
+        """
         if self._frozen is not None:
             raise RuntimeError("history is frozen; no further rows may be appended")
         rows = self._rows
-        rows["k"].append(int(k))
-        rows["x"].append(x)
-        rows["z"].append(z)
-        rows["lam"].append(lam)
-        rows["mu"].append(mu)
-        rows["objective"].append(objective)
-        rows["feasibility"].append(feasibility)
-        rows["optimality"].append(optimality)
-        rows["lagrangian"].append(lagrangian)
-        rows["norm_x"].append(norm_x)
-        rows["norm_lambda"].append(norm_lambda)
-        rows["norm_mu"].append(norm_mu)
-        rows["step_x_norm"].append(step_x_norm)
-        rows["gamma"].append(gamma)
-        rows["delta"].append(delta)
+        for name in self._STATE:
+            rows[name].append(getattr(state, name))
+        for name in self._ROW:
+            rows[name].append(row[name])
 
     def __len__(self):
         if self._frozen is not None:
@@ -126,15 +104,21 @@ class RunHistory:
         return len(self._rows["k"])
 
     def freeze(self):
-        """Convert stored rows to numpy arrays (idempotent)."""
+        """Convert stored rows to numpy arrays (idempotent).
+
+        Each row list is dropped as soon as its column is stacked, so at
+        most one column is held twice.
+        """
         if self._frozen is None:
-            cols = {"k": np.asarray(self._rows["k"], dtype=int)}
-            for name in self._VECTOR:
-                rows = self._rows[name]
-                cols[name] = (np.asarray(rows, dtype=float) if rows
-                              else np.zeros((0, 0)))
-            for name in self._SCALAR:
-                cols[name] = np.asarray(self._rows[name], dtype=float)
+            cols = {}
+            for name in tuple(self._rows):
+                rows = self._rows.pop(name)
+                if name == "k":
+                    cols[name] = np.asarray(rows, dtype=int)
+                elif name in self._VECTOR and not rows:
+                    cols[name] = np.zeros((0, 0))
+                else:
+                    cols[name] = np.asarray(rows, dtype=float)
             self._frozen = cols
             self._rows = None
         return self
@@ -162,15 +146,6 @@ class RunHistory:
     @property
     def Mu(self):
         return self.column("mu")
-
-    def records(self) -> List[TraceRecord]:
-        """Materialize one TraceRecord per stored row."""
-        self.freeze()
-        cols = [self.column(name) for name in TRACE_COLUMNS]
-        out = []
-        for i in range(len(self)):
-            out.append(TraceRecord(int(cols[0][i]), *(float(col[i]) for col in cols[1:])))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +186,9 @@ def check_trace(problem: Problem, history: RunHistory, params,
                 grad_lipschitz: Optional[float] = None) -> List[InvariantViolation]:
     """Evaluate every checkable per-iteration inequality over a recorded run.
 
-    Requires a stride-1 history (consecutive iteration numbers).  Checks,
-    for every stored transition k -> k+1 (gamma_k is the dual step actually
-    taken, delta_k the budget at k):
+    Requires consecutive iteration numbers, as in every history that
+    ``solve`` returns.  Checks, for every stored transition k -> k+1
+    (gamma_k is the dual step actually taken, delta_k the budget at k):
 
     - mu_bound:       ||mu_k|| <= ||mu_0|| + (delta_0/2)(1 - r^k)/(1 - r)
     - mu_step:        ||mu_{k+1} - mu_k||^2 <= (gamma_k/rho)||lam_k - mu_k||^2
@@ -237,7 +212,7 @@ def check_trace(problem: Problem, history: RunHistory, params,
     problem : Problem
         Needed to evaluate c(x_k) for the state identities.
     history : RunHistory
-        Stride-1 history as produced by ``solve``.
+        Every iteration of the run, as ``solve`` records it.
     params : SolverParams
         The parameters the run used (penalty, step size, schedule).
     hints : LipschitzHints, optional
@@ -384,22 +359,33 @@ def perturbation_ratio(history: RunHistory) -> np.ndarray:
 # trace CSV
 # ---------------------------------------------------------------------------
 
-def write_trace_csv(records, path) -> None:
-    """Write records as CSV with the fixed column contract, full precision."""
+def write_trace_csv(history: RunHistory, path, stride: int = 1) -> None:
+    """Write the history's scalar columns as CSV with the fixed column contract.
+
+    Keeps the rows whose k is a multiple of ``stride``, plus the last row.
+    Values are written at full precision (%.17e is lossless for doubles).
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    keep = history.ks % stride == 0
+    keep[-1:] = True  # the last row always (a no-op on an empty history)
+    ks, *values = (history.column(name)[keep].tolist() for name in TRACE_COLUMNS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in records:
-            fields = [str(r.k)] + ["%.17e" % getattr(r, name) for name in TRACE_COLUMNS[1:]]
-            fh.write(",".join(fields) + "\n")
+        for k, *row in zip(ks, *values):
+            fh.write(",".join([str(k)] + ["%.17e" % v for v in row]) + "\n")
 
 
-def read_trace_csv(path) -> List[TraceRecord]:
-    """Parse a trace CSV written by ``write_trace_csv``."""
+def read_trace_csv(path) -> Dict[str, np.ndarray]:
+    """Parse a trace CSV written by ``write_trace_csv`` into one array per column.
+
+    Keys are ``TRACE_COLUMNS``; ``k`` is an int array, the rest are floats.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {header!r}")
-        records = []
+        rows = []
         for line in fh:
             line = line.strip()
             if not line:
@@ -407,5 +393,9 @@ def read_trace_csv(path) -> List[TraceRecord]:
             parts = line.split(",")
             if len(parts) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row: {line!r}")
-            records.append(TraceRecord(int(parts[0]), *(float(p) for p in parts[1:])))
-    return records
+            rows.append(parts)
+    fields = list(zip(*rows)) if rows else [()] * len(TRACE_COLUMNS)
+    columns = {"k": np.array([int(v) for v in fields[0]], dtype=int)}
+    for name, values in zip(TRACE_COLUMNS[1:], fields[1:]):
+        columns[name] = np.array([float(v) for v in values], dtype=float)
+    return columns

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List
 
 import numpy as np
 
-from .diagnostics import KktReport, RunHistory, TraceRecord, _kkt
+from .diagnostics import KktReport, RunHistory, _kkt
 from .lagrangian import FullState, PenaltyParams, _value, grad_x, zhat
 from .model import EvaluationError, Problem, check_shape
 
@@ -86,11 +85,6 @@ class SolveOutcome:
     @property
     def iterations(self) -> int:
         return self.final_state.k
-
-    @property
-    def trace(self) -> List[TraceRecord]:
-        """Scalar trace records, one per stored row of ``history``."""
-        return self.history.records()
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +155,7 @@ def _stop(params: SolverParams, k: int, kkt: KktReport, row: dict):
 # ---------------------------------------------------------------------------
 
 def solve(problem: Problem, params: SolverParams, x0, *,
-          z0=None, lam0=None, mu0=None, trace_stride: int = 1) -> SolveOutcome:
+          z0=None, lam0=None, mu0=None) -> SolveOutcome:
     """Run the alternating-direction loop from x0 until a stopping condition.
 
     Stops with CONVERGED when the projected-gradient optimality residual
@@ -177,8 +171,8 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     evaluator contract; a wrong shape at the starting point raises
     DimensionMismatch naming the callback.
 
-    The history records iterations k with k % trace_stride == 0 plus the
-    final one; invariant checking requires trace_stride == 1.
+    The history records every iteration, k = 0 included, so ``check_trace``
+    can check every transition; ``write_trace_csv`` thins it only on output.
 
     Parameters
     ----------
@@ -187,16 +181,12 @@ def solve(problem: Problem, params: SolverParams, x0, *,
         Starting point; projected onto X before the first iteration.
     z0, lam0, mu0 : array_like, optional
         Warm-start values; all default to zero vectors.
-    trace_stride : int
-        Record every trace_stride-th iteration (default 1: record all).
 
     Returns
     -------
     SolveOutcome
-        Final state, KKT report and the history (``trace`` derives from it).
+        Final state, KKT report and the history of every iteration.
     """
-    if trace_stride < 1:
-        raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
     alpha, beta = params.penalty.alpha, params.penalty.beta
     history = RunHistory()
 
@@ -210,17 +200,14 @@ def solve(problem: Problem, params: SolverParams, x0, *,
             norm_x=float(np.linalg.norm(state.x)),
             norm_lambda=float(np.linalg.norm(state.lam)),
             norm_mu=float(np.linalg.norm(state.mu)),
-            step_x_norm=step_norm, gamma=state.gamma, delta=state.delta)
+            step_x_norm=step_norm)
 
     cur = initial_state(problem, params, x0, z0=z0, lam0=lam0, mu0=mu0)
     grad = grad_x(problem, cur)
     cx = check_shape("constraints", problem.constraints(cur.x), (problem.m,))
     kkt, row = measure(cur, grad, cx, 0.0)
-    recorded_k = -1
     while True:
-        if cur.k % trace_stride == 0:
-            history.append(cur.k, cur.x, cur.z, cur.lam, cur.mu, **row)
-            recorded_k = cur.k
+        history.append(cur, row)
         status, message = _stop(params, cur.k, kkt, row)
         if status is not None:
             break
@@ -234,9 +221,6 @@ def solve(problem: Problem, params: SolverParams, x0, *,
             break
         cur = nxt
 
-    if recorded_k != cur.k:
-        history.append(cur.k, cur.x, cur.z, cur.lam, cur.mu, **row)
-    history.freeze()
     final = replace(cur, x=cur.x.copy(), z=cur.z.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
     return SolveOutcome(status=status, final_state=final, kkt=kkt, history=history,
                         message=message)

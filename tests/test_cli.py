@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import read_trace_csv
+from pplad import check_trace as real_check_trace, example1, read_trace_csv
 from pplad.cli import (ConfigError, QcqpParseError, RunConfig, load_qcqp,
                        load_qcqp_spec, main, parse_config, run, save_qcqp)
 from pplad.problems import example2, example2_spec
@@ -77,6 +77,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="malformed number") as info:
             parse_config(str(cfg))
         assert info.value.line == 2
+
+    def test_nonpositive_stride_names_the_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = example1\nstep_size = 0.002\nstride = 0\n")
+        with pytest.raises(ConfigError, match="stride") as info:
+            parse_config(str(cfg))
+        assert info.value.key == "stride"
+        with pytest.raises(ConfigError, match="stride"):
+            parse_config(None, {"problem": "example1", "step_size": 0.002, "stride": -3})
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -176,8 +185,8 @@ class TestRun:
         x_line = next(l for l in report.splitlines() if l.startswith("x = "))
         x = np.array([float(v) for v in x_line[4:].split(",")])
         assert np.linalg.norm(x - np.array([1.0, 0.0])) <= 1e-3
-        records = read_trace_csv(tmp_path / "t.csv")
-        assert records[0].k == 0
+        assert f"objective = {example1().objective(x)!r}" in report
+        assert read_trace_csv(tmp_path / "t.csv")["k"][0] == 0
 
     def test_iteration_limit_exit_one(self, tmp_path):
         config = RunConfig(problem="example1", step_size=0.002, max_iterations=1,
@@ -224,18 +233,27 @@ class TestRun:
                            trace_path=str(tmp_path / "t.csv"),
                            report_path=str(tmp_path / "r.txt"))
         assert run(config) == 1
-        ks = [r.k for r in read_trace_csv(tmp_path / "t.csv")]
-        assert ks == [0, 10, 20, 30, 40]
+        assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
-    def test_check_invariants_with_stride_warns_and_decimates(self, tmp_path, capsys):
+    def test_check_invariants_with_stride_checks_every_iteration(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        import pplad.cli as cli_module
+        checked = []
+
+        def check_trace(problem, history, params):
+            checked.append(history.ks.tolist())
+            return real_check_trace(problem, history, params)
+
+        monkeypatch.setattr(cli_module, "check_trace", check_trace)
         config = RunConfig(problem="example1", step_size=0.002, max_iterations=40,
                            trace_stride=10, check_invariants=True,
                            trace_path=str(tmp_path / "t.csv"),
                            report_path=str(tmp_path / "r.txt"))
         assert run(config) == 1
-        assert "stride-1" in capsys.readouterr().err
-        ks = [r.k for r in read_trace_csv(tmp_path / "t.csv")]
-        assert ks == [0, 10, 20, 30, 40]
+        assert capsys.readouterr().err == ""
+        assert checked == [list(range(41))]
+        assert "invariant_violations = 0" in (tmp_path / "r.txt").read_text()
+        assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
     def test_small_decay_emits_warning(self, tmp_path, capsys):
         config = RunConfig(problem="example1", step_size=0.002, max_iterations=2,
@@ -314,3 +332,23 @@ class TestMain:
         assert code == 1
         assert "iteration_limit after 50 iterations" in capsys.readouterr().out
         assert "feasibility = 4.0" in (tmp_path / "r.txt").read_text()
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    @pytest.mark.parametrize("check", [[], ["--check-invariants"]])
+    def test_nonpositive_stride_exit_five_before_solving(self, tmp_path, capsys, stride,
+                                                         check):
+        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
+                     "--stride", stride, *check,
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        assert "stride" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_nonpositive_stride_in_config_file_exit_five(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = example1\nstep_size = 0.002\nstride = 0\n"
+                       f"trace = {tmp_path / 't.csv'}\nreport = {tmp_path / 'r.txt'}\n")
+        assert main(["solve", "--config", str(cfg), "--check-invariants"]) == 5
+        assert "stride" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()

@@ -1,12 +1,19 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from pplad import (FullState, LipschitzHints, PenaltyParams, Problem,
+from pplad import (FullState, LipschitzHints, PenaltyParams, Problem, RunHistory,
                    SolverParams, TRACE_COLUMNS, check_trace, kkt_report,
                    perturbation_ratio, read_trace_csv, solve, tail_step_maxima,
                    write_trace_csv)
-from pplad.problems import example1, example3
+from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
+
+DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
+# the scalar row that solve's loop builds; gamma and delta come from the state
+ROW_COLUMNS = TRACE_COLUMNS[1:-2]
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
 
@@ -130,12 +137,16 @@ class TestCheckTrace:
         assert check_trace(p, out.history, params) == []
 
     def test_strided_trace_rejected(self):
+        # solve records every iteration, but a hand-built history can skip some
         p = example1()
         params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                               step_size=0.002, max_iterations=50)
-        out = solve(p, params, [3.0, 3.0], trace_stride=5)
+        hist = RunHistory()
+        for k in (0, 5, 10):
+            hist.append(FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], k=k),
+                        dict.fromkeys(ROW_COLUMNS, 0.0))
         with pytest.raises(ValueError, match="stride-1"):
-            check_trace(p, out.history, params)
+            check_trace(p, hist, params)
 
     def test_certified_decrease_with_generous_constants_passes(self):
         # Honest global constants for a well-conditioned run: small convex
@@ -200,23 +211,90 @@ class TestTailAndRatio:
         assert np.all(ratio >= 0.0)
 
 
+class TestRunHistory:
+    def test_append_takes_state_and_row(self):
+        hist = RunHistory()
+        state = FullState([1.0, 2.0], [0.5], [3.0], [4.0], k=7, delta=0.25, gamma=0.125)
+        hist.append(state, {name: float(i) for i, name in enumerate(ROW_COLUMNS)})
+        assert hist.ks.tolist() == [7]
+        assert_array_equal(hist.X, [[1.0, 2.0]])
+        assert_array_equal(hist.Mu, [[4.0]])
+        assert hist.column("gamma").tolist() == [0.125]
+        assert hist.column("delta").tolist() == [0.25]
+        assert [hist.column(name)[0] for name in ROW_COLUMNS] == list(range(len(ROW_COLUMNS)))
+        with pytest.raises(RuntimeError, match="frozen"):
+            hist.append(state, dict.fromkeys(ROW_COLUMNS, 0.0))
+
+    def test_freeze_holds_at_most_one_column_twice(self):
+        # n = m = 200: the four vector columns are the same size, so stacking
+        # them all while every row is alive would double the history's memory
+        n = rows = 200
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            hist = RunHistory()
+            for k in range(rows):
+                vectors = [rng.standard_normal(n) for _ in range(4)]  # no shared base
+                hist.append(FullState(*vectors, k=k),
+                            dict.fromkeys(ROW_COLUMNS, 0.0))
+            stored = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hist.freeze()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stored > 4 * rows * n * 8
+        assert peak < 1.5 * stored
+
+
 class TestTraceCsv:
     def test_round_trip(self, run1, tmp_path):
         _, _, out = run1
         path = tmp_path / "trace.csv"
-        write_trace_csv(out.trace, path)
+        write_trace_csv(out.history, path)
         back = read_trace_csv(path)
-        assert len(back) == len(out.trace)
-        for a, b in zip(out.trace, back):
-            assert a.k == b.k
-            for name in TRACE_COLUMNS[1:]:
-                # %.17e is lossless for doubles
-                assert getattr(a, name) == getattr(b, name)
+        assert list(back) == list(TRACE_COLUMNS)
+        assert back["k"].dtype.kind == "i"
+        for name in TRACE_COLUMNS:
+            # %.17e is lossless for doubles
+            assert_array_equal(back[name], out.history.column(name))
+
+    def test_stride_keeps_multiples_plus_last_row(self, tmp_path):
+        p = example1()
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
+                              step_size=0.002, max_iterations=47)
+        out = solve(p, params, [3.0, 3.0])
+        assert_array_equal(out.history.ks, np.arange(48))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.history, path, stride=10)
+        back = read_trace_csv(path)
+        assert back["k"].tolist() == [0, 10, 20, 30, 40, 47]
+        for name in TRACE_COLUMNS:
+            assert_array_equal(back[name], out.history.column(name)[back["k"]])
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_nonpositive_stride_rejected(self, run1, tmp_path, stride):
+        _, _, out = run1
+        with pytest.raises(ValueError, match="stride"):
+            write_trace_csv(out.history, tmp_path / "trace.csv", stride=stride)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_demo_traces_reproduced_byte_for_byte(self, name, tmp_path):
+        # the settings of demos/02_builtin_runs.py, which wrote the committed CSVs
+        settings = {"example1": (0.002, 1.0), "example2": (0.005, 0.5),
+                    "example3": (0.004, 0.5)}
+        step_size, delta0 = settings[name]
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), decay=0.999,
+                              step_size=step_size, delta0=delta0)
+        out = solve(BUILTIN_PROBLEMS[name](), params, DEFAULT_START[name])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.history, path)
+        assert path.read_bytes() == (DEMO_OUTPUT / f"{name}_trace.csv").read_bytes()
 
     def test_header_contract(self, run1, tmp_path):
         _, _, out = run1
         path = tmp_path / "trace.csv"
-        write_trace_csv(out.trace[:3], path)
+        write_trace_csv(out.history, path)
         header = path.read_text().splitlines()[0]
         assert header == ("k,objective,feasibility,optimality,lagrangian,"
                           "norm_x,norm_lambda,norm_mu,step_x_norm,gamma,delta")
@@ -230,7 +308,7 @@ class TestTraceCsv:
     def test_reader_rejects_ragged_row(self, run1, tmp_path):
         _, _, out = run1
         path = tmp_path / "trace.csv"
-        write_trace_csv(out.trace[:2], path)
+        write_trace_csv(out.history, path)
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
         with pytest.raises(ValueError, match="malformed"):

@@ -228,7 +228,7 @@ class TestSolve:
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations == 0
         assert_allclose(out.final_state.x, [3.0, 3.0])
-        assert len(out.trace) == 1
+        assert len(out.history) == 1
 
     def test_loop_matches_repeated_iterate_exactly(self):
         p = example1()
@@ -297,7 +297,7 @@ class TestSolve:
         params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=100)
         out = solve(p, params, [0.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
-        assert len(out.trace) >= 1
+        assert len(out.history) >= 1
         assert "non-finite" in out.message
 
     def test_stationary_infeasible_start_is_not_converged(self):
@@ -367,13 +367,6 @@ class TestSolve:
         assert_allclose(out.final_state.lam, [1.0, 2.0])
         assert_allclose(out.final_state.mu, [3.0, 4.0])
         assert_allclose(out.final_state.z, [0.5, 0.5])
-
-    def test_trace_stride_records_subset_plus_final(self):
-        p = example1()
-        params = fig1_params(max_iterations=47)
-        out = solve(p, params, [3.0, 3.0], trace_stride=10)
-        ks = [r.k for r in out.trace]
-        assert ks == [0, 10, 20, 30, 40, 47]
 
     def test_converged_status_implies_kkt_satisfied(self):
         p = example1()
