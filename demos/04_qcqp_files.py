@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
+import pplad
 from pplad import QcqpSpec, WholeSpace, from_qcqp
-from pplad.cli import load_qcqp, save_qcqp
-from pplad.problems import example2_spec
+from pplad.problems import example2_spec, load_qcqp, save_qcqp
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
@@ -44,20 +44,22 @@ spec = QcqpSpec(
 custom_path = os.path.join(OUT_DIR, "least_norm.txt")
 save_qcqp(spec, custom_path)
 
-# 3) solve it through the command-line interface
-trace = os.path.join(OUT_DIR, "least_norm_trace.csv")
-report = os.path.join(OUT_DIR, "least_norm_report.txt")
+# 3) solve it through the command-line interface, run inside OUT_DIR with
+#    relative file names so that the report names the problem the same way
+#    from any checkout; the child imports the same pplad as this script
 cmd = [sys.executable, "-m", "pplad", "solve",
-       "--problem", custom_path, "--x0", "1,1", "--step-size", "0.05",
+       "--problem", "least_norm.txt", "--x0", "1,1", "--step-size", "0.05",
        "--tol-opt", "1e-9", "--tol-feas", "1e-9",
-       "--trace", trace, "--report", report, "--check-invariants"]
+       "--trace", "least_norm_trace.csv", "--report", "least_norm_report.txt",
+       "--check-invariants"]
 print("running:", " ".join(cmd[2:]))
-proc = subprocess.run(cmd, capture_output=True, text=True)
+env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pplad.__file__)))
+proc = subprocess.run(cmd, capture_output=True, text=True, cwd=OUT_DIR, env=env)
 print(proc.stdout.strip())
 print(f"exit code {proc.returncode}\n")
 
 print("report file:")
-with open(report) as fh:
+with open(os.path.join(OUT_DIR, "least_norm_report.txt")) as fh:
     print("  " + "  ".join(fh.readlines()))
 
 # analytic solution of the least-norm problem: x* = a / ||a||^2 = (0.2, 0.4)

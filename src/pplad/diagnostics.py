@@ -37,16 +37,10 @@ TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
 
 @dataclass(frozen=True)
 class KktReport:
-    """Final residual pair, multiplier, point, and the convergence verdict.
-
-    ``multiplier`` and ``x_final`` are the state's own arrays, not copies;
-    the solver never writes into an iterate in place.
-    """
+    """Residual pair at a state and the convergence verdict."""
 
     optimality: float
     feasibility: float
-    multiplier: np.ndarray
-    x_final: np.ndarray
     satisfied: bool
 
 
@@ -155,10 +149,10 @@ class RunHistory:
 def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
          tol_feasibility: float) -> KktReport:
     """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
-    projected = np.asarray(problem.projection(state.x - grad), dtype=float)
+    projected = check_shape("projection", problem.projection(state.x - grad), (problem.n,))
     opt = float(np.linalg.norm(state.x - projected))
     feas = float(np.linalg.norm(cx))
-    return KktReport(optimality=opt, feasibility=feas, multiplier=state.lam, x_final=state.x,
+    return KktReport(optimality=opt, feasibility=feas,
                      satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
 
 

@@ -1,4 +1,4 @@
-"""Built-in test problems and a dense QCQP constructor.
+"""Built-in test problems, a dense QCQP constructor and the QCQP text format.
 
 All three built-ins violate the linear-independence constraint
 qualification at their solutions, which is exactly the regime the dual
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Box, DimensionMismatch, LipschitzHints, NonnegativeOrthant,
-                    Problem, ProjectionKind, projector)
+from .model import (Ball, Box, DimensionMismatch, LipschitzHints, NonnegativeOrthant,
+                    Problem, ProjectionKind, WholeSpace, projector)
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,136 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp",
                    constraint_jacobian=constraint_jacobian,
                    projection=projector(spec.projection),
                    lipschitz_hints=lipschitz_hints, name=name)
+
+
+# ---------------------------------------------------------------------------
+# QCQP text format
+# ---------------------------------------------------------------------------
+#
+# Line-oriented and whitespace-separated, '#' starting a comment anywhere:
+# a ``dim n m`` line; section ``Q`` (n rows of n numbers) and section ``q``
+# (one row of n); for j = 1..m the sections ``Qj`` (n rows), ``qj`` (one row)
+# and ``bj`` (one number); finally a ``projection <name>`` line followed by
+# one line per field of the projection kind.
+
+# projection name -> (kind, its fields in file order: "n" numbers or 1)
+_PROJECTIONS = {
+    "whole": (WholeSpace, {}),
+    "nonneg": (NonnegativeOrthant, {}),
+    "box": (Box, {"lo": "n", "hi": "n"}),
+    "ball": (Ball, {"center": "n", "radius": 1}),
+}
+
+
+class QcqpParseError(ValueError):
+    """Bad QCQP problem file; carries the offending line number."""
+
+    def __init__(self, message: str, line: int):
+        self.line = line
+        super().__init__(f"{message} (line {line})")
+
+
+def _parse_numbers(lineno: int, text: str, count: int, what: str) -> np.ndarray:
+    parts = text.split()
+    if len(parts) != count:
+        raise QcqpParseError(f"{what}: expected {count} numbers, got {len(parts)}", lineno)
+    try:
+        return np.array(parts, dtype=float)
+    except ValueError:
+        raise QcqpParseError(f"{what}: non-numeric token in {text!r}", lineno) from None
+
+
+def load_qcqp_spec(path: str) -> QcqpSpec:
+    """Parse the plain-text QCQP format into a QcqpSpec."""
+    with open(path, "r", encoding="utf-8") as fh:
+        stripped = ((lineno, raw.split("#", 1)[0].strip())
+                    for lineno, raw in enumerate(fh, start=1))
+        lines = [item for item in stripped if item[1]]
+    pos = 0
+
+    def next_line(expect: str):
+        nonlocal pos
+        if pos >= len(lines):
+            lastno = lines[-1][0] if lines else 0
+            raise QcqpParseError(f"unexpected end of file, expected {expect}", lastno)
+        pos += 1
+        return lines[pos - 1]
+
+    def read_rows(count: int, width: int, what: str) -> np.ndarray:
+        return np.vstack([_parse_numbers(*next_line(what), width, what)
+                          for _ in range(count)])
+
+    def read_section(tag: str, count: int, width: int) -> np.ndarray:
+        lineno, text = next_line(f"section {tag!r}")
+        if text != tag:
+            raise QcqpParseError(f"expected section {tag!r}, got {text!r}", lineno)
+        return read_rows(count, width, f"row of {tag}")
+
+    lineno, text = next_line("'dim n m'")
+    parts = text.split()
+    if len(parts) != 3 or parts[0] != "dim":
+        raise QcqpParseError(f"expected 'dim n m', got {text!r}", lineno)
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise QcqpParseError(f"non-integer dimensions in {text!r}", lineno) from None
+    if n < 1 or m < 0:
+        raise QcqpParseError(f"invalid dimensions n={n}, m={m}", lineno)
+
+    Q = read_section("Q", n, n)
+    q = read_section("q", 1, n)[0]
+    Qj, qj, bj = [], [], []
+    for j in range(1, m + 1):
+        Qj.append(read_section(f"Q{j}", n, n))
+        qj.append(read_section(f"q{j}", 1, n)[0])
+        bj.append(read_section(f"b{j}", 1, 1)[0, 0])
+
+    lineno, text = next_line("'projection <kind>'")
+    parts = text.split()
+    if len(parts) != 2 or parts[0] != "projection":
+        raise QcqpParseError(f"expected 'projection <kind>', got {text!r}", lineno)
+    name = parts[1]
+    if name not in _PROJECTIONS:
+        raise QcqpParseError(f"unknown projection kind {name!r}", lineno)
+    kind, sizes = _PROJECTIONS[name]
+    fields = {}
+    for field, size in sizes.items():
+        row = read_rows(1, n if size == "n" else 1, f"{name} {field}")[0]
+        fields[field] = row if size == "n" else float(row[0])
+    projection = kind(**fields)
+
+    if pos < len(lines):
+        lineno, text = lines[pos]
+        raise QcqpParseError(f"trailing content {text!r}", lineno)
+    return QcqpSpec(Q=Q, q=q, Qj=tuple(Qj), qj=tuple(qj), bj=tuple(bj),
+                    projection=projection)
+
+
+def load_qcqp(path: str, name: str | None = None) -> Problem:
+    """Load a QCQP problem file and construct the Problem."""
+    return from_qcqp(load_qcqp_spec(path), name=name or str(path))
+
+
+def save_qcqp(spec: QcqpSpec, path: str) -> None:
+    """Serialize a QcqpSpec in the plain-text format read by ``load_qcqp``."""
+    def fmt(values) -> str:
+        return " ".join("%.17g" % v for v in np.atleast_1d(values))
+
+    lines = [f"dim {spec.n} {spec.m}", "Q", *map(fmt, spec.Q), "q", fmt(spec.q)]
+    for j, (M, v, b) in enumerate(zip(spec.Qj, spec.qj, spec.bj), start=1):
+        lines += [f"Q{j}", *map(fmt, M), f"q{j}", fmt(v), f"b{j}", fmt(b)]
+    kind = spec.projection
+    for name, (cls, sizes) in _PROJECTIONS.items():
+        if isinstance(kind, cls):
+            break
+    else:
+        raise TypeError(f"unknown projection kind: {type(kind).__name__}")
+    lines.append(f"projection {name}")
+    for field, size in sizes.items():
+        value = getattr(kind, field)
+        lines.append(fmt(np.broadcast_to(value, (spec.n,)) if size == "n" else value))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
     rho = params.penalty.rho
     d = state.lam - state.mu
     gam = rho * state.delta / (float(d @ d) + 1.0)
-    x_next = np.asarray(problem.projection(state.x - params.step_size * grad), dtype=float)
+    x_next = check_shape("projection", problem.projection(state.x - params.step_size * grad),
+                         (problem.n,))
     mu_next = state.mu + (gam / rho) * d
     cx = check_shape("constraints", problem.constraints(x_next), (problem.m,))
     lam_next = mu_next + rho * cx
@@ -132,7 +133,7 @@ def initial_state(problem: Problem, params: SolverParams, x0,
 
     state = FullState(x0, dual(z0), dual(lam0), dual(mu0), delta=params.delta0)
     state.check_dims(problem)
-    state.x = np.asarray(problem.projection(state.x), dtype=float)
+    state.x = check_shape("projection", problem.projection(state.x), (problem.n,))
     return state
 
 
@@ -167,9 +168,9 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     evaluated.  In both EVALUATION_ERROR cases the partial history is kept
     and the final state is the last fully evaluated one.
 
-    The output shapes of f, grad f, c and J are checked against the
-    evaluator contract; a wrong shape at the starting point raises
-    DimensionMismatch naming the callback.
+    The output shapes of f, grad f, c, J and the projection are checked
+    against the evaluator contract; a wrong shape at the starting point
+    raises DimensionMismatch naming the callback.
 
     The history records every iteration, k = 0 included, so ``check_trace``
     can check every transition; ``write_trace_csv`` thins it only on output.

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pplad import check_trace as real_check_trace, example1, read_trace_csv
-from pplad.cli import (ConfigError, QcqpParseError, RunConfig, load_qcqp,
-                       load_qcqp_spec, main, parse_config, run, save_qcqp)
-from pplad.problems import example2, example2_spec
+from pplad.cli import ConfigError, main, parse_config, run
+from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
+                            load_qcqp_spec, save_qcqp)
 
 EXAMPLE2_FILE = """\
 # three-variable indefinite QCQP
@@ -36,6 +36,12 @@ projection nonneg
 """
 
 
+def run_config(tmp_path, **settings):
+    """A RunConfig from settings given as flags would give them, writing under tmp_path."""
+    return parse_config(None, {"trace": str(tmp_path / "t.csv"),
+                               "report": str(tmp_path / "r.txt"), **settings})
+
+
 class TestParseConfig:
     def test_file_with_standard_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -51,7 +57,7 @@ class TestParseConfig:
         config = parse_config(str(cfg))
         assert config.problem == "example1"
         assert_allclose(config.x0, [3.0, 3.0])
-        params = config.solver_params()
+        params = config.params
         assert params.penalty.rho == 2000.0 / 1001.0
         assert params.step_size == 0.002
         assert params.max_iterations == 200000  # default
@@ -91,15 +97,18 @@ class TestParseConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = example1\nstep_size = 0.002\nalpha = 10\n")
         config = parse_config(str(cfg), {"alpha": 2000.0, "decay": 0.5})
-        assert config.alpha == 2000.0
-        assert config.decay == 0.5
+        assert config.params.penalty.alpha == 2000.0
+        assert config.params.decay == 0.5
 
     def test_defaults_match_documented_values(self):
         config = parse_config(None, {"problem": "example1", "step_size": 0.002})
-        assert (config.alpha, config.beta, config.decay, config.delta0) == \
+        params = config.params
+        assert (params.penalty.alpha, params.penalty.beta, params.decay, params.delta0) == \
             (2000.0, 0.5, 0.999, 1.0)
-        assert config.tol_optimality == config.tol_feasibility == 1e-6
-        assert config.max_iterations == 200000
+        assert params.tol_optimality == params.tol_feasibility == 1e-6
+        assert params.max_iterations == 200000
+        assert params.divergence_bound == 1e8
+        assert (config.trace_path, config.report_path) == ("trace.csv", "report.txt")
         assert config.trace_stride == 1
         assert config.check_invariants is False
 
@@ -174,10 +183,8 @@ class TestQcqpFormat:
 
 class TestRun:
     def test_example1_converges_exit_zero(self, tmp_path):
-        config = RunConfig(problem="example1", step_size=0.002,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"),
-                           check_invariants=True)
+        config = run_config(tmp_path, problem="example1", step_size=0.002,
+                            check_invariants=True)
         assert run(config) == 0
         report = (tmp_path / "r.txt").read_text()
         assert "status = converged" in report
@@ -189,49 +196,37 @@ class TestRun:
         assert read_trace_csv(tmp_path / "t.csv")["k"][0] == 0
 
     def test_iteration_limit_exit_one(self, tmp_path):
-        config = RunConfig(problem="example1", step_size=0.002, max_iterations=1,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=1)
         assert run(config) == 1
 
     def test_divergence_exit_two(self, tmp_path):
         # unconstrained concave QCQP: projected gradient descent runs away
         path = tmp_path / "runaway.qcqp"
         path.write_text("dim 1 0\nQ\n-1\nq\n0\nprojection whole\n")
-        config = RunConfig(problem=str(path), step_size=0.5,
-                           x0=np.array([1.0]), divergence_bound=1e4,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem=str(path), step_size=0.5, x0="1",
+                            divergence_bound=1e4)
         assert run(config) == 2
 
     def test_unwritable_trace_path_exit_four(self, tmp_path):
-        config = RunConfig(problem="example1", step_size=0.002, max_iterations=5,
-                           trace_path=str(tmp_path / "missing" / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=5,
+                            trace=str(tmp_path / "missing" / "t.csv"))
         assert run(config) == 4
 
     def test_file_problem_requires_x0(self, tmp_path):
         path = tmp_path / "plain.qcqp"
         path.write_text("dim 1 0\nQ\n1\nq\n0\nprojection whole\n")
-        config = RunConfig(problem=str(path), step_size=0.1,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem=str(path), step_size=0.1)
         with pytest.raises(ConfigError, match="x0"):
             run(config)
 
     def test_wrong_x0_length_rejected(self, tmp_path):
-        config = RunConfig(problem="example1", step_size=0.002,
-                           x0=np.array([1.0, 2.0, 3.0]),
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, x0="1,2,3")
         with pytest.raises(ConfigError, match="x0"):
             run(config)
 
     def test_stride_decimates_csv(self, tmp_path):
-        config = RunConfig(problem="example1", step_size=0.002, max_iterations=40,
-                           trace_stride=10,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=40,
+                            stride=10)
         assert run(config) == 1
         assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
@@ -245,21 +240,29 @@ class TestRun:
             return real_check_trace(problem, history, params)
 
         monkeypatch.setattr(cli_module, "check_trace", check_trace)
-        config = RunConfig(problem="example1", step_size=0.002, max_iterations=40,
-                           trace_stride=10, check_invariants=True,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=40,
+                            stride=10, check_invariants=True)
         assert run(config) == 1
         assert capsys.readouterr().err == ""
         assert checked == [list(range(41))]
         assert "invariant_violations = 0" in (tmp_path / "r.txt").read_text()
         assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
+    def test_problem_files_are_read_through_the_module_level_load_qcqp(self, tmp_path,
+                                                                       monkeypatch):
+        # the benchmark times file loading by replacing this name
+        import pplad.cli as cli_module
+        seen = []
+        monkeypatch.setattr(cli_module, "load_qcqp",
+                            lambda path: seen.append(path) or example2())
+        config = run_config(tmp_path, problem="model.qcqp", step_size=0.005,
+                            x0="4,4,4", max_iters=2)
+        assert run(config) == 1
+        assert seen == ["model.qcqp"]
+
     def test_small_decay_emits_warning(self, tmp_path, capsys):
-        config = RunConfig(problem="example1", step_size=0.002, max_iterations=2,
-                           decay=0.5,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=2,
+                            decay=0.5)
         run(config)
         assert "decay" in capsys.readouterr().err
 
@@ -271,10 +274,8 @@ class TestRun:
         fake = InvariantViolation("mu_bound", 3, 2.0, 1.0, 1.0)
         monkeypatch.setattr(cli_module, "check_trace",
                             lambda *args, **kw: [fake])
-        config = RunConfig(problem="example1", step_size=0.002,
-                           check_invariants=True,
-                           trace_path=str(tmp_path / "t.csv"),
-                           report_path=str(tmp_path / "r.txt"))
+        config = run_config(tmp_path, problem="example1", step_size=0.002,
+                            check_invariants=True)
         assert run(config) == 3
         report = (tmp_path / "r.txt").read_text()
         assert "invariant_violations = 1" in report
@@ -307,6 +308,31 @@ class TestMain:
                      "--report", str(tmp_path / "r.txt")])
         assert code == 5
         assert "step_size" in capsys.readouterr().err
+
+    def test_bad_setting_fails_before_the_problem_is_loaded(self, tmp_path, capsys):
+        code = main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
+                     "--step-size", "0",
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "step_size" in err and "missing.qcqp" not in err
+
+    @pytest.mark.parametrize("key, text", [("stride", "1.5"), ("step_size", "abc")])
+    def test_bad_flag_text_fails_as_in_a_config_file(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = example1\nstep_size = 0.002\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(cfg))
+        assert str(info.value).endswith(" (line 3)")
+        message = str(info.value).removesuffix(" (line 3)")
+        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
+                     "--" + key.replace("_", "-"), text,
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        assert capsys.readouterr().err == f"pplad: error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_x0_flag_parsed_as_vector(self, tmp_path):
         code = main(["solve", "--problem", "example1", "--step-size", "0.002",

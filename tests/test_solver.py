@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -311,20 +313,42 @@ class TestSolve:
         assert out.history.column("feasibility")[0] == 4.0
 
     @pytest.mark.parametrize("callback", ["objective", "objective_gradient",
-                                          "constraints", "constraint_jacobian"])
+                                          "constraints", "constraint_jacobian",
+                                          "projection"])
     def test_wrong_callback_shape_raises_at_entry(self, callback):
         # the circle problem with one callback's output reshaped
         callbacks = dict(objective=lambda x: float(x @ x),
                          objective_gradient=lambda x: 2.0 * x,
                          constraints=lambda x: np.array([x @ x - 1.0]),
-                         constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1))
+                         constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1),
+                         projection=lambda v: v)
         good = callbacks[callback]
         bad_shape = {"objective": (1,), "objective_gradient": (2, 1),
-                     "constraints": (1, 1), "constraint_jacobian": (2,)}[callback]
+                     "constraints": (1, 1), "constraint_jacobian": (2,),
+                     "projection": (2, 1)}[callback]
         callbacks[callback] = lambda x: np.reshape(good(x), bad_shape)
-        p = Problem(n=2, m=1, projection=lambda v: v, name="circle", **callbacks)
+        p = Problem(n=2, m=1, name="circle", **callbacks)
         with pytest.raises(DimensionMismatch, match=callback):
             solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0, 1.0])
+
+    def test_short_projection_output_raises_at_entry(self):
+        # unchecked, the shape-(1,) start made example1's objective index past its end
+        p = dataclasses.replace(example1(), projection=lambda v: v[:1])
+        with pytest.raises(DimensionMismatch, match="projection"):
+            solve(p, fig1_params(), [3.0, 3.0])
+
+    def test_wrong_projection_shape_after_start_becomes_evaluation_error(self):
+        calls = []
+
+        def projection(v):
+            calls.append(v)  # two calls at x0: the start itself and its residual
+            return v if len(calls) <= 2 else v.reshape(-1, 1)
+
+        p = dataclasses.replace(example1(), projection=projection)
+        out = solve(p, fig1_params(), [3.0, 3.0])
+        assert out.status is SolveStatus.EVALUATION_ERROR
+        assert "DimensionMismatch raised at iteration 1: projection" in out.message
+        assert out.history.ks.tolist() == [0]
 
     def test_callback_exception_becomes_evaluation_error(self):
         calls = {"n": 0}
