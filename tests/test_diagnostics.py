@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from pplad import (DimensionMismatch, FullState, LipschitzHints, PenaltyParams, 
                    SolverParams, TRACE_COLUMNS, check_trace, kkt_report,
                    perturbation_ratio, read_trace_csv, solve, tail_step_maxima,
                    write_trace_csv)
-from pplad.problems import example1, example3
+from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
+
+DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 
 # the scalar row that solve's loop builds; gamma and delta come from the state
 ROW_COLUMNS = TRACE_COLUMNS[1:-2]
@@ -279,6 +282,19 @@ class TestTraceCsv:
         _, _, out = run1
         with pytest.raises(ValueError, match="stride"):
             write_trace_csv(out.history, tmp_path / "trace.csv", stride=stride)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_demo_traces_reproduced_byte_for_byte(self, name, tmp_path):
+        # the settings of demos/02_builtin_runs.py, which wrote the committed CSVs
+        settings = {"example1": (0.002, 1.0), "example2": (0.005, 0.5),
+                    "example3": (0.004, 0.5)}
+        step_size, delta0 = settings[name]
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), decay=0.999,
+                              step_size=step_size, delta0=delta0)
+        out = solve(BUILTIN_PROBLEMS[name](), params, DEFAULT_START[name])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.history, path)
+        assert path.read_bytes() == (DEMO_OUTPUT / f"{name}_trace.csv").read_bytes()
 
     def test_header_contract(self, run1, tmp_path):
         _, _, out = run1
