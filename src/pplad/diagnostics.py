@@ -276,7 +276,7 @@ def check_trace(problem: Problem, history: RunHistory, params,
     # --- state identities, valid from the first lam/z-update onward --------
     if problem.m > 0:
         for i in range(1, size):
-            rho_c = rho * np.asarray(problem.constraints(X[i]), dtype=float)
+            rho_c = rho * check_shape("constraints", problem.constraints(X[i]), (problem.m,))
             scale = 1.0 + float(np.linalg.norm(rho_c))
             gap = float(np.linalg.norm(d[i] - rho_c))
             if gap > _IDENTITY_TOL * scale:

@@ -86,8 +86,8 @@ def _value(fx, cx, z, lam, mu, alpha, beta):
 
 def eval_full(problem: Problem, params: PenaltyParams, state) -> float:
     """Value of the full merit function at (x, z, lam, mu)."""
-    fx = float(problem.objective(state.x))
-    cx = np.asarray(problem.constraints(state.x), dtype=float)
+    fx = float(check_shape("objective", problem.objective(state.x), ()))
+    cx = check_shape("constraints", problem.constraints(state.x), (problem.m,))
     value = float(_value(fx, cx, state.z, state.lam, state.mu, params.alpha, params.beta))
     if not np.isfinite(value):
         raise EvaluationError("non-finite merit value", state=state)
@@ -125,9 +125,10 @@ def eval_reduced(problem: Problem, params: PenaltyParams, x, lam, mu) -> float:
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    cx = np.asarray(problem.constraints(x), dtype=float)
+    cx = check_shape("constraints", problem.constraints(x), (problem.m,))
+    fx = float(check_shape("objective", problem.objective(x), ()))
     d = lam - mu
-    value = float(problem.objective(x)) + float(lam @ cx) - (d @ d) / (2.0 * params.rho)
+    value = fx + float(lam @ cx) - (d @ d) / (2.0 * params.rho)
     if not np.isfinite(value):
         raise EvaluationError("non-finite reduced merit value",
                               state=FullState(x, zhat(params, lam, mu), lam, mu))
@@ -137,5 +138,6 @@ def eval_reduced(problem: Problem, params: PenaltyParams, x, lam, mu) -> float:
 def lambda_hat(problem: Problem, params: PenaltyParams, x, mu) -> np.ndarray:
     """Unique maximizer of the reduced merit in lam: mu + rho * c(x)."""
     mu = np.asarray(mu, dtype=float)
-    cx = np.asarray(problem.constraints(np.asarray(x, dtype=float)), dtype=float)
+    cx = check_shape("constraints", problem.constraints(np.asarray(x, dtype=float)),
+                     (problem.m,))
     return mu + params.rho * cx

@@ -166,10 +166,11 @@ class Problem:
       equal to the gradient of constraint j, so the dual-weighted gradient
       term is jac.T @ lam.  projection(v) -> the Euclidean projection onto X.
 
-    Evaluators must be pure functions of x (no hidden mutable state); a
-    Problem value may then be shared read-only across threads.  m = 0 is
-    allowed, in which case constraints return a length-0 vector and the
-    solver degenerates to projected gradient descent on f.
+    Evaluator outputs must depend on x alone.  A cache is allowed if a hit
+    returns exactly what a fresh evaluation would and it is safe under
+    concurrent calls; a Problem value may then be shared read-only across
+    threads.  m = 0 is allowed, in which case constraints return a length-0
+    vector and the solver degenerates to projected gradient descent on f.
     """
 
     n: int
@@ -237,18 +238,29 @@ def _finite_vector(name, value, shape):
 def validate(problem: Problem, x0, settings: FdSettings | None = None) -> ValidationReport:
     """Evaluate every callback at the projection of x0 and cross-check derivatives.
 
-    Checks that f, its gradient, c, and the Jacobian are finite and correctly
-    shaped, and compares the analytic gradient/Jacobian against the
-    finite-difference oracle.  Returns a per-check report; nothing is raised
-    for contract violations, they are reported as failed checks.
+    Checks that the projection of x0 has shape (n,), that f, its gradient, c,
+    and the Jacobian are finite and correctly shaped there, and compares the
+    analytic gradient/Jacobian against the finite-difference oracle.  A
+    failed projection leaves nothing to evaluate at, so every later check is
+    reported as skipped.  Returns a per-check report; nothing is raised for
+    contract violations, they are reported as failed checks.
     """
     settings = settings or FdSettings()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,):
         raise DimensionMismatch("x0 length", problem.n, x0.shape)
-    x = np.asarray(problem.projection(x0), dtype=float)
-
-    checks = []
+    try:
+        x = check_shape("projection", problem.projection(x0), (problem.n,))
+    except Exception as exc:
+        # with no point to evaluate at, blaming the evaluators would mislead
+        skipped = [ValidationCheck(name, False, message="skipped: projection failed")
+                   for name in ("objective", "objective_gradient", "constraints",
+                                "constraint_jacobian", "objective_gradient_fd",
+                                "constraint_jacobian_fd")]
+        return ValidationReport(problem.name, x0,
+                                (ValidationCheck("projection", False, message=repr(exc)),
+                                 *skipped))
+    checks = [ValidationCheck("projection", True)]
 
     fx = None
     try:

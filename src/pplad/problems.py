@@ -68,9 +68,16 @@ class QcqpSpec:
 
 def from_qcqp(spec: QcqpSpec, name: str = "qcqp",
               lipschitz_hints: LipschitzHints | None = None) -> Problem:
-    """Wrap a QcqpSpec into a Problem with exact quadratic-form derivatives."""
+    """Wrap a QcqpSpec into a Problem with exact quadratic-form derivatives.
+
+    The constraint matrices are stacked once into an (m n, n) array, and c
+    and J share one product ``Mx`` (row j is Qj x) per point: J = Mx + qj
+    row-wise and c_j = 0.5 <Qj x, x> + qj'x + bj.  The solver asks for c
+    and J at the same x, so the last product is kept in a one-entry cache
+    keyed on the exact bits of x; a hit returns what a fresh evaluation
+    would, and the cached array itself is never handed out.
+    """
     Q, q = spec.Q, spec.q
-    Qj, qj, bj = spec.Qj, spec.qj, spec.bj
     n, m = spec.n, spec.m
 
     def objective(x):
@@ -80,12 +87,27 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp",
         return Q @ x + q
 
     if m:
+        stacked = np.concatenate(spec.Qj)  # (m n, n): Q1 on top of Q2 ...
+        linear = np.array(spec.qj)         # (m, n)
+        offset = np.array(spec.bj)         # (m,)
+        last = None                        # (key of x, Mx), replaced whole
+
+        def products(x):
+            nonlocal last
+            x = np.asarray(x, dtype=float)
+            key = (x.shape, x.tobytes())
+            entry = last
+            if entry is None or entry[0] != key:
+                entry = last = (key, (stacked @ x).reshape(m, n))
+            return x, entry[1]
+
         def constraints(x):
-            return np.array([0.5 * (x @ M @ x) + v @ x + b
-                             for M, v, b in zip(Qj, qj, bj)])
+            x, Mx = products(x)
+            return 0.5 * np.vecdot(Mx, x) + linear @ x + offset
 
         def constraint_jacobian(x):
-            return np.vstack([M @ x + v for M, v in zip(Qj, qj)])
+            _, Mx = products(x)
+            return Mx + linear
     else:
         def constraints(x):
             return np.zeros(0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -129,6 +131,22 @@ def test_validate_flags_non_finite_objective():
                      projection=base.projection, name="nanf")
     report = validate(broken, np.array([3.0, 3.0]))
     assert not report.check("objective").passed
+
+
+@pytest.mark.parametrize("projection", [lambda v: v.reshape(-1, 1), lambda v: v[:1]],
+                         ids=["column", "short"])
+def test_validate_blames_a_wrongly_shaped_projection(projection):
+    broken = dataclasses.replace(example1(), projection=projection)
+    report = validate(broken, np.array([3.0, 3.0]))
+    assert not report.passed
+    check = report.check("projection")
+    assert not check.passed and "projection output shape" in check.message
+    for name in ("objective", "objective_gradient", "constraints", "constraint_jacobian"):
+        assert report.check(name).message == "skipped: projection failed"
+
+
+def test_validate_reports_a_passing_projection():
+    assert validate(example1(), np.array([3.0, 3.0])).check("projection").passed
 
 
 def test_validate_rejects_wrong_x0_length():

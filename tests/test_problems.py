@@ -1,6 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (DimensionMismatch, QcqpSpec, WholeSpace, compare,
                    fd_gradient, fd_jacobian, from_qcqp, validate)
@@ -103,6 +105,34 @@ class TestQcqpSpec:
                      qj=([0.0, 0.0],), bj=(0.0,), projection=WholeSpace())
 
 
+def dense_spec(n=200, m=20, seed=5):
+    rng = np.random.default_rng(seed)
+    return QcqpSpec(Q=rng.standard_normal((n, n)), q=rng.standard_normal(n),
+                    Qj=tuple(rng.standard_normal((n, n)) for _ in range(m)),
+                    qj=tuple(rng.standard_normal(n) for _ in range(m)),
+                    bj=tuple(rng.standard_normal(m)), projection=WholeSpace())
+
+
+def fresh(spec, x):
+    """c and J at x, each from a Problem that has evaluated nothing before."""
+    return from_qcqp(spec).constraints(x), from_qcqp(spec).constraint_jacobian(x)
+
+
+def c_and_J(p, x, jacobian_first=False):
+    """c and J of p at x, asked for in either order: the first call fills the cache."""
+    if jacobian_first:
+        J = p.constraint_jacobian(x)
+        return p.constraints(x), J
+    c = p.constraints(x)
+    return c, p.constraint_jacobian(x)
+
+
+def assert_bitwise(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.dtype == e.dtype and a.shape == e.shape
+        assert a.tobytes() == e.tobytes()  # also tells -0.0 from 0.0
+
+
 class TestFromQcqp:
     def test_zero_data_gives_zero_objective(self):
         spec = QcqpSpec(Q=np.zeros((3, 3)), q=np.zeros(3), Qj=(), qj=(), bj=(),
@@ -112,8 +142,7 @@ class TestFromQcqp:
         x = rng.standard_normal(3)
         assert p.objective(x) == 0.0
         assert_allclose(p.objective_gradient(x), np.zeros(3))
-        assert p.constraints(x).shape == (0,)
-        assert p.constraint_jacobian(x).shape == (0, 3)
+        assert_bitwise(c_and_J(p, x), (np.zeros(0), np.zeros((0, 3))))
 
     def test_random_specs_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -135,6 +164,92 @@ class TestFromQcqp:
             err, ok = compare(p.constraint_jacobian(x), fd_jacobian(p.constraints, x),
                               rel_tol=1e-6)
             assert ok, err
+
+
+class TestStackedConstraints:
+    """c and J of from_qcqp share one stacked product per point."""
+
+    def test_matches_the_per_matrix_formulas(self):
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x = rng.uniform(-2.0, 2.0, spec.n)
+            c_ref = np.array([0.5 * (x @ M @ x) + v @ x + b
+                              for M, v, b in zip(spec.Qj, spec.qj, spec.bj)])
+            J_ref = np.vstack([M @ x + v for M, v in zip(spec.Qj, spec.qj)])
+            c, J = p.constraints(x), p.constraint_jacobian(x)
+            assert_array_equal(J, J_ref)
+            assert np.linalg.norm(c - c_ref) <= 1e-13 * np.linalg.norm(c_ref)
+
+    def test_point_mutated_in_place_is_a_new_point(self):
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        x = np.linspace(-1.0, 1.0, spec.n)
+        p.constraints(x)
+        x[3] += 0.5
+        assert_bitwise(c_and_J(p, x), fresh(spec, x))
+        x[7] = -x[7]
+        assert_bitwise(c_and_J(p, x, jacobian_first=True), fresh(spec, x))
+
+    def test_alternating_points(self):
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        rng = np.random.default_rng(9)
+        x1, x2 = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
+        expected = {1: fresh(spec, x1), 2: fresh(spec, x2)}
+        for which, x in ((1, x1), (2, x2), (1, x1), (1, x1), (2, x2)):
+            assert_bitwise(c_and_J(p, x), expected[which])
+            assert_bitwise(c_and_J(p, x), expected[which])  # both from the cache
+
+    def test_signed_zeros_are_different_points(self):
+        spec = dense_spec(n=3, m=2)
+        p = from_qcqp(spec)
+        plus = np.array([0.0, 1.0, 0.0])
+        minus = np.array([-0.0, 1.0, -0.0])
+        for x in (plus, minus, plus):
+            assert_bitwise(c_and_J(p, x), fresh(spec, x))
+            assert_bitwise(c_and_J(p, x, jacobian_first=True), fresh(spec, x))
+
+    def test_list_input(self):
+        spec = dense_spec(n=4, m=3)
+        p = from_qcqp(spec)
+        x = [0.5, -1.0, 2.0, 0.25]
+        assert_bitwise(c_and_J(p, x), fresh(spec, np.array(x)))
+
+    def test_mutating_a_returned_jacobian_changes_nothing_later(self):
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        x = np.linspace(0.0, 1.0, spec.n)
+        expected = fresh(spec, x)
+        J = p.constraint_jacobian(x)
+        J[:] = 7.0
+        c = p.constraints(x)
+        c[:] = 7.0
+        assert_bitwise(c_and_J(p, x), expected)
+
+    def test_two_threads_at_different_points(self):
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        rng = np.random.default_rng(10)
+        points = [rng.standard_normal(spec.n) for _ in range(2)]
+        expected = [fresh(spec, x) for x in points]
+        start = threading.Barrier(2)
+        wrong = []
+
+        def work(i):
+            start.wait()
+            for _ in range(200):
+                got = c_and_J(p, points[i])
+                if any(a.tobytes() != e.tobytes() for a, e in zip(got, expected[i])):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert wrong == []
 
 
 def test_builtins_registry_and_start_points():

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
-                   Problem, SolveStatus, SolverParams, initial_state, iterate,
-                   solve)
+                   Problem, SolveStatus, SolverParams, check_trace, eval_full,
+                   eval_reduced, initial_state, iterate, lambda_hat, solve)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
@@ -312,24 +312,42 @@ class TestSolve:
         assert out.kkt.feasibility == 4.0
         assert out.history.column("feasibility")[0] == 4.0
 
-    @pytest.mark.parametrize("callback", ["objective", "objective_gradient",
-                                          "constraints", "constraint_jacobian",
-                                          "projection"])
-    def test_wrong_callback_shape_raises_at_entry(self, callback):
+    @pytest.mark.parametrize("entry,callback", [
+        *(pytest.param("solve", callback, id=callback)
+          for callback in ("objective", "objective_gradient", "constraints",
+                           "constraint_jacobian", "projection")),
+        *(pytest.param(entry, callback, id=f"{entry}-{callback}")
+          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"),
+                                  ("eval_reduced", "objective"),
+                                  ("eval_reduced", "constraints"),
+                                  ("lambda_hat", "constraints"),
+                                  ("check_trace", "constraints"))),
+    ])
+    def test_wrong_callback_shape_raises_at_entry(self, entry, callback):
         # the circle problem with one callback's output reshaped
         callbacks = dict(objective=lambda x: float(x @ x),
                          objective_gradient=lambda x: 2.0 * x,
                          constraints=lambda x: np.array([x @ x - 1.0]),
                          constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1),
                          projection=lambda v: v)
+        params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=3)
+        # check_trace re-evaluates c along a run made with the good callbacks
+        history = solve(Problem(n=2, m=1, name="circle", **callbacks), params,
+                        [1.0, 1.0]).history
         good = callbacks[callback]
         bad_shape = {"objective": (1,), "objective_gradient": (2, 1),
                      "constraints": (1, 1), "constraint_jacobian": (2,),
                      "projection": (2, 1)}[callback]
         callbacks[callback] = lambda x: np.reshape(good(x), bad_shape)
         p = Problem(n=2, m=1, name="circle", **callbacks)
+        x, duals = [1.0, 1.0], [0.5]
+        call = {"solve": lambda: solve(p, params, x),
+                "eval_full": lambda: eval_full(p, RHO2, FullState(x, duals, duals, duals)),
+                "eval_reduced": lambda: eval_reduced(p, RHO2, x, duals, duals),
+                "lambda_hat": lambda: lambda_hat(p, RHO2, x, duals),
+                "check_trace": lambda: check_trace(p, history, params)}[entry]
         with pytest.raises(DimensionMismatch, match=callback):
-            solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0, 1.0])
+            call()
 
     def test_short_projection_output_raises_at_entry(self):
         # unchecked, the shape-(1,) start made example1's objective index past its end
