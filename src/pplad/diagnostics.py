@@ -12,24 +12,28 @@ configured step size instead, so the reported optimality is step-size
 independent.  ``kkt_report`` and the solver loop share one implementation
 of both residuals.
 
-``RunHistory`` is the one trace representation.  ``write_trace_csv``
-writes its scalar columns straight to CSV, keeping every stride-th row plus
-the last, and ``read_trace_csv`` reads them back as one array per column.
+``RunHistory`` is the one trace representation: scalars only, O(1) per
+iteration.  ``write_trace_csv`` writes its trace columns straight to CSV,
+keeping every stride-th row plus the last, and ``read_trace_csv`` reads
+them back as one array per column.
 
-``check_trace`` re-derives the convergence theory's per-iteration
-inequalities on a recorded run and reports every violation; an empty list
-is a machine-checked consistency certificate for the run.
+``check_trace`` replays the convergence theory's per-iteration
+inequalities over the terms the solver recorded and reports every
+violation; an empty list is a machine-checked consistency certificate for
+the run.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lagrangian import PenaltyParams, grad_x
-from .model import LipschitzHints, Problem, check_shape
+from .lagrangian import grad_x
+from .model import LipschitzHints, Problem, _norm, check_shape
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
@@ -60,61 +64,63 @@ def _violation(name, k, lhs, rhs):
 
 
 class RunHistory:
-    """Column-oriented record of every iteration of a solve run.
+    """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
-    Holds the full iterate vectors (x, z, lam, mu) alongside the scalar
-    trace columns, so that vector-level invariants can be re-checked after
-    the fact.  Rows are appended by the solver and frozen into numpy arrays
-    on first read.  Memory grows with (n + 3m + 10) floats per stored
-    iteration.
+    Each row holds the trace columns (``TRACE_COLUMNS``) and the terms that
+    ``check_trace``, ``tail_step_maxima`` and ``perturbation_ratio`` replay,
+    formed by the solver from the vectors it holds at that iteration:
+
+    - state terms at k: ``norm_z`` = ||z_k||, ``lambda_mu_sq`` =
+      ||lam_k - mu_k||^2, the identity gaps ``gap_lambda_mu`` =
+      ||(lam_k - mu_k) - rho c(x_k)|| and ``gap_z`` = ||alpha z_k - rho c(x_k)||
+      (their scale ||rho c(x_k)|| is rho times the ``feasibility`` column);
+    - terms of the transition k-1 -> k (zero at k = 0): ``step_x_norm`` =
+      ||x_k - x_{k-1}||, ``step_z_norm`` = ||z_k - z_{k-1}||,
+      ``step_lambda_sq`` = ||lam_k - lam_{k-1}||^2, ``step_mu_sq`` =
+      ||mu_k - mu_{k-1}||^2 and ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
+
+    No iterate vector is stored: a row costs (len(TRACE_COLUMNS) + 8) * 8
+    bytes whatever n and m.  Rows are appended by the solver and exposed as
+    numpy arrays, one per column, on first read.
     """
 
-    _VECTOR = ("x", "z", "lam", "mu")
-    _STATE = ("k", *_VECTOR, "gamma", "delta")
-    _ROW = ("objective", "feasibility", "optimality", "lagrangian",
-            "norm_x", "norm_lambda", "norm_mu", "step_x_norm")
+    #: the keys of the scalar row that ``append`` takes beside the state
+    ROW_COLUMNS = ("objective", "feasibility", "optimality", "lagrangian",
+                   "norm_x", "norm_lambda", "norm_mu", "step_x_norm",
+                   "norm_z", "lambda_mu_sq", "gap_lambda_mu", "gap_z",
+                   "step_z_norm", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
+    _FLOAT_COLUMNS = ("gamma", "delta", *ROW_COLUMNS)
+    _row_values = operator.itemgetter(*ROW_COLUMNS)
 
     def __init__(self):
-        self._rows = {name: [] for name in (*self._STATE, *self._ROW)}
+        self._k = array("q")
+        self._table = array("d")  # row-major, one row of _FLOAT_COLUMNS per iteration
         self._frozen = None
 
     def append(self, state, row: dict) -> None:
         """Store one iteration from its state and the loop's scalar row.
 
-        The state supplies k, x, z, lam, mu, gamma and delta; ``row`` maps
-        each other trace column (objective .. step_x_norm) to its value.
+        The state supplies k, gamma and delta; ``row`` maps each name in
+        ``ROW_COLUMNS`` to its value.
         """
         if self._frozen is not None:
             raise RuntimeError("history is frozen; no further rows may be appended")
-        rows = self._rows
-        for name in self._STATE:
-            rows[name].append(getattr(state, name))
-        for name in self._ROW:
-            rows[name].append(row[name])
+        self._table.fromlist([state.gamma, state.delta, *self._row_values(row)])
+        self._k.append(state.k)
 
     def __len__(self):
-        if self._frozen is not None:
-            return len(self._frozen["k"])
-        return len(self._rows["k"])
+        return len(self._k)
 
     def freeze(self):
-        """Convert stored rows to numpy arrays (idempotent).
+        """Expose the stored rows as numpy arrays, one per column, without copying them.
 
-        Each row list is dropped as soon as its column is stacked, so at
-        most one column is held twice.
+        Idempotent; no row may be appended afterwards.
         """
         if self._frozen is None:
-            cols = {}
-            for name in tuple(self._rows):
-                rows = self._rows.pop(name)
-                if name == "k":
-                    cols[name] = np.asarray(rows, dtype=int)
-                elif name in self._VECTOR and not rows:
-                    cols[name] = np.zeros((0, 0))
-                else:
-                    cols[name] = np.asarray(rows, dtype=float)
-            self._frozen = cols
-            self._rows = None
+            table = np.frombuffer(self._table, dtype=float).reshape(
+                len(self._k), len(self._FLOAT_COLUMNS))
+            self._frozen = {name: table[:, j] for j, name in enumerate(self._FLOAT_COLUMNS)}
+            self._frozen["k"] = np.frombuffer(self._k, dtype=np.int64)
         return self
 
     def column(self, name: str) -> np.ndarray:
@@ -125,22 +131,6 @@ class RunHistory:
     def ks(self):
         return self.column("k")
 
-    @property
-    def X(self):
-        return self.column("x")
-
-    @property
-    def Z(self):
-        return self.column("z")
-
-    @property
-    def Lam(self):
-        return self.column("lam")
-
-    @property
-    def Mu(self):
-        return self.column("mu")
-
 
 # ---------------------------------------------------------------------------
 # residuals and the KKT report
@@ -150,8 +140,8 @@ def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
          tol_feasibility: float) -> KktReport:
     """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
     projected = check_shape("projection", problem.projection(state.x - grad), (problem.n,))
-    opt = float(np.linalg.norm(state.x - projected))
-    feas = float(np.linalg.norm(cx))
+    opt = _norm(state.x - projected)
+    feas = _norm(cx)
     return KktReport(optimality=opt, feasibility=feas,
                      satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
 
@@ -180,16 +170,19 @@ def check_trace(problem: Problem, history: RunHistory, params,
                 grad_lipschitz: Optional[float] = None) -> List[InvariantViolation]:
     """Evaluate every checkable per-iteration inequality over a recorded run.
 
-    Requires consecutive iteration numbers, as in every history that
-    ``solve`` returns.  Checks, for every stored transition k -> k+1
-    (gamma_k is the dual step actually taken, delta_k the budget at k):
+    A vectorized replay of the history's recorded terms (see
+    ``RunHistory``): it evaluates no problem callback, because the solver
+    formed each term from the c(x) it already held.  Requires consecutive
+    iteration numbers, as in every history that ``solve`` returns.
+    Checks, for every stored transition k -> k+1 (gamma_k is the dual step
+    actually taken, delta_k the budget at k):
 
     - mu_bound:       ||mu_k|| <= ||mu_0|| + (delta_0/2)(1 - r^k)/(1 - r)
     - mu_step:        ||mu_{k+1} - mu_k||^2 <= (gamma_k/rho)||lam_k - mu_k||^2
     - mu_step_budget: (gamma_k/rho)||lam_k - mu_k||^2 <= delta_k
     - mu_lam_contraction (exact, 1e-12 relative):
                       ||mu_{k+1} - lam_k|| = (1 - gamma_k/rho)||lam_k - mu_k||
-    - state identities for k >= 1 (1e-10 relative):
+    - state identities for k >= 1 (1e-10 relative to 1 + ||rho c(x_k)||):
                       lam_k - mu_k = rho c(x_k)  and  alpha z_k = rho c(x_k)
     - merit decrease, for transitions from k >= 1 (the lam-update identity
       that the bound rests on first holds at k = 1):
@@ -204,7 +197,7 @@ def check_trace(problem: Problem, history: RunHistory, params,
     Parameters
     ----------
     problem : Problem
-        Needed to evaluate c(x_k) for the state identities.
+        The problem the run solved; only its ``lipschitz_hints`` are read.
     history : RunHistory
         Every iteration of the run, as ``solve`` records it.
     params : SolverParams
@@ -232,19 +225,17 @@ def check_trace(problem: Problem, history: RunHistory, params,
     if hints is None:
         hints = problem.lipschitz_hints
 
-    penalty: PenaltyParams = params.penalty
-    rho, alpha = penalty.rho, penalty.alpha
+    rho = params.penalty.rho
     delta0, decay = params.delta0, params.decay
-
-    X, Z, Lam, Mu = history.X, history.Z, history.Lam, history.Mu
-    delta = history.column("delta")
-    gamma = history.column("gamma")
-    merit = history.column("lagrangian")
+    col = history.column
+    delta = col("delta")
+    gamma = col("gamma")
+    merit = col("lagrangian")
 
     violations: List[InvariantViolation] = []
 
     # --- dual boundedness along the whole run -----------------------------
-    norm_mu = np.linalg.norm(Mu, axis=1) if Mu.size else np.zeros(size)
+    norm_mu = col("norm_mu")
     bound = norm_mu[0] + 0.5 * delta0 * (1.0 - decay ** ks.astype(float)) / (1.0 - decay)
     for i in np.flatnonzero(norm_mu > bound + _SLACK * (1.0 + bound)):
         violations.append(_violation("mu_bound", ks[i], norm_mu[i], bound[i]))
@@ -253,43 +244,33 @@ def check_trace(problem: Problem, history: RunHistory, params,
         return violations
 
     # --- transition-level quantities ---------------------------------------
-    d = Lam - Mu
-    nlm2 = np.einsum("ij,ij->i", d, d) if d.size else np.zeros(size)
-    dmu = Mu[1:] - Mu[:-1] if Mu.size else np.zeros((size - 1, 0))
-    ndmu2 = np.einsum("ij,ij->i", dmu, dmu) if dmu.size else np.zeros(size - 1)
+    nlm2 = col("lambda_mu_sq")[:-1]
+    ndmu2 = col("step_mu_sq")[1:]
     g_over_rho = gamma[1:] / rho
-    mid = g_over_rho * nlm2[:-1]
+    mid = g_over_rho * nlm2
 
     for i in np.flatnonzero(ndmu2 > mid + _SLACK * (1.0 + mid)):
         violations.append(_violation("mu_step", ks[i], ndmu2[i], mid[i]))
     for i in np.flatnonzero(mid > delta[:-1] + _SLACK * (1.0 + delta[:-1])):
         violations.append(_violation("mu_step_budget", ks[i], mid[i], delta[i]))
 
-    if Mu.size:
-        lhs = np.linalg.norm(Mu[1:] - Lam[:-1], axis=1)
-        rhs = (1.0 - g_over_rho) * np.sqrt(nlm2[:-1])
-        gap = np.abs(lhs - rhs)
-        tol = _EXACT_TOL * (1.0 + rhs)
-        for i in np.flatnonzero(gap > tol):
-            violations.append(_violation("mu_lam_contraction", ks[i], gap[i], tol[i]))
+    lhs = col("mu_prev_lambda_norm")[1:]
+    rhs = (1.0 - g_over_rho) * np.sqrt(nlm2)
+    gap = np.abs(lhs - rhs)
+    tol = _EXACT_TOL * (1.0 + rhs)
+    for i in np.flatnonzero(gap > tol):
+        violations.append(_violation("mu_lam_contraction", ks[i], gap[i], tol[i]))
 
     # --- state identities, valid from the first lam/z-update onward --------
-    if problem.m > 0:
-        for i in range(1, size):
-            rho_c = rho * check_shape("constraints", problem.constraints(X[i]), (problem.m,))
-            scale = 1.0 + float(np.linalg.norm(rho_c))
-            gap = float(np.linalg.norm(d[i] - rho_c))
-            if gap > _IDENTITY_TOL * scale:
-                violations.append(_violation("identity_lam_mu", ks[i], gap,
-                                             _IDENTITY_TOL * scale))
-            gap = float(np.linalg.norm(alpha * Z[i] - rho_c))
-            if gap > _IDENTITY_TOL * scale:
-                violations.append(_violation("identity_z", ks[i], gap,
-                                             _IDENTITY_TOL * scale))
+    tol = _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:])
+    for name, gap in (("identity_lam_mu", col("gap_lambda_mu")[1:]),
+                      ("identity_z", col("gap_z")[1:])):
+        for i in np.flatnonzero(gap > tol):
+            violations.append(_violation(name, ks[1 + i], gap[i], tol[i]))
 
     # --- merit decrease and lam displacement, from k >= 1 ------------------
     if size > 2:
-        ndx = np.linalg.norm(X[2:] - X[1:-1], axis=1)
+        ndx = col("step_x_norm")[2:]
         L_c = hints.L_c if hints is not None else None
 
         allowance = merit[1:-1] + 2.0 * delta[1:-1] / rho
@@ -305,8 +286,8 @@ def check_trace(problem: Problem, history: RunHistory, params,
         for i in np.flatnonzero(merit[2:] > allowance + tol):
             violations.append(_violation(name, ks[1 + i], merit[2 + i], allowance[i] + tol[i]))
 
-        if L_c is not None and Lam.size:
-            dlam2 = np.einsum("ij,ij->i", Lam[2:] - Lam[1:-1], Lam[2:] - Lam[1:-1])
+        if L_c is not None:
+            dlam2 = col("step_lambda_sq")[2:]
             rhs = 2.0 * rho ** 2 * L_c ** 2 * ndx ** 2 + 2.0 * delta[1:-1]
             for i in np.flatnonzero(dlam2 > rhs + _SLACK * (1.0 + rhs)):
                 violations.append(_violation("lam_step", ks[1 + i], dlam2[i], rhs[i]))
@@ -317,36 +298,28 @@ def check_trace(problem: Problem, history: RunHistory, params,
 
 def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
     """Max successive-difference norms of x, z, lam, mu over the last `window` steps."""
-    history.freeze()
     if len(history) < 2:
         return {"x": 0.0, "z": 0.0, "lambda": 0.0, "mu": 0.0}
-    lo = max(0, len(history) - 1 - window)
-    out = {}
-    for label, M in (("x", history.X), ("z", history.Z),
-                     ("lambda", history.Lam), ("mu", history.Mu)):
-        if M.size == 0:
-            out[label] = 0.0
-        else:
-            out[label] = float(np.max(np.linalg.norm(M[lo + 1:] - M[lo:-1], axis=1)))
-    return out
+    tail = slice(max(1, len(history) - window), None)
+    col = history.column
+    return {"x": float(np.max(col("step_x_norm")[tail])),
+            "z": float(np.max(col("step_z_norm")[tail])),
+            "lambda": float(np.sqrt(np.max(col("step_lambda_sq")[tail]))),
+            "mu": float(np.sqrt(np.max(col("step_mu_sq")[tail])))}
 
 
 def perturbation_ratio(history: RunHistory) -> np.ndarray:
     """Diagnostic ratio ||z_k|| / ||z_k - z_{k-1}|| per transition (inf where frozen).
 
+    0 where z_k and its step are both zero, as at every k when m = 0.
     Logged for inspection only; the theory asserts a large-enough penalty
     weight keeps it below alpha eventually, which is an existence claim and
     never a per-iteration invariant.
     """
-    history.freeze()
-    Z = history.Z
-    if len(history) < 2 or Z.size == 0:
-        return np.zeros(0)
-    num = np.linalg.norm(Z[1:], axis=1)
-    den = np.linalg.norm(Z[1:] - Z[:-1], axis=1)
+    num = history.column("norm_z")[1:]
+    den = history.column("step_z_norm")[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 0, num / den, np.where(num > 0, np.inf, 0.0))
-    return ratio
+        return np.where(den > 0, num / den, np.where(num > 0, np.inf, 0.0))
 
 
 # ---------------------------------------------------------------------------

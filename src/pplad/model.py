@@ -15,6 +15,7 @@ caller's responsibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -31,6 +32,11 @@ class DimensionMismatch(ValueError):
         self.expected = expected
         self.actual = actual
         super().__init__(f"{what}: expected {expected}, got {actual}")
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a 1-D float array: np.linalg.norm's own formula, without its overhead."""
+    return math.sqrt(v.dot(v))
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
@@ -108,7 +114,9 @@ ProjectionKind = Union[WholeSpace, Box, NonnegativeOrthant, Ball]
 def project(kind: ProjectionKind, v) -> np.ndarray:
     """Euclidean projection of v onto the set described by `kind`.
 
-    Box: coordinate-wise clamp.  Ball: radial scaling when outside.
+    Box: coordinate-wise clamp, max with lo and then min with hi, so NaN
+    propagates and a zero on a zero bound takes the bound's sign.  Ball:
+    radial scaling when outside.
     Nonnegative orthant: coordinate-wise max with 0.  Whole space: identity.
     """
     v = np.asarray(v, dtype=float)
@@ -117,14 +125,14 @@ def project(kind: ProjectionKind, v) -> np.ndarray:
     if isinstance(kind, Box):
         if kind.lo.size > 1 and kind.lo.size != v.size:
             raise DimensionMismatch("box projection input length", kind.lo.size, v.size)
-        return np.clip(v, kind.lo, kind.hi)
+        return np.minimum(np.maximum(v, kind.lo), kind.hi)
     if isinstance(kind, NonnegativeOrthant):
         return np.maximum(v, 0.0)
     if isinstance(kind, Ball):
         if kind.center.size != v.size:
             raise DimensionMismatch("ball projection input length", kind.center.size, v.size)
         offset = v - kind.center
-        dist = float(np.linalg.norm(offset))
+        dist = _norm(offset)
         if dist <= kind.radius:
             return v
         return kind.center + offset * (kind.radius / dist)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import KktReport, RunHistory, _kkt
 from .lagrangian import FullState, PenaltyParams, _value, grad_x, zhat
-from .model import EvaluationError, Problem, check_shape
+from .model import EvaluationError, Problem, _norm, check_shape
 
 
 class SolveStatus(Enum):
@@ -96,11 +96,12 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
 
     Order is normative: the mu-update uses the pre-update lam and mu, the
     lam-update uses the new x and new mu.  c(x_next) is returned so that
-    the caller's residuals and merit reuse it instead of evaluating c again.
+    the caller's residuals, merit and history terms reuse it instead of
+    evaluating c again.
     """
     rho = params.penalty.rho
     d = state.lam - state.mu
-    gam = rho * state.delta / (float(d @ d) + 1.0)
+    gam = rho * state.delta / (float(d.dot(d)) + 1.0)
     x_next = check_shape("projection", problem.projection(state.x - params.step_size * grad),
                          (problem.n,))
     mu_next = state.mu + (gam / rho) * d
@@ -110,6 +111,28 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
     return FullState(x_next, zhat(params.penalty, lam_next, mu_next), lam_next, mu_next,
                      k=k_next, delta=params.delta0 * params.decay ** k_next,
                      gamma=gam), cx
+
+
+def _history_terms(penalty: PenaltyParams, state: FullState, cx, prev: FullState | None):
+    """The history terms of ``state`` (see ``RunHistory``), from c(x) at it and its predecessor.
+
+    The terms of the step from ``prev`` are zero at k = 0, where there is none.
+    """
+    d = state.lam - state.mu
+    rho_c = penalty.rho * cx
+    row = dict(norm_z=_norm(state.z), lambda_mu_sq=float(d.dot(d)),
+               gap_lambda_mu=_norm(d - rho_c), gap_z=_norm(penalty.alpha * state.z - rho_c))
+    if prev is None:
+        row.update(step_x_norm=0.0, step_z_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
+                   mu_prev_lambda_norm=0.0)
+    else:
+        step_lam = state.lam - prev.lam
+        step_mu = state.mu - prev.mu
+        row.update(step_x_norm=_norm(state.x - prev.x), step_z_norm=_norm(state.z - prev.z),
+                   step_lambda_sq=float(step_lam.dot(step_lam)),
+                   step_mu_sq=float(step_mu.dot(step_mu)),
+                   mu_prev_lambda_norm=_norm(state.mu - prev.lam))
+    return row
 
 
 def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
@@ -172,8 +195,11 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     against the evaluator contract; a wrong shape at the starting point
     raises DimensionMismatch naming the callback.
 
-    The history records every iteration, k = 0 included, so ``check_trace``
-    can check every transition; ``write_trace_csv`` thins it only on output.
+    The history records every iteration, k = 0 included, as scalars only:
+    the trace columns plus the per-transition terms ``check_trace`` replays
+    (see ``RunHistory``).  Vector memory stays O(n + m) whatever the number
+    of iterations; to follow the iterate vectors, step ``iterate`` from
+    ``initial_state``, which takes the same steps bit for bit.
 
     Parameters
     ----------
@@ -186,27 +212,25 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     Returns
     -------
     SolveOutcome
-        Final state, KKT report and the history of every iteration.
+        Final state, KKT report and the scalar history of every iteration.
     """
     alpha, beta = params.penalty.alpha, params.penalty.beta
     history = RunHistory()
 
-    def measure(state, grad, cx, step_norm):
-        # residuals and merit at state, from the grad and c(x) already evaluated there
+    def measure(state, grad, cx, prev):
+        # the row of state, from the grad and c(x) already evaluated there
         fx = float(check_shape("objective", problem.objective(state.x), ()))
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
-        return kkt, dict(
-            objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
-            lagrangian=float(_value(fx, cx, state.z, state.lam, state.mu, alpha, beta)),
-            norm_x=float(np.linalg.norm(state.x)),
-            norm_lambda=float(np.linalg.norm(state.lam)),
-            norm_mu=float(np.linalg.norm(state.mu)),
-            step_x_norm=step_norm)
+        row = _history_terms(params.penalty, state, cx, prev)
+        row.update(objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
+                   lagrangian=float(_value(fx, cx, state.z, state.lam, state.mu, alpha, beta)),
+                   norm_x=_norm(state.x), norm_lambda=_norm(state.lam), norm_mu=_norm(state.mu))
+        return kkt, row
 
     cur = initial_state(problem, params, x0, z0=z0, lam0=lam0, mu0=mu0)
     grad = grad_x(problem, cur)
     cx = check_shape("constraints", problem.constraints(cur.x), (problem.m,))
-    kkt, row = measure(cur, grad, cx, 0.0)
+    kkt, row = measure(cur, grad, cx, None)
     while True:
         history.append(cur, row)
         status, message = _stop(params, cur.k, kkt, row)
@@ -215,7 +239,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
         try:
             nxt, cx = _advance(problem, params, cur, grad)
             grad = grad_x(problem, nxt)
-            kkt, row = measure(nxt, grad, cx, float(np.linalg.norm(nxt.x - cur.x)))
+            kkt, row = measure(nxt, grad, cx, cur)
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pplad import (DimensionMismatch, FullState, LipschitzHints, PenaltyParams, Problem, RunHistory,
-                   SolverParams, TRACE_COLUMNS, check_trace, kkt_report,
-                   perturbation_ratio, read_trace_csv, solve, tail_step_maxima,
-                   write_trace_csv)
+from pplad import (Box, DimensionMismatch, FullState, LipschitzHints, PenaltyParams, Problem,
+                   QcqpSpec, RunHistory, SolverParams, TRACE_COLUMNS, check_trace, eval_full,
+                   from_qcqp, initial_state, iterate, kkt_report, perturbation_ratio,
+                   projector, read_trace_csv, solve, tail_step_maxima, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 
-# the scalar row that solve's loop builds; gamma and delta come from the state
-ROW_COLUMNS = TRACE_COLUMNS[1:-2]
+# the scalar row that solve's loop builds; k, gamma and delta come from the state
+ROW_COLUMNS = RunHistory.ROW_COLUMNS
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
 
@@ -30,6 +30,27 @@ def run1():
 
 def kkt(problem, state, tol=1e-6):
     return kkt_report(problem, state, tol_optimality=tol, tol_feasibility=tol)
+
+
+def replay(problem, params, x0, count):
+    """The first ``count`` states of a run, stepped with the public ``iterate``."""
+    states = [initial_state(problem, params, x0)]
+    while len(states) < count:
+        states.append(iterate(problem, params, states[-1]))
+    return states
+
+
+def box_qcqp(n, m, seed):
+    """A seeded QCQP over [-1, 1]^n, feasible by construction at a random point of the box."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    Qj = [rng.standard_normal((n, n)) / np.sqrt(n) for _ in range(m)]
+    qj = [rng.standard_normal(n) for _ in range(m)]
+    x_feasible = rng.uniform(-0.5, 0.5, n)
+    bj = [-(0.5 * x_feasible @ M @ x_feasible + v @ x_feasible) for M, v in zip(Qj, qj)]
+    spec = QcqpSpec(Q=A @ A.T + np.eye(n), q=rng.standard_normal(n), Qj=tuple(Qj),
+                    qj=tuple(qj), bj=tuple(bj), projection=Box(-np.ones(n), np.ones(n)))
+    return from_qcqp(spec, name=f"box-{n}-{m}")
 
 
 class TestResiduals:
@@ -61,9 +82,8 @@ class TestResiduals:
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
         p, params, out = run1
         feas = out.history.column("feasibility")
-        X = out.history.X
-        for k in range(len(out.history)):
-            assert feas[k] == np.linalg.norm(p.constraints(X[k]))
+        for k, s in enumerate(replay(p, params, [3.0, 3.0], len(out.history))):
+            assert feas[k] == np.linalg.norm(p.constraints(s.x))
 
 
 class TestKktReport:
@@ -117,21 +137,51 @@ class TestCheckTrace:
 
     def test_perturbed_mu_trips_the_bound(self, run1):
         p, params, out = run1
-        out2 = solve(p, params, [3.0, 3.0])  # fresh history to mutate
-        hist = out2.history
-        hist.Mu[200] += 600.0  # way beyond ||mu_0|| + delta0/(2(1-r)) = 500
-        names = {v.name for v in check_trace(p, hist, params)}
-        assert "mu_bound" in names
+        hist = solve(p, params, [3.0, 3.0]).history  # fresh history to mutate
+        hist.column("norm_mu")[200] += 600.0  # beyond ||mu_0|| + delta0/(2(1-r)) = 500
+        violations = check_trace(p, hist, params)
+        assert [(v.name, v.k) for v in violations] == [("mu_bound", 200)]
 
     def test_violation_carries_positive_margin(self, run1):
         p, params, _ = run1
         out = solve(p, params, [3.0, 3.0])
-        out.history.Mu[150] += 600.0
+        out.history.column("norm_mu")[150] += 600.0
         violations = check_trace(p, out.history, params)
         assert violations
         for v in violations:
             assert v.margin > 0.0
             assert v.lhs > v.rhs
+
+    @pytest.mark.parametrize("column,row,check,k", [
+        # a term of the step into row k + 1 is reported at k, where the step starts
+        ("step_mu_sq", 150, "mu_step", 149),
+        ("mu_prev_lambda_norm", 150, "mu_lam_contraction", 149),
+        ("gap_lambda_mu", 150, "identity_lam_mu", 150),
+        ("gap_z", 150, "identity_z", 150),
+        ("step_lambda_sq", 150, "lam_step", 149),     # example1 has L_c
+        ("lagrangian", 200, "merit_decrease", 199),
+    ])
+    def test_corrupted_term_trips_its_check_by_name(self, run1, column, row, check, k):
+        p, params, _ = run1
+        hist = solve(p, params, [3.0, 3.0]).history
+        hist.column(column)[row] += 600.0
+        violations = check_trace(p, hist, params)
+        assert [(v.name, v.k) for v in violations] == [(check, k)]
+
+    def test_makes_no_constraint_calls(self, run1):
+        _, params, _ = run1
+        calls = []
+        base = example1()
+
+        def constraints(x):
+            calls.append(1)
+            return base.constraints(x)
+
+        p = dataclasses.replace(base, constraints=constraints)
+        out = solve(p, params, [3.0, 3.0])
+        calls.clear()
+        assert check_trace(p, out.history, params) == []
+        assert calls == []
 
     def test_single_record_trace_is_vacuously_clean(self):
         p = example1()
@@ -222,8 +272,6 @@ class TestRunHistory:
         state = FullState([1.0, 2.0], [0.5], [3.0], [4.0], k=7, delta=0.25, gamma=0.125)
         hist.append(state, {name: float(i) for i, name in enumerate(ROW_COLUMNS)})
         assert hist.ks.tolist() == [7]
-        assert_array_equal(hist.X, [[1.0, 2.0]])
-        assert_array_equal(hist.Mu, [[4.0]])
         assert hist.column("gamma").tolist() == [0.125]
         assert hist.column("delta").tolist() == [0.25]
         assert [hist.column(name)[0] for name in ROW_COLUMNS] == list(range(len(ROW_COLUMNS)))
@@ -231,25 +279,110 @@ class TestRunHistory:
             hist.append(state, dict.fromkeys(ROW_COLUMNS, 0.0))
 
     def test_freeze_holds_at_most_one_column_twice(self):
-        # n = m = 200: the four vector columns are the same size, so stacking
-        # them all while every row is alive would double the history's memory
-        n = rows = 200
-        rng = np.random.default_rng(0)
+        # the columns are views of the stored rows: freezing copies none of them
+        rows = 5000
+        state = FullState([0.0], [], [], [])
         tracemalloc.start()
         try:
             hist = RunHistory()
             for k in range(rows):
-                vectors = [rng.standard_normal(n) for _ in range(4)]  # no shared base
-                hist.append(FullState(*vectors, k=k),
-                            dict.fromkeys(ROW_COLUMNS, 0.0))
+                state.k = k
+                hist.append(state, dict.fromkeys(ROW_COLUMNS, float(k)))
             stored = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             hist.freeze()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stored > 4 * rows * n * 8
-        assert peak < 1.5 * stored
+        assert stored > (len(ROW_COLUMNS) + 3) * rows * 8
+        assert peak < stored + stored / (len(ROW_COLUMNS) + 3)
+        hist.column("objective")[3] = -1.0
+        assert hist.column("objective")[3] == -1.0
+
+    def test_solve_memory_does_not_grow_with_iterations_times_n(self):
+        # m = 3 and 200 iterations: storing x at every iteration would add
+        # 200 * (400 - 50) * 8 B = 560 kB between the two sizes
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), step_size=0.1,
+                              max_iterations=200)
+        peaks, iterations = {}, {}
+        for n in (50, 400):
+            problem = box_qcqp(n, 3, seed=n)
+            tracemalloc.start()
+            try:
+                out = solve(problem, params, np.zeros(n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            iterations[n] = out.iterations
+        assert min(iterations.values()) >= 100
+        working_set = 3 * (400 - 50) * 8  # the growth of one m x n array
+        assert peaks[400] - peaks[50] < 8 * working_set
+
+
+class TestRecordedTerms:
+    """Every recorded column against a replay of ``iterate`` with fresh callback calls."""
+
+    @staticmethod
+    def unconstrained():
+        # the minimizer (0.5, 2) is interior in x_1 and clamped to the box in x_2
+        target = np.array([0.5, 2.0])
+        return Problem(n=2, m=0, objective=lambda x: float((x - target) @ (x - target)),
+                       objective_gradient=lambda x: 2.0 * (x - target),
+                       constraints=lambda x: np.zeros(0),
+                       constraint_jacobian=lambda x: np.zeros((0, 2)),
+                       projection=projector(Box([-1.0, -1.0], [1.0, 1.0])), name="m0")
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "qcqp-box", "m0"])
+    def test_terms_match_a_replay_of_iterate(self, name):
+        if name in BUILTIN_PROBLEMS:
+            p, x0 = BUILTIN_PROBLEMS[name](), DEFAULT_START[name]
+            params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
+                                  step_size=0.002, delta0=0.5, max_iterations=150)
+        else:
+            p = box_qcqp(6, 2, seed=3) if name == "qcqp-box" else self.unconstrained()
+            x0 = np.zeros(p.n)
+            params = SolverParams(penalty=PenaltyParams(alpha=100.0, beta=0.5),
+                                  step_size=0.05, max_iterations=150)
+        hist = solve(p, params, x0).history
+        states = replay(p, params, x0, len(hist))
+        rho, alpha = params.penalty.rho, params.penalty.alpha
+
+        def norm_sq(v):
+            return v @ v
+
+        expected = {name: [] for name in ("k", "gamma", "delta", *ROW_COLUMNS)}
+        prev = None
+        for s in states:
+            c = p.constraints(s.x)
+            d = s.lam - s.mu
+            report = kkt_report(p, s, tol_optimality=1.0, tol_feasibility=1.0)
+            row = dict(k=s.k, gamma=s.gamma, delta=s.delta, objective=p.objective(s.x),
+                       feasibility=report.feasibility, optimality=report.optimality,
+                       lagrangian=eval_full(p, params.penalty, s),
+                       norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
+                       norm_mu=np.linalg.norm(s.mu), norm_z=np.linalg.norm(s.z),
+                       lambda_mu_sq=norm_sq(d), gap_lambda_mu=np.linalg.norm(d - rho * c),
+                       gap_z=np.linalg.norm(alpha * s.z - rho * c),
+                       step_x_norm=0.0, step_z_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
+                       mu_prev_lambda_norm=0.0)
+            if prev is not None:
+                row.update(step_x_norm=np.linalg.norm(s.x - prev.x),
+                           step_z_norm=np.linalg.norm(s.z - prev.z),
+                           step_lambda_sq=norm_sq(s.lam - prev.lam),
+                           step_mu_sq=norm_sq(s.mu - prev.mu),
+                           mu_prev_lambda_norm=np.linalg.norm(s.mu - prev.lam))
+            for key, value in row.items():
+                expected[key].append(value)
+            prev = s
+        for key, values in expected.items():
+            assert_array_equal(hist.column(key), values, err_msg=key)
+
+        window = 40
+        tail = states[max(0, len(states) - 1 - window):]
+        steps = {label: max(np.linalg.norm(getattr(b, attr) - getattr(a, attr))
+                            for a, b in zip(tail, tail[1:]))
+                 for label, attr in (("x", "x"), ("z", "z"), ("lambda", "lam"), ("mu", "mu"))}
+        assert tail_step_maxima(hist, window=window) == pytest.approx(steps, rel=1e-12, abs=0)
 
 
 class TestTraceCsv:

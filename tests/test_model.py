@@ -21,6 +21,16 @@ def test_box_clamps():
     assert_allclose(project(Box(lo=[-3, -3], hi=[3, 3]), [5.0, -1.0]), [3.0, -1.0])
 
 
+def test_box_clamp_keeps_nan_and_signed_zeros():
+    # np.clip's values, bit for bit, with one bound per coordinate
+    v = np.array([np.nan, -0.0, 0.0, -0.0, 0.0, -5.0, 5.0, np.inf, -np.inf, -0.0])
+    lo = np.array([-1.0, -1.0, -1.0, 0.0, -0.0, -1.0, -1.0, -1.0, -1.0, -np.inf])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf])
+    out = project(Box(lo=lo, hi=hi), v)
+    assert out.tobytes() == np.clip(v, lo, hi).tobytes()
+    assert np.isnan(out[0]) and np.signbit(out[1]) and not np.signbit(out[2])
+
+
 def test_whole_space_is_identity():
     assert_allclose(project(WholeSpace(), [1.2, -7.0]), [1.2, -7.0])
 
