@@ -6,8 +6,7 @@ one quadratic equality constraint, then read the KKT report.
 
 import numpy as np
 
-from pplad import (Ball, PenaltyParams, Problem, SolverParams, projector, solve,
-                   validate)
+from pplad import Ball, PenaltyParams, Problem, SolverParams, solve, validate
 
 # problem: min x1*x2  s.t.  x1^2 + x2^2 - 1 = 0,  x in ball of radius 2
 # the constraint forces the unit circle; the objective favors the
@@ -18,7 +17,7 @@ problem = Problem(
     objective_gradient=lambda x: np.array([x[1], x[0]]),
     constraints=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
     constraint_jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-    projection=projector(Ball(center=[0.0, 0.0], radius=2.0)),
+    projection=Ball(center=[0.0, 0.0], radius=2.0),
     name="circle-saddle")
 
 # always worth a sanity check before iterating: shapes, finiteness, and

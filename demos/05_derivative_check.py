@@ -9,7 +9,7 @@ differences; here we feed it a problem with a classic sign mistake.
 import numpy as np
 
 from pplad import (FdSettings, NonnegativeOrthant, Problem, compare,
-                   fd_gradient, fd_jacobian, projector, validate)
+                   fd_gradient, fd_jacobian, validate)
 
 
 def objective(x):
@@ -35,7 +35,7 @@ def jacobian(x):
 def build(gradient):
     return Problem(n=2, m=1, objective=objective, objective_gradient=gradient,
                    constraints=constraints, constraint_jacobian=jacobian,
-                   projection=projector(NonnegativeOrthant()), name="demo")
+                   projection=NonnegativeOrthant(), name="demo")
 
 
 x0 = np.array([1.0, 2.0])

@@ -12,12 +12,10 @@ solutions) converge to KKT points.
 from .diagnostics import (InvariantViolation, KktReport, RunHistory, TRACE_COLUMNS,
                           check_trace, kkt_report, perturbation_ratio, read_trace_csv,
                           tail_step_maxima, write_trace_csv)
-from .lagrangian import (FullState, PenaltyParams, eval_full, eval_reduced,
-                         grad_x, lambda_hat, zhat)
+from .lagrangian import FullState, PenaltyParams, eval_full, grad_x, zhat
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
-                    LipschitzHints, NonnegativeOrthant, Problem,
-                    ProjectionKind, ValidationCheck, ValidationReport,
-                    WholeSpace, project, projector, validate)
+                    NonnegativeOrthant, Problem, ProjectionKind,
+                    ValidationCheck, ValidationReport, WholeSpace, validate)
 from .numcheck import CompareResult, FdSettings, compare, fd_gradient, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
@@ -29,14 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "Box", "BUILTIN_PROBLEMS", "CompareResult", "DEFAULT_START",
     "DimensionMismatch", "EvaluationError", "FdSettings", "FullState",
-    "InvariantViolation", "KktReport", "LipschitzHints",
-    "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
-    "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
-    "TRACE_COLUMNS", "ValidationCheck", "ValidationReport",
-    "WholeSpace", "check_trace", "compare", "eval_full", "eval_reduced",
+    "InvariantViolation", "KktReport", "NonnegativeOrthant", "PenaltyParams",
+    "Problem", "ProjectionKind", "QcqpSpec", "RunHistory", "SolveOutcome",
+    "SolveStatus", "SolverParams", "TRACE_COLUMNS", "ValidationCheck",
+    "ValidationReport", "WholeSpace", "check_trace", "compare", "eval_full",
     "example1", "example2", "example2_spec", "example3", "fd_gradient",
     "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate",
-    "kkt_report", "lambda_hat", "perturbation_ratio", "project", "projector",
-    "read_trace_csv", "solve", "tail_step_maxima", "validate",
-    "write_trace_csv", "zhat",
+    "kkt_report", "perturbation_ratio", "read_trace_csv", "solve",
+    "tail_step_maxima", "validate", "write_trace_csv", "zhat",
 ]

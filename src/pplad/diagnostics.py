@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .lagrangian import grad_x
-from .model import LipschitzHints, Problem, _norm, check_shape
+from .model import Problem, _norm, check_shape
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
@@ -165,8 +165,7 @@ _EXACT_TOL = 1e-12      # ||mu_{k+1} - lam_k|| equality
 _DECREASE_TOL = 1e-10   # merit decrease inequalities
 
 
-def check_trace(problem: Problem, history: RunHistory, params,
-                hints: Optional[LipschitzHints] = None,
+def check_trace(problem: Problem, history: RunHistory, params, *,
                 grad_lipschitz: Optional[float] = None) -> List[InvariantViolation]:
     """Evaluate every checkable per-iteration inequality over a recorded run.
 
@@ -189,22 +188,21 @@ def check_trace(problem: Problem, history: RunHistory, params,
         observed form   L^{k+1} <= L^k + 2 delta_k / rho;
         certified form  L^{k+1} <= L^k - ((eta - Lp - 2 rho Lc^2)/2)||dx||^2
                         + 2 delta_k / rho,
-        enforced only when hints supply Lc and ``grad_lipschitz`` supplies
-        Lp with eta = 1/step_size > Lp + 2 rho Lc^2
-    - lam_step, for transitions from k >= 1, when hints supply Lc:
+        enforced only when ``problem.lipschitz_c`` supplies Lc and
+        ``grad_lipschitz`` supplies Lp with eta = 1/step_size > Lp + 2 rho Lc^2
+    - lam_step, for transitions from k >= 1, when ``problem.lipschitz_c``
+      supplies Lc:
                       ||lam_{k+1} - lam_k||^2 <= 2 rho^2 Lc^2 ||dx||^2 + 2 delta_k
 
     Parameters
     ----------
     problem : Problem
-        The problem the run solved; only its ``lipschitz_hints`` are read.
+        The problem the run solved; only its ``lipschitz_c`` is read.  Checks
+        needing it are skipped when it is None.
     history : RunHistory
         Every iteration of the run, as ``solve`` records it.
     params : SolverParams
         The parameters the run used (penalty, step size, schedule).
-    hints : LipschitzHints, optional
-        Defaults to ``problem.lipschitz_hints``.  Checks needing a missing
-        constant are skipped.
     grad_lipschitz : float, optional
         Lipschitz constant of the merit gradient in x (depends on the dual
         magnitudes, so it can only be user-supplied).
@@ -222,8 +220,6 @@ def check_trace(problem: Problem, history: RunHistory, params,
     if size > 1 and not np.all(np.diff(ks) == 1):
         raise ValueError("trace is not stride-1: iteration numbers must be consecutive "
                          f"(got k = {ks[:5].tolist()}...)")
-    if hints is None:
-        hints = problem.lipschitz_hints
 
     rho = params.penalty.rho
     delta0, decay = params.delta0, params.decay
@@ -271,7 +267,7 @@ def check_trace(problem: Problem, history: RunHistory, params,
     # --- merit decrease and lam displacement, from k >= 1 ------------------
     if size > 2:
         ndx = col("step_x_norm")[2:]
-        L_c = hints.L_c if hints is not None else None
+        L_c = problem.lipschitz_c
 
         allowance = merit[1:-1] + 2.0 * delta[1:-1] / rho
         certified = (L_c is not None and grad_lipschitz is not None
@@ -297,7 +293,12 @@ def check_trace(problem: Problem, history: RunHistory, params,
 
 
 def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
-    """Max successive-difference norms of x, z, lam, mu over the last `window` steps."""
+    """Max successive-difference norms of x, z, lam, mu over the last `window` steps.
+
+    Raises ValueError when ``window`` is below 1.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if len(history) < 2:
         return {"x": 0.0, "z": 0.0, "lambda": 0.0, "mu": 0.0}
     tail = slice(max(1, len(history) - window), None)

@@ -9,10 +9,13 @@ function is
 
 which carries no quadratic penalty on c(x) - z and is strongly concave in
 each multiplier separately thanks to the -(beta/2)||lam - mu||^2 term.
-Minimizing in z and maximizing in lam have closed forms (``zhat`` and
-``lambda_hat``); substituting zhat gives the reduced form
+Minimizing in z has the closed form ``zhat``; substituting it gives the
+reduced form
 
-    f(x) + <lam, c(x)> - (1/(2 rho)) ||lam - mu||^2,   rho = alpha/(1 + alpha beta).
+    f(x) + <lam, c(x)> - (1/(2 rho)) ||lam - mu||^2,   rho = alpha/(1 + alpha beta),
+
+whose maximizer in lam is mu + rho c(x), the solver's lam-update (see
+``solver``).
 """
 
 from __future__ import annotations
@@ -115,29 +118,3 @@ def zhat(params: PenaltyParams, lam, mu) -> np.ndarray:
     if lam.shape != mu.shape:
         raise DimensionMismatch("zhat multiplier lengths", lam.shape, mu.shape)
     return (lam - mu) / params.alpha
-
-
-def eval_reduced(problem: Problem, params: PenaltyParams, x, lam, mu) -> float:
-    """Merit value with z eliminated: f(x) + <lam, c(x)> - ||lam - mu||^2 / (2 rho).
-
-    Equals eval_full at z = zhat(lam, mu).
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    cx = check_shape("constraints", problem.constraints(x), (problem.m,))
-    fx = float(check_shape("objective", problem.objective(x), ()))
-    d = lam - mu
-    value = fx + float(lam @ cx) - (d @ d) / (2.0 * params.rho)
-    if not np.isfinite(value):
-        raise EvaluationError("non-finite reduced merit value",
-                              state=FullState(x, zhat(params, lam, mu), lam, mu))
-    return float(value)
-
-
-def lambda_hat(problem: Problem, params: PenaltyParams, x, mu) -> np.ndarray:
-    """Unique maximizer of the reduced merit in lam: mu + rho * c(x)."""
-    mu = np.asarray(mu, dtype=float)
-    cx = check_shape("constraints", problem.constraints(np.asarray(x, dtype=float)),
-                     (problem.m,))
-    return mu + params.rho * cx

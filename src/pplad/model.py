@@ -70,10 +70,17 @@ class EvaluationError(RuntimeError):
 class WholeSpace:
     """X = R^n; projection is the identity."""
 
+    def __call__(self, v) -> np.ndarray:
+        return np.asarray(v, dtype=float)
+
 
 @dataclass(frozen=True)
 class Box:
-    """Coordinate-wise bounds lo <= x <= hi; entries may be -inf / +inf."""
+    """Coordinate-wise bounds lo <= x <= hi; entries may be -inf / +inf.
+
+    Projection is a coordinate-wise clamp, max with lo and then min with
+    hi, so NaN propagates and a zero on a zero bound takes the bound's sign.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -88,15 +95,24 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if self.lo.size > 1 and self.lo.size != v.size:
+            raise DimensionMismatch("box projection input length", self.lo.size, v.size)
+        return np.minimum(np.maximum(v, self.lo), self.hi)
+
 
 @dataclass(frozen=True)
 class NonnegativeOrthant:
-    """X = {x : x >= 0}."""
+    """X = {x : x >= 0}; projection is a coordinate-wise max with 0."""
+
+    def __call__(self, v) -> np.ndarray:
+        return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball of given center and radius > 0."""
+    """Euclidean ball of given center and radius > 0; projection scales radially when outside."""
 
     center: np.ndarray
     radius: float
@@ -107,62 +123,23 @@ class Ball:
         if not self.radius > 0:
             raise ValueError(f"ball radius must be > 0, got {self.radius}")
 
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if self.center.size != v.size:
+            raise DimensionMismatch("ball projection input length", self.center.size, v.size)
+        offset = v - self.center
+        dist = _norm(offset)
+        if dist <= self.radius:
+            return v
+        return self.center + offset * (self.radius / dist)
+
 
 ProjectionKind = Union[WholeSpace, Box, NonnegativeOrthant, Ball]
-
-
-def project(kind: ProjectionKind, v) -> np.ndarray:
-    """Euclidean projection of v onto the set described by `kind`.
-
-    Box: coordinate-wise clamp, max with lo and then min with hi, so NaN
-    propagates and a zero on a zero bound takes the bound's sign.  Ball:
-    radial scaling when outside.
-    Nonnegative orthant: coordinate-wise max with 0.  Whole space: identity.
-    """
-    v = np.asarray(v, dtype=float)
-    if isinstance(kind, WholeSpace):
-        return v
-    if isinstance(kind, Box):
-        if kind.lo.size > 1 and kind.lo.size != v.size:
-            raise DimensionMismatch("box projection input length", kind.lo.size, v.size)
-        return np.minimum(np.maximum(v, kind.lo), kind.hi)
-    if isinstance(kind, NonnegativeOrthant):
-        return np.maximum(v, 0.0)
-    if isinstance(kind, Ball):
-        if kind.center.size != v.size:
-            raise DimensionMismatch("ball projection input length", kind.center.size, v.size)
-        offset = v - kind.center
-        dist = _norm(offset)
-        if dist <= kind.radius:
-            return v
-        return kind.center + offset * (kind.radius / dist)
-    raise TypeError(f"unknown projection kind: {type(kind).__name__}")
-
-
-def projector(kind: ProjectionKind) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind a kind into a plain callable suitable for Problem.projection."""
-    return lambda v: project(kind, v)
 
 
 # ---------------------------------------------------------------------------
 # problem definition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzHints:
-    """Optional global Lipschitz constant of the constraint map over X.
-
-    Advisory metadata only: the solver never derives its step size from
-    it; it enables the ``lam_step`` and certified merit-decrease trace
-    checks.
-    """
-
-    L_c: Optional[float] = None
-
-    def __post_init__(self):
-        if self.L_c is not None and self.L_c < 0:
-            raise ValueError(f"L_c must be nonnegative, got {self.L_c}")
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -172,13 +149,19 @@ class Problem:
       objective(x) -> scalar, objective_gradient(x) -> (n,),
       constraints(x) -> (m,), constraint_jacobian(x) -> (m, n) with row j
       equal to the gradient of constraint j, so the dual-weighted gradient
-      term is jac.T @ lam.  projection(v) -> the Euclidean projection onto X.
+      term is jac.T @ lam.  projection(v) -> the Euclidean projection onto X;
+      a projection kind (``Box(...)``, ``Ball(...)``, ...) is such a callable.
 
     Evaluator outputs must depend on x alone.  A cache is allowed if a hit
     returns exactly what a fresh evaluation would and it is safe under
     concurrent calls; a Problem value may then be shared read-only across
     threads.  m = 0 is allowed, in which case constraints return a length-0
     vector and the solver degenerates to projected gradient descent on f.
+
+    ``lipschitz_c`` is an optional global Lipschitz constant of the
+    constraint map over X.  It is advisory metadata only: the solver never
+    derives its step size from it; it enables the ``lam_step`` and
+    certified merit-decrease checks of ``check_trace``.
     """
 
     n: int
@@ -188,7 +171,7 @@ class Problem:
     constraints: Callable
     constraint_jacobian: Callable
     projection: Callable
-    lipschitz_hints: Optional[LipschitzHints] = None
+    lipschitz_c: Optional[float] = None
     name: str = "problem"
 
     def __post_init__(self):
@@ -196,6 +179,8 @@ class Problem:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
+        if self.lipschitz_c is not None and self.lipschitz_c < 0:
+            raise ValueError(f"lipschitz_c must be nonnegative, got {self.lipschitz_c}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FdSettings:
-    """Step size, difference scheme ("central" or "forward"), and pass tolerance."""
+    """Central-difference step size and pass tolerance."""
 
     step: float = 1e-6
-    scheme: str = "central"
     rel_tol: float = 1e-5
 
     def __post_init__(self):
@@ -21,8 +20,6 @@ class FdSettings:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.scheme not in ("central", "forward"):
-            raise ValueError(f"scheme must be 'central' or 'forward', got {self.scheme!r}")
 
 
 class CompareResult(NamedTuple):
@@ -31,58 +28,40 @@ class CompareResult(NamedTuple):
 
 
 def fd_gradient(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
-    """Finite-difference gradient of a scalar function at x.
+    """Central-difference gradient of a scalar function at x.
 
-    Central scheme: (fn(x + h e_i) - fn(x - h e_i)) / (2h) per coordinate.
-    Perturbed points are not projected; fn must be defined near x in all of R^n.
+    (fn(x + h e_i) - fn(x - h e_i)) / (2h) per coordinate.  Perturbed points
+    are not projected; fn must be defined near x in all of R^n.
     """
     settings = settings or FdSettings()
     x = np.asarray(x, dtype=float)
     h = settings.step
     grad = np.empty(x.size)
-    if settings.scheme == "forward":
-        f0 = float(fn(x))
-        if not np.isfinite(f0):
-            raise ValueError("non-finite function value at the base point")
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = h
-        if settings.scheme == "central":
-            hi, lo = float(fn(x + step)), float(fn(x - step))
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-            grad[i] = (hi - lo) / (2.0 * h)
-        else:
-            hi = float(fn(x + step))
-            if not np.isfinite(hi):
-                raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-            grad[i] = (hi - f0) / h
+        hi, lo = float(fn(x + step)), float(fn(x - step))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
+        grad[i] = (hi - lo) / (2.0 * h)
     return grad
 
 
 def fd_jacobian(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
-    """Finite-difference Jacobian of a vector function at x, one row per output."""
+    """Central-difference Jacobian of a vector function at x, one row per output."""
     settings = settings or FdSettings()
     x = np.asarray(x, dtype=float)
     h = settings.step
     f0 = np.asarray(fn(x), dtype=float)
     jac = np.empty((f0.size, x.size))
-    if settings.scheme == "forward" and not np.all(np.isfinite(f0)):
-        raise ValueError("non-finite function value at the base point")
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = h
-        if settings.scheme == "central":
-            hi = np.asarray(fn(x + step), dtype=float)
-            lo = np.asarray(fn(x - step), dtype=float)
-            if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
-                raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-            jac[:, i] = (hi - lo) / (2.0 * h)
-        else:
-            hi = np.asarray(fn(x + step), dtype=float)
-            if not np.all(np.isfinite(hi)):
-                raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-            jac[:, i] = (hi - f0) / h
+        hi = np.asarray(fn(x + step), dtype=float)
+        lo = np.asarray(fn(x - step), dtype=float)
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
+        jac[:, i] = (hi - lo) / (2.0 * h)
     return jac
 
 

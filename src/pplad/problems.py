@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Ball, Box, DimensionMismatch, LipschitzHints, NonnegativeOrthant,
-                    Problem, ProjectionKind, WholeSpace, projector)
+from .model import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
+                    ProjectionKind, WholeSpace)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class QcqpSpec:
         return len(self.Qj)
 
 
-def from_qcqp(spec: QcqpSpec, name: str = "qcqp",
-              lipschitz_hints: LipschitzHints | None = None) -> Problem:
+def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     """Wrap a QcqpSpec into a Problem with exact quadratic-form derivatives.
 
     The constraint matrices are stacked once into an (m n, n) array, and c
@@ -119,8 +118,7 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp",
                    objective_gradient=objective_gradient,
                    constraints=constraints,
                    constraint_jacobian=constraint_jacobian,
-                   projection=projector(spec.projection),
-                   lipschitz_hints=lipschitz_hints, name=name)
+                   projection=spec.projection, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +284,8 @@ def example1() -> Problem:
         n=2, m=2,
         objective=objective, objective_gradient=objective_gradient,
         constraints=constraints, constraint_jacobian=constraint_jacobian,
-        projection=projector(Box(lo=[-3.0, -3.0], hi=[3.0, 3.0])),
-        lipschitz_hints=LipschitzHints(L_c=math.sqrt(208.0)),
+        projection=Box(lo=[-3.0, -3.0], hi=[3.0, 3.0]),
+        lipschitz_c=math.sqrt(208.0),
         name="example1")
 
 
@@ -342,7 +340,7 @@ def example3() -> Problem:
         n=2, m=2,
         objective=objective, objective_gradient=objective_gradient,
         constraints=constraints, constraint_jacobian=constraint_jacobian,
-        projection=projector(NonnegativeOrthant()),
+        projection=NonnegativeOrthant(),
         name="example3")
 
 

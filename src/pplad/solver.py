@@ -138,8 +138,10 @@ def _history_terms(penalty: PenaltyParams, state: FullState, cx, prev: FullState
 def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
     """Apply one full iteration and return the successor state.
 
-    Raises EvaluationError if any component comes out non-finite.
+    Raises DimensionMismatch if the state's sizes do not match the problem,
+    and EvaluationError if any component comes out non-finite.
     """
+    state.check_dims(problem)
     next_state, _ = _advance(problem, params, state, grad_x(problem, state))
     if not all(np.all(np.isfinite(v))
                for v in (next_state.x, next_state.z, next_state.lam, next_state.mu)):

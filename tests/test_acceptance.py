@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from pplad import (FdSettings, FullState, PenaltyParams, SolveStatus,
-                   SolverParams, check_trace, eval_full, eval_reduced,
-                   fd_gradient, fd_jacobian, grad_x, initial_state, iterate,
-                   lambda_hat, solve, tail_step_maxima, zhat)
+                   SolverParams, check_trace, eval_full, fd_gradient,
+                   fd_jacobian, grad_x, initial_state, iterate, solve,
+                   tail_step_maxima, zhat)
 from pplad.problems import example1, example2, example3
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
@@ -131,10 +131,17 @@ def test_criterion_5_gradient_oracle():
 
 
 def test_criterion_6_closed_form_inner_solutions():
+    # z is checked at the sampled state; lam is the one iterate returns from
+    # it, checked against the merit at its own x and mu with z = zhat(lam, mu)
     params = PenaltyParams(alpha=2000.0, beta=0.5)
+    solver_params = SolverParams(penalty=params, step_size=0.002)
     rng = np.random.default_rng(77)
     eps = 1e-3
     ok = True
+
+    def reduced(problem, x, lam, mu):
+        return eval_full(problem, params, FullState(x, zhat(params, lam, mu), lam, mu))
+
     for problem in (example1(), example2(), example3()):
         for _ in range(100):
             x = rng.uniform(-4.0, 4.0, problem.n)
@@ -143,15 +150,14 @@ def test_criterion_6_closed_form_inner_solutions():
 
             z_best = zhat(params, lam, mu)
             v_best = eval_full(problem, params, FullState(x, z_best, lam, mu))
-            lam_best = lambda_hat(problem, params, x, mu)
-            r_best = eval_reduced(problem, params, x, lam_best, mu)
+            nxt = iterate(problem, solver_params, FullState(x, z_best, lam, mu))
+            r_best = reduced(problem, nxt.x, nxt.lam, nxt.mu)
             for _ in range(20):
                 u = rng.standard_normal(problem.m)
                 u /= np.linalg.norm(u)
                 ok = ok and v_best <= eval_full(
                     problem, params, FullState(x, z_best + eps * u, lam, mu))
-                ok = ok and r_best >= eval_reduced(
-                    problem, params, x, lam_best + eps * u, mu)
+                ok = ok and r_best >= reduced(problem, nxt.x, nxt.lam + eps * u, nxt.mu)
     report(6, "sampled minimality of the closed-form z and maximality of the "
               "closed-form multiplier (100 states x 20 directions per problem)", ok)
 

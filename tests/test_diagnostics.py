@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pplad import (Box, DimensionMismatch, FullState, LipschitzHints, PenaltyParams, Problem,
-                   QcqpSpec, RunHistory, SolverParams, TRACE_COLUMNS, check_trace, eval_full,
-                   from_qcqp, initial_state, iterate, kkt_report, perturbation_ratio,
-                   projector, read_trace_csv, solve, tail_step_maxima, write_trace_csv)
+from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
+                   RunHistory, SolverParams, TRACE_COLUMNS, check_trace, eval_full, from_qcqp,
+                   initial_state, iterate, kkt_report, perturbation_ratio, read_trace_csv,
+                   solve, tail_step_maxima, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -215,7 +215,7 @@ class TestCheckTrace:
                     constraints=lambda x: np.array([a @ x - 1.0]),
                     constraint_jacobian=lambda x: a.reshape(1, 2),
                     projection=lambda v: v,
-                    lipschitz_hints=LipschitzHints(L_c=np.sqrt(2.0)),
+                    lipschitz_c=np.sqrt(2.0),
                     name="affine-eq")
         params = SolverParams(penalty=PenaltyParams(alpha=100.0, beta=0.5),
                               step_size=1e-3, delta0=0.5, decay=0.999,
@@ -229,8 +229,8 @@ class TestCheckTrace:
 
     def test_lam_step_check_runs_when_hints_present(self, run1):
         p, params, out = run1
-        assert p.lipschitz_hints.L_c is not None
-        assert check_trace(p, out.history, params, hints=p.lipschitz_hints) == []
+        assert p.lipschitz_c is not None
+        assert check_trace(p, out.history, params) == []
 
     def test_unconstrained_history_checks_cleanly(self):
         p = Problem(n=1, m=0, objective=lambda x: float((x[0] - 1.0) ** 2),
@@ -258,6 +258,12 @@ class TestTailAndRatio:
         out = solve(p, params, [3.0, 3.0])
         assert tail_step_maxima(out.history) == {"x": 0.0, "z": 0.0,
                                                  "lambda": 0.0, "mu": 0.0}
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_tail_step_maxima_rejects_a_window_below_one(self, run1, window):
+        _, _, out = run1
+        with pytest.raises(ValueError, match="window"):
+            tail_step_maxima(out.history, window=window)
 
     def test_perturbation_ratio_shape(self, run1):
         _, _, out = run1
@@ -330,7 +336,7 @@ class TestRecordedTerms:
                        objective_gradient=lambda x: 2.0 * (x - target),
                        constraints=lambda x: np.zeros(0),
                        constraint_jacobian=lambda x: np.zeros((0, 2)),
-                       projection=projector(Box([-1.0, -1.0], [1.0, 1.0])), name="m0")
+                       projection=Box([-1.0, -1.0], [1.0, 1.0]), name="m0")
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3", "qcqp-box", "m0"])
     def test_terms_match_a_replay_of_iterate(self, name):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (FdSettings, FullState, PenaltyParams, eval_full, eval_reduced,
-                   fd_gradient, grad_x, lambda_hat, zhat)
+from pplad import (FdSettings, FullState, PenaltyParams, SolverParams, eval_full,
+                   fd_gradient, grad_x, iterate, zhat)
 from pplad.problems import example1, example2, example3
 
 # alpha/(1 + alpha*beta) = 2 exactly
@@ -149,28 +149,21 @@ class TestZhat:
                 assert value <= perturbed
 
 
+def reduced(problem, params, x, lam, mu):
+    """The merit with z eliminated: eval_full at z = zhat(lam, mu)."""
+    return eval_full(problem, params, FullState(x, zhat(params, lam, mu), lam, mu))
+
+
 class TestEvalReduced:
     def test_zero_duals_give_objective(self):
         p = example1()
         x = np.array([2.5, -1.0])
-        value = eval_reduced(p, RHO2, x, np.zeros(2), np.zeros(2))
+        value = reduced(p, RHO2, x, np.zeros(2), np.zeros(2))
         assert value == pytest.approx(p.objective(x))
 
     def test_feasible_point_equal_multipliers(self):
-        value = eval_reduced(example1(), RHO2, [1.0, 0.0], [5.0, 7.0], [5.0, 7.0])
+        value = reduced(example1(), RHO2, [1.0, 0.0], [5.0, 7.0], [5.0, 7.0])
         assert value == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("factory", [example1, example2, example3])
-    def test_matches_eval_full_at_zhat(self, factory):
-        p = factory()
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            state = random_state(p, rng)
-            reduced = eval_reduced(p, params, state.x, state.lam, state.mu)
-            full = eval_full(p, params, FullState(
-                state.x, zhat(params, state.lam, state.mu), state.lam, state.mu))
-            assert abs(reduced - full) <= 1e-10 * (1.0 + abs(full))
 
     def test_concave_in_lambda_along_segments(self):
         p = example2()
@@ -181,37 +174,49 @@ class TestEvalReduced:
             mu = rng.standard_normal(2)
             a = 3.0 * rng.standard_normal(2)
             b = 3.0 * rng.standard_normal(2)
-            va = eval_reduced(p, params, x, a, mu)
-            vb = eval_reduced(p, params, x, b, mu)
-            vmid = eval_reduced(p, params, x, 0.5 * (a + b), mu)
+            va = reduced(p, params, x, a, mu)
+            vb = reduced(p, params, x, b, mu)
+            vmid = reduced(p, params, x, 0.5 * (a + b), mu)
             assert vmid >= 0.5 * (va + vb) - 1e-12 * (1.0 + abs(vmid))
 
 
 class TestLambdaHat:
+    """The lam that ``iterate`` returns is the closed-form maximizer mu + rho c(x)."""
+
     def test_feasible_point_returns_mu(self):
+        # x = (1, 0) is feasible and, with lam = 0, stationary: x stays put and lam = mu
         p = example1()
         mu = np.array([1.5, -2.0])
-        assert_allclose(lambda_hat(p, RHO2, [1.0, 0.0], mu), mu)
+        state = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=mu)
+        nxt = iterate(p, SolverParams(penalty=RHO2, step_size=0.1), state)
+        assert_allclose(nxt.x, [1.0, 0.0])
+        assert_allclose(nxt.lam, nxt.mu)
 
     def test_hand_arithmetic_on_complementarity_problem(self):
-        # c(5,5) = (25-25-4, 25) = (-4, 25); mu + 2*c = (-8, 50)
-        assert_allclose(lambda_hat(example3(), RHO2, [5.0, 5.0], [0.0, 0.0]),
-                        [-8.0, 50.0])
+        # at (5, 5) with lam = (0, 2): grad f = (-10, -10) and J^T lam = (10, 10),
+        # so x stays at (5, 5), where c = (25-25-4, 25) = (-4, 25);
+        # gamma = rho/(||lam - mu||^2 + 1) = 0.4 moves mu to 0.2*(0, 2) = (0, 0.4),
+        # and lam = mu + 2*c = (-8, 50.4)
+        state = FullState(x=[5.0, 5.0], z=[0.0, 0.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
+        nxt = iterate(example3(), SolverParams(penalty=RHO2, step_size=0.1), state)
+        assert_allclose(nxt.x, [5.0, 5.0])
+        assert_allclose(nxt.lam, [-8.0, 50.4])
 
     @pytest.mark.parametrize("factory", [example1, example2, example3])
     def test_maximizes_eval_reduced_over_lambda(self, factory):
         p = factory()
         params = PenaltyParams(alpha=2000.0, beta=0.5)
+        solver_params = SolverParams(penalty=params, step_size=0.002)
         rng = np.random.default_rng(31)
         for _ in range(25):
             x = rng.uniform(-4.0, 4.0, p.n)
             mu = 2.0 * rng.standard_normal(p.m)
-            best = lambda_hat(p, params, x, mu)
-            value = eval_reduced(p, params, x, best, mu)
+            nxt = iterate(p, solver_params, FullState(x, np.zeros(p.m), mu, mu))
+            value = reduced(p, params, nxt.x, nxt.lam, nxt.mu)
             for _ in range(4):
                 u = rng.standard_normal(p.m)
                 u /= np.linalg.norm(u)
-                assert value >= eval_reduced(p, params, x, best + 1e-3 * u, mu)
+                assert value >= reduced(p, params, nxt.x, nxt.lam + 1e-3 * u, nxt.mu)
 
 
 def test_full_state_dimension_check():

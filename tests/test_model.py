@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
-                   WholeSpace, project, projector, validate)
+                   WholeSpace, validate)
 from pplad.problems import DEFAULT_START, example1, example2, example3
 
 KINDS = [
@@ -18,7 +18,7 @@ KINDS = [
 
 
 def test_box_clamps():
-    assert_allclose(project(Box(lo=[-3, -3], hi=[3, 3]), [5.0, -1.0]), [3.0, -1.0])
+    assert_allclose(Box(lo=[-3, -3], hi=[3, 3])([5.0, -1.0]), [3.0, -1.0])
 
 
 def test_box_clamp_keeps_nan_and_signed_zeros():
@@ -26,17 +26,17 @@ def test_box_clamp_keeps_nan_and_signed_zeros():
     v = np.array([np.nan, -0.0, 0.0, -0.0, 0.0, -5.0, 5.0, np.inf, -np.inf, -0.0])
     lo = np.array([-1.0, -1.0, -1.0, 0.0, -0.0, -1.0, -1.0, -1.0, -1.0, -np.inf])
     hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf])
-    out = project(Box(lo=lo, hi=hi), v)
+    out = Box(lo=lo, hi=hi)(v)
     assert out.tobytes() == np.clip(v, lo, hi).tobytes()
     assert np.isnan(out[0]) and np.signbit(out[1]) and not np.signbit(out[2])
 
 
 def test_whole_space_is_identity():
-    assert_allclose(project(WholeSpace(), [1.2, -7.0]), [1.2, -7.0])
+    assert_allclose(WholeSpace()([1.2, -7.0]), [1.2, -7.0])
 
 
 def test_ball_radial_scaling():
-    out = project(Ball(center=[0.0, 0.0], radius=1.0), [3.0, 4.0])
+    out = Ball(center=[0.0, 0.0], radius=1.0)([3.0, 4.0])
     assert_allclose(out, [0.6, 0.8])
     assert np.linalg.norm(out) == pytest.approx(1.0)
     # colinear with the input
@@ -44,13 +44,13 @@ def test_ball_radial_scaling():
 
 
 def test_orthant_clips_negatives():
-    assert_allclose(project(NonnegativeOrthant(), [-1.0, 2.0, -0.0]), [0.0, 2.0, 0.0])
+    assert_allclose(NonnegativeOrthant()([-1.0, 2.0, -0.0]), [0.0, 2.0, 0.0])
 
 
 def test_unbounded_box_equals_identity():
     box = Box(lo=[-np.inf, -np.inf], hi=[np.inf, np.inf])
     v = np.array([17.0, -42.0])
-    assert_allclose(project(box, v), v)
+    assert_allclose(box(v), v)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
@@ -59,21 +59,21 @@ def test_projection_idempotent_and_nonexpansive(kind):
     for _ in range(100):
         u = rng.uniform(-10.0, 10.0, 2)
         v = rng.uniform(-10.0, 10.0, 2)
-        pu, pv = project(kind, u), project(kind, v)
-        assert np.max(np.abs(project(kind, pv) - pv)) <= 1e-12
+        pu, pv = kind(u), kind(v)
+        assert np.max(np.abs(kind(pv) - pv)) <= 1e-12
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
 def test_box_dimension_mismatch_names_sizes():
     with pytest.raises(DimensionMismatch) as info:
-        project(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]), [1.0, 2.0, 3.0])
+        Box(lo=[0.0, 0.0], hi=[1.0, 1.0])([1.0, 2.0, 3.0])
     assert info.value.expected == 2
     assert info.value.actual == 3
 
 
 def test_ball_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        project(Ball(center=[0.0, 0.0], radius=1.0), [1.0])
+        Ball(center=[0.0, 0.0], radius=1.0)([1.0])
 
 
 def test_box_rejects_crossed_bounds():
@@ -93,6 +93,12 @@ def test_problem_validation_of_dimensions():
                 constraints=lambda x: np.zeros(0),
                 constraint_jacobian=lambda x: np.zeros((0, 0)),
                 projection=lambda v: v)
+
+
+def test_problem_rejects_negative_lipschitz_c():
+    base = example1()
+    with pytest.raises(ValueError, match="lipschitz_c"):
+        dataclasses.replace(base, lipschitz_c=-1.0)
 
 
 @pytest.mark.parametrize("factory,start", [
@@ -162,8 +168,3 @@ def test_validate_reports_a_passing_projection():
 def test_validate_rejects_wrong_x0_length():
     with pytest.raises(DimensionMismatch):
         validate(example1(), np.array([1.0, 2.0, 3.0]))
-
-
-def test_projector_binds_kind():
-    proj = projector(Box(lo=[-1.0], hi=[1.0]))
-    assert_allclose(proj(np.array([4.0])), [1.0])

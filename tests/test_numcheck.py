@@ -41,12 +41,6 @@ def test_empty_output_gives_empty_jacobian():
     assert jac.shape == (0, 2)
 
 
-def test_forward_scheme_first_order_accuracy():
-    x = np.array([1.0, -0.5])
-    grad = fd_gradient(lambda v: v @ v, x, FdSettings(scheme="forward"))
-    assert_allclose(grad, 2 * x, atol=1e-4)
-
-
 def test_central_exact_on_quadratics_up_to_roundoff():
     # degree <= 2 polynomials have no third derivative: central differences
     # are exact up to floating-point cancellation
@@ -105,5 +99,3 @@ def test_settings_validation():
         FdSettings(step=0.0)
     with pytest.raises(ValueError):
         FdSettings(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        FdSettings(scheme="complex")

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
-                   Problem, SolveStatus, SolverParams, eval_full,
-                   eval_reduced, initial_state, iterate, lambda_hat, solve)
+                   Problem, SolveStatus, SolverParams, eval_full, initial_state,
+                   iterate, solve)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
@@ -221,6 +221,12 @@ class TestIterate:
             iterate(p, params, initial_state(p, params, [1.0]))
         assert info.value.iteration == 1
 
+    def test_wrongly_sized_state_raises(self):
+        # unchecked, the length-1 mu broadcast against example1's m = 2
+        s = FullState([3.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.5])
+        with pytest.raises(DimensionMismatch, match="state.mu"):
+            iterate(example1(), fig1_params(), s)
+
 
 class TestSolve:
     def test_zero_budget_returns_iteration_limit_with_initial_state(self):
@@ -319,10 +325,7 @@ class TestSolve:
           for callback in ("objective", "objective_gradient", "constraints",
                            "constraint_jacobian", "projection")),
         *(pytest.param(entry, callback, id=f"{entry}-{callback}")
-          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"),
-                                  ("eval_reduced", "objective"),
-                                  ("eval_reduced", "constraints"),
-                                  ("lambda_hat", "constraints"))),
+          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"))),
     ])
     def test_wrong_callback_shape_raises_at_entry(self, entry, callback):
         # the circle problem with one callback's output reshaped
@@ -340,9 +343,7 @@ class TestSolve:
         p = Problem(n=2, m=1, name="circle", **callbacks)
         x, duals = [1.0, 1.0], [0.5]
         call = {"solve": lambda: solve(p, params, x),
-                "eval_full": lambda: eval_full(p, RHO2, FullState(x, duals, duals, duals)),
-                "eval_reduced": lambda: eval_reduced(p, RHO2, x, duals, duals),
-                "lambda_hat": lambda: lambda_hat(p, RHO2, x, duals)}[entry]
+                "eval_full": lambda: eval_full(p, RHO2, FullState(x, duals, duals, duals))}[entry]
         with pytest.raises(DimensionMismatch, match=callback):
             call()
 
