@@ -76,7 +76,7 @@ class WholeSpace:
 
 @dataclass(frozen=True)
 class Box:
-    """Coordinate-wise bounds lo <= x <= hi; entries may be -inf / +inf.
+    """Coordinate-wise bounds lo <= x <= hi; entries may be -inf / +inf, not NaN.
 
     Projection is a coordinate-wise clamp, max with lo and then min with
     hi, so NaN propagates and a zero on a zero bound takes the bound's sign.
@@ -90,8 +90,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds", lo.shape, hi.shape)
-        if np.any(lo > hi):
-            raise ValueError("box requires lo <= hi in every coordinate")
+        if not np.all(lo <= hi):
+            raise ValueError("box requires lo <= hi, and no NaN, in every coordinate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -112,13 +112,15 @@ class NonnegativeOrthant:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball of given center and radius > 0; projection scales radially when outside."""
+    """Euclidean ball of finite center and radius > 0; projection scales radially when outside."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"ball center must be finite, got {center}")
         object.__setattr__(self, "center", center)
         if not self.radius > 0:
             raise ValueError(f"ball radius must be > 0, got {self.radius}")
@@ -179,7 +181,7 @@ class Problem:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
-        if self.lipschitz_c is not None and self.lipschitz_c < 0:
+        if self.lipschitz_c is not None and not self.lipschitz_c >= 0:
             raise ValueError(f"lipschitz_c must be nonnegative, got {self.lipschitz_c}")
 
 

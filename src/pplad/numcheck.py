@@ -16,9 +16,9 @@ class FdSettings:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError(f"step must be > 0, got {self.step}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 

@@ -21,41 +21,44 @@ from .model import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
 class QcqpSpec:
     """Dense data for min 0.5 x'Qx + q'x s.t. 0.5 x'Qj x + qj'x + bj = 0, x in X.
 
-    Q and every Qj are symmetrized on construction ((M + M') / 2) so the
-    gradients are exactly Qx + q and Qj x + qj.
+    The fields hold float arrays: Q (n, n), q (n,), Qj (m, n, n) with
+    constraint j's matrix at ``Qj[j]``, qj (m, n) and bj (m,).  Each field
+    accepts anything ``np.asarray`` reads as that shape, so the constraint
+    data may be given stacked or as tuples or lists of per-constraint
+    matrices, vectors and numbers; ``()`` gives m = 0.  Q and every Qj are
+    symmetrized on construction ((M + M') / 2) so the gradients are exactly
+    Qx + q and Qj x + qj.  Wrong or ragged shapes raise DimensionMismatch,
+    and NaN or infinite data a ValueError naming the field.
     """
 
     Q: np.ndarray
     q: np.ndarray
-    Qj: tuple
-    qj: tuple
-    bj: tuple
+    Qj: np.ndarray
+    qj: np.ndarray
+    bj: np.ndarray
     projection: ProjectionKind
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise DimensionMismatch("objective matrix", "square matrix", Q.shape)
-        n = Q.shape[0]
-        if q.shape != (n,):
-            raise DimensionMismatch("objective linear term", (n,), q.shape)
-        Qj = tuple(np.asarray(M, dtype=float) for M in self.Qj)
-        qj = tuple(np.asarray(v, dtype=float) for v in self.qj)
-        bj = tuple(float(b) for b in self.bj)
-        if not (len(Qj) == len(qj) == len(bj)):
-            raise DimensionMismatch("constraint data lengths",
-                                    len(Qj), (len(qj), len(bj)))
-        for j, (M, v) in enumerate(zip(Qj, qj)):
-            if M.shape != (n, n):
-                raise DimensionMismatch(f"constraint matrix {j}", (n, n), M.shape)
-            if v.shape != (n,):
-                raise DimensionMismatch(f"constraint linear term {j}", (n,), v.shape)
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "Qj", tuple(0.5 * (M + M.T) for M in Qj))
-        object.__setattr__(self, "qj", qj)
-        object.__setattr__(self, "bj", bj)
+        n, m = len(self.Q), len(self.Qj)
+        for field, shape in (("Q", (n, n)), ("q", (n,)), ("Qj", (m, n, n)),
+                             ("qj", (m, n)), ("bj", (m,))):
+            try:
+                value = np.asarray(getattr(self, field), dtype=float)
+            except ValueError:
+                raise DimensionMismatch(f"QCQP field {field}", shape,
+                                        "ragged or non-numeric input") from None
+            if value.size == 0 and 0 in shape:  # () for m = 0
+                value = value.reshape(shape)
+            if value.shape != shape:
+                raise DimensionMismatch(f"QCQP field {field}", shape, value.shape)
+            if not np.isfinite(value).all():
+                raise ValueError(f"QCQP field {field} has NaN or infinite entries")
+            if field in ("Q", "Qj"):  # (M + M') / 2 of every matrix at once, halved in place
+                value = np.add(value, value.swapaxes(-1, -2), order="C")
+                value *= 0.5
+            else:  # small: owned, so the Problem never shares a caller's array
+                value = value.copy()
+            object.__setattr__(self, field, value)
 
     @property
     def n(self) -> int:
@@ -69,15 +72,19 @@ class QcqpSpec:
 def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     """Wrap a QcqpSpec into a Problem with exact quadratic-form derivatives.
 
-    The constraint matrices are stacked once into an (m n, n) array, and c
-    and J share one product ``Mx`` (row j is Qj x) per point: J = Mx + qj
-    row-wise and c_j = 0.5 <Qj x, x> + qj'x + bj.  The solver asks for c
-    and J at the same x, so the last product is kept in a one-entry cache
-    keyed on the exact bits of x; a hit returns what a fresh evaluation
-    would, and the cached array itself is never handed out.
+    The Problem reads the spec's arrays without copying them.  The (m, n, n)
+    Qj are viewed as one (m n, n) matrix, and c and J share one product
+    ``Mx`` (row j is Qj x) per point: J = Mx + qj row-wise and
+    c_j = 0.5 <Qj x, x> + qj'x + bj.  The solver asks for c and J at the
+    same x, so the last product is kept in a one-entry cache keyed on the
+    exact bits of x; a hit returns what a fresh evaluation would, and the
+    cached array itself is never handed out.
     """
     Q, q = spec.Q, spec.q
     n, m = spec.n, spec.m
+    stacked = spec.Qj.reshape(m * n, n)  # Q1 on top of Q2 ...
+    linear, offset = spec.qj, spec.bj
+    last = None                          # (key of x, Mx), replaced whole
 
     def objective(x):
         return float(0.5 * (x @ Q @ x) + q @ x)
@@ -85,34 +92,22 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     def objective_gradient(x):
         return Q @ x + q
 
-    if m:
-        stacked = np.concatenate(spec.Qj)  # (m n, n): Q1 on top of Q2 ...
-        linear = np.array(spec.qj)         # (m, n)
-        offset = np.array(spec.bj)         # (m,)
-        last = None                        # (key of x, Mx), replaced whole
+    def products(x):
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        entry = last
+        if entry is None or entry[0] != key:
+            entry = last = (key, (stacked @ x).reshape(m, n))
+        return x, entry[1]
 
-        def products(x):
-            nonlocal last
-            x = np.asarray(x, dtype=float)
-            key = (x.shape, x.tobytes())
-            entry = last
-            if entry is None or entry[0] != key:
-                entry = last = (key, (stacked @ x).reshape(m, n))
-            return x, entry[1]
+    def constraints(x):
+        x, Mx = products(x)
+        return 0.5 * np.vecdot(Mx, x) + linear @ x + offset
 
-        def constraints(x):
-            x, Mx = products(x)
-            return 0.5 * np.vecdot(Mx, x) + linear @ x + offset
-
-        def constraint_jacobian(x):
-            _, Mx = products(x)
-            return Mx + linear
-    else:
-        def constraints(x):
-            return np.zeros(0)
-
-        def constraint_jacobian(x):
-            return np.zeros((0, n))
+    def constraint_jacobian(x):
+        _, Mx = products(x)
+        return Mx + linear
 
     return Problem(n=n, m=m, objective=objective,
                    objective_gradient=objective_gradient,
@@ -148,16 +143,6 @@ class QcqpParseError(ValueError):
         super().__init__(f"{message} (line {line})")
 
 
-def _parse_numbers(lineno: int, text: str, count: int, what: str) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != count:
-        raise QcqpParseError(f"{what}: expected {count} numbers, got {len(parts)}", lineno)
-    try:
-        return np.array(parts, dtype=float)
-    except ValueError:
-        raise QcqpParseError(f"{what}: non-numeric token in {text!r}", lineno) from None
-
-
 def load_qcqp_spec(path: str) -> QcqpSpec:
     """Parse the plain-text QCQP format into a QcqpSpec."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,15 +159,24 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
         pos += 1
         return lines[pos - 1]
 
-    def read_rows(count: int, width: int, what: str) -> np.ndarray:
-        return np.vstack([_parse_numbers(*next_line(what), width, what)
-                          for _ in range(count)])
+    def read_rows(out: np.ndarray, what: str) -> None:
+        """Fill ``out`` from the next lines, one line per row (a 1-D ``out`` is one row)."""
+        for row in np.atleast_2d(out):
+            lineno, text = next_line(what)
+            parts = text.split()
+            if len(parts) != row.size:
+                raise QcqpParseError(
+                    f"{what}: expected {row.size} numbers, got {len(parts)}", lineno)
+            try:
+                row[...] = parts
+            except ValueError:
+                raise QcqpParseError(f"{what}: non-numeric token in {text!r}", lineno) from None
 
-    def read_section(tag: str, count: int, width: int) -> np.ndarray:
+    def read_section(tag: str, out: np.ndarray) -> None:
         lineno, text = next_line(f"section {tag!r}")
         if text != tag:
             raise QcqpParseError(f"expected section {tag!r}, got {text!r}", lineno)
-        return read_rows(count, width, f"row of {tag}")
+        read_rows(out, f"row of {tag}")
 
     lineno, text = next_line("'dim n m'")
     parts = text.split()
@@ -194,14 +188,19 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
         raise QcqpParseError(f"non-integer dimensions in {text!r}", lineno) from None
     if n < 1 or m < 0:
         raise QcqpParseError(f"invalid dimensions n={n}, m={m}", lineno)
+    # each number takes a character at least: allocate nothing a short file cannot fill
+    if (m + 1) * n * n > sum(len(line) for _, line in lines):
+        raise QcqpParseError(f"dimensions n={n}, m={m} need more numbers than the file has",
+                             lineno)
 
-    Q = read_section("Q", n, n)
-    q = read_section("q", 1, n)[0]
-    Qj, qj, bj = [], [], []
-    for j in range(1, m + 1):
-        Qj.append(read_section(f"Q{j}", n, n))
-        qj.append(read_section(f"q{j}", 1, n)[0])
-        bj.append(read_section(f"b{j}", 1, 1)[0, 0])
+    Q, q = np.empty((n, n)), np.empty(n)
+    Qj, qj, bj = np.empty((m, n, n)), np.empty((m, n)), np.empty(m)
+    read_section("Q", Q)
+    read_section("q", q)
+    for j in range(m):
+        read_section(f"Q{j + 1}", Qj[j])
+        read_section(f"q{j + 1}", qj[j])
+        read_section(f"b{j + 1}", bj[j:j + 1])
 
     lineno, text = next_line("'projection <kind>'")
     parts = text.split()
@@ -213,15 +212,15 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
     kind, sizes = _PROJECTIONS[name]
     fields = {}
     for field, size in sizes.items():
-        row = read_rows(1, n if size == "n" else 1, f"{name} {field}")[0]
+        row = np.empty(n if size == "n" else 1)
+        read_rows(row, f"{name} {field}")
         fields[field] = row if size == "n" else float(row[0])
     projection = kind(**fields)
 
     if pos < len(lines):
         lineno, text = lines[pos]
         raise QcqpParseError(f"trailing content {text!r}", lineno)
-    return QcqpSpec(Q=Q, q=q, Qj=tuple(Qj), qj=tuple(qj), bj=tuple(bj),
-                    projection=projection)
+    return QcqpSpec(Q=Q, q=q, Qj=Qj, qj=qj, bj=bj, projection=projection)
 
 
 def load_qcqp(path: str, name: str | None = None) -> Problem:

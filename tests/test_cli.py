@@ -169,6 +169,14 @@ class TestQcqpFormat:
         with pytest.raises(QcqpParseError, match="unexpected end"):
             load_qcqp(str(path))
 
+    def test_dimensions_the_file_cannot_fill(self, tmp_path):
+        # refused before any array is allocated for them
+        path = tmp_path / "bad.qcqp"
+        path.write_text("dim 2 1000000000000\nQ\n1 0\n0 1\nq\n0 0\nprojection whole\n")
+        with pytest.raises(QcqpParseError, match="more numbers than the file has") as info:
+            load_qcqp(str(path))
+        assert info.value.line == 1
+
     def test_box_and_ball_round_trip(self, tmp_path):
         from pplad import Ball, Box, QcqpSpec
         for kind in (Box(lo=[-1.0, 0.0], hi=[1.0, 2.0]),
@@ -332,6 +340,17 @@ class TestMain:
                      "--report", str(tmp_path / "r.txt")])
         assert code == 5
         assert capsys.readouterr().err == f"pplad: error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_non_finite_problem_file_exit_five(self, tmp_path, capsys):
+        path = tmp_path / "nan.qcqp"
+        path.write_text(EXAMPLE2_FILE.replace("10 4 1", "10 nan 1"))
+        code = main(["solve", "--problem", str(path), "--step-size", "0.005",
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        assert capsys.readouterr().err == \
+            "pplad: error: QCQP field Q has NaN or infinite entries\n"
         assert not (tmp_path / "t.csv").exists()
 
     def test_x0_flag_parsed_as_vector(self, tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
-                   WholeSpace, validate)
+from pplad import (Ball, Box, DimensionMismatch, FdSettings, NonnegativeOrthant,
+                   Problem, WholeSpace, validate)
 from pplad.problems import DEFAULT_START, example1, example2, example3
 
 KINDS = [
@@ -99,6 +99,18 @@ def test_problem_rejects_negative_lipschitz_c():
     base = example1()
     with pytest.raises(ValueError, match="lipschitz_c"):
         dataclasses.replace(base, lipschitz_c=-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FdSettings(step=np.nan),
+    lambda: FdSettings(rel_tol=np.nan),
+    lambda: dataclasses.replace(example1(), lipschitz_c=np.nan),
+    lambda: Box(lo=[np.nan], hi=[1.0]),
+    lambda: Ball(center=[np.nan], radius=1.0),
+], ids=["fd-step", "fd-rel_tol", "lipschitz_c", "box-lo", "ball-center"])
+def test_nan_parameters_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 @pytest.mark.parametrize("factory,start", [

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,45 @@ class TestQcqpSpec:
         with pytest.raises(DimensionMismatch):
             QcqpSpec(Q=np.eye(2), q=[0.0, 0.0], Qj=(np.eye(3),),
                      qj=([0.0, 0.0],), bj=(0.0,), projection=WholeSpace())
+        with pytest.raises(DimensionMismatch):  # ragged: matrices of two sizes
+            QcqpSpec(Q=np.eye(2), q=[0.0, 0.0], Qj=(np.eye(2), np.eye(3)),
+                     qj=([0.0, 0.0], [0.0, 0.0]), bj=(0.0, 0.0), projection=WholeSpace())
+        with pytest.raises(DimensionMismatch):
+            QcqpSpec(Q=np.eye(2), q=[0.0, 0.0], Qj=(np.eye(2), np.eye(2)),
+                     qj=([0.0, 0.0],), bj=(0.0, 0.0), projection=WholeSpace())
+        with pytest.raises(DimensionMismatch):
+            QcqpSpec(Q=np.eye(2), q=[0.0, 0.0], Qj=(np.eye(2), np.eye(2)),
+                     qj=([0.0, 0.0], [0.0, 0.0]), bj=(0.0,), projection=WholeSpace())
+
+    def test_problem_is_unchanged_by_later_edits_of_the_input_arrays(self):
+        data = dict(Q=np.eye(2), q=np.zeros(2), Qj=np.ones((1, 2, 2)), qj=np.zeros((1, 2)),
+                    bj=np.zeros(1))
+        p = from_qcqp(QcqpSpec(**data, projection=WholeSpace()))
+        x = np.array([1.0, -2.0])
+        before = p.objective(x), p.constraints(x).tobytes()
+        for value in data.values():
+            value[...] = 7.0
+        assert (p.objective(x), p.constraints(x).tobytes()) == before
+
+    @pytest.mark.parametrize("field", ["Q", "q", "Qj", "qj", "bj"])
+    def test_non_finite_data_is_rejected(self, field):
+        data = dict(Q=np.eye(2), q=np.zeros(2), Qj=np.ones((1, 2, 2)), qj=np.zeros((1, 2)),
+                    bj=np.zeros(1))
+        data[field] = data[field].copy()
+        data[field].flat[-1] = np.nan if field in ("Q", "qj") else -np.inf
+        with pytest.raises(ValueError, match=f"field {field} has NaN or infinite"):
+            QcqpSpec(**data, projection=WholeSpace())
+
+    def test_tuples_and_stacked_arrays_give_equal_fields(self):
+        from_tuples = dense_spec(n=6, m=3)
+        rng = np.random.default_rng(5)  # dense_spec's draws, stacked
+        stacked = QcqpSpec(Q=rng.standard_normal((6, 6)), q=rng.standard_normal(6),
+                           Qj=np.stack([rng.standard_normal((6, 6)) for _ in range(3)]),
+                           qj=np.stack([rng.standard_normal(6) for _ in range(3)]),
+                           bj=rng.standard_normal(3), projection=WholeSpace())
+        for field in ("Q", "q", "Qj", "qj", "bj"):
+            assert_bitwise([getattr(stacked, field)], [getattr(from_tuples, field)])
+        assert stacked.Qj.shape == (3, 6, 6) and stacked.Qj.flags.c_contiguous
 
 
 def dense_spec(n=200, m=20, seed=5):
@@ -137,6 +177,7 @@ class TestFromQcqp:
     def test_zero_data_gives_zero_objective(self):
         spec = QcqpSpec(Q=np.zeros((3, 3)), q=np.zeros(3), Qj=(), qj=(), bj=(),
                         projection=WholeSpace())
+        assert (spec.Qj.shape, spec.qj.shape, spec.bj.shape) == ((0, 3, 3), (0, 3), (0,))
         p = from_qcqp(spec)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(3)
@@ -181,6 +222,16 @@ class TestStackedConstraints:
             c, J = p.constraints(x), p.constraint_jacobian(x)
             assert_array_equal(J, J_ref)
             assert np.linalg.norm(c - c_ref) <= 1e-13 * np.linalg.norm(c_ref)
+
+    def test_problem_copies_no_constraint_data(self):
+        spec = dense_spec()  # 6.4 MB of Qj
+        tracemalloc.start()
+        try:
+            from_qcqp(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_point_mutated_in_place_is_a_new_point(self):
         spec = dense_spec()
