@@ -57,7 +57,7 @@ class RunConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.trace_stride < 1:
+        if not self.trace_stride >= 1:
             raise ConfigError(f"stride must be >= 1, got {self.trace_stride}", key="stride")
 
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .lagrangian import grad_x
-from .model import Problem, _norm, check_shape
+from .model import Problem, _norm
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
@@ -139,7 +139,7 @@ class RunHistory:
 def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
          tol_feasibility: float) -> KktReport:
     """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
-    projected = check_shape("projection", problem.projection(state.x - grad), (problem.n,))
+    projected = problem.project(state.x - grad)
     opt = _norm(state.x - projected)
     feas = _norm(cx)
     return KktReport(optimality=opt, feasibility=feas,
@@ -149,7 +149,7 @@ def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
 def kkt_report(problem: Problem, state, *, tol_optimality: float,
                tol_feasibility: float) -> KktReport:
     """Evaluate both residuals at a state and package them with the satisfied verdict."""
-    cx = check_shape("constraints", problem.constraints(state.x), (problem.m,))
+    cx = problem.c(state.x)
     return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
 
 
@@ -297,7 +297,7 @@ def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
 
     Raises ValueError when ``window`` is below 1.
     """
-    if window < 1:
+    if not window >= 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if len(history) < 2:
         return {"x": 0.0, "z": 0.0, "lambda": 0.0, "mu": 0.0}
@@ -333,7 +333,7 @@ def write_trace_csv(history: RunHistory, path, stride: int = 1) -> None:
     Keeps the rows whose k is a multiple of ``stride``, plus the last row.
     Values are written at full precision (%.17e is lossless for doubles).
     """
-    if stride < 1:
+    if not stride >= 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     keep = history.ks % stride == 0
     keep[-1:] = True  # the last row always (a no-op on an empty history)

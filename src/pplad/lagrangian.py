@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DimensionMismatch, EvaluationError, Problem, check_shape
+from .model import DimensionMismatch, EvaluationError, Problem
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def _value(fx, cx, z, lam, mu, alpha, beta):
 
 def eval_full(problem: Problem, params: PenaltyParams, state) -> float:
     """Value of the full merit function at (x, z, lam, mu)."""
-    fx = float(check_shape("objective", problem.objective(state.x), ()))
-    cx = check_shape("constraints", problem.constraints(state.x), (problem.m,))
+    fx = problem.f(state.x)
+    cx = problem.c(state.x)
     value = float(_value(fx, cx, state.z, state.lam, state.mu, params.alpha, params.beta))
     if not np.isfinite(value):
         raise EvaluationError("non-finite merit value", state=state)
@@ -103,12 +103,10 @@ def grad_x(problem: Problem, state) -> np.ndarray:
     Deliberately free of z, mu, alpha and beta: the x-derivative of the
     merit function involves none of them.
     """
-    g = check_shape("objective_gradient", problem.objective_gradient(state.x), (problem.n,))
+    g = problem.grad_f(state.x)
     if problem.m == 0:
         return g
-    jac = check_shape("constraint_jacobian", problem.constraint_jacobian(state.x),
-                      (problem.m, problem.n))
-    return g + jac.T @ state.lam
+    return g + problem.jac(state.x).T @ state.lam
 
 
 def zhat(params: PenaltyParams, lam, mu) -> np.ndarray:

@@ -147,12 +147,20 @@ ProjectionKind = Union[WholeSpace, Box, NonnegativeOrthant, Ball]
 class Problem:
     """Smooth objective, smooth equality constraints, and a projection onto X.
 
-    Evaluator contract:
-      objective(x) -> scalar, objective_gradient(x) -> (n,),
-      constraints(x) -> (m,), constraint_jacobian(x) -> (m, n) with row j
-      equal to the gradient of constraint j, so the dual-weighted gradient
-      term is jac.T @ lam.  projection(v) -> the Euclidean projection onto X;
-      a projection kind (``Box(...)``, ``Ball(...)``, ...) is such a callable.
+    Evaluator contract, one checked call per field:
+
+      f(x)       = objective(x)            -> float
+      grad_f(x)  = objective_gradient(x)   -> (n,)
+      c(x)       = constraints(x)          -> (m,)
+      jac(x)     = constraint_jacobian(x)  -> (m, n), row j the gradient of constraint j
+      project(v) = projection(v)           -> (n,), the Euclidean projection onto X
+
+    A checked call returns its field's output as a float array (f as a
+    float) and raises DimensionMismatch naming the field when the shape is
+    wrong.  The solver, the Lagrangian, the residuals and ``validate`` call
+    the evaluators only through them; the fields stay plain callables.  The
+    dual-weighted gradient term is jac(x).T @ lam, and a projection kind
+    (``Box(...)``, ``Ball(...)``, ...) is a valid ``projection``.
 
     Evaluator outputs must depend on x alone.  A cache is allowed if a hit
     returns exactly what a fresh evaluation would and it is safe under
@@ -177,12 +185,27 @@ class Problem:
     name: str = "problem"
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.m < 0:
+        if not self.m >= 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
         if self.lipschitz_c is not None and not self.lipschitz_c >= 0:
             raise ValueError(f"lipschitz_c must be nonnegative, got {self.lipschitz_c}")
+
+    def f(self, x) -> float:
+        return float(check_shape("objective", self.objective(x), ()))
+
+    def grad_f(self, x) -> np.ndarray:
+        return check_shape("objective_gradient", self.objective_gradient(x), (self.n,))
+
+    def c(self, x) -> np.ndarray:
+        return check_shape("constraints", self.constraints(x), (self.m,))
+
+    def jac(self, x) -> np.ndarray:
+        return check_shape("constraint_jacobian", self.constraint_jacobian(x), (self.m, self.n))
+
+    def project(self, v) -> np.ndarray:
+        return check_shape("projection", self.projection(v), (self.n,))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +246,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _finite_vector(name, value, shape):
-    value = check_shape(name, value, shape)
-    if not np.all(np.isfinite(value)):
-        return None, ValidationCheck(name, False, message="non-finite entries")
-    return value, ValidationCheck(name, True)
-
-
 def validate(problem: Problem, x0, settings: FdSettings | None = None) -> ValidationReport:
     """Evaluate every callback at the projection of x0 and cross-check derivatives.
 
@@ -244,71 +260,44 @@ def validate(problem: Problem, x0, settings: FdSettings | None = None) -> Valida
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,):
         raise DimensionMismatch("x0 length", problem.n, x0.shape)
+    evaluators = {"objective": problem.f, "objective_gradient": problem.grad_f,
+                  "constraints": problem.c, "constraint_jacobian": problem.jac}
+    oracles = (("objective", "objective_gradient", fd_gradient),
+               ("constraints", "constraint_jacobian", fd_jacobian))
     try:
-        x = check_shape("projection", problem.projection(x0), (problem.n,))
+        x = problem.project(x0)
     except Exception as exc:
         # with no point to evaluate at, blaming the evaluators would mislead
         skipped = [ValidationCheck(name, False, message="skipped: projection failed")
-                   for name in ("objective", "objective_gradient", "constraints",
-                                "constraint_jacobian", "objective_gradient_fd",
-                                "constraint_jacobian_fd")]
+                   for name in (*evaluators, *(f"{d}_fd" for _, d, _ in oracles))]
         return ValidationReport(problem.name, x0,
                                 (ValidationCheck("projection", False, message=repr(exc)),
                                  *skipped))
     checks = [ValidationCheck("projection", True)]
 
-    fx = None
-    try:
-        fx = float(check_shape("objective", problem.objective(x), ()))
-        good = np.isfinite(fx)
-        checks.append(ValidationCheck("objective", bool(good),
-                                      message="" if good else "non-finite value"))
-    except Exception as exc:  # report, don't raise: this is a contract check
-        checks.append(ValidationCheck("objective", False, message=repr(exc)))
-
-    grad = None
-    try:
-        grad, check = _finite_vector("objective_gradient", problem.objective_gradient(x),
-                                     (problem.n,))
-        checks.append(check)
-    except Exception as exc:
-        checks.append(ValidationCheck("objective_gradient", False, message=repr(exc)))
-
-    cx = None
-    try:
-        cx, check = _finite_vector("constraints", problem.constraints(x), (problem.m,))
-        checks.append(check)
-    except Exception as exc:
-        checks.append(ValidationCheck("constraints", False, message=repr(exc)))
-
-    jac = None
-    try:
-        jac, check = _finite_vector("constraint_jacobian", problem.constraint_jacobian(x),
-                                    (problem.m, problem.n))
-        checks.append(check)
-    except Exception as exc:
-        checks.append(ValidationCheck("constraint_jacobian", False, message=repr(exc)))
-
-    if fx is not None and grad is not None:
+    values = {}  # the outputs the oracle checks may compare
+    for name, call in evaluators.items():
         try:
-            err, ok = compare(grad, fd_gradient(problem.objective, x, settings),
-                              settings.rel_tol)
-            checks.append(ValidationCheck("objective_gradient_fd", ok, max_rel_error=err))
-        except ValueError as exc:
-            checks.append(ValidationCheck("objective_gradient_fd", False, message=str(exc)))
-    else:
-        checks.append(ValidationCheck("objective_gradient_fd", False,
-                                      message="skipped: evaluator failed"))
+            value = call(x)
+        except Exception as exc:  # report, don't raise: this is a contract check
+            checks.append(ValidationCheck(name, False, message=repr(exc)))
+            continue
+        finite = bool(np.all(np.isfinite(value)))
+        message = "" if finite else "non-finite " + ("value" if np.ndim(value) == 0 else "entries")
+        checks.append(ValidationCheck(name, finite, message=message))
+        if finite or name == "objective":  # the gradient's oracle check meets a non-finite f
+            values[name] = value
 
-    if cx is not None and jac is not None:
+    for fn, derivative, oracle in oracles:
+        name = f"{derivative}_fd"
+        if fn not in values or derivative not in values:
+            checks.append(ValidationCheck(name, False, message="skipped: evaluator failed"))
+            continue
         try:
-            err, ok = compare(jac, fd_jacobian(problem.constraints, x, settings),
+            err, ok = compare(values[derivative], oracle(getattr(problem, fn), x, settings),
                               settings.rel_tol)
-            checks.append(ValidationCheck("constraint_jacobian_fd", ok, max_rel_error=err))
+            checks.append(ValidationCheck(name, ok, max_rel_error=err))
         except ValueError as exc:
-            checks.append(ValidationCheck("constraint_jacobian_fd", False, message=str(exc)))
-    else:
-        checks.append(ValidationCheck("constraint_jacobian_fd", False,
-                                      message="skipped: evaluator failed"))
+            checks.append(ValidationCheck(name, False, message=str(exc)))
 
     return ValidationReport(problem.name, x0, tuple(checks))

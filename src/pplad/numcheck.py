@@ -27,33 +27,10 @@ class CompareResult(NamedTuple):
     passed: bool
 
 
-def fd_gradient(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x.
-
-    (fn(x + h e_i) - fn(x - h e_i)) / (2h) per coordinate.  Perturbed points
-    are not projected; fn must be defined near x in all of R^n.
-    """
-    settings = settings or FdSettings()
-    x = np.asarray(x, dtype=float)
-    h = settings.step
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = h
-        hi, lo = float(fn(x + step)), float(fn(x - step))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
-
-
-def fd_jacobian(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector function at x, one row per output."""
-    settings = settings or FdSettings()
-    x = np.asarray(x, dtype=float)
-    h = settings.step
-    f0 = np.asarray(fn(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
+def _central_differences(fn: Callable, x: np.ndarray, settings: FdSettings | None,
+                         out: np.ndarray) -> np.ndarray:
+    """Fill column i of ``out`` with (fn(x + h e_i) - fn(x - h e_i)) / (2h), for every i."""
+    h = (settings or FdSettings()).step
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = h
@@ -61,8 +38,26 @@ def fd_jacobian(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarr
         lo = np.asarray(fn(x - step), dtype=float)
         if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
             raise ValueError(f"non-finite function value while perturbing coordinate {i}")
-        jac[:, i] = (hi - lo) / (2.0 * h)
-    return jac
+        out[..., i] = (hi - lo) / (2.0 * h)
+    return out
+
+
+def fd_gradient(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
+    """Central-difference gradient of a scalar function at x.
+
+    (fn(x + h e_i) - fn(x - h e_i)) / (2h) per coordinate.  Perturbed points
+    are not projected; fn must be defined near x in all of R^n.  A non-finite
+    value raises ValueError naming the coordinate, here and in ``fd_jacobian``.
+    """
+    x = np.asarray(x, dtype=float)
+    return _central_differences(fn, x, settings, np.empty(x.size))
+
+
+def fd_jacobian(fn: Callable, x, settings: FdSettings | None = None) -> np.ndarray:
+    """Central-difference Jacobian of a vector function at x, one row per output."""
+    x = np.asarray(x, dtype=float)
+    rows = np.asarray(fn(x), dtype=float).size
+    return _central_differences(fn, x, settings, np.empty((rows, x.size)))
 
 
 def compare(analytic, numeric, rel_tol: float = 1e-5) -> CompareResult:

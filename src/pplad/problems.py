@@ -9,6 +9,7 @@ dual iterates stay bounded.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,18 +147,22 @@ class QcqpParseError(ValueError):
 def load_qcqp_spec(path: str) -> QcqpSpec:
     """Parse the plain-text QCQP format into a QcqpSpec."""
     with open(path, "r", encoding="utf-8") as fh:
-        stripped = ((lineno, raw.split("#", 1)[0].strip())
-                    for lineno, raw in enumerate(fh, start=1))
-        lines = [item for item in stripped if item[1]]
-    pos = 0
+        return _parse_qcqp(fh)
+
+
+def _parse_qcqp(fh) -> QcqpSpec:
+    """Parse an open QCQP file, reading its lines one at a time and each once."""
+    lines = ((lineno, text) for lineno, raw in enumerate(fh, start=1)
+             if (text := raw.split("#", 1)[0].strip()))
+    lastno = 0  # the last non-blank line read
 
     def next_line(expect: str):
-        nonlocal pos
-        if pos >= len(lines):
-            lastno = lines[-1][0] if lines else 0
+        nonlocal lastno
+        item = next(lines, None)
+        if item is None:
             raise QcqpParseError(f"unexpected end of file, expected {expect}", lastno)
-        pos += 1
-        return lines[pos - 1]
+        lastno = item[0]
+        return item
 
     def read_rows(out: np.ndarray, what: str) -> None:
         """Fill ``out`` from the next lines, one line per row (a 1-D ``out`` is one row)."""
@@ -188,8 +193,8 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
         raise QcqpParseError(f"non-integer dimensions in {text!r}", lineno) from None
     if n < 1 or m < 0:
         raise QcqpParseError(f"invalid dimensions n={n}, m={m}", lineno)
-    # each number takes a character at least: allocate nothing a short file cannot fill
-    if (m + 1) * n * n > sum(len(line) for _, line in lines):
+    # each number takes a byte at least: allocate nothing a short file cannot fill
+    if (m + 1) * n * n > os.fstat(fh.fileno()).st_size:
         raise QcqpParseError(f"dimensions n={n}, m={m} need more numbers than the file has",
                              lineno)
 
@@ -217,8 +222,9 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
         fields[field] = row if size == "n" else float(row[0])
     projection = kind(**fields)
 
-    if pos < len(lines):
-        lineno, text = lines[pos]
+    trailing = next(lines, None)
+    if trailing is not None:
+        lineno, text = trailing
         raise QcqpParseError(f"trailing content {text!r}", lineno)
     return QcqpSpec(Q=Q, q=q, Qj=Qj, qj=qj, bj=bj, projection=projection)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import KktReport, RunHistory, _kkt
 from .lagrangian import FullState, PenaltyParams, _value, grad_x, zhat
-from .model import EvaluationError, Problem, _norm, check_shape
+from .model import EvaluationError, Problem, _norm
 
 
 class SolveStatus(Enum):
@@ -68,7 +68,7 @@ class SolverParams:
             raise ValueError(f"tol_optimality must be > 0, got {self.tol_optimality}")
         if not self.tol_feasibility > 0:
             raise ValueError(f"tol_feasibility must be > 0, got {self.tol_feasibility}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not self.divergence_bound > 0:
             raise ValueError(f"divergence_bound must be > 0, got {self.divergence_bound}")
@@ -102,10 +102,9 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
     rho = params.penalty.rho
     d = state.lam - state.mu
     gam = rho * state.delta / (float(d.dot(d)) + 1.0)
-    x_next = check_shape("projection", problem.projection(state.x - params.step_size * grad),
-                         (problem.n,))
+    x_next = problem.project(state.x - params.step_size * grad)
     mu_next = state.mu + (gam / rho) * d
-    cx = check_shape("constraints", problem.constraints(x_next), (problem.m,))
+    cx = problem.c(x_next)
     lam_next = mu_next + rho * cx
     k_next = state.k + 1
     return FullState(x_next, zhat(params.penalty, lam_next, mu_next), lam_next, mu_next,
@@ -158,7 +157,7 @@ def initial_state(problem: Problem, params: SolverParams, x0,
 
     state = FullState(x0, dual(z0), dual(lam0), dual(mu0), delta=params.delta0)
     state.check_dims(problem)
-    state.x = check_shape("projection", problem.projection(state.x), (problem.n,))
+    state.x = problem.project(state.x)
     return state
 
 
@@ -221,7 +220,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
 
     def measure(state, grad, cx, prev):
         # the row of state, from the grad and c(x) already evaluated there
-        fx = float(check_shape("objective", problem.objective(state.x), ()))
+        fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
         row = _history_terms(params.penalty, state, cx, prev)
         row.update(objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
@@ -231,7 +230,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
 
     cur = initial_state(problem, params, x0, z0=z0, lam0=lam0, mu0=mu0)
     grad = grad_x(problem, cur)
-    cx = check_shape("constraints", problem.constraints(cur.x), (problem.m,))
+    cx = problem.c(cur.x)
     kkt, row = measure(cur, grad, cx, None)
     while True:
         history.append(cur, row)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import check_trace as real_check_trace, example1, read_trace_csv
-from pplad.cli import ConfigError, main, parse_config, run
+from pplad import (PenaltyParams, QcqpSpec, SolverParams, WholeSpace,
+                   check_trace as real_check_trace, example1, read_trace_csv)
+from pplad.cli import ConfigError, RunConfig, main, parse_config, run
 from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
                             load_qcqp_spec, save_qcqp)
 
@@ -93,6 +96,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stride"):
             parse_config(None, {"problem": "example1", "step_size": 0.002, "stride": -3})
 
+    def test_nan_stride_is_rejected(self):
+        params = SolverParams(penalty=PenaltyParams(alpha=2.0, beta=0.5), step_size=0.1)
+        with pytest.raises(ConfigError, match="stride") as info:
+            RunConfig(problem="example1", params=params, trace_stride=float("nan"))
+        assert info.value.key == "stride"
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = example1\nstep_size = 0.002\nalpha = 10\n")
@@ -176,6 +185,24 @@ class TestQcqpFormat:
         with pytest.raises(QcqpParseError, match="more numbers than the file has") as info:
             load_qcqp(str(path))
         assert info.value.line == 1
+
+    def test_loading_holds_less_than_the_file_at_once(self, tmp_path):
+        # the text is read line by line: the peak is the arrays, not the file's lines
+        n, m = 100, 10
+        rng = np.random.default_rng(5)
+        spec = QcqpSpec(Q=rng.standard_normal((n, n)), q=rng.standard_normal(n),
+                        Qj=rng.standard_normal((m, n, n)), qj=rng.standard_normal((m, n)),
+                        bj=rng.standard_normal(m), projection=WholeSpace())
+        path = tmp_path / "big.qcqp"
+        save_qcqp(spec, str(path))
+        del spec
+        tracemalloc.start()
+        try:
+            load_qcqp(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_box_and_ball_round_trip(self, tmp_path):
         from pplad import Ball, Box, QcqpSpec

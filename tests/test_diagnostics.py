@@ -259,7 +259,7 @@ class TestTailAndRatio:
         assert tail_step_maxima(out.history) == {"x": 0.0, "z": 0.0,
                                                  "lambda": 0.0, "mu": 0.0}
 
-    @pytest.mark.parametrize("window", [0, -5])
+    @pytest.mark.parametrize("window", [0, -5, np.nan])
     def test_tail_step_maxima_rejects_a_window_below_one(self, run1, window):
         _, _, out = run1
         with pytest.raises(ValueError, match="window"):
@@ -416,7 +416,7 @@ class TestTraceCsv:
         for name in TRACE_COLUMNS:
             assert_array_equal(back[name], out.history.column(name)[back["k"]])
 
-    @pytest.mark.parametrize("stride", [0, -3])
+    @pytest.mark.parametrize("stride", [0, -3, np.nan])
     def test_nonpositive_stride_rejected(self, run1, tmp_path, stride):
         _, _, out = run1
         with pytest.raises(ValueError, match="stride"):

@@ -105,9 +105,12 @@ def test_problem_rejects_negative_lipschitz_c():
     lambda: FdSettings(step=np.nan),
     lambda: FdSettings(rel_tol=np.nan),
     lambda: dataclasses.replace(example1(), lipschitz_c=np.nan),
+    lambda: dataclasses.replace(example1(), n=np.nan),
+    lambda: dataclasses.replace(example1(), m=np.nan),
     lambda: Box(lo=[np.nan], hi=[1.0]),
     lambda: Ball(center=[np.nan], radius=1.0),
-], ids=["fd-step", "fd-rel_tol", "lipschitz_c", "box-lo", "ball-center"])
+], ids=["fd-step", "fd-rel_tol", "lipschitz_c", "problem-n", "problem-m", "box-lo",
+        "ball-center"])
 def test_nan_parameters_are_rejected(make):
     with pytest.raises(ValueError):
         make()

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
-                   Problem, SolveStatus, SolverParams, eval_full, initial_state,
-                   iterate, solve)
+                   Problem, SolveStatus, SolverParams, eval_full, grad_x, initial_state,
+                   iterate, kkt_report, solve, validate)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
@@ -31,6 +32,33 @@ def constant_constraints(c):
                    constraints=lambda x: c,
                    constraint_jacobian=lambda x: np.zeros((c.size, 1)),
                    projection=lambda v: v, name="const")
+
+
+def circle_callbacks():
+    """The evaluators of min ||x||^2 s.t. ||x||^2 = 1 in R^2, by field name."""
+    return dict(objective=lambda x: float(x @ x),
+                objective_gradient=lambda x: 2.0 * x,
+                constraints=lambda x: np.array([x @ x - 1.0]),
+                constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1),
+                projection=lambda v: v)
+
+
+CONTRACT_SHAPES = {"objective": (), "objective_gradient": (2,), "constraints": (1,),
+                   "constraint_jacobian": (1, 2), "projection": (2,)}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(callback=st.sampled_from(sorted(CONTRACT_SHAPES)),
+       shape=st.lists(st.integers(0, 3), max_size=3).map(tuple))
+def test_any_wrong_output_shape_is_named_by_solve_and_validate(callback, shape):
+    assume(shape != CONTRACT_SHAPES[callback])
+    callbacks = circle_callbacks()
+    callbacks[callback] = lambda x: np.ones(shape)
+    p = Problem(n=2, m=1, name="circle", **callbacks)
+    with pytest.raises(DimensionMismatch, match=callback):
+        solve(p, SolverParams(penalty=RHO2, step_size=0.1, max_iterations=3), [1.0, 1.0])
+    check = validate(p, [1.0, 1.0]).check(callback)
+    assert not check.passed and "output shape" in check.message
 
 
 def unconstrained_quadratic(target):
@@ -325,15 +353,16 @@ class TestSolve:
           for callback in ("objective", "objective_gradient", "constraints",
                            "constraint_jacobian", "projection")),
         *(pytest.param(entry, callback, id=f"{entry}-{callback}")
-          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"))),
+          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"),
+                                  ("iterate", "projection"), ("iterate", "constraints"),
+                                  ("grad_x", "objective_gradient"),
+                                  ("grad_x", "constraint_jacobian"),
+                                  ("kkt_report", "constraints"),
+                                  ("kkt_report", "projection"))),
     ])
     def test_wrong_callback_shape_raises_at_entry(self, entry, callback):
         # the circle problem with one callback's output reshaped
-        callbacks = dict(objective=lambda x: float(x @ x),
-                         objective_gradient=lambda x: 2.0 * x,
-                         constraints=lambda x: np.array([x @ x - 1.0]),
-                         constraint_jacobian=lambda x: 2.0 * x.reshape(1, -1),
-                         projection=lambda v: v)
+        callbacks = circle_callbacks()
         params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=3)
         good = callbacks[callback]
         bad_shape = {"objective": (1,), "objective_gradient": (2, 1),
@@ -342,8 +371,13 @@ class TestSolve:
         callbacks[callback] = lambda x: np.reshape(good(x), bad_shape)
         p = Problem(n=2, m=1, name="circle", **callbacks)
         x, duals = [1.0, 1.0], [0.5]
+        state = FullState(x, duals, duals, duals)
         call = {"solve": lambda: solve(p, params, x),
-                "eval_full": lambda: eval_full(p, RHO2, FullState(x, duals, duals, duals))}[entry]
+                "eval_full": lambda: eval_full(p, RHO2, state),
+                "iterate": lambda: iterate(p, params, state),
+                "grad_x": lambda: grad_x(p, state),
+                "kkt_report": lambda: kkt_report(p, state, tol_optimality=1e-6,
+                                                 tol_feasibility=1e-6)}[entry]
         with pytest.raises(DimensionMismatch, match=callback):
             call()
 
@@ -426,3 +460,5 @@ class TestSolve:
             SolverParams(penalty=penalty, step_size=0.1, decay=1.0)
         with pytest.raises(ValueError):
             SolverParams(penalty=penalty, step_size=0.1, max_iterations=-1)
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverParams(penalty=penalty, step_size=0.1, max_iterations=np.nan)
