@@ -16,7 +16,7 @@ from .lagrangian import FullState, PenaltyParams, eval_full, grad_x, zhat
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
                     NonnegativeOrthant, Problem, ProjectionKind,
                     ValidationCheck, ValidationReport, WholeSpace, validate)
-from .numcheck import CompareResult, FdSettings, compare, fd_gradient, fd_jacobian
+from .numcheck import compare, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
 from .solver import (SolveOutcome, SolveStatus, SolverParams, initial_state,
@@ -25,14 +25,14 @@ from .solver import (SolveOutcome, SolveStatus, SolverParams, initial_state,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "Box", "BUILTIN_PROBLEMS", "CompareResult", "DEFAULT_START",
-    "DimensionMismatch", "EvaluationError", "FdSettings", "FullState",
-    "InvariantViolation", "KktReport", "NonnegativeOrthant", "PenaltyParams",
-    "Problem", "ProjectionKind", "QcqpSpec", "RunHistory", "SolveOutcome",
-    "SolveStatus", "SolverParams", "TRACE_COLUMNS", "ValidationCheck",
-    "ValidationReport", "WholeSpace", "check_trace", "compare", "eval_full",
-    "example1", "example2", "example2_spec", "example3", "fd_gradient",
-    "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate",
-    "kkt_report", "perturbation_ratio", "read_trace_csv", "solve",
-    "tail_step_maxima", "validate", "write_trace_csv", "zhat",
+    "Ball", "Box", "BUILTIN_PROBLEMS", "DEFAULT_START", "DimensionMismatch",
+    "EvaluationError", "FullState", "InvariantViolation", "KktReport",
+    "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
+    "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
+    "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
+    "check_trace", "compare", "eval_full", "example1", "example2",
+    "example2_spec", "example3", "fd_jacobian", "from_qcqp", "grad_x",
+    "initial_state", "iterate", "kkt_report", "perturbation_ratio",
+    "read_trace_csv", "solve", "tail_step_maxima", "validate",
+    "write_trace_csv", "zhat",
 ]

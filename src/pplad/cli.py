@@ -66,7 +66,10 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _vector(text: str) -> np.ndarray:
-    return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    values = np.array([float(part) for part in text.split(",")])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(text)
+    return values
 
 
 def _boolean(text: str) -> bool:

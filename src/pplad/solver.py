@@ -150,14 +150,19 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
 
 
 def initial_state(problem: Problem, params: SolverParams, x0,
-                  z0=None, lam0=None, mu0=None) -> FullState:
-    """Build the starting state: x0 projected onto X, duals defaulting to zero."""
+                  lam0=None, mu0=None) -> FullState:
+    """Build the starting state: x0 projected onto X, duals defaulting to zero.
+
+    z starts at its closed form zhat(lam0, mu0), as every later iterate's
+    does; no update reads z, so it takes no start value.
+    """
     def dual(value):
         return np.zeros(problem.m) if value is None else value
 
-    state = FullState(x0, dual(z0), dual(lam0), dual(mu0), delta=params.delta0)
+    state = FullState(x0, np.zeros(problem.m), dual(lam0), dual(mu0), delta=params.delta0)
     state.check_dims(problem)
     state.x = problem.project(state.x)
+    state.z = zhat(params.penalty, state.lam, state.mu)
     return state
 
 
@@ -180,7 +185,7 @@ def _stop(params: SolverParams, k: int, kkt: KktReport, row: dict):
 # ---------------------------------------------------------------------------
 
 def solve(problem: Problem, params: SolverParams, x0, *,
-          z0=None, lam0=None, mu0=None) -> SolveOutcome:
+          lam0=None, mu0=None) -> SolveOutcome:
     """Run the alternating-direction loop from x0 until a stopping condition.
 
     Stops with CONVERGED when the projected-gradient optimality residual
@@ -207,8 +212,9 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     problem, params : the model and algorithm parameters.
     x0 : array_like
         Starting point; projected onto X before the first iteration.
-    z0, lam0, mu0 : array_like, optional
-        Warm-start values; all default to zero vectors.
+    lam0, mu0 : array_like, optional
+        Warm-start multipliers; both default to zero vectors.  z starts at
+        zhat(lam0, mu0), which is zero at the default start.
 
     Returns
     -------
@@ -228,7 +234,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
                    norm_x=_norm(state.x), norm_lambda=_norm(state.lam), norm_mu=_norm(state.mu))
         return kkt, row
 
-    cur = initial_state(problem, params, x0, z0=z0, lam0=lam0, mu0=mu0)
+    cur = initial_state(problem, params, x0, lam0=lam0, mu0=mu0)
     grad = grad_x(problem, cur)
     cx = problem.c(cur.x)
     kkt, row = measure(cur, grad, cx, None)

@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from pplad import (FdSettings, FullState, PenaltyParams, SolveStatus,
-                   SolverParams, check_trace, eval_full, fd_gradient,
-                   fd_jacobian, grad_x, initial_state, iterate, solve,
+from pplad import (FullState, PenaltyParams, SolveStatus, SolverParams, check_trace,
+                   eval_full, fd_jacobian, grad_x, initial_state, iterate, solve,
                    tail_step_maxima, zhat)
 from pplad.problems import example1, example2, example3
 
@@ -114,15 +113,15 @@ def test_criterion_5_gradient_oracle():
                               lam=2.0 * rng.standard_normal(problem.m),
                               mu=2.0 * rng.standard_normal(problem.m))
             analytic = grad_x(problem, state)
-            numeric = fd_gradient(
+            numeric = fd_jacobian(
                 lambda x: eval_full(problem, params,
                                     FullState(x, state.z, state.lam, state.mu)),
-                state.x, FdSettings(step=1e-6))
+                state.x)
             worst_grad = max(worst_grad, float(np.max(
                 np.abs(analytic - numeric) / (1.0 + np.abs(analytic)))))
 
             jac = np.asarray(problem.constraint_jacobian(state.x), dtype=float)
-            jac_fd = fd_jacobian(problem.constraints, state.x, FdSettings(step=1e-6))
+            jac_fd = fd_jacobian(problem.constraints, state.x)
             worst_jac = max(worst_jac, float(np.max(
                 np.abs(jac - jac_fd) / (1.0 + np.abs(jac)))))
     ok = worst_grad <= 1e-5 and worst_jac <= 1e-5

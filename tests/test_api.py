@@ -1,12 +1,16 @@
 import pytest
 
 import pplad
-from pplad import (FdSettings, PenaltyParams, RunHistory, SolverParams, check_trace,
+from pplad import (PenaltyParams, RunHistory, SolverParams, check_trace,
                    example1, example2_spec, from_qcqp, solve)
 
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
-           "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints")
+           "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
+           "FdSettings", "CompareResult", "fd_gradient")
+
+PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
+                      step_size=0.002, max_iterations=5)
 
 
 def test_every_exported_name_resolves_once():
@@ -22,17 +26,15 @@ def test_removed_names_are_not_exported():
 
 def test_solve_takes_no_trace_stride():
     # solve records every iteration; only write_trace_csv strides
-    params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                          step_size=0.002, max_iterations=5)
     with pytest.raises(TypeError, match="trace_stride"):
-        solve(example1(), params, [3.0, 3.0], trace_stride=5)
+        solve(example1(), PARAMS, [3.0, 3.0], trace_stride=5)
 
 
 @pytest.mark.parametrize("keyword,call", [
-    ("scheme", lambda: FdSettings(scheme="central")),
     ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
     ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
-], ids=["FdSettings-scheme", "check_trace-hints", "from_qcqp-lipschitz_hints"])
+    ("z0", lambda: solve(example1(), PARAMS, [3.0, 3.0], z0=[0.0, 0.0])),
+], ids=["check_trace-hints", "from_qcqp-lipschitz_hints", "solve-z0"])
 def test_removed_keywords_raise_type_error(keyword, call):
     with pytest.raises(TypeError, match=keyword):
         call()

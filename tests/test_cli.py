@@ -387,6 +387,23 @@ class TestMain:
                      "--report", str(tmp_path / "r.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_x0_exit_five_before_loading(self, tmp_path, capsys, text, source):
+        missing = tmp_path / "missing.qcqp"
+        if source == "flag":
+            args = ["--problem", str(missing), "--step-size", "0.002", "--x0", text]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"problem = {missing}\nstep_size = 0.002\nx0 = {text}\n")
+            args = ["--config", str(cfg)]
+        code = main(["solve", *args, "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "malformed vector for key 'x0'" in err and "missing.qcqp" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_bad_problem_name_exit_five(self, tmp_path, capsys):
         code = main(["solve", "--problem", "nonexistent.qcqp",
                      "--step-size", "0.01",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (FdSettings, FullState, PenaltyParams, SolverParams, eval_full,
-                   fd_gradient, grad_x, iterate, zhat)
+from pplad import (FullState, PenaltyParams, SolverParams, eval_full, fd_jacobian,
+                   grad_x, iterate, zhat)
 from pplad.problems import example1, example2, example3
 
 # alpha/(1 + alpha*beta) = 2 exactly
@@ -118,9 +118,9 @@ class TestGradX:
         for _ in range(10):
             state = random_state(p, rng)
             analytic = grad_x(p, state)
-            fd = fd_gradient(
+            fd = fd_jacobian(
                 lambda x: eval_full(p, params, FullState(x, state.z, state.lam, state.mu)),
-                state.x, FdSettings(step=1e-6))
+                state.x)
             assert np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))) <= 1e-6
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (Ball, Box, DimensionMismatch, FdSettings, NonnegativeOrthant,
+from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant,
                    Problem, WholeSpace, validate)
 from pplad.problems import DEFAULT_START, example1, example2, example3
 
@@ -102,15 +102,12 @@ def test_problem_rejects_negative_lipschitz_c():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: FdSettings(step=np.nan),
-    lambda: FdSettings(rel_tol=np.nan),
     lambda: dataclasses.replace(example1(), lipschitz_c=np.nan),
     lambda: dataclasses.replace(example1(), n=np.nan),
     lambda: dataclasses.replace(example1(), m=np.nan),
     lambda: Box(lo=[np.nan], hi=[1.0]),
     lambda: Ball(center=[np.nan], radius=1.0),
-], ids=["fd-step", "fd-rel_tol", "lipschitz_c", "problem-n", "problem-m", "box-lo",
-        "ball-center"])
+], ids=["lipschitz_c", "problem-n", "problem-m", "box-lo", "ball-center"])
 def test_nan_parameters_are_rejected(make):
     with pytest.raises(ValueError):
         make()
@@ -174,6 +171,16 @@ def test_validate_blames_a_wrongly_shaped_projection(projection):
     assert not check.passed and "projection output shape" in check.message
     for name in ("objective", "objective_gradient", "constraints", "constraint_jacobian"):
         assert report.check(name).message == "skipped: projection failed"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_validate_blames_a_non_finite_projection(bad):
+    broken = dataclasses.replace(example1(), projection=lambda v: np.array([bad, 0.0]))
+    report = validate(broken, np.array([3.0, 3.0]))
+    check = report.check("projection")
+    assert not check.passed and check.message == "non-finite entries"
+    for check in report.checks[1:]:
+        assert not check.passed and check.message == "skipped: projection failed"
 
 
 def test_validate_reports_a_passing_projection():

@@ -1,0 +1,102 @@
+"""Properties of the solver, the oracle check and the trace CSV over random small QCQPs.
+
+Each instance is feasible by construction: the constraint offsets are
+chosen so that a random point of X satisfies every constraint.  The
+examples are derandomized and no example database is kept, so every run
+draws the same cases.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pplad import (Ball, Box, PenaltyParams, QcqpSpec, SolverParams, TRACE_COLUMNS,
+                   check_trace, from_qcqp, read_trace_csv, solve, validate,
+                   write_trace_csv)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# the inequalities that hold for any valid parameters, whatever the step size
+DUAL_INVARIANTS = {"mu_bound", "mu_step", "mu_step_budget", "mu_lam_contraction",
+                   "identity_lam_mu", "identity_z"}
+
+ITERATIONS = 80
+
+
+def _symmetric(rng, n):
+    M = rng.standard_normal((n, n))
+    return 0.5 * (M + M.T)
+
+
+@st.composite
+def qcqps(draw):
+    """A QCQP with n <= 6, m <= 3 and X the unit box or ball, feasible by construction."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        projection = Box(lo=-np.ones(n), hi=np.ones(n))
+        feasible = rng.uniform(-1.0, 1.0, n)
+    else:
+        projection = Ball(center=np.zeros(n), radius=1.0)
+        feasible = rng.standard_normal(n)
+        feasible *= rng.uniform(0.0, 1.0) / np.linalg.norm(feasible)
+    Qj = np.array([_symmetric(rng, n) for _ in range(m)]).reshape(m, n, n)
+    qj = rng.standard_normal((m, n))
+    bj = -(0.5 * np.einsum("jik,i,k->j", Qj, feasible, feasible) + qj @ feasible)
+    return from_qcqp(QcqpSpec(Q=_symmetric(rng, n), q=rng.standard_normal(n),
+                              Qj=Qj, qj=qj, bj=bj, projection=projection))
+
+
+def vectors(size, scale):
+    return st.lists(st.floats(-scale, scale), min_size=size, max_size=size)
+
+
+solver_params = st.builds(
+    lambda alpha, beta, delta0, decay, step: SolverParams(
+        penalty=PenaltyParams(alpha=alpha, beta=beta), step_size=step, delta0=delta0,
+        decay=decay, max_iterations=ITERATIONS),
+    alpha=st.floats(1.0, 1e4), beta=st.floats(0.01, 0.99), delta0=st.floats(1e-3, 1.0),
+    decay=st.floats(0.5, 0.9999), step=st.floats(1e-4, 2.0))
+
+
+@st.composite
+def runs(draw):
+    """A solve of a drawn QCQP from a drawn start, steps that do not converge included."""
+    problem, params = draw(qcqps()), draw(solver_params)
+    x0 = draw(vectors(problem.n, 2.0))
+    lam0, mu0 = draw(vectors(problem.m, 1e3)), draw(vectors(problem.m, 1e3))
+    return problem, params, solve(problem, params, x0, lam0=lam0, mu0=mu0)
+
+
+@PROPERTY
+@given(run=runs())
+def test_dual_invariants_hold_for_any_valid_parameters(run):
+    problem, params, outcome = run
+    violations = check_trace(problem, outcome.history, params)
+    assert not [v for v in violations if v.name in DUAL_INVARIANTS]
+
+
+@PROPERTY
+@given(problem=qcqps(), data=st.data())
+def test_validate_passes_on_a_correct_qcqp(problem, data):
+    x = data.draw(vectors(problem.n, 3.0))
+    report = validate(problem, x)
+    assert report.passed, report.summary()
+
+
+@PROPERTY
+@given(run=runs(), stride=st.integers(1, 7))
+def test_trace_csv_round_trips_every_kept_row_bitwise(run, stride):
+    history = run[2].history
+    keep = history.ks % stride == 0
+    keep[-1] = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(history, path, stride=stride)
+        columns = read_trace_csv(path)
+    for name in TRACE_COLUMNS:
+        expected = history.column(name)[keep]
+        assert columns[name].dtype == expected.dtype and \
+            columns[name].tobytes() == expected.tobytes(), name

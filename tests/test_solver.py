@@ -420,9 +420,9 @@ class TestSolve:
         assert out.iterations == 4
         assert out.history.column("norm_x")[-1] == np.linalg.norm(out.final_state.x)
 
-    @pytest.mark.parametrize("name", ["x0", "z0", "lam0", "mu0"])
+    @pytest.mark.parametrize("name", ["x0", "lam0", "mu0"])
     def test_wrong_length_starting_value_raises(self, name):
-        start = dict(x0=[3.0, 3.0], z0=None, lam0=None, mu0=None)
+        start = dict(x0=[3.0, 3.0], lam0=None, mu0=None)
         start[name] = [1.0, 2.0, 3.0]
         x0 = start.pop("x0")
         with pytest.raises(DimensionMismatch):
@@ -436,11 +436,11 @@ class TestSolve:
     def test_warm_start_duals(self):
         p = example1()
         params = fig1_params(max_iterations=0)
-        out = solve(p, params, [3.0, 3.0], lam0=[1.0, 2.0], mu0=[3.0, 4.0],
-                    z0=[0.5, 0.5])
+        out = solve(p, params, [3.0, 3.0], lam0=[1.0, 2.0], mu0=[3.0, 4.0])
         assert_allclose(out.final_state.lam, [1.0, 2.0])
         assert_allclose(out.final_state.mu, [3.0, 4.0])
-        assert_allclose(out.final_state.z, [0.5, 0.5])
+        # z starts at its closed form (lam0 - mu0) / alpha, alpha = 2000
+        assert_allclose(out.final_state.z, [-0.001, -0.001])
 
     def test_converged_status_implies_kkt_satisfied(self):
         p = example1()
