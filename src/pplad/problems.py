@@ -29,7 +29,8 @@ class QcqpSpec:
     matrices, vectors and numbers; ``()`` gives m = 0.  Q and every Qj are
     symmetrized on construction ((M + M') / 2) so the gradients are exactly
     Qx + q and Qj x + qj.  Wrong or ragged shapes raise DimensionMismatch,
-    and NaN or infinite data a ValueError naming the field.
+    and NaN or infinite data, or a matrix whose M + M' overflows, a
+    ValueError naming the field.
     """
 
     Q: np.ndarray
@@ -55,7 +56,12 @@ class QcqpSpec:
             if not np.isfinite(value).all():
                 raise ValueError(f"QCQP field {field} has NaN or infinite entries")
             if field in ("Q", "Qj"):  # (M + M') / 2 of every matrix at once, halved in place
-                value = np.add(value, value.swapaxes(-1, -2), order="C")
+                try:
+                    with np.errstate(over="raise"):
+                        value = np.add(value, value.swapaxes(-1, -2), order="C")
+                except FloatingPointError:
+                    raise ValueError(f"QCQP field {field} overflows when symmetrized "
+                                     "as (M + M') / 2") from None
                 value *= 0.5
             else:  # small: owned, so the Problem never shares a caller's array
                 value = value.copy()
@@ -145,13 +151,26 @@ class QcqpParseError(ValueError):
 
 
 def load_qcqp_spec(path: str) -> QcqpSpec:
-    """Parse the plain-text QCQP format into a QcqpSpec."""
+    """Parse the plain-text QCQP format into a QcqpSpec.
+
+    A matrix entry whose text is that of its mirror is converted once, so a
+    symmetric file, as ``save_qcqp`` writes it, costs about half the float
+    conversions of a non-symmetric one.  The values are those a conversion
+    of every entry would give.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_qcqp(fh)
+        fields = _parse_qcqp(fh)
+    # built once the file and the parser are released: its symmetrized copies set the peak
+    return QcqpSpec(**fields)
 
 
-def _parse_qcqp(fh) -> QcqpSpec:
-    """Parse an open QCQP file, reading its lines one at a time and each once."""
+def _parse_qcqp(fh) -> dict:
+    """Parse an open QCQP file into the keyword arguments of a QcqpSpec.
+
+    The lines are read one at a time and each once: the square sections (Q,
+    Q1..Qm) by ``read_matrix``, every other row by ``read_row``.  A row's
+    length is checked before any of it is converted.
+    """
     lines = ((lineno, text) for lineno, raw in enumerate(fh, start=1)
              if (text := raw.split("#", 1)[0].strip()))
     lastno = 0  # the last non-blank line read
@@ -164,24 +183,52 @@ def _parse_qcqp(fh) -> QcqpSpec:
         lastno = item[0]
         return item
 
-    def read_rows(out: np.ndarray, what: str) -> None:
-        """Fill ``out`` from the next lines, one line per row (a 1-D ``out`` is one row)."""
-        for row in np.atleast_2d(out):
+    def read_row(out: np.ndarray, what: str) -> None:
+        """Fill the 1-D ``out`` from the next line."""
+        lineno, text = next_line(what)
+        parts = text.split()
+        if len(parts) != out.size:
+            raise QcqpParseError(f"{what}: expected {out.size} numbers, got {len(parts)}", lineno)
+        convert(out, parts, what, lineno, text)
+
+    def read_matrix(out: np.ndarray, what: str) -> None:
+        """Fill the square ``out`` from the next lines, one line per row.
+
+        Q and the Qj are meant to be symmetric, and a writer of symmetric
+        data, ``save_qcqp`` among them, gives the mirrored entries (i, j) and
+        (j, i) the same text.  So row i converts only its entries from the
+        diagonal on.  When its text left of the diagonal is that of column i
+        above it, the values already converted there are copied; otherwise
+        that text is converted too.
+        """
+        n = len(out)
+        tokens = [None] * (n * n)  # row-major: the tokens read so far, from the diagonal on
+        for i, row in enumerate(out):
             lineno, text = next_line(what)
-            parts = text.split()
-            if len(parts) != row.size:
-                raise QcqpParseError(
-                    f"{what}: expected {row.size} numbers, got {len(parts)}", lineno)
-            try:
-                row[...] = parts
-            except ValueError:
-                raise QcqpParseError(f"{what}: non-numeric token in {text!r}", lineno) from None
+            right = text.rsplit(None, n - i)  # [text left of the diagonal,] row[i:]
+            left = right.pop(0) if len(right) > n - i else ""
+            if len(right) == n - i and left == " ".join(tokens[i:i * n:n]):
+                row[:i] = out[:i, i]
+            else:
+                head = left.split()
+                if len(head) + len(right) != n:
+                    raise QcqpParseError(
+                        f"{what}: expected {n} numbers, got {len(head) + len(right)}", lineno)
+                convert(row[:i], head, what, lineno, text)
+            convert(row[i:], right, what, lineno, text)
+            tokens[i * n + i:(i + 1) * n] = right
+
+    def convert(out: np.ndarray, parts: list, what: str, lineno: int, text: str) -> None:
+        try:
+            out[...] = parts
+        except ValueError:
+            raise QcqpParseError(f"{what}: non-numeric token in {text!r}", lineno) from None
 
     def read_section(tag: str, out: np.ndarray) -> None:
         lineno, text = next_line(f"section {tag!r}")
         if text != tag:
             raise QcqpParseError(f"expected section {tag!r}, got {text!r}", lineno)
-        read_rows(out, f"row of {tag}")
+        (read_matrix if out.ndim == 2 else read_row)(out, f"row of {tag}")
 
     lineno, text = next_line("'dim n m'")
     parts = text.split()
@@ -218,7 +265,7 @@ def _parse_qcqp(fh) -> QcqpSpec:
     fields = {}
     for field, size in sizes.items():
         row = np.empty(n if size == "n" else 1)
-        read_rows(row, f"{name} {field}")
+        read_row(row, f"{name} {field}")
         fields[field] = row if size == "n" else float(row[0])
     projection = kind(**fields)
 
@@ -226,7 +273,7 @@ def _parse_qcqp(fh) -> QcqpSpec:
     if trailing is not None:
         lineno, text = trailing
         raise QcqpParseError(f"trailing content {text!r}", lineno)
-    return QcqpSpec(Q=Q, q=q, Qj=Qj, qj=qj, bj=bj, projection=projection)
+    return dict(Q=Q, q=q, Qj=Qj, qj=qj, bj=bj, projection=projection)
 
 
 def load_qcqp(path: str, name: str | None = None) -> Problem:

@@ -380,6 +380,17 @@ class TestMain:
             "pplad: error: QCQP field Q has NaN or infinite entries\n"
         assert not (tmp_path / "t.csv").exists()
 
+    def test_problem_file_that_overflows_when_symmetrized_exit_five(self, tmp_path, capsys):
+        path = tmp_path / "huge.qcqp"
+        path.write_text(EXAMPLE2_FILE.replace("10 4 1", "10 1e308 1"))
+        code = main(["solve", "--problem", str(path), "--step-size", "0.005",
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        assert capsys.readouterr().err == \
+            "pplad: error: QCQP field Q overflows when symmetrized as (M + M') / 2\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_x0_flag_parsed_as_vector(self, tmp_path):
         code = main(["solve", "--problem", "example1", "--step-size", "0.002",
                      "--x0", "2.5,-1.0", "--max-iters", "3",

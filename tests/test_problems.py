@@ -133,6 +133,22 @@ class TestQcqpSpec:
         with pytest.raises(ValueError, match=f"field {field} has NaN or infinite"):
             QcqpSpec(**data, projection=WholeSpace())
 
+    @pytest.mark.parametrize("field", ["Q", "Qj"])
+    def test_data_whose_symmetrization_overflows_is_rejected(self, field):
+        # finite data, but the diagonal entry is its own mirror: 1e308 + 1e308 = inf
+        data = dict(Q=np.eye(2), q=np.zeros(2), Qj=np.ones((1, 2, 2)), qj=np.zeros((1, 2)),
+                    bj=np.zeros(1))
+        data[field] = data[field].copy()
+        data[field].flat[0] = 1e308
+        with pytest.raises(ValueError, match=f"field {field} overflows when symmetrized"):
+            QcqpSpec(**data, projection=WholeSpace())
+
+    def test_symmetrization_near_the_float_range_is_exact(self):
+        M = np.array([[8.9e307, 1.7e308], [-1.7e308, 5e-324]])  # every M + M' stays finite
+        spec = QcqpSpec(Q=M, q=np.zeros(2), Qj=M[None], qj=np.zeros((1, 2)), bj=np.zeros(1),
+                        projection=WholeSpace())
+        assert_bitwise([spec.Q, spec.Qj], [(M + M.T) * 0.5, ((M + M.T) * 0.5)[None]])
+
     def test_tuples_and_stacked_arrays_give_equal_fields(self):
         from_tuples = dense_spec(n=6, m=3)
         rng = np.random.default_rng(5)  # dense_spec's draws, stacked
