@@ -3,9 +3,9 @@
 The convergence theory rests on a handful of per-iteration relations: the
 auxiliary multiplier moves at most delta_k/2 per step and stays inside a
 closed-form ball, the two multipliers contract toward each other at an
-exactly known rate, the iterate identities lam - mu = rho c(x) and
-alpha z = rho c(x) hold after every update, and the merit value cannot
-rise by more than 2 delta_k / rho per iteration.  The solver records the
+exactly known rate, the iterate identity lam - mu = rho c(x) holds after
+every update, and the merit value cannot rise by more than 2 delta_k / rho
+per iteration.  The solver records the
 terms of each relation as scalars while it holds the iterates, and
 ``check_trace`` replays all of them over the recorded history; an empty
 violation list is a machine-checked certificate that the run behaved like
@@ -14,8 +14,7 @@ the theory says it must.
 
 import numpy as np
 
-from pplad import (PenaltyParams, SolverParams, check_trace, perturbation_ratio,
-                   solve, tail_step_maxima)
+from pplad import PenaltyParams, SolverParams, check_trace, solve, tail_step_maxima
 from pplad.problems import example1
 
 problem = example1()
@@ -52,13 +51,6 @@ maxima = tail_step_maxima(history, window=100)
 print("max step over final 100 iterations:")
 for key, value in maxima.items():
     print(f"  {key:<7}: {value:.2e}")
-
-# the perturbation variable shrinks relative to its own increments once
-# the run settles; logged as a diagnostic, never asserted
-ratio = perturbation_ratio(history)
-finite = ratio[np.isfinite(ratio)]
-print(f"median ||z||/||dz||   : {np.median(finite):.2f} "
-      f"(alpha = {params.penalty.alpha:g})")
 
 # what a genuine violation looks like: corrupt the recorded ||mu_k|| and
 # the recorded step into k = 150

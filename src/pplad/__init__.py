@@ -10,8 +10,8 @@ solutions) converge to KKT points.
 """
 
 from .diagnostics import (InvariantViolation, KktReport, RunHistory, TRACE_COLUMNS,
-                          check_trace, kkt_report, perturbation_ratio, read_trace_csv,
-                          tail_step_maxima, write_trace_csv)
+                          check_trace, kkt_report, read_trace_csv, tail_step_maxima,
+                          write_trace_csv)
 from .lagrangian import FullState, PenaltyParams, eval_full, grad_x, zhat
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
                     NonnegativeOrthant, Problem, ProjectionKind,
@@ -32,7 +32,6 @@ __all__ = [
     "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
     "check_trace", "compare", "eval_full", "example1", "example2",
     "example2_spec", "example3", "fd_jacobian", "from_qcqp", "grad_x",
-    "initial_state", "iterate", "kkt_report", "perturbation_ratio",
-    "read_trace_csv", "solve", "tail_step_maxima", "validate",
-    "write_trace_csv", "zhat",
+    "initial_state", "iterate", "kkt_report", "read_trace_csv", "solve",
+    "tail_step_maxima", "validate", "write_trace_csv", "zhat",
 ]

@@ -67,28 +67,26 @@ class RunHistory:
     """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
     Each row holds the trace columns (``TRACE_COLUMNS``) and the terms that
-    ``check_trace``, ``tail_step_maxima`` and ``perturbation_ratio`` replay,
-    formed by the solver from the vectors it holds at that iteration:
+    ``check_trace`` and ``tail_step_maxima`` replay, formed by the solver
+    from the vectors it holds at that iteration:
 
-    - state terms at k: ``norm_z`` = ||z_k||, ``lambda_mu_sq`` =
-      ||lam_k - mu_k||^2, the identity gaps ``gap_lambda_mu`` =
-      ||(lam_k - mu_k) - rho c(x_k)|| and ``gap_z`` = ||alpha z_k - rho c(x_k)||
-      (their scale ||rho c(x_k)|| is rho times the ``feasibility`` column);
+    - state terms at k: ``lambda_mu_sq`` = ||lam_k - mu_k||^2 and the
+      identity gap ``gap_lambda_mu`` = ||(lam_k - mu_k) - rho c(x_k)|| (its
+      scale ||rho c(x_k)|| is rho times the ``feasibility`` column);
     - terms of the transition k-1 -> k (zero at k = 0): ``step_x_norm`` =
-      ||x_k - x_{k-1}||, ``step_z_norm`` = ||z_k - z_{k-1}||,
-      ``step_lambda_sq`` = ||lam_k - lam_{k-1}||^2, ``step_mu_sq`` =
-      ||mu_k - mu_{k-1}||^2 and ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
+      ||x_k - x_{k-1}||, ``step_lambda_sq`` = ||lam_k - lam_{k-1}||^2,
+      ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and ``mu_prev_lambda_norm`` =
+      ||mu_k - lam_{k-1}||.
 
-    No iterate vector is stored: a row costs (len(TRACE_COLUMNS) + 8) * 8
-    bytes whatever n and m.  Rows are appended by the solver and exposed as
-    numpy arrays, one per column, on first read.
+    No iterate vector is stored: a row is len(TRACE_COLUMNS) + 5 = 16
+    eight-byte numbers whatever n and m.  Rows are appended by the solver
+    and exposed as numpy arrays, one per column, on first read.
     """
 
     #: the keys of the scalar row that ``append`` takes beside the state
     ROW_COLUMNS = ("objective", "feasibility", "optimality", "lagrangian",
-                   "norm_x", "norm_lambda", "norm_mu", "step_x_norm",
-                   "norm_z", "lambda_mu_sq", "gap_lambda_mu", "gap_z",
-                   "step_z_norm", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
+                   "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "lambda_mu_sq",
+                   "gap_lambda_mu", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
     _FLOAT_COLUMNS = ("gamma", "delta", *ROW_COLUMNS)
     _row_values = operator.itemgetter(*ROW_COLUMNS)
 
@@ -160,7 +158,7 @@ def kkt_report(problem: Problem, state, *, tol_optimality: float,
 # Numerical slack applied to inequalities that hold exactly in real
 # arithmetic: scale-relative, so margins of genuine violations dominate it.
 _SLACK = 1e-12
-_IDENTITY_TOL = 1e-10   # lam - mu = rho c(x), alpha z = rho c(x), for k >= 1
+_IDENTITY_TOL = 1e-10   # lam - mu = rho c(x), for k >= 1
 _EXACT_TOL = 1e-12      # ||mu_{k+1} - lam_k|| equality
 _DECREASE_TOL = 1e-10   # merit decrease inequalities
 
@@ -181,8 +179,8 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     - mu_step_budget: (gamma_k/rho)||lam_k - mu_k||^2 <= delta_k
     - mu_lam_contraction (exact, 1e-12 relative):
                       ||mu_{k+1} - lam_k|| = (1 - gamma_k/rho)||lam_k - mu_k||
-    - state identities for k >= 1 (1e-10 relative to 1 + ||rho c(x_k)||):
-                      lam_k - mu_k = rho c(x_k)  and  alpha z_k = rho c(x_k)
+    - state identity for k >= 1 (1e-10 relative to 1 + ||rho c(x_k)||):
+                      lam_k - mu_k = rho c(x_k)
     - merit decrease, for transitions from k >= 1 (the lam-update identity
       that the bound rests on first holds at k = 1):
         observed form   L^{k+1} <= L^k + 2 delta_k / rho;
@@ -257,12 +255,11 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     for i in np.flatnonzero(gap > tol):
         violations.append(_violation("mu_lam_contraction", ks[i], gap[i], tol[i]))
 
-    # --- state identities, valid from the first lam/z-update onward --------
+    # --- state identity, valid from the first lam-update onward ------------
     tol = _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:])
-    for name, gap in (("identity_lam_mu", col("gap_lambda_mu")[1:]),
-                      ("identity_z", col("gap_z")[1:])):
-        for i in np.flatnonzero(gap > tol):
-            violations.append(_violation(name, ks[1 + i], gap[i], tol[i]))
+    gap = col("gap_lambda_mu")[1:]
+    for i in np.flatnonzero(gap > tol):
+        violations.append(_violation("identity_lam_mu", ks[1 + i], gap[i], tol[i]))
 
     # --- merit decrease and lam displacement, from k >= 1 ------------------
     if size > 2:
@@ -293,34 +290,19 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
 
 
 def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
-    """Max successive-difference norms of x, z, lam, mu over the last `window` steps.
+    """Max successive-difference norms of x, lam, mu over the last `window` steps.
 
     Raises ValueError when ``window`` is below 1.
     """
     if not window >= 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if len(history) < 2:
-        return {"x": 0.0, "z": 0.0, "lambda": 0.0, "mu": 0.0}
+        return {"x": 0.0, "lambda": 0.0, "mu": 0.0}
     tail = slice(max(1, len(history) - window), None)
     col = history.column
     return {"x": float(np.max(col("step_x_norm")[tail])),
-            "z": float(np.max(col("step_z_norm")[tail])),
             "lambda": float(np.sqrt(np.max(col("step_lambda_sq")[tail]))),
             "mu": float(np.sqrt(np.max(col("step_mu_sq")[tail])))}
-
-
-def perturbation_ratio(history: RunHistory) -> np.ndarray:
-    """Diagnostic ratio ||z_k|| / ||z_k - z_{k-1}|| per transition (inf where frozen).
-
-    0 where z_k and its step are both zero, as at every k when m = 0.
-    Logged for inspection only; the theory asserts a large-enough penalty
-    weight keeps it below alpha eventually, which is an existence claim and
-    never a per-iteration invariant.
-    """
-    num = history.column("norm_z")[1:]
-    den = history.column("step_z_norm")[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0, num / den, np.where(num > 0, np.inf, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ whose maximizer in lam is mu + rho c(x), the solver's lam-update (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .model import DimensionMismatch, EvaluationError, Problem
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty weight alpha > 0, proximal weight beta in (0, 1).
+    """Finite penalty weight alpha > 0, proximal weight beta in (0, 1).
 
     rho = alpha / (1 + alpha*beta) is derived once at construction and
     frozen, so it can never drift from (alpha, beta).  It satisfies
@@ -41,8 +42,8 @@ class PenaltyParams:
     rho: float = field(init=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         object.__setattr__(self, "rho", self.alpha / (1.0 + self.alpha * self.beta))
@@ -50,48 +51,48 @@ class PenaltyParams:
 
 @dataclass
 class FullState:
-    """Primal point x, perturbation z, the two multipliers, and the schedule position.
+    """Primal point x, the two multipliers, and the schedule position.
 
-    k is the iteration number, delta the dual budget decay^k * delta0 at k
-    (the default 1.0 is the budget at k = 0 under the default delta0), and
-    gamma the dual step taken entering this state (0 before the first
-    mu-update).
+    The perturbation z is not state: every z the method uses is its closed
+    form ``zhat(lam, mu)``.  k is the iteration number, delta the dual
+    budget decay^k * delta0 at k (the default 1.0 is the budget at k = 0
+    under the default delta0), and gamma the dual step taken entering this
+    state (0 before the first mu-update); all three are keyword-only.
     """
 
     x: np.ndarray
-    z: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
+    _: KW_ONLY
     k: int = 0
     delta: float = 1.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
+        self.x, self.lam, self.mu = (np.asarray(v, dtype=float)
+                                     for v in (self.x, self.lam, self.mu))
 
     def check_dims(self, problem: Problem) -> None:
         if self.x.shape != (problem.n,):
             raise DimensionMismatch("state.x length", problem.n, self.x.shape)
-        for label, vec in (("z", self.z), ("lam", self.lam), ("mu", self.mu)):
+        for label, vec in (("lam", self.lam), ("mu", self.mu)):
             if vec.shape != (problem.m,):
                 raise DimensionMismatch(f"state.{label} length", problem.m, vec.shape)
 
 
-def _value(fx, cx, z, lam, mu, alpha, beta):
-    # Shared formula so the solver can reuse cached f(x), c(x) evaluations.
-    d = lam - mu
+def _value(fx, cx, z, lam, mu, d, alpha, beta):
+    # Shared formula so the solver can reuse cached f(x), c(x) and d = lam - mu.
     return (fx + lam @ (cx - z) + mu @ z
             + 0.5 * alpha * (z @ z) - 0.5 * beta * (d @ d))
 
 
-def eval_full(problem: Problem, params: PenaltyParams, state) -> float:
-    """Value of the full merit function at (x, z, lam, mu)."""
+def eval_full(problem: Problem, params: PenaltyParams, state, z=None) -> float:
+    """Value of the full merit function at (x, z, lam, mu), z defaulting to zhat(lam, mu)."""
     fx = problem.f(state.x)
     cx = problem.c(state.x)
-    value = float(_value(fx, cx, state.z, state.lam, state.mu, params.alpha, params.beta))
+    z = zhat(params, state.lam, state.mu) if z is None else np.asarray(z, dtype=float)
+    value = float(_value(fx, cx, z, state.lam, state.mu, state.lam - state.mu,
+                         params.alpha, params.beta))
     if not np.isfinite(value):
         raise EvaluationError("non-finite merit value", state=state)
     return value
@@ -101,12 +102,13 @@ def grad_x(problem: Problem, state) -> np.ndarray:
     """Partial gradient in x: grad f(x) + jac(x).T @ lam.
 
     Deliberately free of z, mu, alpha and beta: the x-derivative of the
-    merit function involves none of them.
+    merit function involves none of them.  The Jacobian term is formed
+    first, so J is released before grad f is allocated.
     """
-    g = problem.grad_f(state.x)
     if problem.m == 0:
-        return g
-    return g + problem.jac(state.x).T @ state.lam
+        return problem.grad_f(state.x)
+    dual_term = problem.jac(state.x).T @ state.lam
+    return problem.grad_f(state.x) + dual_term
 
 
 def zhat(params: PenaltyParams, lam, mu) -> np.ndarray:

@@ -81,17 +81,22 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
 
     The Problem reads the spec's arrays without copying them.  The (m, n, n)
     Qj are viewed as one (m n, n) matrix, and c and J share one product
-    ``Mx`` (row j is Qj x) per point: J = Mx + qj row-wise and
-    c_j = 0.5 <Qj x, x> + qj'x + bj.  The solver asks for c and J at the
-    same x, so the last product is kept in a one-entry cache keyed on the
-    exact bits of x; a hit returns what a fresh evaluation would, and the
-    cached array itself is never handed out.
+    ``Mx`` (row j is Qj x) per point: c_j = 0.5 <Qj x, x> + qj'x + bj, and
+    J = Mx + qj row-wise.  The solver asks for c and then J at the same x,
+    so c(x) is computed with the product, and both are kept for the last
+    point, keyed on the exact bits of x; a hit returns what a fresh
+    evaluation would.  Ownership: ``constraints`` returns a copy of the
+    cached c(x), and ``constraint_jacobian`` takes Mx out of the cache
+    (atomically, so two threads never get the same array), adds qj in place
+    and returns it.  So a point holds one m x n array, and no array is held
+    by the cache and a caller, or by two callers.
     """
     Q, q = spec.Q, spec.q
     n, m = spec.n, spec.m
     stacked = spec.Qj.reshape(m * n, n)  # Q1 on top of Q2 ...
     linear, offset = spec.qj, spec.bj
-    last = None                          # (key of x, Mx), replaced whole
+    last = (None, None)                  # (key of x, c(x)), replaced whole
+    spare = {}                           # key of x -> its Mx, until J takes it
 
     def objective(x):
         return float(0.5 * (x @ Q @ x) + q @ x)
@@ -99,22 +104,28 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     def objective_gradient(x):
         return Q @ x + q
 
-    def products(x):
-        nonlocal last
+    def evaluate(x):
+        """x as floats, its key and c(x); a miss leaves the new Mx in ``spare``."""
+        nonlocal last, spare
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        entry = last
-        if entry is None or entry[0] != key:
-            entry = last = (key, (stacked @ x).reshape(m, n))
-        return x, entry[1]
+        cached, cx = last
+        if cached != key:
+            Mx = (stacked @ x).reshape(m, n)
+            cx = 0.5 * np.vecdot(Mx, x) + linear @ x + offset
+            spare, last = {key: Mx}, (key, cx)
+        return x, key, cx
 
     def constraints(x):
-        x, Mx = products(x)
-        return 0.5 * np.vecdot(Mx, x) + linear @ x + offset
+        return evaluate(x)[2].copy()
 
     def constraint_jacobian(x):
-        _, Mx = products(x)
-        return Mx + linear
+        x, key, _ = evaluate(x)
+        Mx = spare.pop(key, None)
+        if Mx is None:  # taken by an earlier call at this point
+            Mx = (stacked @ x).reshape(m, n)
+        Mx += linear
+        return Mx
 
     return Problem(n=n, m=m, objective=objective,
                    objective_gradient=objective_gradient,

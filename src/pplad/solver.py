@@ -5,12 +5,13 @@ One iteration applies, in this order,
     x      <- P_X[x - step_size * (grad f(x) + jac(x).T lam)]
     mu     <- mu + (gamma/rho)(lam - mu),  gamma = rho delta / (||lam - mu||^2 + 1)
     lam    <- mu + rho c(x)          (exact maximization, with the new x and mu)
-    z      <- (lam - mu) / alpha     (exact minimization)
     delta  <- decay^(k+1) * delta0
 
 The mu-update reads the pre-update lam and mu; the lam-update reads the
-new x and new mu.  The damped dual step gamma keeps the total movement of
-mu summable, which is what bounds the dual iterates without any safeguard.
+new x and new mu.  The exact minimizer in z, (lam - mu)/alpha, is read by
+no update, so it is not state: the merit forms it from lam - mu.  The
+damped dual step gamma keeps the total movement of mu summable, which is
+what bounds the dual iterates without any safeguard.
 Every update is a closed form or a single projection: nothing is solved
 iteratively inside an iteration.  The formulas live once, in ``_advance``,
 which both ``solve`` and the public one-step ``iterate`` run.
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .diagnostics import KktReport, RunHistory, _kkt
-from .lagrangian import FullState, PenaltyParams, _value, grad_x, zhat
+from .lagrangian import FullState, PenaltyParams, _value, grad_x
 from .model import EvaluationError, Problem, _norm
 
 
@@ -58,8 +59,8 @@ class SolverParams:
     divergence_bound: float = 1e8
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not (self.step_size > 0 and math.isfinite(self.step_size)):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0 < self.delta0 <= 1:
             raise ValueError(f"delta0 must be in (0, 1], got {self.delta0}")
         if not 0 < self.decay < 1:
@@ -91,43 +92,39 @@ class SolveOutcome:
 # the iteration kernel
 # ---------------------------------------------------------------------------
 
-def _advance(problem: Problem, params: SolverParams, state: FullState, grad):
-    """One iteration from ``state`` given grad_x L there; returns (successor, c(x_next)).
+def _advance(problem: Problem, params: SolverParams, state: FullState, d, grad):
+    """One iteration from ``state``, given d = lam - mu and grad_x L there.
 
-    Order is normative: the mu-update uses the pre-update lam and mu, the
-    lam-update uses the new x and new mu.  c(x_next) is returned so that
-    the caller's residuals, merit and history terms reuse it instead of
-    evaluating c again.
+    Returns the successor and c(x_next), which the caller's residuals, merit
+    and history terms reuse instead of evaluating c again.  Order is
+    normative: the mu-update uses the pre-update lam and mu, the lam-update
+    uses the new x and new mu.  The successor is built from the kernel's own
+    float arrays, without ``FullState``'s conversions.
     """
     rho = params.penalty.rho
-    d = state.lam - state.mu
     gam = rho * state.delta / (float(d.dot(d)) + 1.0)
     x_next = problem.project(state.x - params.step_size * grad)
     mu_next = state.mu + (gam / rho) * d
     cx = problem.c(x_next)
-    lam_next = mu_next + rho * cx
-    k_next = state.k + 1
-    return FullState(x_next, zhat(params.penalty, lam_next, mu_next), lam_next, mu_next,
-                     k=k_next, delta=params.delta0 * params.decay ** k_next,
-                     gamma=gam), cx
+    nxt = object.__new__(FullState)
+    nxt.x, nxt.lam, nxt.mu, nxt.k = x_next, mu_next + rho * cx, mu_next, state.k + 1
+    nxt.delta, nxt.gamma = params.delta0 * params.decay ** nxt.k, gam
+    return nxt, cx
 
 
-def _history_terms(penalty: PenaltyParams, state: FullState, cx, prev: FullState | None):
-    """The history terms of ``state`` (see ``RunHistory``), from c(x) at it and its predecessor.
+def _history_terms(penalty: PenaltyParams, state: FullState, d, cx, prev: FullState | None):
+    """The history terms of ``state`` (see ``RunHistory``), from its d = lam - mu and c(x).
 
     The terms of the step from ``prev`` are zero at k = 0, where there is none.
     """
-    d = state.lam - state.mu
-    rho_c = penalty.rho * cx
-    row = dict(norm_z=_norm(state.z), lambda_mu_sq=float(d.dot(d)),
-               gap_lambda_mu=_norm(d - rho_c), gap_z=_norm(penalty.alpha * state.z - rho_c))
+    row = dict(lambda_mu_sq=float(d.dot(d)), gap_lambda_mu=_norm(d - penalty.rho * cx))
     if prev is None:
-        row.update(step_x_norm=0.0, step_z_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
+        row.update(step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
                    mu_prev_lambda_norm=0.0)
     else:
         step_lam = state.lam - prev.lam
         step_mu = state.mu - prev.mu
-        row.update(step_x_norm=_norm(state.x - prev.x), step_z_norm=_norm(state.z - prev.z),
+        row.update(step_x_norm=_norm(state.x - prev.x),
                    step_lambda_sq=float(step_lam.dot(step_lam)),
                    step_mu_sq=float(step_mu.dot(step_mu)),
                    mu_prev_lambda_norm=_norm(state.mu - prev.lam))
@@ -141,9 +138,9 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
     and EvaluationError if any component comes out non-finite.
     """
     state.check_dims(problem)
-    next_state, _ = _advance(problem, params, state, grad_x(problem, state))
-    if not all(np.all(np.isfinite(v))
-               for v in (next_state.x, next_state.z, next_state.lam, next_state.mu)):
+    next_state, _ = _advance(problem, params, state, state.lam - state.mu,
+                             grad_x(problem, state))
+    if not all(np.all(np.isfinite(v)) for v in (next_state.x, next_state.lam, next_state.mu)):
         raise EvaluationError("non-finite iterate component", state=next_state,
                               iteration=next_state.k)
     return next_state
@@ -151,18 +148,13 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
 
 def initial_state(problem: Problem, params: SolverParams, x0,
                   lam0=None, mu0=None) -> FullState:
-    """Build the starting state: x0 projected onto X, duals defaulting to zero.
-
-    z starts at its closed form zhat(lam0, mu0), as every later iterate's
-    does; no update reads z, so it takes no start value.
-    """
+    """Build the starting state: x0 projected onto X, duals defaulting to zero."""
     def dual(value):
         return np.zeros(problem.m) if value is None else value
 
-    state = FullState(x0, np.zeros(problem.m), dual(lam0), dual(mu0), delta=params.delta0)
+    state = FullState(x0, dual(lam0), dual(mu0), delta=params.delta0)
     state.check_dims(problem)
     state.x = problem.project(state.x)
-    state.z = zhat(params.penalty, state.lam, state.mu)
     return state
 
 
@@ -213,8 +205,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     x0 : array_like
         Starting point; projected onto X before the first iteration.
     lam0, mu0 : array_like, optional
-        Warm-start multipliers; both default to zero vectors.  z starts at
-        zhat(lam0, mu0), which is zero at the default start.
+        Warm-start multipliers; both default to zero vectors.
 
     Returns
     -------
@@ -224,35 +215,38 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     alpha, beta = params.penalty.alpha, params.penalty.beta
     history = RunHistory()
 
-    def measure(state, grad, cx, prev):
-        # the row of state, from the grad and c(x) already evaluated there
+    def record(state, d, grad, cx, prev):
+        """Append the row of state; return its KKT report and the stop status and message.
+
+        The row comes from state's d = lam - mu and the grad and c(x) evaluated
+        there; its merit is L at z = zhat(lam, mu), a z formed for that sum only.
+        """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
-        row = _history_terms(params.penalty, state, cx, prev)
+        row = _history_terms(params.penalty, state, d, cx, prev)
         row.update(objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
-                   lagrangian=float(_value(fx, cx, state.z, state.lam, state.mu, alpha, beta)),
+                   lagrangian=float(_value(fx, cx, d / alpha, state.lam, state.mu, d,
+                                           alpha, beta)),
                    norm_x=_norm(state.x), norm_lambda=_norm(state.lam), norm_mu=_norm(state.mu))
-        return kkt, row
+        history.append(state, row)
+        return (kkt, *_stop(params, state.k, kkt, row))
 
     cur = initial_state(problem, params, x0, lam0=lam0, mu0=mu0)
+    d = cur.lam - cur.mu
     grad = grad_x(problem, cur)
-    cx = problem.c(cur.x)
-    kkt, row = measure(cur, grad, cx, None)
-    while True:
-        history.append(cur, row)
-        status, message = _stop(params, cur.k, kkt, row)
-        if status is not None:
-            break
+    kkt, status, message = record(cur, d, grad, problem.c(cur.x), None)
+    while status is None:
         try:
-            nxt, cx = _advance(problem, params, cur, grad)
+            nxt, cx = _advance(problem, params, cur, d, grad)
+            d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
-            kkt, row = measure(nxt, grad, cx, cur)
+            kkt, status, message = record(nxt, d, grad, cx, cur)
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"
             break
         cur = nxt
 
-    final = replace(cur, x=cur.x.copy(), z=cur.z.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
+    final = replace(cur, x=cur.x.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
     return SolveOutcome(status=status, final_state=final, kkt=kkt, history=history,
                         message=message)

@@ -1,13 +1,13 @@
 import pytest
 
 import pplad
-from pplad import (PenaltyParams, RunHistory, SolverParams, check_trace,
+from pplad import (FullState, PenaltyParams, RunHistory, SolverParams, check_trace,
                    example1, example2_spec, from_qcqp, solve)
 
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
            "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
-           "FdSettings", "CompareResult", "fd_gradient")
+           "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio")
 
 PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                       step_size=0.002, max_iterations=5)
@@ -38,3 +38,16 @@ def test_solve_takes_no_trace_stride():
 def test_removed_keywords_raise_type_error(keyword, call):
     with pytest.raises(TypeError, match=keyword):
         call()
+
+
+def test_full_state_takes_no_z():
+    # z is the closed form zhat(lam, mu), not state: an old (x, z, lam, mu)
+    # call fails instead of binding z to lam, lam to mu and mu to k
+    x, z, lam, mu = [3.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.5, 0.5]
+    with pytest.raises(TypeError):
+        FullState(x, z, lam, mu)
+    with pytest.raises(TypeError, match="z"):
+        FullState(x=x, z=z, lam=lam, mu=mu)
+    state = FullState(x, lam, mu, k=4, delta=0.5, gamma=0.25)
+    assert not hasattr(state, "z")
+    assert (state.k, state.delta, state.gamma) == (4, 0.5, 0.25)

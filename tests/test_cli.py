@@ -353,6 +353,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "step_size" in err and "missing.qcqp" not in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--step-size", "0.002", "--alpha", "inf"], "alpha"),
+        (["--step-size", "inf"], "step_size"),
+    ], ids=["alpha-inf", "step_size-inf"])
+    def test_non_finite_alpha_or_step_size_exit_five(self, tmp_path, capsys, flags, field):
+        # alpha = inf made rho NaN and step_size = inf ran to the iteration limit
+        code = main(["solve", "--problem", "example1", *flags,
+                     "--trace", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"pplad: error: {field} must be finite and > 0")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("key, text", [("stride", "1.5"), ("step_size", "abc")])
     def test_bad_flag_text_fails_as_in_a_config_file(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "run.cfg"

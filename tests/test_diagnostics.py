@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,8 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
                    RunHistory, SolverParams, TRACE_COLUMNS, check_trace, eval_full, from_qcqp,
-                   initial_state, iterate, kkt_report, perturbation_ratio, read_trace_csv,
-                   solve, tail_step_maxima, write_trace_csv)
+                   initial_state, iterate, kkt_report, read_trace_csv, solve,
+                   tail_step_maxima, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -57,7 +58,7 @@ class TestResiduals:
     def test_interior_stationary_point_has_zero_optimality(self):
         p = example1()
         # grad f(1,0) = 0 and the two constraint gradients cancel for lam=(t,t)
-        s = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[4.0, 4.0], mu=[4.0, 4.0])
+        s = FullState(x=[1.0, 0.0], lam=[4.0, 4.0], mu=[4.0, 4.0])
         assert kkt(p, s).optimality == 0.0
 
     def test_whole_space_residual_is_gradient_norm(self):
@@ -66,17 +67,17 @@ class TestResiduals:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 2)),
                     projection=lambda v: v, name="quad")
-        s = FullState(x=[3.0, 4.0], z=[], lam=[], mu=[])
+        s = FullState(x=[3.0, 4.0], lam=[], mu=[])
         assert kkt(p, s).optimality == pytest.approx(10.0)
         assert kkt(p, s).feasibility == 0.0
 
     def test_feasibility_zero_at_feasible_point_whatever_the_multipliers(self):
-        s = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[2.0, -1.0], mu=[0.0, 5.0])
+        s = FullState(x=[1.0, 0.0], lam=[2.0, -1.0], mu=[0.0, 5.0])
         assert kkt(example1(), s).feasibility == 0.0
 
     def test_feasibility_direct_arithmetic(self):
         # c(5, 5) = (-4, 25), whatever the multipliers: lam = mu here
-        s = FullState(x=[5.0, 5.0], z=[0.0, 0.0], lam=[1.0, 1.0], mu=[1.0, 1.0])
+        s = FullState(x=[5.0, 5.0], lam=[1.0, 1.0], mu=[1.0, 1.0])
         assert kkt(example3(), s).feasibility == pytest.approx(np.hypot(4.0, 25.0))
 
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
@@ -100,13 +101,13 @@ class TestKktReport:
 
     def test_wrong_projection_shape_names_the_projection(self):
         p = dataclasses.replace(example1(), projection=lambda v: np.reshape(v, (-1, 1)))
-        s = FullState(x=[3.0, 3.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
+        s = FullState(x=[3.0, 3.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         with pytest.raises(DimensionMismatch, match="projection"):
             kkt(p, s)
 
     def test_initial_state_of_example1_not_satisfied(self):
         p = example1()
-        s = FullState(x=[3.0, 3.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
+        s = FullState(x=[3.0, 3.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         report = kkt(p, s)
         assert not report.satisfied
         # infeasible start: c(3,3) = (17, 9) shows up even though lam = mu
@@ -116,7 +117,7 @@ class TestKktReport:
     def test_feasible_but_nonstationary_state(self):
         p = example3()
         # (2, 0) is feasible; a wrong multiplier leaves the gradient nonzero
-        s = FullState(x=[2.0, 0.0], z=[0.0, 0.0], lam=[5.0, 5.0], mu=[5.0, 5.0])
+        s = FullState(x=[2.0, 0.0], lam=[5.0, 5.0], mu=[5.0, 5.0])
         report = kkt(p, s)
         assert report.feasibility == 0.0
         assert not report.satisfied
@@ -157,7 +158,6 @@ class TestCheckTrace:
         ("step_mu_sq", 150, "mu_step", 149),
         ("mu_prev_lambda_norm", 150, "mu_lam_contraction", 149),
         ("gap_lambda_mu", 150, "identity_lam_mu", 150),
-        ("gap_z", 150, "identity_z", 150),
         ("step_lambda_sq", 150, "lam_step", 149),     # example1 has L_c
         ("lagrangian", 200, "merit_decrease", 199),
     ])
@@ -198,7 +198,7 @@ class TestCheckTrace:
                               step_size=0.002, max_iterations=50)
         hist = RunHistory()
         for k in (0, 5, 10):
-            hist.append(FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], k=k),
+            hist.append(FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], k=k),
                         dict.fromkeys(ROW_COLUMNS, 0.0))
         with pytest.raises(ValueError, match="stride-1"):
             check_trace(p, hist, params)
@@ -248,7 +248,8 @@ class TestTailAndRatio:
     def test_tail_step_maxima_small_after_convergence(self, run1):
         _, _, out = run1
         maxima = tail_step_maxima(out.history, window=100)
-        for key in ("x", "z", "lambda", "mu"):
+        assert set(maxima) == {"x", "lambda", "mu"}
+        for key in ("x", "lambda", "mu"):
             assert maxima[key] <= 1e-5
 
     def test_tail_step_maxima_on_tiny_history(self):
@@ -256,8 +257,7 @@ class TestTailAndRatio:
         params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                               step_size=0.002, max_iterations=0)
         out = solve(p, params, [3.0, 3.0])
-        assert tail_step_maxima(out.history) == {"x": 0.0, "z": 0.0,
-                                                 "lambda": 0.0, "mu": 0.0}
+        assert tail_step_maxima(out.history) == {"x": 0.0, "lambda": 0.0, "mu": 0.0}
 
     @pytest.mark.parametrize("window", [0, -5, np.nan])
     def test_tail_step_maxima_rejects_a_window_below_one(self, run1, window):
@@ -265,17 +265,11 @@ class TestTailAndRatio:
         with pytest.raises(ValueError, match="window"):
             tail_step_maxima(out.history, window=window)
 
-    def test_perturbation_ratio_shape(self, run1):
-        _, _, out = run1
-        ratio = perturbation_ratio(out.history)
-        assert ratio.shape == (len(out.history) - 1,)
-        assert np.all(ratio >= 0.0)
-
 
 class TestRunHistory:
     def test_append_takes_state_and_row(self):
         hist = RunHistory()
-        state = FullState([1.0, 2.0], [0.5], [3.0], [4.0], k=7, delta=0.25, gamma=0.125)
+        state = FullState([1.0, 2.0], [3.0], [4.0], k=7, delta=0.25, gamma=0.125)
         hist.append(state, {name: float(i) for i, name in enumerate(ROW_COLUMNS)})
         assert hist.ks.tolist() == [7]
         assert hist.column("gamma").tolist() == [0.125]
@@ -287,7 +281,7 @@ class TestRunHistory:
     def test_freeze_holds_at_most_one_column_twice(self):
         # the columns are views of the stored rows: freezing copies none of them
         rows = 5000
-        state = FullState([0.0], [], [], [])
+        state = FullState([0.0], [], [])
         tracemalloc.start()
         try:
             hist = RunHistory()
@@ -324,6 +318,27 @@ class TestRunHistory:
         working_set = 3 * (400 - 50) * 8  # the growth of one m x n array
         assert peaks[400] - peaks[50] < 8 * working_set
 
+    def test_solve_holds_one_m_by_n_array_at_a_time(self):
+        # from_qcqp hands the cached product Mx over as J instead of copying it,
+        # so besides its history a solve holds one m x n array and O(n + m) vectors
+        n, m = 200, 20
+        problem = box_qcqp(n, m, seed=7)
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), step_size=0.1,
+                              max_iterations=300)
+        x0 = np.zeros(n)
+        # one solve first: the interpreter's free lists it fills outlive it
+        solve(problem, params, x0)
+        tracemalloc.start()
+        try:
+            out = solve(problem, params, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.iterations >= 50
+        stored = out.history._table, out.history._k  # the arrays the rows are kept in
+        history_bytes = sum(sys.getsizeof(a) for a in stored)
+        assert peak - history_bytes < 1.5 * m * n * 8
+
 
 class TestRecordedTerms:
     """Every recorded column against a replay of ``iterate`` with fresh callback calls."""
@@ -351,7 +366,7 @@ class TestRecordedTerms:
                                   step_size=0.05, max_iterations=150)
         hist = solve(p, params, x0).history
         states = replay(p, params, x0, len(hist))
-        rho, alpha = params.penalty.rho, params.penalty.alpha
+        rho = params.penalty.rho
 
         def norm_sq(v):
             return v @ v
@@ -366,14 +381,12 @@ class TestRecordedTerms:
                        feasibility=report.feasibility, optimality=report.optimality,
                        lagrangian=eval_full(p, params.penalty, s),
                        norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
-                       norm_mu=np.linalg.norm(s.mu), norm_z=np.linalg.norm(s.z),
+                       norm_mu=np.linalg.norm(s.mu),
                        lambda_mu_sq=norm_sq(d), gap_lambda_mu=np.linalg.norm(d - rho * c),
-                       gap_z=np.linalg.norm(alpha * s.z - rho * c),
-                       step_x_norm=0.0, step_z_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
+                       step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
                        mu_prev_lambda_norm=0.0)
             if prev is not None:
                 row.update(step_x_norm=np.linalg.norm(s.x - prev.x),
-                           step_z_norm=np.linalg.norm(s.z - prev.z),
                            step_lambda_sq=norm_sq(s.lam - prev.lam),
                            step_mu_sq=norm_sq(s.mu - prev.mu),
                            mu_prev_lambda_norm=np.linalg.norm(s.mu - prev.lam))
@@ -387,7 +400,7 @@ class TestRecordedTerms:
         tail = states[max(0, len(states) - 1 - window):]
         steps = {label: max(np.linalg.norm(getattr(b, attr) - getattr(a, attr))
                             for a, b in zip(tail, tail[1:]))
-                 for label, attr in (("x", "x"), ("z", "z"), ("lambda", "lam"), ("mu", "mu"))}
+                 for label, attr in (("x", "x"), ("lambda", "lam"), ("mu", "mu"))}
         assert tail_step_maxima(hist, window=window) == pytest.approx(steps, rel=1e-12, abs=0)
 
 

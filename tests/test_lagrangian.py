@@ -11,12 +11,11 @@ RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
 
 
 def random_state(problem, rng, x_scale=4.0, dual_scale=2.0):
-    return FullState(
-        x=rng.uniform(-x_scale, x_scale, problem.n),
-        z=dual_scale * rng.standard_normal(problem.m),
-        lam=dual_scale * rng.standard_normal(problem.m),
-        mu=dual_scale * rng.standard_normal(problem.m),
-    )
+    """A random state and a random z, drawn in the order x, z, lam, mu."""
+    x = rng.uniform(-x_scale, x_scale, problem.n)
+    z = dual_scale * rng.standard_normal(problem.m)
+    return FullState(x=x, lam=dual_scale * rng.standard_normal(problem.m),
+                     mu=dual_scale * rng.standard_normal(problem.m)), z
 
 
 class TestPenaltyParams:
@@ -48,13 +47,13 @@ class TestEvalFull:
     def test_reduces_to_objective_when_coupling_vanishes(self):
         p = example1()
         params = PenaltyParams(alpha=2.0, beta=0.5)
-        state = FullState(x=[2.0, -1.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
+        state = FullState(x=[2.0, -1.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         assert eval_full(p, params, state) == pytest.approx(p.objective(state.x))
 
     def test_zero_at_solution_with_zero_duals(self):
         p = example1()
         params = PenaltyParams(alpha=2.0, beta=0.5)
-        state = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
+        state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         assert eval_full(p, params, state) == pytest.approx(0.0)
 
     def test_hand_arithmetic_term_by_term(self):
@@ -83,21 +82,28 @@ class TestEvalFull:
         assert z_terms == pytest.approx(1.0)
         assert prox == pytest.approx(-0.5)
 
-        total = eval_full(p, params, FullState(x=x, z=z, lam=lam, mu=mu))
+        total = eval_full(p, params, FullState(x=x, lam=lam, mu=mu), z=z)
         assert total == pytest.approx(30.5)
         assert total == pytest.approx(f_term + coupling + z_terms + prox)
+
+    def test_z_defaults_to_its_closed_form(self):
+        p = example1()
+        params = PenaltyParams(alpha=2.0, beta=0.5)
+        state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
+        assert eval_full(p, params, state) == \
+            eval_full(p, params, state, z=zhat(params, state.lam, state.mu))
 
 
 class TestGradX:
     def test_zero_duals_give_objective_gradient(self):
         p = example1()
-        state = FullState(x=[3.0, 3.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
+        state = FullState(x=[3.0, 3.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         assert_allclose(grad_x(p, state), [-4.0, 6.0])
 
     def test_hand_arithmetic(self):
         # grad f(3,3) = (-4, 6); J rows (6,6), (2,6); J^T (1,1) = (8, 12)
         p = example1()
-        state = FullState(x=[3.0, 3.0], z=[0.5, -9.0], lam=[1.0, 1.0], mu=[2.0, -3.0])
+        state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[2.0, -3.0])
         assert_allclose(grad_x(p, state), [4.0, 18.0])
 
     def test_unconstrained_problem(self):
@@ -107,7 +113,7 @@ class TestGradX:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 2)),
                     projection=lambda v: v, name="plain")
-        state = FullState(x=[1.0, -2.0], z=[], lam=[], mu=[])
+        state = FullState(x=[1.0, -2.0], lam=[], mu=[])
         assert_allclose(grad_x(p, state), [2.0, -4.0])
 
     @pytest.mark.parametrize("factory", [example1, example2, example3])
@@ -116,10 +122,10 @@ class TestGradX:
         params = PenaltyParams(alpha=2000.0, beta=0.5)
         rng = np.random.default_rng(17)
         for _ in range(10):
-            state = random_state(p, rng)
+            state, z = random_state(p, rng)
             analytic = grad_x(p, state)
             fd = fd_jacobian(
-                lambda x: eval_full(p, params, FullState(x, state.z, state.lam, state.mu)),
+                lambda x: eval_full(p, params, FullState(x, state.lam, state.mu), z=z),
                 state.x)
             assert np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))) <= 1e-6
 
@@ -138,20 +144,19 @@ class TestZhat:
         params = PenaltyParams(alpha=2000.0, beta=0.5)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            state = random_state(p, rng)
+            state, _ = random_state(p, rng)
             best = zhat(params, state.lam, state.mu)
-            value = eval_full(p, params, FullState(state.x, best, state.lam, state.mu))
+            value = eval_full(p, params, state, z=best)
             for _ in range(5):
                 u = rng.standard_normal(p.m)
                 u /= np.linalg.norm(u)
-                perturbed = eval_full(
-                    p, params, FullState(state.x, best + 1e-3 * u, state.lam, state.mu))
+                perturbed = eval_full(p, params, state, z=best + 1e-3 * u)
                 assert value <= perturbed
 
 
 def reduced(problem, params, x, lam, mu):
     """The merit with z eliminated: eval_full at z = zhat(lam, mu)."""
-    return eval_full(problem, params, FullState(x, zhat(params, lam, mu), lam, mu))
+    return eval_full(problem, params, FullState(x, lam, mu))
 
 
 class TestEvalReduced:
@@ -187,7 +192,7 @@ class TestLambdaHat:
         # x = (1, 0) is feasible and, with lam = 0, stationary: x stays put and lam = mu
         p = example1()
         mu = np.array([1.5, -2.0])
-        state = FullState(x=[1.0, 0.0], z=[0.0, 0.0], lam=[0.0, 0.0], mu=mu)
+        state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=mu)
         nxt = iterate(p, SolverParams(penalty=RHO2, step_size=0.1), state)
         assert_allclose(nxt.x, [1.0, 0.0])
         assert_allclose(nxt.lam, nxt.mu)
@@ -197,7 +202,7 @@ class TestLambdaHat:
         # so x stays at (5, 5), where c = (25-25-4, 25) = (-4, 25);
         # gamma = rho/(||lam - mu||^2 + 1) = 0.4 moves mu to 0.2*(0, 2) = (0, 0.4),
         # and lam = mu + 2*c = (-8, 50.4)
-        state = FullState(x=[5.0, 5.0], z=[0.0, 0.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
+        state = FullState(x=[5.0, 5.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
         nxt = iterate(example3(), SolverParams(penalty=RHO2, step_size=0.1), state)
         assert_allclose(nxt.x, [5.0, 5.0])
         assert_allclose(nxt.lam, [-8.0, 50.4])
@@ -211,7 +216,7 @@ class TestLambdaHat:
         for _ in range(25):
             x = rng.uniform(-4.0, 4.0, p.n)
             mu = 2.0 * rng.standard_normal(p.m)
-            nxt = iterate(p, solver_params, FullState(x, np.zeros(p.m), mu, mu))
+            nxt = iterate(p, solver_params, FullState(x, mu, mu))
             value = reduced(p, params, nxt.x, nxt.lam, nxt.mu)
             for _ in range(4):
                 u = rng.standard_normal(p.m)
@@ -221,6 +226,6 @@ class TestLambdaHat:
 
 def test_full_state_dimension_check():
     from pplad import DimensionMismatch
-    state = FullState(x=[1.0, 2.0], z=[0.0], lam=[0.0], mu=[0.0])
+    state = FullState(x=[1.0, 2.0], lam=[0.0], mu=[0.0])
     with pytest.raises(DimensionMismatch):
         state.check_dims(example1())

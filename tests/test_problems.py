@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -315,6 +316,86 @@ class TestStackedConstraints:
         for t in threads:
             t.join()
         assert wrong == []
+
+
+class TestOwnership:
+    """c and J are a fresh Problem's in any call order, and each caller owns what it gets.
+
+    A sequence names calls at two points: "c1" is c at x1, "J2" is J at x2.
+    """
+
+    SEQUENCES = ["c1 J1", "J1 c1", "J1 J1", "c1 c1",
+                 "c1 J2 J1 c2 c1 J1 J2 J2 c2 c1 c1 J1"]
+
+    @staticmethod
+    def run(sequence, edit=False):
+        """Per call, its result and what a Problem that evaluated nothing gives there.
+
+        With ``edit``, every result is overwritten after a copy of it is kept.
+        """
+        spec = dense_spec(n=30, m=5, seed=12)
+        rng = np.random.default_rng(13)
+        points = {"1": rng.standard_normal(spec.n), "2": rng.standard_normal(spec.n)}
+        p = from_qcqp(spec)
+        results = []
+        for kind, point in sequence.split():
+            call = {"c": "constraints", "J": "constraint_jacobian"}[kind]
+            got = getattr(p, call)(points[point])
+            results.append((got.copy() if edit else got,
+                            getattr(from_qcqp(spec), call)(points[point])))
+            if edit:
+                got[...] = 7.0
+        return spec, results
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_every_call_order_matches_a_fresh_problem(self, sequence):
+        for got, expected in self.run(sequence)[1]:
+            assert_bitwise([got], [expected])
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_editing_a_result_changes_no_later_result(self, sequence):
+        for got, expected in self.run(sequence, edit=True)[1]:
+            assert_bitwise([got], [expected])
+
+    def test_no_returned_array_shares_memory(self):
+        spec, results = self.run(self.SEQUENCES[-1])
+        returned = [got for got, _ in results]
+        for i, a in enumerate(returned):
+            for b in (*returned[i + 1:], spec.Qj, spec.qj, spec.bj):
+                assert not np.shares_memory(a, b)
+
+    def test_threads_taking_the_jacobian_at_one_point_get_their_own(self):
+        spec = dense_spec(n=60, m=8, seed=14)
+        p = from_qcqp(spec)
+        rng = np.random.default_rng(15)
+        x, other = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
+        expected = from_qcqp(spec).constraint_jacobian(x)
+        workers = 4  # more than the cores, with frequent switches between them
+        start = threading.Barrier(workers + 1)
+        results = [None] * workers
+
+        def work(i):
+            start.wait(timeout=10)
+            results[i] = p.constraint_jacobian(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                p.constraints(other)
+                p.constraints(x)  # the cache now holds the product at x for one taker
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                start.wait(timeout=10)
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                for i, a in enumerate(results):
+                    assert_bitwise([a], [expected])
+                    assert not any(np.shares_memory(a, b) for b in results[i + 1:])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_builtins_registry_and_start_points():

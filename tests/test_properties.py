@@ -20,7 +20,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 # the inequalities that hold for any valid parameters, whatever the step size
 DUAL_INVARIANTS = {"mu_bound", "mu_step", "mu_step_budget", "mu_lam_contraction",
-                   "identity_lam_mu", "identity_z"}
+                   "identity_lam_mu"}
 
 ITERATIONS = 80
 

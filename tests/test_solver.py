@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
                    Problem, SolveStatus, SolverParams, eval_full, grad_x, initial_state,
-                   iterate, kkt_report, solve, validate)
+                   iterate, kkt_report, solve, validate, zhat)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
@@ -20,8 +20,8 @@ def fig1_params(**kw):
     return SolverParams(**defaults)
 
 
-def state(k, x, z, lam, mu, delta, gam=0.0):
-    return FullState(x, z, lam, mu, k=k, delta=delta, gamma=gam)
+def state(k, x, lam, mu, delta, gam=0.0):
+    return FullState(x, lam, mu, k=k, delta=delta, gamma=gam)
 
 
 def constant_constraints(c):
@@ -79,35 +79,35 @@ class TestSteps:
     def test_step_x_fixed_point_at_stationary_state(self):
         p = example1()
         # grad f(1,0) = 0 and J(1,0)^T (t,t) = 0: any equal multipliers work
-        s = state(0, [1.0, 0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0], 1.0)
+        s = state(0, [1.0, 0.0], [3.0, 3.0], [3.0, 3.0], 1.0)
         assert_allclose(iterate(p, fig1_params(), s).x, [1.0, 0.0])
 
     def test_step_x_hand_arithmetic_with_clamp(self):
         # x - 0.002 * (-4, 6) = (3.008, 2.988), clamped to (3, 2.988)
         p = example1()
-        s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0], 1.0)
         assert_allclose(iterate(p, fig1_params(), s).x, [3.0, 2.988])
 
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
-        s = state(0, [3.0, 3.0], [], [], [], 1.0)
+        s = state(0, [3.0, 3.0], [], [], 1.0)
         params = SolverParams(penalty=RHO2, step_size=0.25)
         assert_allclose(iterate(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
 
     def test_gamma_unit_denominator(self):
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
-        s = state(0, [0.0], [0.0], [2.0], [2.0], delta=1.0)
+        s = state(0, [0.0], [2.0], [2.0], delta=1.0)
         assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(2.0)
 
     def test_gamma_zero_budget(self):
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [0.0], [5.0], [1.0], delta=0.0)
+        s = state(0, [0.0], [5.0], [1.0], delta=0.0)
         assert iterate(constant_constraints([0.0]), params, s).gamma == 0.0
 
     def test_gamma_direct_arithmetic(self):
         # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [0.0], [np.sqrt(3.0)], [0.0], delta=0.5)
+        s = state(0, [0.0], [np.sqrt(3.0)], [0.0], delta=0.5)
         assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(0.25)
 
     def test_gamma_over_rho_bounded_by_delta(self):
@@ -116,22 +116,22 @@ class TestSteps:
         params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(100):
             delta = float(rng.uniform(0.0, 1.0))
-            s = state(0, [0.0], [0.0] * 3, rng.standard_normal(3) * 10,
+            s = state(0, [0.0], rng.standard_normal(3) * 10,
                       rng.standard_normal(3) * 10, delta=delta)
             assert 0.0 <= iterate(p, params, s).gamma / RHO2.rho <= delta <= 1.0
 
     def test_step_mu_no_move_cases(self):
         p = constant_constraints([0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        same = state(0, [0.0], [0.0, 0.0], [1.5, -1.0], [1.5, -1.0], delta=1.0)
+        same = state(0, [0.0], [1.5, -1.0], [1.5, -1.0], delta=1.0)
         assert_allclose(iterate(p, params, same).mu, same.mu)
-        frozen = state(0, [0.0], [0.0, 0.0], [9.0, 0.0], [0.0, 0.0], delta=0.0)
+        frozen = state(0, [0.0], [9.0, 0.0], [0.0, 0.0], delta=0.0)
         assert_allclose(iterate(p, params, frozen).mu, frozen.mu)
 
     def test_step_mu_direct_arithmetic(self):
         # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
-        s = state(0, [0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], delta=1.0)
+        s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0], delta=1.0)
         assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
 
     def test_step_mu_moves_at_most_half_delta(self):
@@ -140,7 +140,7 @@ class TestSteps:
         params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(200):
             delta = float(rng.uniform(0.0, 1.0))
-            s = state(0, [0.0], [0.0, 0.0], 10 * rng.standard_normal(2),
+            s = state(0, [0.0], 10 * rng.standard_normal(2),
                       10 * rng.standard_normal(2), delta=delta)
             moved = np.linalg.norm(iterate(p, params, s).mu - s.mu)
             assert moved <= 0.5 * delta + 1e-15
@@ -149,7 +149,7 @@ class TestSteps:
         # x stays at the feasible (1, 0) because lam = (t, t); delta = 0 keeps mu
         params = SolverParams(penalty=RHO2, step_size=0.1)
         mu = np.array([0.7, -0.3])
-        s = state(0, [1.0, 0.0], [0.0, 0.0], [2.0, 2.0], mu, delta=0.0)
+        s = state(0, [1.0, 0.0], [2.0, 2.0], mu, delta=0.0)
         assert_allclose(iterate(example1(), params, s).lam, mu)
 
     def test_step_lambda_at_qcqp_solution_any_mu(self):
@@ -157,24 +157,27 @@ class TestSteps:
         # gradient (4, 2, 0) points out of the orthant, so x stays put
         params = fig1_params()
         for mu in ([0.0, 0.0], [3.0, -1.0], [100.0, 7.0]):
-            s = state(0, [0.0, 0.0, 8.0], [0.0, 0.0], mu, mu, delta=1.0)
+            s = state(0, [0.0, 0.0, 8.0], mu, mu, delta=1.0)
             assert_allclose(iterate(example2(), params, s).lam, mu, atol=1e-12)
 
     def test_step_lambda_direct_formula(self):
         # rho=2, mu=(1,1), c=(0.5,-1) -> (2, -1)
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], delta=1.0)
+        s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0], delta=1.0)
         assert_allclose(iterate(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
 
     def test_step_z_cases(self):
+        # z is no state: the successor's z is its closed form zhat(lam, mu)
         penalty = PenaltyParams(alpha=2000.0, beta=0.5)
         params = SolverParams(penalty=penalty, step_size=0.1)
-        s = state(0, [0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0], delta=1.0)
-        assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).z, [0.0, 0.0])
+        s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0], delta=1.0)
+        nxt = iterate(constant_constraints([0.0, 0.0]), params, s)
+        assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.0, 0.0])
         # lam - mu = rho c = (2, -1) after the step
         c = np.array([2.0, -1.0]) / penalty.rho
-        assert_allclose(iterate(constant_constraints(c), params, s).z, [0.001, -0.0005])
+        nxt = iterate(constant_constraints(c), params, s)
+        assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.001, -0.0005])
 
 
 class TestIterate:
@@ -182,14 +185,13 @@ class TestIterate:
         p = example1()
         params = fig1_params()
         lam_star = np.array([2.0, 2.0])
-        s = state(3, [1.0, 0.0], [0.0, 0.0], lam_star, lam_star,
+        s = state(3, [1.0, 0.0], lam_star, lam_star,
                   delta=params.delta0 * params.decay ** 3)
         nxt = iterate(p, params, s)
         assert nxt.k == 4
         assert_allclose(nxt.x, s.x)
         assert_allclose(nxt.lam, lam_star)
         assert_allclose(nxt.mu, lam_star)
-        assert_allclose(nxt.z, [0.0, 0.0])
 
     def test_one_step_straight_line_transcription(self):
         # Independent transcription of the five update formulas in plain
@@ -225,7 +227,7 @@ class TestIterate:
         assert_allclose(nxt.x, [x1n, x2n], rtol=0.0, atol=1e-14)
         assert_allclose(nxt.mu, [mu1, mu2], rtol=0.0, atol=1e-14)
         assert_allclose(nxt.lam, [lam1, lam2], rtol=0.0, atol=1e-14)
-        assert_allclose(nxt.z, [z1, z2], rtol=0.0, atol=1e-14)
+        assert_allclose(zhat(params.penalty, nxt.lam, nxt.mu), [z1, z2], rtol=0.0, atol=1e-14)
         assert nxt.delta == pytest.approx(delta1, abs=1e-14)
         assert nxt.gamma == pytest.approx(gam, abs=1e-14)
 
@@ -251,7 +253,7 @@ class TestIterate:
 
     def test_wrongly_sized_state_raises(self):
         # unchecked, the length-1 mu broadcast against example1's m = 2
-        s = FullState([3.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.5])
+        s = FullState([3.0, 3.0], [1.0, 2.0], [0.5])
         with pytest.raises(DimensionMismatch, match="state.mu"):
             iterate(example1(), fig1_params(), s)
 
@@ -277,23 +279,21 @@ class TestSolve:
             assert col("norm_x")[k] == np.linalg.norm(s.x)
             assert col("norm_lambda")[k] == np.linalg.norm(s.lam)
             assert col("norm_mu")[k] == np.linalg.norm(s.mu)
-            assert col("norm_z")[k] == np.linalg.norm(s.z)
             assert col("delta")[k] == s.delta
             assert col("gamma")[k] == s.gamma
-        for name in ("x", "z", "lam", "mu"):
+        for name in ("x", "lam", "mu"):
             np.testing.assert_array_equal(getattr(out.final_state, name), getattr(s, name))
 
     def test_state_identities_hold_from_first_iteration(self):
         p = example3()
         params = fig1_params(step_size=0.004, delta0=0.5)
-        rho, alpha = params.penalty.rho, params.penalty.alpha
+        rho = params.penalty.rho
         s = initial_state(p, params, [5.0, 5.0])
         for _ in range(500):
             s = iterate(p, params, s)
             rho_c = rho * p.constraints(s.x)
             scale = 1.0 + np.linalg.norm(rho_c)
             assert np.linalg.norm((s.lam - s.mu) - rho_c) <= 1e-10 * scale
-            assert np.linalg.norm(alpha * s.z - rho_c) <= 1e-10 * scale
 
     def test_divergence_detected_on_unbounded_problem(self):
         p = Problem(n=1, m=0, objective=lambda x: float(-x[0] ** 2),
@@ -371,7 +371,7 @@ class TestSolve:
         callbacks[callback] = lambda x: np.reshape(good(x), bad_shape)
         p = Problem(n=2, m=1, name="circle", **callbacks)
         x, duals = [1.0, 1.0], [0.5]
-        state = FullState(x, duals, duals, duals)
+        state = FullState(x, duals, duals)
         call = {"solve": lambda: solve(p, params, x),
                 "eval_full": lambda: eval_full(p, RHO2, state),
                 "iterate": lambda: iterate(p, params, state),
@@ -439,8 +439,6 @@ class TestSolve:
         out = solve(p, params, [3.0, 3.0], lam0=[1.0, 2.0], mu0=[3.0, 4.0])
         assert_allclose(out.final_state.lam, [1.0, 2.0])
         assert_allclose(out.final_state.mu, [3.0, 4.0])
-        # z starts at its closed form (lam0 - mu0) / alpha, alpha = 2000
-        assert_allclose(out.final_state.z, [-0.001, -0.001])
 
     def test_converged_status_implies_kkt_satisfied(self):
         p = example1()
@@ -462,3 +460,9 @@ class TestSolve:
             SolverParams(penalty=penalty, step_size=0.1, max_iterations=-1)
         with pytest.raises(ValueError, match="max_iterations"):
             SolverParams(penalty=penalty, step_size=0.1, max_iterations=np.nan)
+        for step_size in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="step_size"):
+                SolverParams(penalty=penalty, step_size=step_size)
+        for alpha in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                PenaltyParams(alpha=alpha, beta=0.5)
