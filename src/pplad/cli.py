@@ -113,6 +113,10 @@ _PENALTY_DEFAULTS = {"alpha": 2000.0, "beta": 0.5}
 _DEFAULTS = {f.name: f.default for cls in (RunConfig, SolverParams) for f in fields(cls)
              if f.default not in (MISSING, None)} | _PENALTY_DEFAULTS
 
+# the flags that take a value: --config and every setting that is not a boolean
+_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-")
+                               for key, (kind, *_) in SETTINGS.items() if kind != "boolean"}
+
 
 def _parse(key: str, text: str, line: int | None = None):
     """The value of setting ``key`` from its text in a flag or a config file."""
@@ -292,6 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a token that starts with '-' and is not a plain negative number
+    # as a flag, so each value is attached to its flag: --x0=-1,2, not --x0 -1,2
+    tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        argv.append(token if value is None else f"{token}={value}")
     args = vars(_build_parser().parse_args(argv))
     del args["command"]
     config_path = args.pop("config", None)

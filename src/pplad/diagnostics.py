@@ -25,7 +25,6 @@ the run.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -66,45 +65,43 @@ def _violation(name, k, lhs, rhs):
 class RunHistory:
     """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
-    Each row holds the trace columns (``TRACE_COLUMNS``) and the terms that
-    ``check_trace`` and ``tail_step_maxima`` replay, formed by the solver
-    from the vectors it holds at that iteration:
+    A row is k and one float per name in ``COLUMNS``, in that order: the
+    trace columns after k, then the terms that ``check_trace`` and
+    ``tail_step_maxima`` replay, formed by the solver from the vectors it
+    holds at that iteration:
 
     - state terms at k: ``lambda_mu_sq`` = ||lam_k - mu_k||^2 and the
       identity gap ``gap_lambda_mu`` = ||(lam_k - mu_k) - rho c(x_k)|| (its
       scale ||rho c(x_k)|| is rho times the ``feasibility`` column);
-    - terms of the transition k-1 -> k (zero at k = 0): ``step_x_norm`` =
-      ||x_k - x_{k-1}||, ``step_lambda_sq`` = ||lam_k - lam_{k-1}||^2,
-      ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and ``mu_prev_lambda_norm`` =
-      ||mu_k - lam_{k-1}||.
+    - terms of the transition k-1 -> k (zero at k = 0): the trace's
+      ``step_x_norm`` = ||x_k - x_{k-1}||, ``step_lambda_sq`` =
+      ||lam_k - lam_{k-1}||^2, ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and
+      ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
 
-    No iterate vector is stored: a row is len(TRACE_COLUMNS) + 5 = 16
-    eight-byte numbers whatever n and m.  Rows are appended by the solver
-    and exposed as numpy arrays, one per column, on first read.
+    No iterate vector is stored: a row is 16 eight-byte numbers whatever n
+    and m.  Rows are appended by the solver and exposed as numpy arrays, one
+    per column, on first read.
     """
 
-    #: the keys of the scalar row that ``append`` takes beside the state
-    ROW_COLUMNS = ("objective", "feasibility", "optimality", "lagrangian",
-                   "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "lambda_mu_sq",
-                   "gap_lambda_mu", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
-    _FLOAT_COLUMNS = ("gamma", "delta", *ROW_COLUMNS)
-    _row_values = operator.itemgetter(*ROW_COLUMNS)
+    COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
+               "step_mu_sq", "mu_prev_lambda_norm")
 
     def __init__(self):
         self._k = array("q")
-        self._table = array("d")  # row-major, one row of _FLOAT_COLUMNS per iteration
+        self._table = array("d")  # row-major, one row of COLUMNS per iteration
         self._frozen = None
 
-    def append(self, state, row: dict) -> None:
-        """Store one iteration from its state and the loop's scalar row.
+    def append(self, k: int, row: list) -> None:
+        """Store iteration k from ``row``, a list of one float per name in ``COLUMNS``, in order.
 
-        The state supplies k, gamma and delta; ``row`` maps each name in
-        ``ROW_COLUMNS`` to its value.
+        Raises ValueError, storing nothing, when ``row`` has the wrong length.
         """
         if self._frozen is not None:
             raise RuntimeError("history is frozen; no further rows may be appended")
-        self._table.fromlist([state.gamma, state.delta, *self._row_values(row)])
-        self._k.append(state.k)
+        if len(row) != len(self.COLUMNS):
+            raise ValueError(f"a history row has {len(self.COLUMNS)} values, got {len(row)}")
+        self._table.fromlist(row)
+        self._k.append(k)
 
     def __len__(self):
         return len(self._k)
@@ -116,8 +113,8 @@ class RunHistory:
         """
         if self._frozen is None:
             table = np.frombuffer(self._table, dtype=float).reshape(
-                len(self._k), len(self._FLOAT_COLUMNS))
-            self._frozen = {name: table[:, j] for j, name in enumerate(self._FLOAT_COLUMNS)}
+                len(self._k), len(self.COLUMNS))
+            self._frozen = {name: table[:, j] for j, name in enumerate(self.COLUMNS)}
             self._frozen["k"] = np.frombuffer(self._k, dtype=np.int64)
         return self
 

@@ -80,10 +80,10 @@ class FullState:
                 raise DimensionMismatch(f"state.{label} length", problem.m, vec.shape)
 
 
-def _value(fx, cx, z, lam, mu, d, alpha, beta):
-    # Shared formula so the solver can reuse cached f(x), c(x) and d = lam - mu.
+def _value(fx, cx, z, lam, mu, dd, alpha, beta):
+    # Shared formula so the solver can reuse cached f(x), c(x) and dd = ||lam - mu||^2.
     return (fx + lam @ (cx - z) + mu @ z
-            + 0.5 * alpha * (z @ z) - 0.5 * beta * (d @ d))
+            + 0.5 * alpha * (z @ z) - 0.5 * beta * dd)
 
 
 def eval_full(problem: Problem, params: PenaltyParams, state, z=None) -> float:
@@ -91,8 +91,8 @@ def eval_full(problem: Problem, params: PenaltyParams, state, z=None) -> float:
     fx = problem.f(state.x)
     cx = problem.c(state.x)
     z = zhat(params, state.lam, state.mu) if z is None else np.asarray(z, dtype=float)
-    value = float(_value(fx, cx, z, state.lam, state.mu, state.lam - state.mu,
-                         params.alpha, params.beta))
+    d = state.lam - state.mu
+    value = float(_value(fx, cx, z, state.lam, state.mu, d @ d, params.alpha, params.beta))
     if not np.isfinite(value):
         raise EvaluationError("non-finite merit value", state=state)
     return value

@@ -92,8 +92,8 @@ class SolveOutcome:
 # the iteration kernel
 # ---------------------------------------------------------------------------
 
-def _advance(problem: Problem, params: SolverParams, state: FullState, d, grad):
-    """One iteration from ``state``, given d = lam - mu and grad_x L there.
+def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, grad):
+    """One iteration from ``state``, given d = lam - mu, dd = ||d||^2 and grad_x L there.
 
     Returns the successor and c(x_next), which the caller's residuals, merit
     and history terms reuse instead of evaluating c again.  Order is
@@ -102,7 +102,7 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, d, grad):
     float arrays, without ``FullState``'s conversions.
     """
     rho = params.penalty.rho
-    gam = rho * state.delta / (float(d.dot(d)) + 1.0)
+    gam = rho * state.delta / (dd + 1.0)
     x_next = problem.project(state.x - params.step_size * grad)
     mu_next = state.mu + (gam / rho) * d
     cx = problem.c(x_next)
@@ -112,25 +112,6 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, d, grad):
     return nxt, cx
 
 
-def _history_terms(penalty: PenaltyParams, state: FullState, d, cx, prev: FullState | None):
-    """The history terms of ``state`` (see ``RunHistory``), from its d = lam - mu and c(x).
-
-    The terms of the step from ``prev`` are zero at k = 0, where there is none.
-    """
-    row = dict(lambda_mu_sq=float(d.dot(d)), gap_lambda_mu=_norm(d - penalty.rho * cx))
-    if prev is None:
-        row.update(step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
-                   mu_prev_lambda_norm=0.0)
-    else:
-        step_lam = state.lam - prev.lam
-        step_mu = state.mu - prev.mu
-        row.update(step_x_norm=_norm(state.x - prev.x),
-                   step_lambda_sq=float(step_lam.dot(step_lam)),
-                   step_mu_sq=float(step_mu.dot(step_mu)),
-                   mu_prev_lambda_norm=_norm(state.mu - prev.lam))
-    return row
-
-
 def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
     """Apply one full iteration and return the successor state.
 
@@ -138,7 +119,8 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
     and EvaluationError if any component comes out non-finite.
     """
     state.check_dims(problem)
-    next_state, _ = _advance(problem, params, state, state.lam - state.mu,
+    d = state.lam - state.mu
+    next_state, _ = _advance(problem, params, state, d, float(d.dot(d)),
                              grad_x(problem, state))
     if not all(np.all(np.isfinite(v)) for v in (next_state.x, next_state.lam, next_state.mu)):
         raise EvaluationError("non-finite iterate component", state=next_state,
@@ -158,14 +140,13 @@ def initial_state(problem: Problem, params: SolverParams, x0,
     return state
 
 
-def _stop(params: SolverParams, k: int, kkt: KktReport, row: dict):
+def _stop(params: SolverParams, k: int, kkt: KktReport, fx, merit, norm_x):
     """Status and message if the loop stops at iteration k, else (None, "")."""
-    if not all(math.isfinite(row[name])
-               for name in ("objective", "optimality", "feasibility", "lagrangian")):
+    if not all(map(math.isfinite, (fx, kkt.optimality, kkt.feasibility, merit))):
         return SolveStatus.EVALUATION_ERROR, f"non-finite iterate at k={k}"
     if kkt.satisfied:
         return SolveStatus.CONVERGED, ""
-    if row["norm_x"] > params.divergence_bound:
+    if norm_x > params.divergence_bound:
         return SolveStatus.DIVERGED, f"||x|| exceeded {params.divergence_bound:g} at k={k}"
     if k >= params.max_iterations:
         return SolveStatus.ITERATION_LIMIT, ""
@@ -212,35 +193,43 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     SolveOutcome
         Final state, KKT report and the scalar history of every iteration.
     """
-    alpha, beta = params.penalty.alpha, params.penalty.beta
+    alpha, beta, rho = params.penalty.alpha, params.penalty.beta, params.penalty.rho
     history = RunHistory()
 
     def record(state, d, grad, cx, prev):
-        """Append the row of state; return its KKT report and the stop status and message.
+        """Append the row of state; return its KKT report, ||d||^2 and the stop status and message.
 
-        The row comes from state's d = lam - mu and the grad and c(x) evaluated
-        there; its merit is L at z = zhat(lam, mu), a z formed for that sum only.
+        The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu
+        and the grad and c(x) evaluated there, and its step terms from prev;
+        its merit is L at z = zhat(lam, mu), a z formed for that sum only.
         """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
-        row = _history_terms(params.penalty, state, d, cx, prev)
-        row.update(objective=fx, feasibility=kkt.feasibility, optimality=kkt.optimality,
-                   lagrangian=float(_value(fx, cx, d / alpha, state.lam, state.mu, d,
-                                           alpha, beta)),
-                   norm_x=_norm(state.x), norm_lambda=_norm(state.lam), norm_mu=_norm(state.mu))
-        history.append(state, row)
-        return (kkt, *_stop(params, state.k, kkt, row))
+        dd = float(d.dot(d))
+        merit = float(_value(fx, cx, d / alpha, state.lam, state.mu, dd, alpha, beta))
+        norm_x = _norm(state.x)
+        if prev is None:
+            step_x = step_lam_sq = step_mu_sq = mu_prev_lam = 0.0
+        else:
+            step_lam, step_mu = state.lam - prev.lam, state.mu - prev.mu
+            step_x, mu_prev_lam = _norm(state.x - prev.x), _norm(state.mu - prev.lam)
+            step_lam_sq, step_mu_sq = float(step_lam.dot(step_lam)), float(step_mu.dot(step_mu))
+        history.append(state.k, [fx, kkt.feasibility, kkt.optimality, merit, norm_x,
+                                 _norm(state.lam), _norm(state.mu), step_x, state.gamma,
+                                 state.delta, dd, _norm(d - rho * cx), step_lam_sq,
+                                 step_mu_sq, mu_prev_lam])
+        return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
     cur = initial_state(problem, params, x0, lam0=lam0, mu0=mu0)
     d = cur.lam - cur.mu
     grad = grad_x(problem, cur)
-    kkt, status, message = record(cur, d, grad, problem.c(cur.x), None)
+    kkt, dd, status, message = record(cur, d, grad, problem.c(cur.x), None)
     while status is None:
         try:
-            nxt, cx = _advance(problem, params, cur, d, grad)
+            nxt, cx = _advance(problem, params, cur, d, dd, grad)
             d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
-            kkt, status, message = record(nxt, d, grad, cx, cur)
+            kkt, dd, status, message = record(nxt, d, grad, cx, cur)
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"

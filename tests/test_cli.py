@@ -356,7 +356,8 @@ class TestMain:
     @pytest.mark.parametrize("flags, field", [
         (["--step-size", "0.002", "--alpha", "inf"], "alpha"),
         (["--step-size", "inf"], "step_size"),
-    ], ids=["alpha-inf", "step_size-inf"])
+        (["--step-size", "-inf"], "step_size"),   # a flag's value may start with '-'
+    ], ids=["alpha-inf", "step_size-inf", "step_size-minus-inf"])
     def test_non_finite_alpha_or_step_size_exit_five(self, tmp_path, capsys, flags, field):
         # alpha = inf made rho NaN and step_size = inf ran to the iteration limit
         code = main(["solve", "--problem", "example1", *flags,
@@ -411,6 +412,20 @@ class TestMain:
                      "--trace", str(tmp_path / "t.csv"),
                      "--report", str(tmp_path / "r.txt")])
         assert code == 1
+
+    @pytest.mark.parametrize("x0", ["-1,2", "-0.5,1"])
+    def test_x0_flag_with_a_negative_first_entry(self, tmp_path, x0):
+        # argparse alone reads "-1,2" as a flag; the attached form always worked
+        reports = []
+        for args in (["--x0", x0], ["--x0=" + x0]):
+            report = tmp_path / f"r{len(reports)}.txt"
+            code = main(["solve", "--problem", "example1", "--step-size", "0.002", *args,
+                         "--max-iters", "0", "--trace", str(tmp_path / "t.csv"),
+                         "--report", str(report)])
+            assert code == 1
+            reports.append(report.read_text())
+        assert reports[0] == reports[1]
+        assert "x = " + ",".join(repr(float(v)) for v in x0.split(",")) in reports[0]
 
     @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])
     @pytest.mark.parametrize("source", ["flag", "config"])

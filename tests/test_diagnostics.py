@@ -15,8 +15,8 @@ from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 
-# the scalar row that solve's loop builds; k, gamma and delta come from the state
-ROW_COLUMNS = RunHistory.ROW_COLUMNS
+# the float columns of a history row, in the order ``append`` takes them after k
+COLUMNS = RunHistory.COLUMNS
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
 
@@ -198,8 +198,7 @@ class TestCheckTrace:
                               step_size=0.002, max_iterations=50)
         hist = RunHistory()
         for k in (0, 5, 10):
-            hist.append(FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], k=k),
-                        dict.fromkeys(ROW_COLUMNS, 0.0))
+            hist.append(k, [0.0] * len(COLUMNS))
         with pytest.raises(ValueError, match="stride-1"):
             check_trace(p, hist, params)
 
@@ -267,35 +266,41 @@ class TestTailAndRatio:
 
 
 class TestRunHistory:
-    def test_append_takes_state_and_row(self):
+    def test_append_takes_k_and_a_row_in_column_order(self):
         hist = RunHistory()
-        state = FullState([1.0, 2.0], [3.0], [4.0], k=7, delta=0.25, gamma=0.125)
-        hist.append(state, {name: float(i) for i, name in enumerate(ROW_COLUMNS)})
+        hist.append(7, [float(i) for i in range(len(COLUMNS))])
         assert hist.ks.tolist() == [7]
-        assert hist.column("gamma").tolist() == [0.125]
-        assert hist.column("delta").tolist() == [0.25]
-        assert [hist.column(name)[0] for name in ROW_COLUMNS] == list(range(len(ROW_COLUMNS)))
+        assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
+        assert COLUMNS[:len(TRACE_COLUMNS) - 1] == TRACE_COLUMNS[1:]
         with pytest.raises(RuntimeError, match="frozen"):
-            hist.append(state, dict.fromkeys(ROW_COLUMNS, 0.0))
+            hist.append(8, [0.0] * len(COLUMNS))
+
+    @pytest.mark.parametrize("size", [len(COLUMNS) - 1, len(COLUMNS) + 1])
+    def test_append_rejects_a_row_of_the_wrong_length(self, size):
+        hist = RunHistory()
+        hist.append(0, [0.0] * len(COLUMNS))
+        with pytest.raises(ValueError, match="row"):
+            hist.append(1, [1.0] * size)
+        assert len(hist) == 1
+        assert hist.ks.tolist() == [0]
+        assert [hist.column(name)[0] for name in COLUMNS] == [0.0] * len(COLUMNS)
 
     def test_freeze_holds_at_most_one_column_twice(self):
         # the columns are views of the stored rows: freezing copies none of them
         rows = 5000
-        state = FullState([0.0], [], [])
         tracemalloc.start()
         try:
             hist = RunHistory()
             for k in range(rows):
-                state.k = k
-                hist.append(state, dict.fromkeys(ROW_COLUMNS, float(k)))
+                hist.append(k, [float(k)] * len(COLUMNS))
             stored = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             hist.freeze()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stored > (len(ROW_COLUMNS) + 3) * rows * 8
-        assert peak < stored + stored / (len(ROW_COLUMNS) + 3)
+        assert stored > (len(COLUMNS) + 1) * rows * 8
+        assert peak < stored + stored / (len(COLUMNS) + 1)
         hist.column("objective")[3] = -1.0
         assert hist.column("objective")[3] == -1.0
 
@@ -371,7 +376,7 @@ class TestRecordedTerms:
         def norm_sq(v):
             return v @ v
 
-        expected = {name: [] for name in ("k", "gamma", "delta", *ROW_COLUMNS)}
+        expected = {name: [] for name in ("k", *COLUMNS)}
         prev = None
         for s in states:
             c = p.constraints(s.x)

@@ -6,15 +6,16 @@ examples are derandomized and no example database is kept, so every run
 draws the same cases.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pplad import (Ball, Box, PenaltyParams, QcqpSpec, SolverParams, TRACE_COLUMNS,
-                   check_trace, from_qcqp, read_trace_csv, solve, validate,
-                   write_trace_csv)
+from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
+                   TRACE_COLUMNS, check_trace, eval_full, from_qcqp, initial_state, iterate,
+                   kkt_report, read_trace_csv, solve, validate, write_trace_csv)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -62,12 +63,19 @@ solver_params = st.builds(
 
 
 @st.composite
-def runs(draw):
-    """A solve of a drawn QCQP from a drawn start, steps that do not converge included."""
+def starts(draw):
+    """A drawn QCQP, parameters and start (x0, lam0, mu0), steps that do not converge included."""
     problem, params = draw(qcqps()), draw(solver_params)
     x0 = draw(vectors(problem.n, 2.0))
     lam0, mu0 = draw(vectors(problem.m, 1e3)), draw(vectors(problem.m, 1e3))
-    return problem, params, solve(problem, params, x0, lam0=lam0, mu0=mu0)
+    return problem, params, dict(x0=x0, lam0=lam0, mu0=mu0)
+
+
+@st.composite
+def runs(draw):
+    """A solve of a drawn QCQP from a drawn start."""
+    problem, params, start = draw(starts())
+    return problem, params, solve(problem, params, **start)
 
 
 @PROPERTY
@@ -100,3 +108,55 @@ def test_trace_csv_round_trips_every_kept_row_bitwise(run, stride):
         expected = history.column(name)[keep]
         assert columns[name].dtype == expected.dtype and \
             columns[name].tobytes() == expected.tobytes(), name
+
+
+@PROPERTY
+@given(drawn=starts())
+def test_stepping_iterate_retraces_solve_and_its_history(drawn):
+    problem, params, start = drawn
+    outcome = solve(problem, params, **start)
+    # K steps, K the solve's iteration count: its budget, or fewer when it stops early
+    states = [initial_state(problem, params, **start)]
+    while len(states) <= outcome.iterations:
+        states.append(iterate(problem, params, states[-1]))
+    final = outcome.final_state
+    for name in ("x", "lam", "mu"):
+        assert getattr(states[-1], name).tobytes() == getattr(final, name).tobytes(), name
+
+    # every column by its RunHistory definition, from the iterates alone
+    rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
+    expected = {name: [] for name in ("k", *RunHistory.COLUMNS)}
+    for k, s in enumerate(states):
+        c = problem.constraints(s.x)
+        d = s.lam - s.mu
+        grad = problem.objective_gradient(s.x) + problem.constraint_jacobian(s.x).T @ s.lam
+        row = dict(k=k, objective=problem.objective(s.x), feasibility=np.linalg.norm(c),
+                   optimality=np.linalg.norm(s.x - problem.projection(s.x - grad)),
+                   lagrangian=eval_full(problem, params.penalty, s),
+                   norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
+                   norm_mu=np.linalg.norm(s.mu), delta=delta0 * decay ** k,
+                   lambda_mu_sq=d @ d, gap_lambda_mu=np.linalg.norm(d - rho * c),
+                   step_x_norm=0.0, gamma=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
+                   mu_prev_lambda_norm=0.0)
+        if k > 0:
+            p = states[k - 1]
+            p_d = p.lam - p.mu
+            row.update(step_x_norm=np.linalg.norm(s.x - p.x),
+                       gamma=rho * (delta0 * decay ** (k - 1)) / (p_d @ p_d + 1.0),
+                       step_lambda_sq=(s.lam - p.lam) @ (s.lam - p.lam),
+                       step_mu_sq=(s.mu - p.mu) @ (s.mu - p.mu),
+                       mu_prev_lambda_norm=np.linalg.norm(s.mu - p.lam))
+        for name, value in row.items():
+            expected[name].append(value)
+    for name, values in expected.items():
+        recorded = outcome.history.column(name)
+        assert recorded.tobytes() == np.array(values, dtype=recorded.dtype).tobytes(), name
+
+
+@PROPERTY
+@given(run=runs())
+def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
+    problem, params, outcome = run
+    report = kkt_report(problem, outcome.final_state, tol_optimality=params.tol_optimality,
+                        tol_feasibility=params.tol_feasibility)
+    assert dataclasses.astuple(outcome.kkt) == dataclasses.astuple(report)
