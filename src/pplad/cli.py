@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("solve", help="run the solver on a problem",
                           description="Run the solver; flags override config-file "
                                       "values.",
-                          argument_default=argparse.SUPPRESS)
+                          argument_default=argparse.SUPPRESS, allow_abbrev=False)
     runp.add_argument("--config", help="path to a 'key = value' config file")
     for key, (kind, field, text) in SETTINGS.items():
         if field in _DEFAULTS:
@@ -296,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # argparse reads a token that starts with '-' and is not a plain negative number
-    # as a flag, so each value is attached to its flag: --x0=-1,2, not --x0 -1,2
+    # argparse reads a token that starts with '-' and is not a plain negative number as a
+    # flag, so each value is attached to its unabbreviated flag: --x0=-1,2, not --x0 -1,2
     tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
     for token in tokens:
         value = next(tokens, None) if token in _VALUE_FLAGS else None

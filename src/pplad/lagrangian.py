@@ -51,13 +51,10 @@ class PenaltyParams:
 
 @dataclass
 class FullState:
-    """Primal point x, the two multipliers, and the schedule position.
+    """Primal point x, the two multipliers, and the keyword-only iteration number k.
 
-    The perturbation z is not state: every z the method uses is its closed
-    form ``zhat(lam, mu)``.  k is the iteration number, delta the dual
-    budget decay^k * delta0 at k (the default 1.0 is the budget at k = 0
-    under the default delta0), and gamma the dual step taken entering this
-    state (0 before the first mu-update); all three are keyword-only.
+    The perturbation z, the dual budget at k and the dual step from k are not
+    state: each is a closed form (``zhat``, ``SolverParams.budget``, ``solver``).
     """
 
     x: np.ndarray
@@ -65,8 +62,6 @@ class FullState:
     mu: np.ndarray
     _: KW_ONLY
     k: int = 0
-    delta: float = 1.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         self.x, self.lam, self.mu = (np.asarray(v, dtype=float)

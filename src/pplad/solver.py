@@ -3,10 +3,10 @@
 One iteration applies, in this order,
 
     x      <- P_X[x - step_size * (grad f(x) + jac(x).T lam)]
-    mu     <- mu + (gamma/rho)(lam - mu),  gamma = rho delta / (||lam - mu||^2 + 1)
+    mu     <- mu + (gamma/rho)(lam - mu),  gamma = rho delta_k / (||lam - mu||^2 + 1)
     lam    <- mu + rho c(x)          (exact maximization, with the new x and mu)
-    delta  <- decay^(k+1) * delta0
 
+at iteration k, with the dual budget delta_k = decay^k * delta0 of the schedule.
 The mu-update reads the pre-update lam and mu; the lam-update reads the
 new x and new mu.  The exact minimizer in z, (lam - mu)/alpha, is read by
 no update, so it is not state: the merit forms it from lam - mu.  The
@@ -74,6 +74,10 @@ class SolverParams:
         if not self.divergence_bound > 0:
             raise ValueError(f"divergence_bound must be > 0, got {self.divergence_bound}")
 
+    def budget(self, k: int) -> float:
+        """The dual movement budget delta_k = decay^k * delta0 at iteration k."""
+        return self.delta0 * self.decay ** k
+
 
 @dataclass
 class SolveOutcome:
@@ -95,21 +99,20 @@ class SolveOutcome:
 def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, grad):
     """One iteration from ``state``, given d = lam - mu, dd = ||d||^2 and grad_x L there.
 
-    Returns the successor and c(x_next), which the caller's residuals, merit
-    and history terms reuse instead of evaluating c again.  Order is
+    Returns the successor, c(x_next) for the caller's residuals, merit and
+    history terms, and the dual step gamma for the successor's row.  Order is
     normative: the mu-update uses the pre-update lam and mu, the lam-update
     uses the new x and new mu.  The successor is built from the kernel's own
     float arrays, without ``FullState``'s conversions.
     """
     rho = params.penalty.rho
-    gam = rho * state.delta / (dd + 1.0)
+    gam = rho * params.budget(state.k) / (dd + 1.0)
     x_next = problem.project(state.x - params.step_size * grad)
     mu_next = state.mu + (gam / rho) * d
     cx = problem.c(x_next)
     nxt = object.__new__(FullState)
     nxt.x, nxt.lam, nxt.mu, nxt.k = x_next, mu_next + rho * cx, mu_next, state.k + 1
-    nxt.delta, nxt.gamma = params.delta0 * params.decay ** nxt.k, gam
-    return nxt, cx
+    return nxt, cx, gam
 
 
 def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
@@ -120,8 +123,8 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
     """
     state.check_dims(problem)
     d = state.lam - state.mu
-    next_state, _ = _advance(problem, params, state, d, float(d.dot(d)),
-                             grad_x(problem, state))
+    next_state, _, _ = _advance(problem, params, state, d, float(d.dot(d)),
+                                grad_x(problem, state))
     if not all(np.all(np.isfinite(v)) for v in (next_state.x, next_state.lam, next_state.mu)):
         raise EvaluationError("non-finite iterate component", state=next_state,
                               iteration=next_state.k)
@@ -134,7 +137,7 @@ def initial_state(problem: Problem, params: SolverParams, x0,
     def dual(value):
         return np.zeros(problem.m) if value is None else value
 
-    state = FullState(x0, dual(lam0), dual(mu0), delta=params.delta0)
+    state = FullState(x0, dual(lam0), dual(mu0))
     state.check_dims(problem)
     state.x = problem.project(state.x)
     return state
@@ -196,11 +199,11 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     alpha, beta, rho = params.penalty.alpha, params.penalty.beta, params.penalty.rho
     history = RunHistory()
 
-    def record(state, d, grad, cx, prev):
+    def record(state, d, grad, cx, prev, gam):
         """Append the row of state; return its KKT report, ||d||^2 and the stop status and message.
 
-        The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu
-        and the grad and c(x) evaluated there, and its step terms from prev;
+        The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu,
+        the grad and c(x) there, and prev and the dual step gam taken from it;
         its merit is L at z = zhat(lam, mu), a z formed for that sum only.
         """
         fx = problem.f(state.x)
@@ -215,21 +218,21 @@ def solve(problem: Problem, params: SolverParams, x0, *,
             step_x, mu_prev_lam = _norm(state.x - prev.x), _norm(state.mu - prev.lam)
             step_lam_sq, step_mu_sq = float(step_lam.dot(step_lam)), float(step_mu.dot(step_mu))
         history.append(state.k, [fx, kkt.feasibility, kkt.optimality, merit, norm_x,
-                                 _norm(state.lam), _norm(state.mu), step_x, state.gamma,
-                                 state.delta, dd, _norm(d - rho * cx), step_lam_sq,
+                                 _norm(state.lam), _norm(state.mu), step_x, gam,
+                                 params.budget(state.k), dd, _norm(d - rho * cx), step_lam_sq,
                                  step_mu_sq, mu_prev_lam])
         return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
     cur = initial_state(problem, params, x0, lam0=lam0, mu0=mu0)
     d = cur.lam - cur.mu
     grad = grad_x(problem, cur)
-    kkt, dd, status, message = record(cur, d, grad, problem.c(cur.x), None)
+    kkt, dd, status, message = record(cur, d, grad, problem.c(cur.x), None, 0.0)
     while status is None:
         try:
-            nxt, cx = _advance(problem, params, cur, d, dd, grad)
+            nxt, cx, gam = _advance(problem, params, cur, d, dd, grad)
             d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
-            kkt, dd, status, message = record(nxt, d, grad, cx, cur)
+            kkt, dd, status, message = record(nxt, d, grad, cx, cur, gam)
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"

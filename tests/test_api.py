@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import pplad
@@ -34,7 +36,10 @@ def test_solve_takes_no_trace_stride():
     ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
     ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
     ("z0", lambda: solve(example1(), PARAMS, [3.0, 3.0], z0=[0.0, 0.0])),
-], ids=["check_trace-hints", "from_qcqp-lipschitz_hints", "solve-z0"])
+    ("delta", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], delta=0.5)),
+    ("gamma", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], gamma=0.25)),
+], ids=["check_trace-hints", "from_qcqp-lipschitz_hints", "solve-z0", "FullState-delta",
+        "FullState-gamma"])
 def test_removed_keywords_raise_type_error(keyword, call):
     with pytest.raises(TypeError, match=keyword):
         call()
@@ -48,6 +53,7 @@ def test_full_state_takes_no_z():
         FullState(x, z, lam, mu)
     with pytest.raises(TypeError, match="z"):
         FullState(x=x, z=z, lam=lam, mu=mu)
-    state = FullState(x, lam, mu, k=4, delta=0.5, gamma=0.25)
+    state = FullState(x, lam, mu, k=4)
     assert not hasattr(state, "z")
-    assert (state.k, state.delta, state.gamma) == (4, 0.5, 0.25)
+    assert [f.name for f in dataclasses.fields(state)] == ["x", "lam", "mu", "k"]
+    assert state.k == 4

@@ -427,6 +427,17 @@ class TestMain:
         assert reports[0] == reports[1]
         assert "x = " + ",".join(repr(float(v)) for v in x0.split(",")) in reports[0]
 
+    @pytest.mark.parametrize("value", ["-inf", "0.002"])
+    def test_abbreviated_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys, value):
+        # argparse's prefix match read --step as --step-size, but only when the
+        # value did not start with '-'; a flag must now be spelled in full
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1", "--step", value,
+                  "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        assert f"error: unrecognized arguments: --step {value}" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_malformed_x0_exit_five_before_loading(self, tmp_path, capsys, text, source):

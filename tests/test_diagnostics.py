@@ -371,7 +371,7 @@ class TestRecordedTerms:
                                   step_size=0.05, max_iterations=150)
         hist = solve(p, params, x0).history
         states = replay(p, params, x0, len(hist))
-        rho = params.penalty.rho
+        rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
 
         def norm_sq(v):
             return v @ v
@@ -382,7 +382,7 @@ class TestRecordedTerms:
             c = p.constraints(s.x)
             d = s.lam - s.mu
             report = kkt_report(p, s, tol_optimality=1.0, tol_feasibility=1.0)
-            row = dict(k=s.k, gamma=s.gamma, delta=s.delta, objective=p.objective(s.x),
+            row = dict(k=s.k, gamma=0.0, delta=delta0 * decay ** s.k, objective=p.objective(s.x),
                        feasibility=report.feasibility, optimality=report.optimality,
                        lagrangian=eval_full(p, params.penalty, s),
                        norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
@@ -392,12 +392,13 @@ class TestRecordedTerms:
                        mu_prev_lambda_norm=0.0)
             if prev is not None:
                 row.update(step_x_norm=np.linalg.norm(s.x - prev.x),
+                           gamma=rho * (delta0 * decay ** prev.k) / (norm_sq(prev_d) + 1.0),
                            step_lambda_sq=norm_sq(s.lam - prev.lam),
                            step_mu_sq=norm_sq(s.mu - prev.mu),
                            mu_prev_lambda_norm=np.linalg.norm(s.mu - prev.lam))
             for key, value in row.items():
                 expected[key].append(value)
-            prev = s
+            prev, prev_d = s, d
         for key, values in expected.items():
             assert_array_equal(hist.column(key), values, err_msg=key)
 

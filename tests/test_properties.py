@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
                    TRACE_COLUMNS, check_trace, eval_full, from_qcqp, initial_state, iterate,
                    kkt_report, read_trace_csv, solve, validate, write_trace_csv)
+from pplad.problems import BUILTIN_PROBLEMS
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -92,6 +93,25 @@ def test_validate_passes_on_a_correct_qcqp(problem, data):
     x = data.draw(vectors(problem.n, 3.0))
     report = validate(problem, x)
     assert report.passed, report.summary()
+
+
+# each builtin's X as per-coordinate bounds: example1's box, and a box of the
+# nonnegative orthant around the other two's solutions and default starts
+BUILTIN_BOUNDS = {"example1": (-3.0, 3.0), "example2": (0.0, 10.0), "example3": (0.0, 10.0)}
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(BUILTIN_PROBLEMS)), data=st.data())
+def test_validate_passes_on_the_builtins_at_points_of_x(name, data):
+    problem = BUILTIN_PROBLEMS[name]()
+    n, m = problem.n, problem.m
+    x = np.array(data.draw(st.lists(st.floats(*BUILTIN_BOUNDS[name]), min_size=n, max_size=n)))
+    assert np.array_equal(problem.project(x), x)
+    report = validate(problem, x)
+    assert report.passed, report.summary()
+    shapes = [np.shape(problem.f(x)), problem.grad_f(x).shape, problem.c(x).shape,
+              problem.jac(x).shape, problem.project(x).shape]
+    assert shapes == [(), (n,), (m,), (m, n), (n,)]
 
 
 @PROPERTY

@@ -20,8 +20,12 @@ def fig1_params(**kw):
     return SolverParams(**defaults)
 
 
-def state(k, x, lam, mu, delta, gam=0.0):
-    return FullState(x, lam, mu, k=k, delta=delta, gamma=gam)
+# 0.999 ** 10**6 is exactly 0.0: under the default decay, a state at this k has no dual budget
+ZERO_BUDGET_K = 10**6
+
+
+def state(k, x, lam, mu):
+    return FullState(x, lam, mu, k=k)
 
 
 def constant_constraints(c):
@@ -32,6 +36,17 @@ def constant_constraints(c):
                    constraints=lambda x: c,
                    constraint_jacobian=lambda x: np.zeros((c.size, 1)),
                    projection=lambda v: v, name="const")
+
+
+def first_gamma(params, lam, mu):
+    """The dual step from (lam, mu) at k = 0, read off the history of a one-step solve.
+
+    The constraints are fixed at 1, so the start is infeasible and the step is taken.
+    """
+    problem = constant_constraints(np.ones(len(lam)))
+    out = solve(problem, dataclasses.replace(params, max_iterations=1), [0.0],
+                lam0=lam, mu0=mu)
+    return out.history.column("gamma")[1]
 
 
 def circle_callbacks():
@@ -79,77 +94,86 @@ class TestSteps:
     def test_step_x_fixed_point_at_stationary_state(self):
         p = example1()
         # grad f(1,0) = 0 and J(1,0)^T (t,t) = 0: any equal multipliers work
-        s = state(0, [1.0, 0.0], [3.0, 3.0], [3.0, 3.0], 1.0)
+        s = state(0, [1.0, 0.0], [3.0, 3.0], [3.0, 3.0])
         assert_allclose(iterate(p, fig1_params(), s).x, [1.0, 0.0])
 
     def test_step_x_hand_arithmetic_with_clamp(self):
         # x - 0.002 * (-4, 6) = (3.008, 2.988), clamped to (3, 2.988)
         p = example1()
-        s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0])
         assert_allclose(iterate(p, fig1_params(), s).x, [3.0, 2.988])
 
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
-        s = state(0, [3.0, 3.0], [], [], 1.0)
+        s = state(0, [3.0, 3.0], [], [])
         params = SolverParams(penalty=RHO2, step_size=0.25)
         assert_allclose(iterate(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
 
     def test_gamma_unit_denominator(self):
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
-        s = state(0, [0.0], [2.0], [2.0], delta=1.0)
-        assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(2.0)
+        assert first_gamma(params, [2.0], [2.0]) == pytest.approx(2.0)
 
     def test_gamma_zero_budget(self):
+        # a zero budget takes a zero dual step: mu stays put though lam != mu
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [5.0], [1.0], delta=0.0)
-        assert iterate(constant_constraints([0.0]), params, s).gamma == 0.0
+        assert params.budget(ZERO_BUDGET_K) == 0.0
+        s = state(ZERO_BUDGET_K, [0.0], [5.0], [1.0])
+        assert iterate(constant_constraints([0.0]), params, s).mu.tolist() == [1.0]
 
     def test_gamma_direct_arithmetic(self):
         # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
-        params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [np.sqrt(3.0)], [0.0], delta=0.5)
-        assert iterate(constant_constraints([0.0]), params, s).gamma == pytest.approx(0.25)
+        params = SolverParams(penalty=RHO2, step_size=0.1, delta0=0.5)
+        assert first_gamma(params, [np.sqrt(3.0)], [0.0]) == pytest.approx(0.25)
 
     def test_gamma_over_rho_bounded_by_delta(self):
         rng = np.random.default_rng(2)
-        p = constant_constraints([0.0, 0.0, 0.0])
-        params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(100):
             delta = float(rng.uniform(0.0, 1.0))
-            s = state(0, [0.0], rng.standard_normal(3) * 10,
-                      rng.standard_normal(3) * 10, delta=delta)
-            assert 0.0 <= iterate(p, params, s).gamma / RHO2.rho <= delta <= 1.0
+            params = SolverParams(penalty=RHO2, step_size=0.1, delta0=delta)
+            gamma = first_gamma(params, rng.standard_normal(3) * 10,
+                                rng.standard_normal(3) * 10)
+            assert 0.0 <= gamma / RHO2.rho <= delta <= 1.0
 
     def test_step_mu_no_move_cases(self):
         p = constant_constraints([0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        same = state(0, [0.0], [1.5, -1.0], [1.5, -1.0], delta=1.0)
+        same = state(0, [0.0], [1.5, -1.0], [1.5, -1.0])
         assert_allclose(iterate(p, params, same).mu, same.mu)
-        frozen = state(0, [0.0], [9.0, 0.0], [0.0, 0.0], delta=0.0)
+        frozen = state(ZERO_BUDGET_K, [0.0], [9.0, 0.0], [0.0, 0.0])
         assert_allclose(iterate(p, params, frozen).mu, frozen.mu)
 
     def test_step_mu_direct_arithmetic(self):
         # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
-        s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0], delta=1.0)
+        s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0])
         assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
 
     def test_step_mu_moves_at_most_half_delta(self):
         rng = np.random.default_rng(4)
         p = constant_constraints([0.0, 0.0])
-        params = SolverParams(penalty=RHO2, step_size=0.1)
         for _ in range(200):
             delta = float(rng.uniform(0.0, 1.0))
-            s = state(0, [0.0], 10 * rng.standard_normal(2),
-                      10 * rng.standard_normal(2), delta=delta)
+            params = SolverParams(penalty=RHO2, step_size=0.1, delta0=delta)
+            s = state(0, [0.0], 10 * rng.standard_normal(2), 10 * rng.standard_normal(2))
             moved = np.linalg.norm(iterate(p, params, s).mu - s.mu)
             assert moved <= 0.5 * delta + 1e-15
 
+    def test_mu_moves_by_the_schedule_step_from_a_hand_built_state(self):
+        # example1 from (3, 3) with d = lam - mu = (1, -1): gamma/rho = delta_k / 3,
+        # so mu moves to (delta_k / 3) * d, whatever the state was built from
+        p = example1()
+        params = fig1_params(delta0=0.5)
+        d = np.array([1.0, -1.0])
+        for k, delta in ((0, 0.5), (1000, 0.5 * 0.999 ** 1000), (ZERO_BUDGET_K, 0.0)):
+            nxt = iterate(p, params, FullState([3.0, 3.0], d, [0.0, 0.0], k=k))
+            assert nxt.k == k + 1
+            assert_allclose(nxt.mu, delta / 3.0 * d, rtol=1e-14, atol=0.0)
+
     def test_step_lambda_feasible_point(self):
-        # x stays at the feasible (1, 0) because lam = (t, t); delta = 0 keeps mu
+        # x stays at the feasible (1, 0) because lam = (t, t); a zero budget keeps mu
         params = SolverParams(penalty=RHO2, step_size=0.1)
         mu = np.array([0.7, -0.3])
-        s = state(0, [1.0, 0.0], [2.0, 2.0], mu, delta=0.0)
+        s = state(ZERO_BUDGET_K, [1.0, 0.0], [2.0, 2.0], mu)
         assert_allclose(iterate(example1(), params, s).lam, mu)
 
     def test_step_lambda_at_qcqp_solution_any_mu(self):
@@ -157,13 +181,13 @@ class TestSteps:
         # gradient (4, 2, 0) points out of the orthant, so x stays put
         params = fig1_params()
         for mu in ([0.0, 0.0], [3.0, -1.0], [100.0, 7.0]):
-            s = state(0, [0.0, 0.0, 8.0], mu, mu, delta=1.0)
+            s = state(0, [0.0, 0.0, 8.0], mu, mu)
             assert_allclose(iterate(example2(), params, s).lam, mu, atol=1e-12)
 
     def test_step_lambda_direct_formula(self):
         # rho=2, mu=(1,1), c=(0.5,-1) -> (2, -1)
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0], delta=1.0)
+        s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0])
         assert_allclose(iterate(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
 
@@ -171,7 +195,7 @@ class TestSteps:
         # z is no state: the successor's z is its closed form zhat(lam, mu)
         penalty = PenaltyParams(alpha=2000.0, beta=0.5)
         params = SolverParams(penalty=penalty, step_size=0.1)
-        s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0], delta=1.0)
+        s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0])
         nxt = iterate(constant_constraints([0.0, 0.0]), params, s)
         assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.0, 0.0])
         # lam - mu = rho c = (2, -1) after the step
@@ -185,8 +209,7 @@ class TestIterate:
         p = example1()
         params = fig1_params()
         lam_star = np.array([2.0, 2.0])
-        s = state(3, [1.0, 0.0], lam_star, lam_star,
-                  delta=params.delta0 * params.decay ** 3)
+        s = state(3, [1.0, 0.0], lam_star, lam_star)
         nxt = iterate(p, params, s)
         assert nxt.k == 4
         assert_allclose(nxt.x, s.x)
@@ -222,23 +245,23 @@ class TestIterate:
         p = example1()
         params = fig1_params()
         nxt = iterate(p, params, initial_state(p, params, [3.0, 3.0]))
+        row = solve(p, fig1_params(max_iterations=1), [3.0, 3.0]).history.column
 
         assert nxt.k == 1
         assert_allclose(nxt.x, [x1n, x2n], rtol=0.0, atol=1e-14)
         assert_allclose(nxt.mu, [mu1, mu2], rtol=0.0, atol=1e-14)
         assert_allclose(nxt.lam, [lam1, lam2], rtol=0.0, atol=1e-14)
         assert_allclose(zhat(params.penalty, nxt.lam, nxt.mu), [z1, z2], rtol=0.0, atol=1e-14)
-        assert nxt.delta == pytest.approx(delta1, abs=1e-14)
-        assert nxt.gamma == pytest.approx(gam, abs=1e-14)
+        assert row("delta")[1] == pytest.approx(delta1, abs=1e-14)
+        assert row("gamma")[1] == pytest.approx(gam, abs=1e-14)
 
     def test_delta_follows_geometric_schedule(self):
-        p = example1()
-        params = fig1_params()
-        s = initial_state(p, params, [3.0, 3.0])
-        for _ in range(50):
-            s = iterate(p, params, s)
-            expected = params.delta0 * params.decay ** s.k
-            assert abs(s.delta - expected) <= 1e-12 * expected
+        params = fig1_params(max_iterations=50)
+        deltas = solve(example1(), params, [3.0, 3.0]).history.column("delta")
+        assert len(deltas) == 51
+        for k, delta in enumerate(deltas):
+            expected = params.delta0 * params.decay ** k
+            assert abs(delta - expected) <= 1e-12 * expected
 
     def test_non_finite_iterate_raises_with_index(self):
         p = Problem(n=1, m=1, objective=lambda x: float(x[0]),
@@ -274,13 +297,15 @@ class TestSolve:
         out = solve(p, params, [3.0, 3.0])
         s = initial_state(p, params, [3.0, 3.0])
         col = out.history.column
+        rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
         for k in range(1, 61):
+            d = s.lam - s.mu
             s = iterate(p, params, s)
             assert col("norm_x")[k] == np.linalg.norm(s.x)
             assert col("norm_lambda")[k] == np.linalg.norm(s.lam)
             assert col("norm_mu")[k] == np.linalg.norm(s.mu)
-            assert col("delta")[k] == s.delta
-            assert col("gamma")[k] == s.gamma
+            assert col("delta")[k] == delta0 * decay ** k
+            assert col("gamma")[k] == rho * (delta0 * decay ** (k - 1)) / (d @ d + 1.0)
         for name in ("x", "lam", "mu"):
             np.testing.assert_array_equal(getattr(out.final_state, name), getattr(s, name))
 
