@@ -279,19 +279,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pplad",
-                     description="Equality-constrained nonconvex solver with "
-                                 "bounded dual iterates.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("solve", help="run the solver on a problem",
-                          description="Run the solver; flags override config-file "
-                                      "values.",
-                          argument_default=argparse.SUPPRESS, allow_abbrev=False)
-    runp.add_argument("--config", help="path to a 'key = value' config file")
+                     description="Equality-constrained nonconvex solver with bounded dual "
+                                 "iterates.  Flags override config-file values.",
+                     argument_default=argparse.SUPPRESS, allow_abbrev=False)
+    parser.add_argument("command", choices=["solve"], help="run the solver on a problem")
+    parser.add_argument("--config", help="path to a 'key = value' config file")
     for key, (kind, field, text) in SETTINGS.items():
         if field in _DEFAULTS:
             text = f"{text} (default {_DEFAULTS[field]})"
         action = "store_true" if kind == "boolean" else "store"
-        runp.add_argument("--" + key.replace("_", "-"), dest=key, action=action, help=text)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, action=action, help=text)
     return parser
 
 

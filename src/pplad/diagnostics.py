@@ -220,46 +220,28 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     delta0, decay = params.delta0, params.decay
     col = history.column
     delta = col("delta")
-    gamma = col("gamma")
     merit = col("lagrangian")
 
-    violations: List[InvariantViolation] = []
-
-    # --- dual boundedness along the whole run -----------------------------
+    # one (name, k of each entry, lhs, rhs, slack) per inequality lhs <= rhs + slack;
+    # the exact checks have their tolerance in rhs, and slack 0.0
     norm_mu = col("norm_mu")
     bound = norm_mu[0] + 0.5 * delta0 * (1.0 - decay ** ks.astype(float)) / (1.0 - decay)
-    for i in np.flatnonzero(norm_mu > bound + _SLACK * (1.0 + bound)):
-        violations.append(_violation("mu_bound", ks[i], norm_mu[i], bound[i]))
+    checks = [("mu_bound", ks, norm_mu, bound, _SLACK * (1.0 + bound))]
 
-    if size == 1:
-        return violations
+    if size > 1:  # transitions k -> k+1, and the state identity from the first lam-update on
+        nlm2 = col("lambda_mu_sq")[:-1]
+        g_over_rho = col("gamma")[1:] / rho
+        mid = g_over_rho * nlm2
+        contraction = (1.0 - g_over_rho) * np.sqrt(nlm2)
+        checks += [
+            ("mu_step", ks[:-1], col("step_mu_sq")[1:], mid, _SLACK * (1.0 + mid)),
+            ("mu_step_budget", ks[:-1], mid, delta[:-1], _SLACK * (1.0 + delta[:-1])),
+            ("mu_lam_contraction", ks[:-1], np.abs(col("mu_prev_lambda_norm")[1:] - contraction),
+             _EXACT_TOL * (1.0 + contraction), 0.0),
+            ("identity_lam_mu", ks[1:], col("gap_lambda_mu")[1:],
+             _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:]), 0.0)]
 
-    # --- transition-level quantities ---------------------------------------
-    nlm2 = col("lambda_mu_sq")[:-1]
-    ndmu2 = col("step_mu_sq")[1:]
-    g_over_rho = gamma[1:] / rho
-    mid = g_over_rho * nlm2
-
-    for i in np.flatnonzero(ndmu2 > mid + _SLACK * (1.0 + mid)):
-        violations.append(_violation("mu_step", ks[i], ndmu2[i], mid[i]))
-    for i in np.flatnonzero(mid > delta[:-1] + _SLACK * (1.0 + delta[:-1])):
-        violations.append(_violation("mu_step_budget", ks[i], mid[i], delta[i]))
-
-    lhs = col("mu_prev_lambda_norm")[1:]
-    rhs = (1.0 - g_over_rho) * np.sqrt(nlm2)
-    gap = np.abs(lhs - rhs)
-    tol = _EXACT_TOL * (1.0 + rhs)
-    for i in np.flatnonzero(gap > tol):
-        violations.append(_violation("mu_lam_contraction", ks[i], gap[i], tol[i]))
-
-    # --- state identity, valid from the first lam-update onward ------------
-    tol = _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:])
-    gap = col("gap_lambda_mu")[1:]
-    for i in np.flatnonzero(gap > tol):
-        violations.append(_violation("identity_lam_mu", ks[1 + i], gap[i], tol[i]))
-
-    # --- merit decrease and lam displacement, from k >= 1 ------------------
-    if size > 2:
+    if size > 2:  # merit decrease and lam displacement, from k >= 1
         ndx = col("step_x_norm")[2:]
         L_c = problem.lipschitz_c
 
@@ -269,19 +251,16 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
         if certified:
             coeff = 0.5 * (1.0 / params.step_size - grad_lipschitz - 2.0 * rho * L_c ** 2)
             allowance = allowance - coeff * ndx ** 2
-            name = "merit_decrease_certified"
-        else:
-            name = "merit_decrease"
         tol = _DECREASE_TOL * (1.0 + np.abs(merit[1:-1]))
-        for i in np.flatnonzero(merit[2:] > allowance + tol):
-            violations.append(_violation(name, ks[1 + i], merit[2 + i], allowance[i] + tol[i]))
-
+        checks.append(("merit_decrease_certified" if certified else "merit_decrease",
+                       ks[1:-1], merit[2:], allowance + tol, 0.0))
         if L_c is not None:
-            dlam2 = col("step_lambda_sq")[2:]
             rhs = 2.0 * rho ** 2 * L_c ** 2 * ndx ** 2 + 2.0 * delta[1:-1]
-            for i in np.flatnonzero(dlam2 > rhs + _SLACK * (1.0 + rhs)):
-                violations.append(_violation("lam_step", ks[1 + i], dlam2[i], rhs[i]))
+            checks.append(("lam_step", ks[1:-1], col("step_lambda_sq")[2:], rhs,
+                           _SLACK * (1.0 + rhs)))
 
+    violations = [_violation(name, k[i], lhs[i], rhs[i]) for name, k, lhs, rhs, slack in checks
+                  for i in np.flatnonzero(lhs > rhs + slack)]
     violations.sort(key=lambda v: (v.k, v.name))
     return violations
 

@@ -165,11 +165,13 @@ class Problem:
     Evaluator outputs must depend on x alone.  A cache is allowed if a hit
     returns exactly what a fresh evaluation would and it is safe under
     concurrent calls; a Problem value may then be shared read-only across
-    threads.  The caller owns every array an evaluator returns: no array
-    may be held by a cache and a caller, or by two callers, so a caller may
-    edit or keep what it gets.  m = 0 is allowed, in which case constraints
-    return a length-0 vector and the solver degenerates to projected
-    gradient descent on f.
+    threads.  ``solve`` and ``kkt_report`` ask for c before J at a point, and
+    for J once, so a cache may serve that order best (as ``from_qcqp``'s
+    does) if every other order still gets the same values.  The caller owns
+    every array an evaluator returns: no array may be held by a cache and a
+    caller, or by two callers, so a caller may edit or keep what it gets.
+    m = 0 is allowed, in which case constraints return a length-0 vector and
+    the solver degenerates to projected gradient descent on f.
 
     ``lipschitz_c`` is an optional global Lipschitz constant of the
     constraint map over X.  It is advisory metadata only: the solver never

@@ -82,21 +82,21 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     The Problem reads the spec's arrays without copying them.  The (m, n, n)
     Qj are viewed as one (m n, n) matrix, and c and J share one product
     ``Mx`` (row j is Qj x) per point: c_j = 0.5 <Qj x, x> + qj'x + bj, and
-    J = Mx + qj row-wise.  The solver asks for c and then J at the same x,
-    so c(x) is computed with the product, and both are kept for the last
-    point, keyed on the exact bits of x; a hit returns what a fresh
-    evaluation would.  Ownership: ``constraints`` returns a copy of the
-    cached c(x), and ``constraint_jacobian`` takes Mx out of the cache
-    (atomically, so two threads never get the same array), adds qj in place
-    and returns it.  So a point holds one m x n array, and no array is held
-    by the cache and a caller, or by two callers.
+    J = Mx + qj row-wise.  One cache serves the order in which ``solve`` and
+    ``kkt_report`` ask: c before J at a point, and J once.  ``constraints``
+    forms Mx and c(x), parks Mx under the exact bits of x once c(x) is formed,
+    and returns c(x) itself; ``constraint_jacobian`` takes the parked Mx for
+    its x out of the cache (atomically, so two threads never get the same
+    array) or forms its own, adds qj in place and returns it.  Any other
+    order gets the same values, at the cost of one more product.  So a point
+    holds one m x n array, no c(x) outlives a call, and no array is held by
+    the cache and a caller, or by two callers.
     """
     Q, q = spec.Q, spec.q
     n, m = spec.n, spec.m
     stacked = spec.Qj.reshape(m * n, n)  # Q1 on top of Q2 ...
     linear, offset = spec.qj, spec.bj
-    last = (None, None)                  # (key of x, c(x)), replaced whole
-    spare = {}                           # key of x -> its Mx, until J takes it
+    spare = {}                           # key of x -> its Mx, until J takes it; replaced whole
 
     def objective(x):
         return float(0.5 * (x @ Q @ x) + q @ x)
@@ -104,25 +104,18 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     def objective_gradient(x):
         return Q @ x + q
 
-    def evaluate(x):
-        """x as floats, its key and c(x); a miss leaves the new Mx in ``spare``."""
-        nonlocal last, spare
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        cached, cx = last
-        if cached != key:
-            Mx = (stacked @ x).reshape(m, n)
-            cx = 0.5 * np.vecdot(Mx, x) + linear @ x + offset
-            spare, last = {key: Mx}, (key, cx)
-        return x, key, cx
-
     def constraints(x):
-        return evaluate(x)[2].copy()
+        nonlocal spare
+        x = np.asarray(x, dtype=float)
+        Mx = (stacked @ x).reshape(m, n)
+        cx = 0.5 * np.vecdot(Mx, x) + linear @ x + offset
+        spare = {(x.shape, x.tobytes()): Mx}  # only now: J edits it in place
+        return cx
 
     def constraint_jacobian(x):
-        x, key, _ = evaluate(x)
-        Mx = spare.pop(key, None)
-        if Mx is None:  # taken by an earlier call at this point
+        x = np.asarray(x, dtype=float)
+        Mx = spare.pop((x.shape, x.tobytes()), None)
+        if Mx is None:  # not parked at this point, or taken by an earlier call
             Mx = (stacked @ x).reshape(m, n)
         Mx += linear
         return Mx

@@ -131,8 +131,7 @@ def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullSta
     return next_state
 
 
-def initial_state(problem: Problem, params: SolverParams, x0,
-                  lam0=None, mu0=None) -> FullState:
+def initial_state(problem: Problem, x0, lam0=None, mu0=None) -> FullState:
     """Build the starting state: x0 projected onto X, duals defaulting to zero."""
     def dual(value):
         return np.zeros(problem.m) if value is None else value
@@ -223,10 +222,10 @@ def solve(problem: Problem, params: SolverParams, x0, *,
                                  step_mu_sq, mu_prev_lam])
         return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
-    cur = initial_state(problem, params, x0, lam0=lam0, mu0=mu0)
+    cur = initial_state(problem, x0, lam0=lam0, mu0=mu0)
     d = cur.lam - cur.mu
-    grad = grad_x(problem, cur)
-    kkt, dd, status, message = record(cur, d, grad, problem.c(cur.x), None, 0.0)
+    cx, grad = problem.c(cur.x), grad_x(problem, cur)  # c before J, as at every later point
+    kkt, dd, status, message = record(cur, d, grad, cx, None, 0.0)
     while status is None:
         try:
             nxt, cx, gam = _advance(problem, params, cur, d, dd, grad)

@@ -185,7 +185,7 @@ def test_criterion_7_one_step_oracle():
     problem = example1()
     params = SolverParams(penalty=PenaltyParams(alpha=alpha, beta=beta),
                           step_size=step, delta0=delta0, decay=r, max_iterations=1)
-    nxt = iterate(problem, params, initial_state(problem, params, [3.0, 3.0]))
+    nxt = iterate(problem, params, initial_state(problem, [3.0, 3.0]))
     delta1 = solve(problem, params, [3.0, 3.0]).history.column("delta")[1]
 
     gap = max(np.max(np.abs(nxt.x - np.array(x_new))),

@@ -435,7 +435,9 @@ class TestMain:
             main(["solve", "--problem", "example1", "--step", value,
                   "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
         assert info.value.code == 5
-        assert f"error: unrecognized arguments: --step {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: --step {value}" in err
+        assert "--step-size" in err.split("error:")[0]  # the usage line lists solve's flags
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])

@@ -35,7 +35,7 @@ def kkt(problem, state, tol=1e-6):
 
 def replay(problem, params, x0, count):
     """The first ``count`` states of a run, stepped with the public ``iterate``."""
-    states = [initial_state(problem, params, x0)]
+    states = [initial_state(problem, x0)]
     while len(states) < count:
         states.append(iterate(problem, params, states[-1]))
     return states

@@ -136,7 +136,7 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     problem, params, start = drawn
     outcome = solve(problem, params, **start)
     # K steps, K the solve's iteration count: its budget, or fewer when it stops early
-    states = [initial_state(problem, params, **start)]
+    states = [initial_state(problem, **start)]
     while len(states) <= outcome.iterations:
         states.append(iterate(problem, params, states[-1]))
     final = outcome.final_state

@@ -244,7 +244,7 @@ class TestIterate:
 
         p = example1()
         params = fig1_params()
-        nxt = iterate(p, params, initial_state(p, params, [3.0, 3.0]))
+        nxt = iterate(p, params, initial_state(p, [3.0, 3.0]))
         row = solve(p, fig1_params(max_iterations=1), [3.0, 3.0]).history.column
 
         assert nxt.k == 1
@@ -271,7 +271,7 @@ class TestIterate:
                     projection=lambda v: v, name="nanc")
         params = SolverParams(penalty=RHO2, step_size=0.1)
         with pytest.raises(EvaluationError) as info:
-            iterate(p, params, initial_state(p, params, [1.0]))
+            iterate(p, params, initial_state(p, [1.0]))
         assert info.value.iteration == 1
 
     def test_wrongly_sized_state_raises(self):
@@ -295,7 +295,7 @@ class TestSolve:
         p = example1()
         params = fig1_params(max_iterations=60)
         out = solve(p, params, [3.0, 3.0])
-        s = initial_state(p, params, [3.0, 3.0])
+        s = initial_state(p, [3.0, 3.0])
         col = out.history.column
         rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
         for k in range(1, 61):
@@ -313,7 +313,7 @@ class TestSolve:
         p = example3()
         params = fig1_params(step_size=0.004, delta0=0.5)
         rho = params.penalty.rho
-        s = initial_state(p, params, [5.0, 5.0])
+        s = initial_state(p, [5.0, 5.0])
         for _ in range(500):
             s = iterate(p, params, s)
             rho_c = rho * p.constraints(s.x)
@@ -491,3 +491,39 @@ class TestSolve:
         for alpha in (np.inf, np.nan, -np.inf):
             with pytest.raises(ValueError, match="alpha"):
                 PenaltyParams(alpha=alpha, beta=0.5)
+
+
+class TestEvaluationOrder:
+    """solve and kkt_report ask for c before J at every point, and for J once there."""
+
+    @staticmethod
+    def recorded(problem):
+        """``problem`` with its c and J wrapped to log (callback, bytes of x) per call."""
+        calls = []
+
+        def logged(name):
+            call = getattr(problem, name)
+
+            def wrapper(x):
+                calls.append((name, x.tobytes()))
+                return call(x)
+            return wrapper
+
+        return dataclasses.replace(problem, constraints=logged("constraints"),
+                                   constraint_jacobian=logged("constraint_jacobian")), calls
+
+    @pytest.mark.parametrize("build, x0, step_size", [(example1, [3.0, 3.0], 0.002),
+                                                      (example2, [4.0, 4.0, 4.0], 0.005)])
+    def test_c_then_j_once_per_point(self, build, x0, step_size):
+        # example2 is a from_qcqp problem, whose one cache serves this order
+        problem, calls = self.recorded(build())
+        params = fig1_params(step_size=step_size, max_iterations=40)
+        out = solve(problem, params, x0)
+        assert len(calls) == 2 * (out.iterations + 1)  # one pair per point, k = 0 included
+        for (first, x_c), (second, x_j) in zip(calls[::2], calls[1::2]):
+            assert (first, second) == ("constraints", "constraint_jacobian")
+            assert x_c == x_j
+        calls.clear()
+        kkt_report(problem, out.final_state, tol_optimality=1e-6, tol_feasibility=1e-6)
+        x = out.final_state.x.tobytes()
+        assert calls == [("constraints", x), ("constraint_jacobian", x)]
