@@ -237,7 +237,7 @@ def run(config: RunConfig) -> int:
     params = config.params
     if params.decay < 0.9:
         print(f"warning: decay = {params.decay} is far from 1; the dual budget "
-              "shrinks fast, which can freeze mu before lam reaches a valid "
+              "shrinks fast, which can stop mu before lam reaches a valid "
               "multiplier. Values like 0.999 are recommended.", file=sys.stderr)
 
     outcome = solve(problem, params, x0)

@@ -79,48 +79,46 @@ class RunHistory:
       ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
 
     No iterate vector is stored: a row is 16 eight-byte numbers whatever n
-    and m.  Rows are appended by the solver and exposed as numpy arrays, one
-    per column, on first read.
+    and m.  ``column(name)`` and ``ks`` are live numpy views of the rows
+    stored so far, and rows may be appended before and after any read.  A
+    view keeps the rows it was taken with; a write through it is seen by
+    later reads as long as no row was appended since it was taken.
     """
 
     COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
                "step_mu_sq", "mu_prev_lambda_norm")
+    _INDEX = {name: j for j, name in enumerate(COLUMNS)}
 
     def __init__(self):
         self._k = array("q")
         self._table = array("d")  # row-major, one row of COLUMNS per iteration
-        self._frozen = None
 
     def append(self, k: int, row: list) -> None:
         """Store iteration k from ``row``, a list of one float per name in ``COLUMNS``, in order.
 
         Raises ValueError, storing nothing, when ``row`` has the wrong length.
         """
-        if self._frozen is not None:
-            raise RuntimeError("history is frozen; no further rows may be appended")
         if len(row) != len(self.COLUMNS):
             raise ValueError(f"a history row has {len(self.COLUMNS)} values, got {len(row)}")
-        self._table.fromlist(row)
-        self._k.append(k)
+        entry = array("q", [k])  # converted first: a row lands in both arrays or in neither
+        try:
+            self._table.fromlist(row)
+        except BufferError:  # a view holds the buffer: go on in a copy, leaving the view its rows
+            self._table = self._table + array("d", row)
+        try:
+            self._k.extend(entry)
+        except BufferError:
+            self._k = self._k + entry
 
     def __len__(self):
         return len(self._k)
 
-    def freeze(self):
-        """Expose the stored rows as numpy arrays, one per column, without copying them.
-
-        Idempotent; no row may be appended afterwards.
-        """
-        if self._frozen is None:
-            table = np.frombuffer(self._table, dtype=float).reshape(
-                len(self._k), len(self.COLUMNS))
-            self._frozen = {name: table[:, j] for j, name in enumerate(self.COLUMNS)}
-            self._frozen["k"] = np.frombuffer(self._k, dtype=np.int64)
-        return self
-
     def column(self, name: str) -> np.ndarray:
-        self.freeze()
-        return self._frozen[name]
+        """A view of column ``name`` (or ``"k"``) over the rows stored so far."""
+        if name == "k":
+            return np.frombuffer(self._k, dtype=np.int64)
+        table = np.frombuffer(self._table, dtype=float).reshape(-1, len(self.COLUMNS))
+        return table[:, self._INDEX[name]]
 
     @property
     def ks(self):
@@ -172,6 +170,7 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     actually taken, delta_k the budget at k):
 
     - mu_bound:       ||mu_k|| <= ||mu_0|| + (delta_0/2)(1 - r^k)/(1 - r)
+    - lambda_mu_sq_nonnegative: 0 <= ||lam_k - mu_k||^2; where it fails, the root below is 0
     - mu_step:        ||mu_{k+1} - mu_k||^2 <= (gamma_k/rho)||lam_k - mu_k||^2
     - mu_step_budget: (gamma_k/rho)||lam_k - mu_k||^2 <= delta_k
     - mu_lam_contraction (exact, 1e-12 relative):
@@ -207,7 +206,6 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     list of InvariantViolation
         Empty when the run is consistent with the theory.
     """
-    history.freeze()
     ks = history.ks
     size = len(history)
     if size == 0:
@@ -226,13 +224,15 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     # the exact checks have their tolerance in rhs, and slack 0.0
     norm_mu = col("norm_mu")
     bound = norm_mu[0] + 0.5 * delta0 * (1.0 - decay ** ks.astype(float)) / (1.0 - decay)
-    checks = [("mu_bound", ks, norm_mu, bound, _SLACK * (1.0 + bound))]
+    lambda_mu_sq = col("lambda_mu_sq")
+    checks = [("mu_bound", ks, norm_mu, bound, _SLACK * (1.0 + bound)),
+              ("lambda_mu_sq_nonnegative", ks, np.zeros(size), lambda_mu_sq, 0.0)]
 
     if size > 1:  # transitions k -> k+1, and the state identity from the first lam-update on
-        nlm2 = col("lambda_mu_sq")[:-1]
+        nlm2 = lambda_mu_sq[:-1]
         g_over_rho = col("gamma")[1:] / rho
         mid = g_over_rho * nlm2
-        contraction = (1.0 - g_over_rho) * np.sqrt(nlm2)
+        contraction = (1.0 - g_over_rho) * np.sqrt(np.maximum(nlm2, 0.0))
         checks += [
             ("mu_step", ks[:-1], col("step_mu_sq")[1:], mid, _SLACK * (1.0 + mid)),
             ("mu_step_budget", ks[:-1], mid, delta[:-1], _SLACK * (1.0 + delta[:-1])),

@@ -45,7 +45,7 @@ class SolverParams:
     in the proximal linearization); it has no default because convergence
     depends on it problem by problem.  delta0 in (0, 1] and decay in (0, 1)
     define the dual movement budget delta_k = decay^k * delta0.  Keep decay
-    close to 1 (e.g. 0.999): a fast-shrinking budget freezes mu early and
+    close to 1 (e.g. 0.999): a fast-shrinking budget stops mu early and
     can strand lam far from a valid multiplier.
     """
 

@@ -168,6 +168,18 @@ class TestCheckTrace:
         violations = check_trace(p, hist, params)
         assert [(v.name, v.k) for v in violations] == [(check, k)]
 
+    def test_negative_lambda_mu_sq_is_a_violation_at_its_k(self, run1):
+        # a squared norm below zero is reported before its root is taken,
+        # where np.sqrt would warn (an error under this repo's warning filter)
+        p, params, _ = run1
+        hist = solve(p, params, [3.0, 3.0]).history
+        hist.column("lambda_mu_sq")[100] = -1.0
+        violations = check_trace(p, hist, params)
+        # the steps out of k = 100 read the negative square (its root as 0) too
+        assert [(v.name, v.k) for v in violations] == [
+            ("lambda_mu_sq_nonnegative", 100), ("mu_lam_contraction", 100), ("mu_step", 100)]
+        assert (violations[0].lhs, violations[0].rhs, violations[0].margin) == (0.0, -1.0, 1.0)
+
     def test_makes_no_constraint_calls(self, run1):
         _, params, _ = run1
         calls = []
@@ -272,8 +284,10 @@ class TestRunHistory:
         assert hist.ks.tolist() == [7]
         assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
         assert COLUMNS[:len(TRACE_COLUMNS) - 1] == TRACE_COLUMNS[1:]
-        with pytest.raises(RuntimeError, match="frozen"):
-            hist.append(8, [0.0] * len(COLUMNS))
+        ks, objective = hist.ks, hist.column("objective")
+        hist.append(8, [-1.0] * len(COLUMNS))
+        assert ks.tolist() == [7] and objective.tolist() == [0.0]
+        assert hist.ks.tolist() == [7, 8] and hist.column("objective").tolist() == [0.0, -1.0]
 
     @pytest.mark.parametrize("size", [len(COLUMNS) - 1, len(COLUMNS) + 1])
     def test_append_rejects_a_row_of_the_wrong_length(self, size):
@@ -285,8 +299,28 @@ class TestRunHistory:
         assert hist.ks.tolist() == [0]
         assert [hist.column(name)[0] for name in COLUMNS] == [0.0] * len(COLUMNS)
 
-    def test_freeze_holds_at_most_one_column_twice(self):
-        # the columns are views of the stored rows: freezing copies none of them
+    @pytest.mark.parametrize("view", ["k", "objective"])
+    def test_append_stores_the_whole_row_while_one_view_is_alive(self, view):
+        # a live view pins the buffer it reads, k's or the table's: the row must
+        # still go into both, or the columns would tear apart from k
+        hist = RunHistory()
+        hist.append(0, [0.0] * len(COLUMNS))
+        held = hist.column(view)
+        hist.append(1, [1.0] * len(COLUMNS))
+        assert held.tolist() == [0]
+        assert len(hist) == 2 and hist.ks.tolist() == [0, 1]
+        assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
+        with pytest.raises(ValueError, match="row"):
+            hist.append(2, [2.0] * (len(COLUMNS) + 1))
+        with pytest.raises(TypeError):
+            hist.append(2.5, [2.0] * len(COLUMNS))
+        with pytest.raises(TypeError):
+            hist.append(2, [2.0] * (len(COLUMNS) - 1) + ["2"])
+        assert hist.ks.tolist() == [0, 1]
+        assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
+
+    def test_reading_every_column_copies_no_row(self):
+        # the columns are views of the stored rows: reading them all copies none
         rows = 5000
         tracemalloc.start()
         try:
@@ -295,12 +329,13 @@ class TestRunHistory:
                 hist.append(k, [float(k)] * len(COLUMNS))
             stored = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            hist.freeze()
+            views = [hist.column(name) for name in ("k", *COLUMNS)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert stored > (len(COLUMNS) + 1) * rows * 8
         assert peak < stored + stored / (len(COLUMNS) + 1)
+        assert [len(view) for view in views] == [rows] * (len(COLUMNS) + 1)
         hist.column("objective")[3] = -1.0
         assert hist.column("objective")[3] == -1.0
 

@@ -131,6 +131,31 @@ def test_trace_csv_round_trips_every_kept_row_bitwise(run, stride):
 
 
 @PROPERTY
+@given(ops=st.lists(st.one_of(st.integers(1, 12),
+                              st.sampled_from(("ks", "k", *RunHistory.COLUMNS))), max_size=40))
+def test_interleaved_appends_and_reads_see_the_rows_stored_so_far(ops):
+    # an integer appends that many rows, a name reads that column; every value
+    # names its row and column, and each read view stays alive to the end
+    width = len(RunHistory.COLUMNS)
+    history, reads = RunHistory(), []
+    for op in ops:
+        if isinstance(op, int):
+            for _ in range(op):
+                row = len(history)
+                history.append(3 * row + 1, [row * width + j + 0.5 for j in range(width)])
+        else:
+            view = history.ks if op == "ks" else history.column(op)
+            reads.append(("k" if op == "ks" else op, view, view.copy()))
+    rows = np.arange(len(history))
+    assert history.ks.tolist() == (3 * rows + 1).tolist()
+    for j, name in enumerate(RunHistory.COLUMNS):
+        assert history.column(name).tolist() == (rows * width + j + 0.5).tolist()
+    for name, view, seen in reads:
+        assert view.dtype == seen.dtype and view.tobytes() == seen.tobytes()
+        assert np.array_equal(view, history.column(name)[:len(view)])
+
+
+@PROPERTY
 @given(drawn=starts())
 def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     problem, params, start = drawn
