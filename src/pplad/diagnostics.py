@@ -66,9 +66,9 @@ class RunHistory:
     """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
     A row is k and one float per name in ``COLUMNS``, in that order: the
-    trace columns after k, then the terms that ``check_trace`` and
-    ``tail_step_maxima`` replay, formed by the solver from the vectors it
-    holds at that iteration:
+    trace columns after k, ``lagrangian`` being the merit in reduced form
+    f + <lam, c> - ||lam - mu||^2/(2 rho), then the terms that ``check_trace``
+    and ``tail_step_maxima`` replay, formed from the vectors of that iteration:
 
     - state terms at k: ``lambda_mu_sq`` = ||lam_k - mu_k||^2 and the
       identity gap ``gap_lambda_mu`` = ||(lam_k - mu_k) - rho c(x_k)|| (its
@@ -141,7 +141,8 @@ def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
 
 def kkt_report(problem: Problem, state, *, tol_optimality: float,
                tol_feasibility: float) -> KktReport:
-    """Evaluate both residuals at a state and package them with the satisfied verdict."""
+    """Check the state's sizes, then evaluate both residuals there, with the satisfied verdict."""
+    state.check_dims(problem)
     cx = problem.c(state.x)
     return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
 

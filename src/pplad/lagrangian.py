@@ -14,8 +14,8 @@ reduced form
 
     f(x) + <lam, c(x)> - (1/(2 rho)) ||lam - mu||^2,   rho = alpha/(1 + alpha beta),
 
-whose maximizer in lam is mu + rho c(x), the solver's lam-update (see
-``solver``).
+whose maximizer in lam is mu + rho c(x), the solver's lam-update.  The
+solver records its merit in this form; ``eval_full`` keeps the general z.
 """
 
 from __future__ import annotations
@@ -75,19 +75,18 @@ class FullState:
                 raise DimensionMismatch(f"state.{label} length", problem.m, vec.shape)
 
 
-def _value(fx, cx, z, lam, mu, dd, alpha, beta):
-    # Shared formula so the solver can reuse cached f(x), c(x) and dd = ||lam - mu||^2.
-    return (fx + lam @ (cx - z) + mu @ z
-            + 0.5 * alpha * (z @ z) - 0.5 * beta * dd)
-
-
 def eval_full(problem: Problem, params: PenaltyParams, state, z=None) -> float:
-    """Value of the full merit function at (x, z, lam, mu), z defaulting to zhat(lam, mu)."""
-    fx = problem.f(state.x)
-    cx = problem.c(state.x)
+    """Value of the full merit function at (x, z, lam, mu), z defaulting to zhat(lam, mu).
+
+    Raises DimensionMismatch if the state's sizes or z's shape (m,) do not match the problem.
+    """
+    state.check_dims(problem)
     z = zhat(params, state.lam, state.mu) if z is None else np.asarray(z, dtype=float)
+    if z.shape != (problem.m,):
+        raise DimensionMismatch("z length", problem.m, z.shape)
     d = state.lam - state.mu
-    value = float(_value(fx, cx, z, state.lam, state.mu, d @ d, params.alpha, params.beta))
+    value = float(problem.f(state.x) + state.lam @ (problem.c(state.x) - z) + state.mu @ z
+                  + 0.5 * params.alpha * (z @ z) - 0.5 * params.beta * (d @ d))
     if not np.isfinite(value):
         raise EvaluationError("non-finite merit value", state=state)
     return value

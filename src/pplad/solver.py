@@ -9,7 +9,7 @@ One iteration applies, in this order,
 at iteration k, with the dual budget delta_k = decay^k * delta0 of the schedule.
 The mu-update reads the pre-update lam and mu; the lam-update reads the
 new x and new mu.  The exact minimizer in z, (lam - mu)/alpha, is read by
-no update, so it is not state: the merit forms it from lam - mu.  The
+no update, so it is not state, and the merit is recorded in reduced form.  The
 damped dual step gamma keeps the total movement of mu summable, which is
 what bounds the dual iterates without any safeguard.
 Every update is a closed form or a single projection: nothing is solved
@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .diagnostics import KktReport, RunHistory, _kkt
-from .lagrangian import FullState, PenaltyParams, _value, grad_x
+from .lagrangian import FullState, PenaltyParams, grad_x
 from .model import EvaluationError, Problem, _norm
 
 
@@ -195,7 +195,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     SolveOutcome
         Final state, KKT report and the scalar history of every iteration.
     """
-    alpha, beta, rho = params.penalty.alpha, params.penalty.beta, params.penalty.rho
+    rho = params.penalty.rho
     history = RunHistory()
 
     def record(state, d, grad, cx, prev, gam):
@@ -203,12 +203,12 @@ def solve(problem: Problem, params: SolverParams, x0, *,
 
         The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu,
         the grad and c(x) there, and prev and the dual step gam taken from it;
-        its merit is L at z = zhat(lam, mu), a z formed for that sum only.
+        its merit is L at z = zhat(lam, mu) in the reduced form f + <lam, c> - dd/(2 rho).
         """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
         dd = float(d.dot(d))
-        merit = float(_value(fx, cx, d / alpha, state.lam, state.mu, dd, alpha, beta))
+        merit = fx + float(state.lam.dot(cx)) - dd / (2.0 * rho)
         norm_x = _norm(state.x)
         if prev is None:
             step_x = step_lam_sq = step_mu_sq = mu_prev_lam = 0.0

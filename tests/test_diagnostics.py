@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
-                   RunHistory, SolverParams, TRACE_COLUMNS, check_trace, eval_full, from_qcqp,
+                   RunHistory, SolverParams, TRACE_COLUMNS, check_trace, from_qcqp,
                    initial_state, iterate, kkt_report, read_trace_csv, solve,
                    tail_step_maxima, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
@@ -104,6 +104,13 @@ class TestKktReport:
         s = FullState(x=[3.0, 3.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         with pytest.raises(DimensionMismatch, match="projection"):
             kkt(p, s)
+
+    @pytest.mark.parametrize("name, value", [("lam", [1.0]), ("lam", [1.0, 1.0, 1.0]),
+                                             ("x", [3.0, 3.0, 3.0])], ids=["lam1", "lam3", "x3"])
+    def test_state_of_the_wrong_size_raises(self, name, value):
+        values = {"x": [3.0, 3.0], "lam": [1.0, 1.0], "mu": [0.5, -2.0], name: value}
+        with pytest.raises(DimensionMismatch, match=f"state.{name} length"):
+            kkt(example1(), FullState(**values))
 
     def test_initial_state_of_example1_not_satisfied(self):
         p = example1()
@@ -419,7 +426,7 @@ class TestRecordedTerms:
             report = kkt_report(p, s, tol_optimality=1.0, tol_feasibility=1.0)
             row = dict(k=s.k, gamma=0.0, delta=delta0 * decay ** s.k, objective=p.objective(s.x),
                        feasibility=report.feasibility, optimality=report.optimality,
-                       lagrangian=eval_full(p, params.penalty, s),
+                       lagrangian=p.objective(s.x) + s.lam @ c - norm_sq(d) / (2.0 * rho),
                        norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
                        norm_mu=np.linalg.norm(s.mu),
                        lambda_mu_sq=norm_sq(d), gap_lambda_mu=np.linalg.norm(d - rho * c),

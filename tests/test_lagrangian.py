@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (FullState, PenaltyParams, SolverParams, eval_full, fd_jacobian,
-                   grad_x, iterate, zhat)
+from pplad import (DimensionMismatch, FullState, PenaltyParams, SolverParams, eval_full,
+                   fd_jacobian, grad_x, iterate, zhat)
 from pplad.problems import example1, example2, example3
 
 # alpha/(1 + alpha*beta) = 2 exactly
@@ -92,6 +92,21 @@ class TestEvalFull:
         state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
         assert eval_full(p, params, state) == \
             eval_full(p, params, state, z=zhat(params, state.lam, state.mu))
+
+    @pytest.mark.parametrize("z", [[1.0], [1.0, 2.0, 3.0], 1.0], ids=["z1", "z3", "scalar"])
+    def test_z_of_the_wrong_shape_raises(self, z):
+        state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
+        with pytest.raises(DimensionMismatch, match="z length"):
+            eval_full(example1(), RHO2, state, z=z)
+
+    @pytest.mark.parametrize("name, value", [("lam", [1.0]), ("lam", [1.0, 1.0, 1.0]),
+                                             ("mu", [0.5]), ("x", [3.0, 3.0, 3.0])],
+                             ids=["lam1", "lam3", "mu1", "x3"])
+    @pytest.mark.parametrize("given_z", [False, True], ids=["zhat", "given_z"])
+    def test_state_of_the_wrong_size_raises(self, name, value, given_z):
+        values = {"x": [3.0, 3.0], "lam": [1.0, 1.0], "mu": [0.5, -2.0], name: value}
+        with pytest.raises(DimensionMismatch, match=f"state.{name} length"):
+            eval_full(example1(), RHO2, FullState(**values), z=[1.0, 0.0] if given_z else None)
 
 
 class TestGradX:
@@ -225,7 +240,6 @@ class TestLambdaHat:
 
 
 def test_full_state_dimension_check():
-    from pplad import DimensionMismatch
     state = FullState(x=[1.0, 2.0], lam=[0.0], mu=[0.0])
     with pytest.raises(DimensionMismatch):
         state.check_dims(example1())

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
                    TRACE_COLUMNS, check_trace, eval_full, from_qcqp, initial_state, iterate,
-                   kkt_report, read_trace_csv, solve, validate, write_trace_csv)
+                   kkt_report, read_trace_csv, solve, validate, write_trace_csv, zhat)
 from pplad.problems import BUILTIN_PROBLEMS
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -64,9 +64,9 @@ solver_params = st.builds(
 
 
 @st.composite
-def starts(draw):
-    """A drawn QCQP, parameters and start (x0, lam0, mu0), steps that do not converge included."""
-    problem, params = draw(qcqps()), draw(solver_params)
+def starts(draw, problems=qcqps()):
+    """A drawn problem, parameters (non-converging steps included) and start (x0, lam0, mu0)."""
+    problem, params = draw(problems), draw(solver_params)
     x0 = draw(vectors(problem.n, 2.0))
     lam0, mu0 = draw(vectors(problem.m, 1e3)), draw(vectors(problem.m, 1e3))
     return problem, params, dict(x0=x0, lam0=lam0, mu0=mu0)
@@ -177,7 +177,7 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
         grad = problem.objective_gradient(s.x) + problem.constraint_jacobian(s.x).T @ s.lam
         row = dict(k=k, objective=problem.objective(s.x), feasibility=np.linalg.norm(c),
                    optimality=np.linalg.norm(s.x - problem.projection(s.x - grad)),
-                   lagrangian=eval_full(problem, params.penalty, s),
+                   lagrangian=problem.objective(s.x) + s.lam @ c - (d @ d) / (2.0 * rho),
                    norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
                    norm_mu=np.linalg.norm(s.mu), delta=delta0 * decay ** k,
                    lambda_mu_sq=d @ d, gap_lambda_mu=np.linalg.norm(d - rho * c),
@@ -196,6 +196,22 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     for name, values in expected.items():
         recorded = outcome.history.column(name)
         assert recorded.tobytes() == np.array(values, dtype=recorded.dtype).tobytes(), name
+
+
+@PROPERTY
+@given(drawn=starts(st.one_of(qcqps(), st.sampled_from(sorted(BUILTIN_PROBLEMS)).map(
+    lambda name: BUILTIN_PROBLEMS[name]()))))
+def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
+    # at k = 0 the multipliers are the drawn ones, unrelated to x
+    problem, params, start = drawn
+    once = dataclasses.replace(params, max_iterations=0)
+    recorded = solve(problem, once, **start).history.column("lagrangian")[0]
+    s, penalty = initial_state(problem, **start), params.penalty
+    z, d = zhat(penalty, s.lam, s.mu), s.lam - s.mu
+    terms = (problem.objective(s.x), s.lam @ (problem.constraints(s.x) - z), s.mu @ z,
+             0.5 * penalty.alpha * (z @ z), -0.5 * penalty.beta * (d @ d))
+    tol = 16 * np.finfo(float).eps * sum(abs(t) for t in terms)
+    assert abs(recorded - eval_full(problem, penalty, s)) <= tol
 
 
 @PROPERTY
