@@ -13,9 +13,9 @@ independent.  ``kkt_report`` and the solver loop share one implementation
 of both residuals.
 
 ``RunHistory`` is the one trace representation: scalars only, O(1) per
-iteration.  ``write_trace_csv`` writes its trace columns straight to CSV,
-keeping every stride-th row plus the last, and ``read_trace_csv`` reads
-them back as one array per column.
+iteration, and row k is iteration k.  ``write_trace_csv`` writes its trace
+columns straight to CSV, keeping every stride-th row plus the last, and
+``read_trace_csv`` reads them back as one array per column.
 
 ``check_trace`` replays the convergence theory's per-iteration
 inequalities over the terms the solver recorded and reports every
@@ -25,6 +25,7 @@ the run.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -65,10 +66,11 @@ def _violation(name, k, lhs, rhs):
 class RunHistory:
     """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
-    A row is k and one float per name in ``COLUMNS``, in that order: the
-    trace columns after k, ``lagrangian`` being the merit in reduced form
-    f + <lam, c> - ||lam - mu||^2/(2 rho), then the terms that ``check_trace``
-    and ``tail_step_maxima`` replay, formed from the vectors of that iteration:
+    Row k is iteration k, and holds one float per name in ``COLUMNS``, in
+    that order: the trace columns after k, ``lagrangian`` being the merit in
+    reduced form f + <lam, c> - ||lam - mu||^2/(2 rho), then the terms that
+    ``check_trace`` and ``tail_step_maxima`` replay, formed from the vectors
+    of that iteration:
 
     - state terms at k: ``lambda_mu_sq`` = ||lam_k - mu_k||^2 and the
       identity gap ``gap_lambda_mu`` = ||(lam_k - mu_k) - rho c(x_k)|| (its
@@ -78,11 +80,13 @@ class RunHistory:
       ||lam_k - lam_{k-1}||^2, ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and
       ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
 
-    No iterate vector is stored: a row is 16 eight-byte numbers whatever n
-    and m.  ``column(name)`` and ``ks`` are live numpy views of the rows
-    stored so far, and rows may be appended before and after any read.  A
-    view keeps the rows it was taken with; a write through it is seen by
-    later reads as long as no row was appended since it was taken.
+    No iterate vector is stored: a row is 15 eight-byte numbers whatever n
+    and m, and k is not stored at all.  ``column(name)`` is a live numpy
+    view of the rows stored so far, and rows may be appended before and
+    after any read.  A view keeps the rows it was taken with; a write
+    through it is seen by later reads as long as no row was appended since
+    it was taken.  ``column("k")`` and ``ks`` are a fresh ``arange`` of the
+    row count, not a view.
     """
 
     COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
@@ -90,33 +94,27 @@ class RunHistory:
     _INDEX = {name: j for j, name in enumerate(COLUMNS)}
 
     def __init__(self):
-        self._k = array("q")
         self._table = array("d")  # row-major, one row of COLUMNS per iteration
 
-    def append(self, k: int, row: list) -> None:
-        """Store iteration k from ``row``, a list of one float per name in ``COLUMNS``, in order.
+    def append(self, row: list) -> None:
+        """Store the next iteration from ``row``, a list of one float per name in ``COLUMNS``.
 
         Raises ValueError, storing nothing, when ``row`` has the wrong length.
         """
         if len(row) != len(self.COLUMNS):
             raise ValueError(f"a history row has {len(self.COLUMNS)} values, got {len(row)}")
-        entry = array("q", [k])  # converted first: a row lands in both arrays or in neither
         try:
             self._table.fromlist(row)
         except BufferError:  # a view holds the buffer: go on in a copy, leaving the view its rows
             self._table = self._table + array("d", row)
-        try:
-            self._k.extend(entry)
-        except BufferError:
-            self._k = self._k + entry
 
     def __len__(self):
-        return len(self._k)
+        return len(self._table) // len(self.COLUMNS)
 
     def column(self, name: str) -> np.ndarray:
-        """A view of column ``name`` (or ``"k"``) over the rows stored so far."""
+        """A view of column ``name`` over the rows stored so far; for ``"k"``, the row indices."""
         if name == "k":
-            return np.frombuffer(self._k, dtype=np.int64)
+            return np.arange(len(self), dtype=np.int64)
         table = np.frombuffer(self._table, dtype=float).reshape(-1, len(self.COLUMNS))
         return table[:, self._INDEX[name]]
 
@@ -165,8 +163,8 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
 
     A vectorized replay of the history's recorded terms (see
     ``RunHistory``): it evaluates no problem callback, because the solver
-    formed each term from the c(x) it already held.  Requires consecutive
-    iteration numbers, as in every history that ``solve`` returns.
+    formed each term from the c(x) it already held.  Row k of the history
+    is iteration k, so each pair of consecutive rows is a transition.
     Checks, for every stored transition k -> k+1 (gamma_k is the dual step
     actually taken, delta_k the budget at k):
 
@@ -211,9 +209,6 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     size = len(history)
     if size == 0:
         raise ValueError("empty trace: nothing to check")
-    if size > 1 and not np.all(np.diff(ks) == 1):
-        raise ValueError("trace is not stride-1: iteration numbers must be consecutive "
-                         f"(got k = {ks[:5].tolist()}...)")
 
     rho = params.penalty.rho
     delta0, decay = params.delta0, params.decay
@@ -289,12 +284,14 @@ def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
 def write_trace_csv(history: RunHistory, path, stride: int = 1) -> None:
     """Write the history's scalar columns as CSV with the fixed column contract.
 
-    Keeps the rows whose k is a multiple of ``stride``, plus the last row.
-    Values are written at full precision (%.17e is lossless for doubles).
+    Keeps every ``stride``-th row, k = 0 first, plus the last row.  Values are
+    written at full precision (%.17e is lossless for doubles).  Raises
+    ValueError unless ``stride`` is an integer >= 1.
     """
-    if not stride >= 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    keep = history.ks % stride == 0
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    keep = np.zeros(len(history), dtype=bool)
+    keep[::stride] = True
     keep[-1:] = True  # the last row always (a no-op on an empty history)
     ks, *values = (history.column(name)[keep].tolist() for name in TRACE_COLUMNS)
     with open(path, "w", encoding="utf-8") as fh:

@@ -21,6 +21,7 @@ solver records its merit in this form; ``eval_full`` keeps the general z.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ class PenaltyParams:
 
 @dataclass
 class FullState:
-    """Primal point x, the two multipliers, and the keyword-only iteration number k.
+    """Primal point x, the two multipliers, and the keyword-only iteration number k >= 0.
 
     The perturbation z, the dual budget at k and the dual step from k are not
     state: each is a closed form (``zhat``, ``SolverParams.budget``, ``solver``).
@@ -64,6 +65,8 @@ class FullState:
     k: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 0):
+            raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
         self.x, self.lam, self.mu = (np.asarray(v, dtype=float)
                                      for v in (self.x, self.lam, self.mu))
 

@@ -216,10 +216,9 @@ def solve(problem: Problem, params: SolverParams, x0, *,
             step_lam, step_mu = state.lam - prev.lam, state.mu - prev.mu
             step_x, mu_prev_lam = _norm(state.x - prev.x), _norm(state.mu - prev.lam)
             step_lam_sq, step_mu_sq = float(step_lam.dot(step_lam)), float(step_mu.dot(step_mu))
-        history.append(state.k, [fx, kkt.feasibility, kkt.optimality, merit, norm_x,
-                                 _norm(state.lam), _norm(state.mu), step_x, gam,
-                                 params.budget(state.k), dd, _norm(d - rho * cx), step_lam_sq,
-                                 step_mu_sq, mu_prev_lam])
+        history.append([fx, kkt.feasibility, kkt.optimality, merit, norm_x, _norm(state.lam),
+                        _norm(state.mu), step_x, gam, params.budget(state.k), dd,
+                        _norm(d - rho * cx), step_lam_sq, step_mu_sq, mu_prev_lam])
         return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
     cur = initial_state(problem, x0, lam0=lam0, mu0=mu0)

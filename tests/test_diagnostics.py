@@ -210,17 +210,6 @@ class TestCheckTrace:
         assert len(out.history) == 1
         assert check_trace(p, out.history, params) == []
 
-    def test_strided_trace_rejected(self):
-        # solve records every iteration, but a hand-built history can skip some
-        p = example1()
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.002, max_iterations=50)
-        hist = RunHistory()
-        for k in (0, 5, 10):
-            hist.append(k, [0.0] * len(COLUMNS))
-        with pytest.raises(ValueError, match="stride-1"):
-            check_trace(p, hist, params)
-
     def test_certified_decrease_with_generous_constants_passes(self):
         # Honest global constants for a well-conditioned run: small convex
         # quadratic with one affine constraint, eta far above the threshold.
@@ -285,44 +274,43 @@ class TestTailAndRatio:
 
 
 class TestRunHistory:
-    def test_append_takes_k_and_a_row_in_column_order(self):
+    def test_append_takes_a_row_in_column_order_and_k_is_its_index(self):
         hist = RunHistory()
-        hist.append(7, [float(i) for i in range(len(COLUMNS))])
-        assert hist.ks.tolist() == [7]
+        hist.append([float(i) for i in range(len(COLUMNS))])
+        assert hist.ks.tolist() == [0] and hist.ks.dtype == np.int64
         assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
         assert COLUMNS[:len(TRACE_COLUMNS) - 1] == TRACE_COLUMNS[1:]
         ks, objective = hist.ks, hist.column("objective")
-        hist.append(8, [-1.0] * len(COLUMNS))
-        assert ks.tolist() == [7] and objective.tolist() == [0.0]
-        assert hist.ks.tolist() == [7, 8] and hist.column("objective").tolist() == [0.0, -1.0]
+        hist.append([-1.0] * len(COLUMNS))
+        assert ks.tolist() == [0] and objective.tolist() == [0.0]
+        assert hist.ks.tolist() == [0, 1] and hist.column("objective").tolist() == [0.0, -1.0]
+        assert hist.column("k").tolist() == [0, 1] and len(hist) == 2
 
     @pytest.mark.parametrize("size", [len(COLUMNS) - 1, len(COLUMNS) + 1])
     def test_append_rejects_a_row_of_the_wrong_length(self, size):
         hist = RunHistory()
-        hist.append(0, [0.0] * len(COLUMNS))
+        hist.append([0.0] * len(COLUMNS))
         with pytest.raises(ValueError, match="row"):
-            hist.append(1, [1.0] * size)
+            hist.append([1.0] * size)
         assert len(hist) == 1
         assert hist.ks.tolist() == [0]
         assert [hist.column(name)[0] for name in COLUMNS] == [0.0] * len(COLUMNS)
 
     @pytest.mark.parametrize("view", ["k", "objective"])
     def test_append_stores_the_whole_row_while_one_view_is_alive(self, view):
-        # a live view pins the buffer it reads, k's or the table's: the row must
-        # still go into both, or the columns would tear apart from k
+        # a live view pins the table it reads (k is the row index, read from no
+        # buffer): the row must still be stored whole, and a bad row not at all
         hist = RunHistory()
-        hist.append(0, [0.0] * len(COLUMNS))
+        hist.append([0.0] * len(COLUMNS))
         held = hist.column(view)
-        hist.append(1, [1.0] * len(COLUMNS))
+        hist.append([1.0] * len(COLUMNS))
         assert held.tolist() == [0]
         assert len(hist) == 2 and hist.ks.tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
         with pytest.raises(ValueError, match="row"):
-            hist.append(2, [2.0] * (len(COLUMNS) + 1))
+            hist.append([2.0] * (len(COLUMNS) + 1))
         with pytest.raises(TypeError):
-            hist.append(2.5, [2.0] * len(COLUMNS))
-        with pytest.raises(TypeError):
-            hist.append(2, [2.0] * (len(COLUMNS) - 1) + ["2"])
+            hist.append([2.0] * (len(COLUMNS) - 1) + ["2"])
         assert hist.ks.tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
 
@@ -333,16 +321,16 @@ class TestRunHistory:
         try:
             hist = RunHistory()
             for k in range(rows):
-                hist.append(k, [float(k)] * len(COLUMNS))
+                hist.append([float(k)] * len(COLUMNS))
             stored = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            views = [hist.column(name) for name in ("k", *COLUMNS)]
+            views = [hist.column(name) for name in COLUMNS]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stored > (len(COLUMNS) + 1) * rows * 8
-        assert peak < stored + stored / (len(COLUMNS) + 1)
-        assert [len(view) for view in views] == [rows] * (len(COLUMNS) + 1)
+        assert stored > len(COLUMNS) * rows * 8
+        assert peak < stored + stored / len(COLUMNS)
+        assert [len(view) for view in views] == [rows] * len(COLUMNS)
         hist.column("objective")[3] = -1.0
         assert hist.column("objective")[3] == -1.0
 
@@ -382,8 +370,7 @@ class TestRunHistory:
         finally:
             tracemalloc.stop()
         assert out.iterations >= 50
-        stored = out.history._table, out.history._k  # the arrays the rows are kept in
-        history_bytes = sum(sys.getsizeof(a) for a in stored)
+        history_bytes = sys.getsizeof(out.history._table)  # the array the rows are kept in
         assert peak - history_bytes < 1.5 * m * n * 8
 
 
@@ -471,7 +458,7 @@ class TestTraceCsv:
         out = solve(p, params, [3.0, 3.0])
         assert_array_equal(out.history.ks, np.arange(48))
         path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path, stride=10)
+        write_trace_csv(out.history, path, stride=np.int64(10))  # any integer type
         back = read_trace_csv(path)
         assert back["k"].tolist() == [0, 10, 20, 30, 40, 47]
         for name in TRACE_COLUMNS:
@@ -482,6 +469,15 @@ class TestTraceCsv:
         _, _, out = run1
         with pytest.raises(ValueError, match="stride"):
             write_trace_csv(out.history, tmp_path / "trace.csv", stride=stride)
+
+    @pytest.mark.parametrize("stride", [2.5, 1.0])
+    def test_non_integer_stride_rejected(self, run1, tmp_path, stride):
+        # a float stride would otherwise pick rows by k % stride, or not at all
+        _, _, out = run1
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="stride"):
+            write_trace_csv(out.history, path, stride=stride)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_demo_traces_reproduced_byte_for_byte(self, name, tmp_path):
@@ -507,7 +503,15 @@ class TestTraceCsv:
     def test_reader_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="unexpected trace header"):
+            read_trace_csv(path)
+
+    def test_reader_rejects_a_header_with_two_columns_swapped(self, tmp_path):
+        names = list(TRACE_COLUMNS)
+        names[1], names[2] = names[2], names[1]
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(names) + "\n")
+        with pytest.raises(ValueError, match="unexpected trace header"):
             read_trace_csv(path)
 
     def test_reader_rejects_ragged_row(self, run1, tmp_path):
@@ -516,5 +520,15 @@ class TestTraceCsv:
         write_trace_csv(out.history, path)
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="malformed trace row"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_reader_rejects_a_row_one_field_off(self, run1, tmp_path, off):
+        _, _, out = run1
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.history, path)
+        with open(path, "a") as fh:
+            fh.write(",".join(["0"] * (len(TRACE_COLUMNS) + off)) + "\n")
+        with pytest.raises(ValueError, match="malformed trace row"):
             read_trace_csv(path)

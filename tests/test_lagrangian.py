@@ -243,3 +243,14 @@ def test_full_state_dimension_check():
     state = FullState(x=[1.0, 2.0], lam=[0.0], mu=[0.0])
     with pytest.raises(DimensionMismatch):
         state.check_dims(example1())
+
+
+@pytest.mark.parametrize("k", [-10, -1, 2.5, 1.0, "3"])
+def test_full_state_rejects_a_k_that_is_not_a_nonnegative_integer(k):
+    # at k = -10 the schedule's budget would be delta0 decay^-10, outside (0, delta0]
+    with pytest.raises(ValueError, match="k must be"):
+        FullState([1.0, 0.0], [1.0, 0.0], [0.0, 0.0], k=k)
+
+
+def test_full_state_accepts_a_numpy_integer_k():
+    assert FullState([1.0], [], [], k=np.int64(3)).k == 3

@@ -142,12 +142,12 @@ def test_interleaved_appends_and_reads_see_the_rows_stored_so_far(ops):
         if isinstance(op, int):
             for _ in range(op):
                 row = len(history)
-                history.append(3 * row + 1, [row * width + j + 0.5 for j in range(width)])
+                history.append([row * width + j + 0.5 for j in range(width)])
         else:
             view = history.ks if op == "ks" else history.column(op)
             reads.append(("k" if op == "ks" else op, view, view.copy()))
     rows = np.arange(len(history))
-    assert history.ks.tolist() == (3 * rows + 1).tolist()
+    assert history.ks.dtype == np.int64 and history.ks.tolist() == rows.tolist()
     for j, name in enumerate(RunHistory.COLUMNS):
         assert history.column(name).tolist() == (rows * width + j + 0.5).tolist()
     for name, view, seen in reads:
