@@ -472,7 +472,7 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("stride", [2.5, 1.0])
     def test_non_integer_stride_rejected(self, run1, tmp_path, stride):
-        # a float stride would otherwise pick rows by k % stride, or not at all
+        # a float stride would otherwise pick rows by k % stride
         _, _, out = run1
         path = tmp_path / "trace.csv"
         with pytest.raises(ValueError, match="stride"):
