@@ -3,19 +3,18 @@
 Usage:
 
     pplad solve --problem example1 --step-size 0.002 --trace out.csv
-    pplad solve --problem model.qcqp --config run.cfg --check-invariants
+    pplad solve --problem model.qcqp --x0 1,1 --check-invariants
 
-``SETTINGS`` is the one list of settings: each config key, with its flag
-(the key with '-' for '_'), the kind of text it takes and its help.  Config
-files are flat ``key = value`` text ('#' comments allowed); vectors are
-comma-separated.  Command-line flags override file values, and flag text
-is parsed exactly as file text is.  The solver records every iteration:
+``SETTINGS`` is the one list of settings: each key, with its flag (the key
+with '-' for '_'), the kind of text it takes and its help.  Flags are the
+only way to give a setting: vectors are comma-separated, and
+``--check-invariants`` takes no value.  The solver records every iteration:
 ``stride`` thins only the trace CSV, so ``check_invariants`` always checks
 the whole run.  Problem files are read by ``pplad.problems.load_qcqp``.
 
 Exit codes: 0 converged (and no invariant violations when checked),
 1 iteration limit, 2 diverged or evaluation error, 3 converged but
-invariant violations found, 4 unwritable output path, 5 usage/config error.
+invariant violations found, 4 unwritable output path, 5 usage/setting error.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from .solver import SolveStatus, SolverParams, solve
 
 
 class ConfigError(ValueError):
-    """Bad configuration input; carries the offending key and line number."""
+    """A bad setting; carries the offending key."""
 
-    def __init__(self, message: str, key: str | None = None, line: int | None = None):
+    def __init__(self, message: str, key: str | None = None):
         self.key = key
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{message}{where}")
+        super().__init__(message)
 
 
 @dataclass
@@ -72,20 +69,11 @@ def _vector(text: str) -> np.ndarray:
     return values
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(text)
+# kind of value -> parser of its text, which raises ValueError on malformed text;
+# a boolean is a bare flag and has no text
+_PARSERS = {"text": str, "number": float, "integer": int, "vector": _vector}
 
-
-# kind of value -> parser of its text, which raises ValueError on malformed text
-_PARSERS = {"text": str, "number": float, "integer": int, "vector": _vector,
-            "boolean": _boolean}
-
-# config key -> (kind of value, field of RunConfig, SolverParams or PenaltyParams, help)
+# key -> (kind of value, field of RunConfig, SolverParams or PenaltyParams, help)
 SETTINGS = {
     "problem": ("text", "problem",
                 "builtin name (example1|example2|example3) or path to a QCQP file"),
@@ -113,41 +101,21 @@ _PENALTY_DEFAULTS = {"alpha": 2000.0, "beta": 0.5}
 _DEFAULTS = {f.name: f.default for cls in (RunConfig, SolverParams) for f in fields(cls)
              if f.default not in (MISSING, None)} | _PENALTY_DEFAULTS
 
-# the flags that take a value: --config and every setting that is not a boolean
-_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-")
-                               for key, (kind, *_) in SETTINGS.items() if kind != "boolean"}
+# the flags that take a value: every setting that is not a boolean
+_VALUE_FLAGS = {"--" + key.replace("_", "-")
+                for key, (kind, *_) in SETTINGS.items() if kind != "boolean"}
 
 
-def _parse(key: str, text: str, line: int | None = None):
-    """The value of setting ``key`` from its text in a flag or a config file."""
+def _parse(key: str, text: str):
+    """The value of setting ``key`` from its flag's text."""
     kind = SETTINGS[key][0]
+    if kind == "boolean":
+        raise ConfigError(f"key {key!r} is a bare flag and takes no value", key=key)
     text = text.strip()
     try:
         return _PARSERS[kind](text)
     except ValueError:
-        raise ConfigError(f"malformed {kind} for key {key!r}: {text!r}",
-                          key=key, line=line) from None
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"expected 'key = value', got {text!r}", line=lineno)
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in SETTINGS:
-            raise ConfigError(f"unknown config key {key!r}", key=key, line=lineno)
-        values[key] = _parse(key, value, lineno)
-    return values
+        raise ConfigError(f"malformed {kind} for key {key!r}: {text!r}", key=key) from None
 
 
 def _take(cls, values: dict) -> dict:
@@ -155,22 +123,17 @@ def _take(cls, values: dict) -> dict:
     return {f.name: values.pop(f.name) for f in fields(cls) if f.name in values}
 
 
-def parse_config(config_path: str | None = None,
-                 overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, an optional config file, and flag overrides into a RunConfig.
+def parse_config(settings: dict) -> RunConfig:
+    """A RunConfig from the given settings, keyed by key, over the defaults.
 
-    Both sources are keyed by config key.  Overrides (from command-line
-    flags) win over file values; text overrides are parsed as file text is.
-    ``problem`` and ``step_size`` have no defaults and must come from one
-    of the two sources.  The solver's parameters are validated here, before
-    any problem is loaded.
+    A text value is parsed as its flag's text is.  ``problem`` and
+    ``step_size`` have no defaults and must be given.  The solver's
+    parameters are validated here, before any problem is loaded.
     """
     values: dict = {}
-    if config_path is not None:
-        values.update(_read_config_file(config_path))
-    for key, value in (overrides or {}).items():
+    for key, value in settings.items():
         if key not in SETTINGS:
-            raise ConfigError(f"unknown config key {key!r}", key=key)
+            raise ConfigError(f"unknown key {key!r}", key=key)
         values[key] = _parse(key, value) if isinstance(value, str) else value
 
     for key in ("problem", "step_size"):
@@ -280,10 +243,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pplad",
                      description="Equality-constrained nonconvex solver with bounded dual "
-                                 "iterates.  Flags override config-file values.",
+                                 "iterates.",
                      argument_default=argparse.SUPPRESS, allow_abbrev=False)
     parser.add_argument("command", choices=["solve"], help="run the solver on a problem")
-    parser.add_argument("--config", help="path to a 'key = value' config file")
     for key, (kind, field, text) in SETTINGS.items():
         if field in _DEFAULTS:
             text = f"{text} (default {_DEFAULTS[field]})"
@@ -301,9 +263,8 @@ def main(argv=None) -> int:
         argv.append(token if value is None else f"{token}={value}")
     args = vars(_build_parser().parse_args(argv))
     del args["command"]
-    config_path = args.pop("config", None)
     try:
-        return run(parse_config(config_path, args))
+        return run(parse_config(args))
     except ValueError as exc:
         print(f"pplad: error: {exc}", file=sys.stderr)
         return 5

@@ -264,10 +264,10 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
 def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
     """Max successive-difference norms of x, lam, mu over the last `window` steps.
 
-    Raises ValueError when ``window`` is below 1.
+    Raises ValueError unless ``window`` is an integer >= 1.
     """
-    if not window >= 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not (isinstance(window, numbers.Integral) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
     if len(history) < 2:
         return {"x": 0.0, "lambda": 0.0, "mu": 0.0}
     tail = slice(max(1, len(history) - window), None)

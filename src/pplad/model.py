@@ -16,6 +16,7 @@ caller's responsibility.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -190,10 +191,10 @@ class Problem:
     name: str = "problem"
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not self.m >= 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 0):
+            raise ValueError(f"m must be a nonnegative integer, got {self.m!r}")
         if self.lipschitz_c is not None and not self.lipschitz_c >= 0:
             raise ValueError(f"lipschitz_c must be nonnegative, got {self.lipschitz_c}")
 

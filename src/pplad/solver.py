@@ -20,6 +20,7 @@ which both ``solve`` and the public one-step ``iterate`` run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -69,8 +70,9 @@ class SolverParams:
             raise ValueError(f"tol_optimality must be > 0, got {self.tol_optimality}")
         if not self.tol_feasibility > 0:
             raise ValueError(f"tol_feasibility must be > 0, got {self.tol_feasibility}")
-        if not self.max_iterations >= 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+            raise ValueError(f"max_iterations must be an integer >= 0, "
+                             f"got {self.max_iterations!r}")
         if not self.divergence_bound > 0:
             raise ValueError(f"divergence_bound must be > 0, got {self.divergence_bound}")
 

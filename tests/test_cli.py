@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pplad import (PenaltyParams, QcqpSpec, SolverParams, WholeSpace,
                    check_trace as real_check_trace, example1, read_trace_csv)
-from pplad.cli import ConfigError, RunConfig, main, parse_config, run
+from pplad.cli import SETTINGS, ConfigError, RunConfig, main, parse_config, run
 from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
                             load_qcqp_spec, save_qcqp)
 
@@ -41,23 +42,15 @@ projection nonneg
 
 def run_config(tmp_path, **settings):
     """A RunConfig from settings given as flags would give them, writing under tmp_path."""
-    return parse_config(None, {"trace": str(tmp_path / "t.csv"),
-                               "report": str(tmp_path / "r.txt"), **settings})
+    return parse_config({"trace": str(tmp_path / "t.csv"),
+                         "report": str(tmp_path / "r.txt"), **settings})
 
 
 class TestParseConfig:
-    def test_file_with_standard_values(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# a complete run configuration\n"
-            "problem = example1\n"
-            "x0 = 3,3\n"
-            "step_size = 0.002\n"
-            "alpha = 2000\n"
-            "beta = 0.5\n"
-            "delta0 = 1\n"
-            "decay = 0.999\n")
-        config = parse_config(str(cfg))
+    def test_standard_values_given_as_flag_text(self):
+        config = parse_config({"problem": "example1", "x0": "3,3", "step_size": "0.002",
+                               "alpha": "2000", "beta": "0.5", "delta0": "1",
+                               "decay": "0.999"})
         assert config.problem == "example1"
         assert_allclose(config.x0, [3.0, 3.0])
         params = config.params
@@ -67,34 +60,34 @@ class TestParseConfig:
 
     def test_missing_step_size_names_the_key(self):
         with pytest.raises(ConfigError, match="step_size"):
-            parse_config(None, {"problem": "example1"})
+            parse_config({"problem": "example1"})
 
     def test_missing_problem_names_the_key(self):
         with pytest.raises(ConfigError, match="problem"):
-            parse_config(None, {"step_size": 0.01})
+            parse_config({"step_size": 0.01})
 
-    def test_unknown_key_reports_name_and_line(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = example1\nstep_sise = 0.002\n")
+    def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="step_sise") as info:
-            parse_config(str(cfg))
-        assert info.value.line == 2
+            parse_config({"problem": "example1", "step_sise": "0.002"})
+        assert info.value.key == "step_sise"
 
-    def test_malformed_number_reports_line(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = example1\nstep_size = fast\n")
-        with pytest.raises(ConfigError, match="malformed number") as info:
-            parse_config(str(cfg))
-        assert info.value.line == 2
+    def test_malformed_number_names_the_key(self):
+        with pytest.raises(ConfigError, match="malformed number for key 'step_size'") as info:
+            parse_config({"problem": "example1", "step_size": "fast"})
+        assert info.value.key == "step_size"
 
-    def test_nonpositive_stride_names_the_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = example1\nstep_size = 0.002\nstride = 0\n")
-        with pytest.raises(ConfigError, match="stride") as info:
-            parse_config(str(cfg))
-        assert info.value.key == "stride"
-        with pytest.raises(ConfigError, match="stride"):
-            parse_config(None, {"problem": "example1", "step_size": 0.002, "stride": -3})
+    def test_boolean_given_as_text_names_the_key(self):
+        # --check-invariants takes no value, so a boolean has no text form
+        with pytest.raises(ConfigError, match="check_invariants") as info:
+            parse_config({"problem": "example1", "step_size": "0.002",
+                          "check_invariants": "true"})
+        assert info.value.key == "check_invariants"
+
+    def test_nonpositive_stride_names_the_key(self):
+        for stride in ("0", -3):
+            with pytest.raises(ConfigError, match="stride") as info:
+                parse_config({"problem": "example1", "step_size": 0.002, "stride": stride})
+            assert info.value.key == "stride"
 
     def test_nan_stride_is_rejected(self):
         params = SolverParams(penalty=PenaltyParams(alpha=2.0, beta=0.5), step_size=0.1)
@@ -102,15 +95,8 @@ class TestParseConfig:
             RunConfig(problem="example1", params=params, trace_stride=float("nan"))
         assert info.value.key == "stride"
 
-    def test_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = example1\nstep_size = 0.002\nalpha = 10\n")
-        config = parse_config(str(cfg), {"alpha": 2000.0, "decay": 0.5})
-        assert config.params.penalty.alpha == 2000.0
-        assert config.params.decay == 0.5
-
     def test_defaults_match_documented_values(self):
-        config = parse_config(None, {"problem": "example1", "step_size": 0.002})
+        config = parse_config({"problem": "example1", "step_size": 0.002})
         params = config.params
         assert (params.penalty.alpha, params.penalty.beta, params.decay, params.delta0) == \
             (2000.0, 0.5, 0.999, 1.0)
@@ -120,6 +106,13 @@ class TestParseConfig:
         assert (config.trace_path, config.report_path) == ("trace.csv", "report.txt")
         assert config.trace_stride == 1
         assert config.check_invariants is False
+
+    def test_readme_settings_table_lists_exactly_the_settings(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | value | default |\n|---|---|---|\n", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()
+        keys = [row.split("`")[1] for row in rows]
+        assert keys == list(SETTINGS)
 
 
 class TestQcqpFormat:
@@ -318,17 +311,6 @@ class TestRun:
 
 
 class TestMain:
-    def test_end_to_end_with_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "problem = example1\n"
-            "step_size = 0.002\n"
-            f"trace = {tmp_path / 't.csv'}\n"
-            f"report = {tmp_path / 'r.txt'}\n")
-        code = main(["solve", "--config", str(cfg), "--check-invariants"])
-        assert code == 0
-        assert "converged" in capsys.readouterr().out
-
     def test_flag_override_of_decay_accepted_with_warning(self, tmp_path, capsys):
         code = main(["solve", "--problem", "example1", "--step-size", "0.002",
                      "--decay", "0.5", "--max-iters", "2",
@@ -369,13 +351,10 @@ class TestMain:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("key, text", [("stride", "1.5"), ("step_size", "abc")])
-    def test_bad_flag_text_fails_as_in_a_config_file(self, tmp_path, capsys, key, text):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"problem = example1\nstep_size = 0.002\n{key} = {text}\n")
+    def test_bad_flag_text_fails_with_the_parse_message(self, tmp_path, capsys, key, text):
         with pytest.raises(ConfigError) as info:
-            parse_config(str(cfg))
-        assert str(info.value).endswith(" (line 3)")
-        message = str(info.value).removesuffix(" (line 3)")
+            parse_config({"problem": "example1", "step_size": "0.002", key: text})
+        message = str(info.value)
         code = main(["solve", "--problem", "example1", "--step-size", "0.002",
                      "--" + key.replace("_", "-"), text,
                      "--trace", str(tmp_path / "t.csv"),
@@ -441,16 +420,11 @@ class TestMain:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "attached"])
     def test_malformed_x0_exit_five_before_loading(self, tmp_path, capsys, text, source):
-        missing = tmp_path / "missing.qcqp"
-        if source == "flag":
-            args = ["--problem", str(missing), "--step-size", "0.002", "--x0", text]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"problem = {missing}\nstep_size = 0.002\nx0 = {text}\n")
-            args = ["--config", str(cfg)]
-        code = main(["solve", *args, "--trace", str(tmp_path / "t.csv"),
+        x0 = ["--x0", text] if source == "flag" else ["--x0=" + text]
+        code = main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
+                     "--step-size", "0.002", *x0, "--trace", str(tmp_path / "t.csv"),
                      "--report", str(tmp_path / "r.txt")])
         assert code == 5
         err = capsys.readouterr().err
@@ -487,10 +461,13 @@ class TestMain:
         assert "stride" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    def test_nonpositive_stride_in_config_file_exit_five(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem = example1\nstep_size = 0.002\nstride = 0\n"
-                       f"trace = {tmp_path / 't.csv'}\nreport = {tmp_path / 'r.txt'}\n")
-        assert main(["solve", "--config", str(cfg), "--check-invariants"]) == 5
-        assert "stride" in capsys.readouterr().err
+    def test_config_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys):
+        # settings come from flags only: there is no config file to name
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--config", str(tmp_path / "run.cfg"), "--problem", "example1",
+                  "--step-size", "0.002", "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: --config {tmp_path / 'run.cfg'}" in err
         assert not (tmp_path / "t.csv").exists()

@@ -272,6 +272,13 @@ class TestTailAndRatio:
         with pytest.raises(ValueError, match="window"):
             tail_step_maxima(out.history, window=window)
 
+    @pytest.mark.parametrize("window", [2.5, 3.0, "3"])
+    def test_tail_step_maxima_rejects_a_window_that_is_not_an_integer(self, run1, window):
+        # 2.5 failed inside numpy's slicing with a TypeError that named no argument
+        _, _, out = run1
+        with pytest.raises(ValueError, match="window must be an integer"):
+            tail_step_maxima(out.history, window=window)
+
 
 class TestRunHistory:
     def test_append_takes_a_row_in_column_order_and_k_is_its_index(self):

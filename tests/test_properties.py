@@ -1,4 +1,4 @@
-"""Properties of the solver, the oracle check and the trace CSV over random small QCQPs.
+"""Properties of the solver, the oracle check, the trace CSV and the command line.
 
 Each instance is feasible by construction: the constraint offsets are
 chosen so that a random point of X satisfies every constraint.  The
@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
                    TRACE_COLUMNS, check_trace, eval_full, from_qcqp, initial_state, iterate,
                    kkt_report, read_trace_csv, solve, validate, write_trace_csv, zhat)
-from pplad.problems import BUILTIN_PROBLEMS
+from pplad.cli import main
+from pplad.problems import BUILTIN_PROBLEMS, example1
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -221,3 +222,22 @@ def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
     report = kkt_report(problem, outcome.final_state, tol_optimality=params.tol_optimality,
                         tol_feasibility=params.tol_feasibility)
     assert dataclasses.astuple(outcome.kkt) == dataclasses.astuple(report)
+
+
+@PROPERTY
+@given(x0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2))
+def test_x0_flag_text_reaches_the_report_as_its_projection_bitwise(x0):
+    # a value may start with '-', and repr may write an exponent or a subnormal
+    text = ",".join(map(repr, x0))
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for args in (["--x0", text], ["--x0=" + text]):
+            report = Path(tmp) / f"r{len(reports)}.txt"
+            code = main(["solve", "--problem", "example1", "--step-size", "0.002", *args,
+                         "--max-iters", "0", "--trace", str(Path(tmp) / "t.csv"),
+                         "--report", str(report)])
+            assert code == 1
+            reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    x = example1().projection(np.array(x0))
+    assert ("\nx = " + ",".join(map(repr, x.tolist())) + "\n").encode() in reports[0]

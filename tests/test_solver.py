@@ -483,8 +483,12 @@ class TestSolve:
             SolverParams(penalty=penalty, step_size=0.1, decay=1.0)
         with pytest.raises(ValueError):
             SolverParams(penalty=penalty, step_size=0.1, max_iterations=-1)
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverParams(penalty=penalty, step_size=0.1, max_iterations=np.nan)
+        # 2.5 ran 3 iterations on example1 and returned ITERATION_LIMIT
+        for max_iterations in (np.nan, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                SolverParams(penalty=penalty, step_size=0.1, max_iterations=max_iterations)
+        assert SolverParams(penalty=penalty, step_size=0.1,
+                            max_iterations=np.int64(3)).max_iterations == 3
         for step_size in (np.inf, np.nan):
             with pytest.raises(ValueError, match="step_size"):
                 SolverParams(penalty=penalty, step_size=step_size)
