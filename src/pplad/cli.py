@@ -6,9 +6,12 @@ Usage:
     pplad solve --problem model.qcqp --x0 1,1 --check-invariants
 
 ``SETTINGS`` is the one list of settings: each key, with its flag (the key
-with '-' for '_'), the kind of text it takes and its help.  Flags are the
-only way to give a setting: vectors are comma-separated, and
-``--check-invariants`` takes no value.  The solver records every iteration:
+with '-' for '_'), the parser of its text and its help.  argparse parses
+every flag, through that parser: vectors are comma-separated, and
+``--check-invariants`` takes no value.  A malformed value, a missing
+``--problem`` or ``--step-size``, a value given to ``--check-invariants``
+and an unknown flag are usage errors.  ``run`` then checks every setting
+before it loads the problem.  The solver records every iteration:
 ``stride`` thins only the trace CSV, so ``check_invariants`` always checks
 the whole run.  Problem files are read by ``pplad.problems.load_qcqp``.
 
@@ -20,9 +23,9 @@ invariant violations found, 4 unwritable output path, 5 usage/setting error.
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
-from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -33,131 +36,64 @@ from .problems import BUILTIN_PROBLEMS, DEFAULT_START, load_qcqp
 from .solver import SolveStatus, SolverParams, solve
 
 
-class ConfigError(ValueError):
-    """A bad setting; carries the offending key."""
-
-    def __init__(self, message: str, key: str | None = None):
-        self.key = key
-        super().__init__(message)
-
-
-@dataclass
-class RunConfig:
-    """One validated run: the problem, the solver's parameters and the outputs."""
-
-    problem: str
-    params: SolverParams
-    x0: Optional[np.ndarray] = None
-    trace_path: str = "trace.csv"
-    report_path: str = "report.txt"
-    trace_stride: int = 1
-    check_invariants: bool = False
-
-    def __post_init__(self):
-        if not self.trace_stride >= 1:
-            raise ConfigError(f"stride must be >= 1, got {self.trace_stride}", key="stride")
-
-
 # ---------------------------------------------------------------------------
 # settings
 # ---------------------------------------------------------------------------
 
-def _vector(text: str) -> np.ndarray:
+def vector(text: str) -> np.ndarray:
+    """The finite numbers of comma-separated text; raises ValueError otherwise."""
     values = np.array([float(part) for part in text.split(",")])
     if not np.all(np.isfinite(values)):
         raise ValueError(text)
     return values
 
 
-# kind of value -> parser of its text, which raises ValueError on malformed text;
-# a boolean is a bare flag and has no text
-_PARSERS = {"text": str, "number": float, "integer": int, "vector": _vector}
-
-# key -> (kind of value, field of RunConfig, SolverParams or PenaltyParams, help)
+# key -> (parser of the flag's text, None for a bare flag; field of SolverParams or
+# PenaltyParams, or the key itself; help)
 SETTINGS = {
-    "problem": ("text", "problem",
+    "problem": (str, "problem",
                 "builtin name (example1|example2|example3) or path to a QCQP file"),
-    "x0": ("vector", "x0", "starting point, comma-separated"),
-    "step_size": ("number", "step_size", "primal step size (required; no default)"),
-    "alpha": ("number", "alpha", "penalty weight"),
-    "beta": ("number", "beta", "proximal weight in (0,1)"),
-    "delta0": ("number", "delta0", "initial dual budget"),
-    "decay": ("number", "decay", "budget decay ratio"),
-    "tol_opt": ("number", "tol_optimality", "optimality tolerance"),
-    "tol_feas": ("number", "tol_feasibility", "feasibility tolerance"),
-    "max_iters": ("integer", "max_iterations", "iteration budget"),
-    "divergence_bound": ("number", "divergence_bound", "abort when ||x|| exceeds this"),
-    "trace": ("text", "trace_path", "trace CSV output path"),
-    "report": ("text", "report_path", "report output path"),
-    "stride": ("integer", "trace_stride",
+    "x0": (vector, "x0", "starting point, comma-separated"),
+    "step_size": (float, "step_size", "primal step size (required; no default)"),
+    "alpha": (float, "alpha", "penalty weight"),
+    "beta": (float, "beta", "proximal weight in (0,1)"),
+    "delta0": (float, "delta0", "initial dual budget"),
+    "decay": (float, "decay", "budget decay ratio"),
+    "tol_opt": (float, "tol_optimality", "optimality tolerance"),
+    "tol_feas": (float, "tol_feasibility", "feasibility tolerance"),
+    "max_iters": (int, "max_iterations", "iteration budget"),
+    "divergence_bound": (float, "divergence_bound", "abort when ||x|| exceeds this"),
+    "trace": (str, "trace", "trace CSV output path"),
+    "report": (str, "report", "report output path"),
+    "stride": (int, "stride",
                "write every k-th row of the CSV; invariants are still checked on "
                "every iteration"),
-    "check_invariants": ("boolean", "check_invariants",
+    "check_invariants": (None, "check_invariants",
                          "re-check the per-iteration inequalities on the trace"),
 }
 
-# PenaltyParams has no defaults of its own; every other default is its dataclass's
-_PENALTY_DEFAULTS = {"alpha": 2000.0, "beta": 0.5}
-_DEFAULTS = {f.name: f.default for cls in (RunConfig, SolverParams) for f in fields(cls)
-             if f.default not in (MISSING, None)} | _PENALTY_DEFAULTS
+# field -> default; PenaltyParams has none of its own, SolverParams' are its dataclass's
+_DEFAULTS = ({f.name: f.default for f in fields(SolverParams) if f.default is not MISSING}
+             | {"alpha": 2000.0, "beta": 0.5, "trace": "trace.csv", "report": "report.txt",
+                "stride": 1, "check_invariants": False})
 
-# the flags that take a value: every setting that is not a boolean
-_VALUE_FLAGS = {"--" + key.replace("_", "-")
-                for key, (kind, *_) in SETTINGS.items() if kind != "boolean"}
-
-
-def _parse(key: str, text: str):
-    """The value of setting ``key`` from its flag's text."""
-    kind = SETTINGS[key][0]
-    if kind == "boolean":
-        raise ConfigError(f"key {key!r} is a bare flag and takes no value", key=key)
-    text = text.strip()
-    try:
-        return _PARSERS[kind](text)
-    except ValueError:
-        raise ConfigError(f"malformed {kind} for key {key!r}: {text!r}", key=key) from None
-
-
-def _take(cls, values: dict) -> dict:
-    """Remove from ``values`` the entries that are fields of ``cls`` and return them."""
-    return {f.name: values.pop(f.name) for f in fields(cls) if f.name in values}
-
-
-def parse_config(settings: dict) -> RunConfig:
-    """A RunConfig from the given settings, keyed by key, over the defaults.
-
-    A text value is parsed as its flag's text is.  ``problem`` and
-    ``step_size`` have no defaults and must be given.  The solver's
-    parameters are validated here, before any problem is loaded.
-    """
-    values: dict = {}
-    for key, value in settings.items():
-        if key not in SETTINGS:
-            raise ConfigError(f"unknown key {key!r}", key=key)
-        values[key] = _parse(key, value) if isinstance(value, str) else value
-
-    for key in ("problem", "step_size"):
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}", key=key)
-    by_field = {SETTINGS[key][1]: value for key, value in values.items()}
-    penalty = PenaltyParams(**(_PENALTY_DEFAULTS | _take(PenaltyParams, by_field)))
-    params = SolverParams(penalty=penalty, **_take(SolverParams, by_field))
-    return RunConfig(params=params, **by_field)
+# every flag, and those of them that take a value
+_FLAGS = {"-h", "--help"} | {"--" + key.replace("_", "-") for key in SETTINGS}
+_VALUE_FLAGS = {"--" + key.replace("_", "-") for key, (parse, *_) in SETTINGS.items() if parse}
 
 
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def _load_problem(config: RunConfig) -> Problem:
-    builder = BUILTIN_PROBLEMS.get(config.problem)
+def _load_problem(name: str) -> Problem:
+    builder = BUILTIN_PROBLEMS.get(name)
     if builder is not None:
         return builder()
     try:
-        return load_qcqp(config.problem)
+        return load_qcqp(name)
     except OSError as exc:
-        raise ConfigError(f"cannot read problem file {config.problem!r}: {exc}",
-                          key="problem") from None
+        raise ValueError(f"cannot read problem file {name!r}: {exc}") from None
 
 
 def _write_report(path: str, outcome, problem, violations) -> None:
@@ -183,21 +119,31 @@ def _write_report(path: str, outcome, problem, violations) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one solve per the config; write trace and report; return exit code."""
-    problem = _load_problem(config)
+def run(settings: dict) -> int:
+    """Solve with the settings, keyed by key, over the defaults; return the exit code.
 
-    x0 = config.x0
+    ``problem`` and ``step_size`` have no defaults.  A bad setting raises
+    ValueError before the problem is loaded.  Writes the trace CSV and the report.
+    """
+    values = _DEFAULTS | {SETTINGS[key][1]: value for key, value in settings.items()}
+    penalty = PenaltyParams(values["alpha"], values["beta"])
+    params = SolverParams(penalty, **{f.name: values[f.name]
+                                      for f in fields(SolverParams) if f.name in values})
+    stride = values["stride"]
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+
+    problem = _load_problem(values["problem"])
+    x0 = values.get("x0")
     if x0 is None:
-        start = DEFAULT_START.get(config.problem)
+        start = DEFAULT_START.get(values["problem"])
         if start is None:
-            raise ConfigError("x0 is required for problems loaded from files", key="x0")
+            raise ValueError("x0 is required for problems loaded from files")
         x0 = np.array(start)
     if x0.shape != (problem.n,):
-        raise ConfigError(f"x0 has length {x0.size}, problem {problem.name!r} "
-                          f"needs {problem.n}", key="x0")
+        raise ValueError(f"x0 has length {x0.size}, problem {problem.name!r} "
+                         f"needs {problem.n}")
 
-    params = config.params
     if params.decay < 0.9:
         print(f"warning: decay = {params.decay} is far from 1; the dual budget "
               "shrinks fast, which can stop mu before lam reaches a valid "
@@ -206,12 +152,12 @@ def run(config: RunConfig) -> int:
     outcome = solve(problem, params, x0)
 
     violations = None
-    if config.check_invariants:
+    if values["check_invariants"]:
         violations = check_trace(problem, outcome.history, params)
 
     try:
-        write_trace_csv(outcome.history, config.trace_path, config.trace_stride)
-        _write_report(config.report_path, outcome, problem, violations)
+        write_trace_csv(outcome.history, values["trace"], stride)
+        _write_report(values["report"], outcome, problem, violations)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4
@@ -220,7 +166,7 @@ def run(config: RunConfig) -> int:
           f"iterations; optimality {outcome.kkt.optimality:.3e}, "
           f"feasibility {outcome.kkt.feasibility:.3e}")
     if violations:
-        print(f"invariant violations: {len(violations)} (see {config.report_path})",
+        print(f"invariant violations: {len(violations)} (see {values['report']})",
               file=sys.stderr)
 
     if outcome.status is SolveStatus.CONVERGED:
@@ -246,25 +192,31 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "iterates.",
                      argument_default=argparse.SUPPRESS, allow_abbrev=False)
     parser.add_argument("command", choices=["solve"], help="run the solver on a problem")
-    for key, (kind, field, text) in SETTINGS.items():
+    for key, (parse, field, text) in SETTINGS.items():
         if field in _DEFAULTS:
             text = f"{text} (default {_DEFAULTS[field]})"
-        action = "store_true" if kind == "boolean" else "store"
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, action=action, help=text)
+        flag = "--" + key.replace("_", "-")
+        if parse is None:
+            parser.add_argument(flag, dest=key, action="store_true", help=text)
+        else:
+            parser.add_argument(flag, dest=key, type=parse, help=text,
+                                required=key in ("problem", "step_size"))
     return parser
 
 
 def main(argv=None) -> int:
-    # argparse reads a token that starts with '-' and is not a plain negative number as a
-    # flag, so each value is attached to its unabbreviated flag: --x0=-1,2, not --x0 -1,2
-    tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
-    for token in tokens:
-        value = next(tokens, None) if token in _VALUE_FLAGS else None
-        argv.append(token if value is None else f"{token}={value}")
-    args = vars(_build_parser().parse_args(argv))
+    # argparse reads a value that starts with '-' (--x0 -1,2) as a flag, so each value is
+    # attached to its flag (--x0=-1,2), unless it is itself a flag, bare or with a value
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in _VALUE_FLAGS and token.split("=")[0] not in _FLAGS:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = vars(_build_parser().parse_args(tokens))
     del args["command"]
     try:
-        return run(parse_config(args))
+        return run(args)
     except ValueError as exc:
         print(f"pplad: error: {exc}", file=sys.stderr)
         return 5

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (PenaltyParams, QcqpSpec, SolverParams, WholeSpace,
-                   check_trace as real_check_trace, example1, read_trace_csv)
-from pplad.cli import SETTINGS, ConfigError, RunConfig, main, parse_config, run
+from pplad import (QcqpSpec, WholeSpace, check_trace as real_check_trace, example1,
+                   read_trace_csv, solve as real_solve)
+from pplad.cli import SETTINGS, main, run
 from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
                             load_qcqp_spec, save_qcqp)
 
@@ -40,72 +40,84 @@ projection nonneg
 """
 
 
-def run_config(tmp_path, **settings):
-    """A RunConfig from settings given as flags would give them, writing under tmp_path."""
-    return parse_config({"trace": str(tmp_path / "t.csv"),
-                         "report": str(tmp_path / "r.txt"), **settings})
+def solve_argv(tmp_path, *flags):
+    """main's argv for one solve with these flags, writing under tmp_path."""
+    return ["solve", *flags, "--trace", str(tmp_path / "t.csv"),
+            "--report", str(tmp_path / "r.txt")]
+
+
+def solve_params(monkeypatch, argv):
+    """The SolverParams and x0 that main hands to the (real) solve for argv."""
+    import pplad.cli as cli_module
+    seen = []
+    monkeypatch.setattr(cli_module, "solve",
+                        lambda problem, params, x0: seen.append((params, x0))
+                        or real_solve(problem, params, x0))
+    main(argv)
+    [(params, x0)] = seen
+    return params, x0
 
 
 class TestParseConfig:
-    def test_standard_values_given_as_flag_text(self):
-        config = parse_config({"problem": "example1", "x0": "3,3", "step_size": "0.002",
-                               "alpha": "2000", "beta": "0.5", "delta0": "1",
-                               "decay": "0.999"})
-        assert config.problem == "example1"
-        assert_allclose(config.x0, [3.0, 3.0])
-        params = config.params
+    """The settings as main parses them from its flags, over the defaults."""
+
+    def test_standard_values_given_as_flag_text(self, tmp_path, monkeypatch):
+        params, x0 = solve_params(monkeypatch, solve_argv(
+            tmp_path, "--problem", "example1", "--x0", "3,3", "--step-size", "0.002",
+            "--alpha", "2000", "--beta", "0.5", "--delta0", "1", "--decay", "0.999"))
+        assert_allclose(x0, [3.0, 3.0])
         assert params.penalty.rho == 2000.0 / 1001.0
         assert params.step_size == 0.002
         assert params.max_iterations == 200000  # default
 
-    def test_missing_step_size_names_the_key(self):
-        with pytest.raises(ConfigError, match="step_size"):
-            parse_config({"problem": "example1"})
+    def test_nonpositive_stride_names_the_key(self, tmp_path):
+        for stride in (0, -3):
+            with pytest.raises(ValueError, match="stride"):
+                run({"problem": "example1", "step_size": 0.002, "stride": stride,
+                     "trace": str(tmp_path / "t.csv")})
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_missing_problem_names_the_key(self):
-        with pytest.raises(ConfigError, match="problem"):
-            parse_config({"step_size": 0.01})
+    def test_nan_stride_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1, got nan"):
+            run({"problem": str(tmp_path / "missing.qcqp"), "step_size": 0.002,
+                 "stride": float("nan")})
 
-    def test_unknown_key_is_named(self):
-        with pytest.raises(ConfigError, match="step_sise") as info:
-            parse_config({"problem": "example1", "step_sise": "0.002"})
-        assert info.value.key == "step_sise"
+    @pytest.mark.parametrize("source", ["flag", "run"])
+    def test_fractional_stride_fails_before_the_problem_is_loaded(self, tmp_path, capsys,
+                                                                  source):
+        # write_trace_csv refused it only after the whole solve
+        missing = str(tmp_path / "missing.qcqp")
+        if source == "flag":
+            with pytest.raises(SystemExit) as info:
+                main(solve_argv(tmp_path, "--problem", missing, "--step-size", "0.002",
+                                "--x0", "1", "--stride", "2.5"))
+            assert info.value.code == 5
+            message = capsys.readouterr().err
+            assert "argument --stride: invalid int value: '2.5'" in message
+        else:
+            with pytest.raises(ValueError) as info:
+                run({"problem": missing, "step_size": 0.002, "x0": np.ones(1),
+                     "stride": 2.5, "trace": str(tmp_path / "t.csv")})
+            message = str(info.value)
+            assert message == "stride must be an integer >= 1, got 2.5"
+        assert "missing.qcqp" not in message
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_malformed_number_names_the_key(self):
-        with pytest.raises(ConfigError, match="malformed number for key 'step_size'") as info:
-            parse_config({"problem": "example1", "step_size": "fast"})
-        assert info.value.key == "step_size"
-
-    def test_boolean_given_as_text_names_the_key(self):
-        # --check-invariants takes no value, so a boolean has no text form
-        with pytest.raises(ConfigError, match="check_invariants") as info:
-            parse_config({"problem": "example1", "step_size": "0.002",
-                          "check_invariants": "true"})
-        assert info.value.key == "check_invariants"
-
-    def test_nonpositive_stride_names_the_key(self):
-        for stride in ("0", -3):
-            with pytest.raises(ConfigError, match="stride") as info:
-                parse_config({"problem": "example1", "step_size": 0.002, "stride": stride})
-            assert info.value.key == "stride"
-
-    def test_nan_stride_is_rejected(self):
-        params = SolverParams(penalty=PenaltyParams(alpha=2.0, beta=0.5), step_size=0.1)
-        with pytest.raises(ConfigError, match="stride") as info:
-            RunConfig(problem="example1", params=params, trace_stride=float("nan"))
-        assert info.value.key == "stride"
-
-    def test_defaults_match_documented_values(self):
-        config = parse_config({"problem": "example1", "step_size": 0.002})
-        params = config.params
+    def test_defaults_match_documented_values(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        params, _ = solve_params(monkeypatch, ["solve", "--problem", "example1",
+                                               "--step-size", "0.002"])
         assert (params.penalty.alpha, params.penalty.beta, params.decay, params.delta0) == \
             (2000.0, 0.5, 0.999, 1.0)
         assert params.tol_optimality == params.tol_feasibility == 1e-6
         assert params.max_iterations == 200000
         assert params.divergence_bound == 1e8
-        assert (config.trace_path, config.report_path) == ("trace.csv", "report.txt")
-        assert config.trace_stride == 1
-        assert config.check_invariants is False
+        # trace.csv holds every row (stride 1); report.txt no invariant check
+        report = (tmp_path / "report.txt").read_text()
+        iterations = int(report.split("iterations = ")[1].split("\n")[0])
+        assert read_trace_csv(tmp_path / "trace.csv")["k"].tolist() == \
+            list(range(iterations + 1))
+        assert "invariant_violations" not in report
 
     def test_readme_settings_table_lists_exactly_the_settings(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -211,9 +223,8 @@ class TestQcqpFormat:
 
 class TestRun:
     def test_example1_converges_exit_zero(self, tmp_path):
-        config = run_config(tmp_path, problem="example1", step_size=0.002,
-                            check_invariants=True)
-        assert run(config) == 0
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--check-invariants")) == 0
         report = (tmp_path / "r.txt").read_text()
         assert "status = converged" in report
         assert "invariant_violations = 0" in report
@@ -224,38 +235,37 @@ class TestRun:
         assert read_trace_csv(tmp_path / "t.csv")["k"][0] == 0
 
     def test_iteration_limit_exit_one(self, tmp_path):
-        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=1)
-        assert run(config) == 1
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--max-iters", "1")) == 1
 
     def test_divergence_exit_two(self, tmp_path):
         # unconstrained concave QCQP: projected gradient descent runs away
         path = tmp_path / "runaway.qcqp"
         path.write_text("dim 1 0\nQ\n-1\nq\n0\nprojection whole\n")
-        config = run_config(tmp_path, problem=str(path), step_size=0.5, x0="1",
-                            divergence_bound=1e4)
-        assert run(config) == 2
+        assert main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.5",
+                               "--x0", "1", "--divergence-bound", "1e4")) == 2
 
     def test_unwritable_trace_path_exit_four(self, tmp_path):
-        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=5,
-                            trace=str(tmp_path / "missing" / "t.csv"))
-        assert run(config) == 4
+        assert main(["solve", "--problem", "example1", "--step-size", "0.002",
+                     "--max-iters", "5", "--trace", str(tmp_path / "missing" / "t.csv"),
+                     "--report", str(tmp_path / "r.txt")]) == 4
 
-    def test_file_problem_requires_x0(self, tmp_path):
+    def test_file_problem_requires_x0(self, tmp_path, capsys):
         path = tmp_path / "plain.qcqp"
         path.write_text("dim 1 0\nQ\n1\nq\n0\nprojection whole\n")
-        config = run_config(tmp_path, problem=str(path), step_size=0.1)
-        with pytest.raises(ConfigError, match="x0"):
-            run(config)
+        assert main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.1")) == 5
+        assert capsys.readouterr().err == \
+            "pplad: error: x0 is required for problems loaded from files\n"
 
-    def test_wrong_x0_length_rejected(self, tmp_path):
-        config = run_config(tmp_path, problem="example1", step_size=0.002, x0="1,2,3")
-        with pytest.raises(ConfigError, match="x0"):
-            run(config)
+    def test_wrong_x0_length_rejected(self, tmp_path, capsys):
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--x0", "1,2,3")) == 5
+        assert capsys.readouterr().err == \
+            "pplad: error: x0 has length 3, problem 'example1' needs 2\n"
 
     def test_stride_decimates_csv(self, tmp_path):
-        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=40,
-                            stride=10)
-        assert run(config) == 1
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--max-iters", "40", "--stride", "10")) == 1
         assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
     def test_check_invariants_with_stride_checks_every_iteration(self, tmp_path, capsys,
@@ -268,9 +278,9 @@ class TestRun:
             return real_check_trace(problem, history, params)
 
         monkeypatch.setattr(cli_module, "check_trace", check_trace)
-        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=40,
-                            stride=10, check_invariants=True)
-        assert run(config) == 1
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--max-iters", "40", "--stride", "10",
+                               "--check-invariants")) == 1
         assert capsys.readouterr().err == ""
         assert checked == [list(range(41))]
         assert "invariant_violations = 0" in (tmp_path / "r.txt").read_text()
@@ -283,15 +293,13 @@ class TestRun:
         seen = []
         monkeypatch.setattr(cli_module, "load_qcqp",
                             lambda path: seen.append(path) or example2())
-        config = run_config(tmp_path, problem="model.qcqp", step_size=0.005,
-                            x0="4,4,4", max_iters=2)
-        assert run(config) == 1
+        assert main(solve_argv(tmp_path, "--problem", "model.qcqp", "--step-size", "0.005",
+                               "--x0", "4,4,4", "--max-iters", "2")) == 1
         assert seen == ["model.qcqp"]
 
     def test_small_decay_emits_warning(self, tmp_path, capsys):
-        config = run_config(tmp_path, problem="example1", step_size=0.002, max_iters=2,
-                            decay=0.5)
-        run(config)
+        main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                        "--max-iters", "2", "--decay", "0.5"))
         assert "decay" in capsys.readouterr().err
 
     def test_violations_on_converged_run_exit_three(self, tmp_path, monkeypatch):
@@ -302,9 +310,8 @@ class TestRun:
         fake = InvariantViolation("mu_bound", 3, 2.0, 1.0, 1.0)
         monkeypatch.setattr(cli_module, "check_trace",
                             lambda *args, **kw: [fake])
-        config = run_config(tmp_path, problem="example1", step_size=0.002,
-                            check_invariants=True)
-        assert run(config) == 3
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--check-invariants")) == 3
         report = (tmp_path / "r.txt").read_text()
         assert "invariant_violations = 1" in report
         assert "violation.0 = mu_bound" in report
@@ -320,11 +327,15 @@ class TestMain:
         assert "decay" in capsys.readouterr().err
 
     def test_missing_step_size_exit_five(self, tmp_path, capsys):
-        code = main(["solve", "--problem", "example1",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
-        assert code == 5
-        assert "step_size" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1",
+                  "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        err = " ".join(capsys.readouterr().err.split())
+        # the usage line marks both required flags: neither is in brackets
+        assert "usage: pplad [-h] --problem PROBLEM [--x0 X0] --step-size STEP_SIZE" in err
+        assert err.endswith("error: the following arguments are required: --step-size")
 
     def test_bad_setting_fails_before_the_problem_is_loaded(self, tmp_path, capsys):
         code = main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
@@ -352,16 +363,69 @@ class TestMain:
 
     @pytest.mark.parametrize("key, text", [("stride", "1.5"), ("step_size", "abc")])
     def test_bad_flag_text_fails_with_the_parse_message(self, tmp_path, capsys, key, text):
-        with pytest.raises(ConfigError) as info:
-            parse_config({"problem": "example1", "step_size": "0.002", key: text})
-        message = str(info.value)
-        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
-                     "--" + key.replace("_", "-"), text,
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
-        assert code == 5
-        assert capsys.readouterr().err == f"pplad: error: {message}\n"
+        flag, parse = "--" + key.replace("_", "-"), SETTINGS[key][0]
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1", "--step-size", "0.002", flag, text,
+                  "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        assert capsys.readouterr().err.endswith(
+            f"pplad: error: argument {flag}: invalid {parse.__name__} value: '{text}'\n")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--step-size", "0.002"], "--problem"),
+        (["--problem", "MISSING"], "--step-size"),
+        (["--problem", "MISSING", "--step-size", "fast"], "--step-size"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--max-iters", "1e3"],
+         "--max-iters"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1,,2"], "--x0"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--check-invariants=true"],
+         "--check-invariants"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--tol-optimality", "1e-9"],
+         "--tol-optimality"),
+    ], ids=["missing-problem", "missing-step-size", "malformed-number", "malformed-integer",
+            "malformed-vector", "valued-bare-flag", "unknown-flag"])
+    def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, flag):
+        missing = str(tmp_path / "missing.qcqp")
+        with pytest.raises(SystemExit) as info:
+            main(solve_argv(tmp_path, *[missing if f == "MISSING" else f for f in flags]))
+        assert info.value.code == 5
+        err = capsys.readouterr().err
+        usage, message = err.split("pplad: error: ")
+        assert usage.startswith("usage: pplad ")
+        assert flag in message and "missing.qcqp" not in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("value", ["--check-invariants", "--stride", "--x0=1,2",
+                                       "-h", "--help"])
+    def test_value_flag_takes_no_flag_as_its_value(self, tmp_path, capsys, monkeypatch,
+                                                   value):
+        # --trace used to take the next flag as its file name and run without it
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1", "--step-size", "0.002",
+                  "--report", "r.txt", "--trace", value])
+        assert info.value.code == 5
+        assert capsys.readouterr().err.endswith(
+            "pplad: error: argument --trace: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_every_flag_with_its_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line is wrapped
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = {"alpha": "2000.0", "beta": "0.5", "delta0": "1.0", "decay": "0.999",
+                    "tol_opt": "1e-06", "tol_feas": "1e-06", "max_iters": "200000",
+                    "divergence_bound": "100000000.0", "trace": "trace.csv",
+                    "report": "report.txt", "stride": "1", "check_invariants": "False"}
+        for key, (parse, _, help_text) in SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            entry = flag if parse is None else f"{flag} {key.upper()}"
+            default = f" (default {defaults[key]})" if key in defaults else ""
+            assert f"{entry} {help_text}{default}" in text
 
     def test_non_finite_problem_file_exit_five(self, tmp_path, capsys):
         path = tmp_path / "nan.qcqp"
@@ -409,9 +473,10 @@ class TestMain:
     @pytest.mark.parametrize("value", ["-inf", "0.002"])
     def test_abbreviated_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys, value):
         # argparse's prefix match read --step as --step-size, but only when the
-        # value did not start with '-'; a flag must now be spelled in full
+        # value did not start with '-'; a flag must now be spelled in full.  The
+        # required --step-size is given too, or its absence would be reported first.
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1", "--step", value,
+            main(["solve", "--problem", "example1", "--step-size", "0.002", "--step", value,
                   "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
         assert info.value.code == 5
         err = capsys.readouterr().err
@@ -423,12 +488,14 @@ class TestMain:
     @pytest.mark.parametrize("source", ["flag", "attached"])
     def test_malformed_x0_exit_five_before_loading(self, tmp_path, capsys, text, source):
         x0 = ["--x0", text] if source == "flag" else ["--x0=" + text]
-        code = main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
-                     "--step-size", "0.002", *x0, "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
-        assert code == 5
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
+                  "--step-size", "0.002", *x0, "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
         err = capsys.readouterr().err
-        assert "malformed vector for key 'x0'" in err and "missing.qcqp" not in err
+        assert f"argument --x0: invalid vector value: '{text}'" in err
+        assert "missing.qcqp" not in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_bad_problem_name_exit_five(self, tmp_path, capsys):
