@@ -9,18 +9,16 @@ what lets the built-in test problems (all of which violate LICQ at their
 solutions) converge to KKT points.
 """
 
-from .diagnostics import (InvariantViolation, KktReport, RunHistory, TRACE_COLUMNS,
-                          check_trace, kkt_report, read_trace_csv, tail_step_maxima,
-                          write_trace_csv)
-from .lagrangian import FullState, PenaltyParams, eval_full, grad_x, zhat
+from .diagnostics import (InvariantViolation, RunHistory, TRACE_COLUMNS, check_trace,
+                          read_trace_csv, tail_step_maxima, write_trace_csv)
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
                     NonnegativeOrthant, Problem, ProjectionKind,
                     ValidationCheck, ValidationReport, WholeSpace, validate)
 from .numcheck import compare, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
-from .solver import (SolveOutcome, SolveStatus, SolverParams, initial_state,
-                     iterate, solve)
+from .solver import (FullState, KktReport, PenaltyParams, SolveOutcome, SolveStatus,
+                     SolverParams, grad_x, initial_state, iterate, kkt_report, solve)
 
 __version__ = "0.1.0"
 
@@ -30,8 +28,7 @@ __all__ = [
     "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
     "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
     "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
-    "check_trace", "compare", "eval_full", "example1", "example2",
-    "example2_spec", "example3", "fd_jacobian", "from_qcqp", "grad_x",
-    "initial_state", "iterate", "kkt_report", "read_trace_csv", "solve",
-    "tail_step_maxima", "validate", "write_trace_csv", "zhat",
+    "check_trace", "compare", "example1", "example2", "example2_spec", "example3",
+    "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate", "kkt_report",
+    "read_trace_csv", "solve", "tail_step_maxima", "validate", "write_trace_csv",
 ]

@@ -30,10 +30,9 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .diagnostics import check_trace, write_trace_csv
-from .lagrangian import PenaltyParams
 from .model import Problem
 from .problems import BUILTIN_PROBLEMS, DEFAULT_START, load_qcqp
-from .solver import SolveStatus, SolverParams, solve
+from .solver import PenaltyParams, SolveStatus, SolverParams, solve
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,17 @@ def main(argv=None) -> int:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = vars(_build_parser().parse_args(tokens))
+    # argparse names a missing required flag before an unknown one, so --step in place of
+    # --step-size would read as a missing --step-size.  Every value is attached by now:
+    # a token that is no flag, other than the command, is unrecognized.
+    parser = _build_parser()
+    unknown = [token for token in tokens if token.split("=")[0] not in _FLAGS]
+    commands = [token for token in unknown if not token.startswith("-")]
+    if commands:
+        unknown.remove(commands[0])
+    if unknown:
+        parser.error("unrecognized arguments: " + " ".join(unknown))
+    args = vars(parser.parse_args(tokens))
     del args["command"]
     try:
         return run(args)

@@ -1,26 +1,17 @@
-"""Residual measures, the run history and its CSV form, and machine-checked run invariants.
-
-The optimality measure is the projected-gradient fixed-point residual
-
-    ||x - P_X[x - grad_x L(x, z, lam, mu)]||        (unit step inside P_X)
-
-which vanishes exactly at projected-stationary points, and the feasibility
-measure is ||c(x)||, taken from the c(x) the solver already holds, so it is
-the true constraint violation at every iterate, k = 0 included.  Note the
-unit step inside the projection: the solver's own x-update uses the
-configured step size instead, so the reported optimality is step-size
-independent.  ``kkt_report`` and the solver loop share one implementation
-of both residuals.
+"""Replay of a finished run: its history, the theory's checks over it, and its CSV form.
 
 ``RunHistory`` is the one trace representation: scalars only, O(1) per
-iteration, and row k is iteration k.  ``write_trace_csv`` writes its trace
-columns straight to CSV, keeping every stride-th row plus the last, and
-``read_trace_csv`` reads them back as one array per column.
+iteration, and row k is iteration k.  The solver appends one row per
+iteration; nothing here reads an iterate vector or calls the problem.
 
 ``check_trace`` replays the convergence theory's per-iteration
 inequalities over the terms the solver recorded and reports every
 violation; an empty list is a machine-checked consistency certificate for
-the run.
+the run.  ``tail_step_maxima`` reads the last steps of x, lam and mu.
+
+``write_trace_csv`` writes the history's trace columns straight to CSV,
+keeping every stride-th row plus the last, and ``read_trace_csv`` reads
+them back as one array per column.
 """
 
 from __future__ import annotations
@@ -32,20 +23,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lagrangian import grad_x
-from .model import Problem, _norm
+from .model import Problem
 
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Residual pair at a state and the convergence verdict."""
-
-    optimality: float
-    feasibility: float
-    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -121,28 +102,6 @@ class RunHistory:
     @property
     def ks(self):
         return self.column("k")
-
-
-# ---------------------------------------------------------------------------
-# residuals and the KKT report
-# ---------------------------------------------------------------------------
-
-def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
-         tol_feasibility: float) -> KktReport:
-    """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
-    projected = problem.project(state.x - grad)
-    opt = _norm(state.x - projected)
-    feas = _norm(cx)
-    return KktReport(optimality=opt, feasibility=feas,
-                     satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
-
-
-def kkt_report(problem: Problem, state, *, tol_optimality: float,
-               tol_feasibility: float) -> KktReport:
-    """Check the state's sizes, then evaluate both residuals there, with the satisfied verdict."""
-    state.check_dims(problem)
-    cx = problem.c(state.x)
-    return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
 
 
 # ---------------------------------------------------------------------------

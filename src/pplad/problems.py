@@ -271,7 +271,10 @@ def _parse_qcqp(fh) -> dict:
         row = np.empty(n if size == "n" else 1)
         read_row(row, f"{name} {field}")
         fields[field] = row if size == "n" else float(row[0])
-    projection = kind(**fields)
+    try:
+        projection = kind(**fields)
+    except ValueError as exc:  # bad data for the kind: lo above hi, a radius <= 0
+        raise QcqpParseError(f"projection {name}: {exc}", lineno) from None
 
     trailing = next(lines, None)
     if trailing is not None:

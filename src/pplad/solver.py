@@ -1,6 +1,10 @@
-"""Single-loop alternating-direction solver on the perturbed Lagrangian.
+"""The method: its parameters, state, x-gradient, KKT residuals, iteration kernel and loop.
 
-One iteration applies, in this order,
+The merit f + <lam, c(x) - z> + <mu, z> + (alpha/2)||z||^2 - (beta/2)||lam - mu||^2
+is minimized in z by (lam - mu)/alpha, leaving f + <lam, c(x)> - ||lam - mu||^2/(2 rho),
+rho = alpha/(1 + alpha beta), which mu + rho c(x) maximizes in lam.  So no update
+reads z, and the merit is recorded in that reduced form.  One iteration applies,
+in this order,
 
     x      <- P_X[x - step_size * (grad f(x) + jac(x).T lam)]
     mu     <- mu + (gamma/rho)(lam - mu),  gamma = rho delta_k / (||lam - mu||^2 + 1)
@@ -8,34 +12,135 @@ One iteration applies, in this order,
 
 at iteration k, with the dual budget delta_k = decay^k * delta0 of the schedule.
 The mu-update reads the pre-update lam and mu; the lam-update reads the
-new x and new mu.  The exact minimizer in z, (lam - mu)/alpha, is read by
-no update, so it is not state, and the merit is recorded in reduced form.  The
-damped dual step gamma keeps the total movement of mu summable, which is
-what bounds the dual iterates without any safeguard.
+new x and new mu.  The damped dual step gamma keeps the total movement of
+mu summable, which is what bounds the dual iterates without any safeguard.
 Every update is a closed form or a single projection: nothing is solved
 iteratively inside an iteration.  The formulas live once, in ``_advance``,
 which both ``solve`` and the public one-step ``iterate`` run.
+
+The optimality measure is the projected-gradient fixed-point residual
+||x - P_X[x - grad_x L]|| (unit step inside P_X, so it does not depend on
+the step size), which vanishes exactly at projected-stationary points; the
+feasibility measure is ||c(x)||, the true constraint violation at every
+iterate, k = 0 included.  ``kkt_report`` and the loop share ``_kkt``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .diagnostics import KktReport, RunHistory, _kkt
-from .lagrangian import FullState, PenaltyParams, grad_x
-from .model import EvaluationError, Problem, _norm
+from .diagnostics import RunHistory
+from .model import DimensionMismatch, EvaluationError, Problem, _norm
 
+
+@dataclass
+class FullState:
+    """Primal point x, the two multipliers, and the keyword-only iteration number k >= 0.
+
+    The perturbation z, the dual budget at k and the dual step from k are not
+    state: each is a closed form ((lam - mu)/alpha, ``SolverParams.budget``,
+    ``_advance``).
+    """
+
+    x: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    _: KW_ONLY
+    k: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 0):
+            raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
+        self.x, self.lam, self.mu = (np.asarray(v, dtype=float)
+                                     for v in (self.x, self.lam, self.mu))
+
+    def check_dims(self, problem: Problem) -> None:
+        if self.x.shape != (problem.n,):
+            raise DimensionMismatch("state.x length", problem.n, self.x.shape)
+        for label, vec in (("lam", self.lam), ("mu", self.mu)):
+            if vec.shape != (problem.m,):
+                raise DimensionMismatch(f"state.{label} length", problem.m, vec.shape)
+
+
+def grad_x(problem: Problem, state) -> np.ndarray:
+    """Partial gradient in x: grad f(x) + jac(x).T @ lam.
+
+    Deliberately free of z, mu, alpha and beta: the x-derivative of the
+    merit function involves none of them.  The Jacobian term is formed
+    first, so J is released before grad f is allocated.
+    """
+    if problem.m == 0:
+        return problem.grad_f(state.x)
+    dual_term = problem.jac(state.x).T @ state.lam
+    return problem.grad_f(state.x) + dual_term
+
+
+# ---------------------------------------------------------------------------
+# residuals and the KKT report
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KktReport:
+    """Residual pair at a state and the convergence verdict."""
+
+    optimality: float
+    feasibility: float
+    satisfied: bool
+
+
+def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
+         tol_feasibility: float) -> KktReport:
+    """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
+    projected = problem.project(state.x - grad)
+    opt = _norm(state.x - projected)
+    feas = _norm(cx)
+    return KktReport(optimality=opt, feasibility=feas,
+                     satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
+
+
+def kkt_report(problem: Problem, state, *, tol_optimality: float,
+               tol_feasibility: float) -> KktReport:
+    """Check the state's sizes, then evaluate both residuals there, with the satisfied verdict."""
+    state.check_dims(problem)
+    cx = problem.c(state.x)
+    return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
+
+
+# ---------------------------------------------------------------------------
+# parameters and outcome
+# ---------------------------------------------------------------------------
 
 class SolveStatus(Enum):
     CONVERGED = "converged"
     ITERATION_LIMIT = "iteration_limit"
     DIVERGED = "diverged"
     EVALUATION_ERROR = "evaluation_error"
+
+
+@dataclass(frozen=True)
+class PenaltyParams:
+    """Finite penalty weight alpha > 0, proximal weight beta in (0, 1).
+
+    rho = alpha / (1 + alpha*beta) is derived once at construction and
+    frozen, so it can never drift from (alpha, beta).  It satisfies
+    0 < rho < min(alpha, 1/beta) and 1/(2 rho) = 1/(2 alpha) + beta/2.
+    """
+
+    alpha: float
+    beta: float
+    rho: float = field(init=False)
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.beta < 1:
+            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+        object.__setattr__(self, "rho", self.alpha / (1.0 + self.alpha * self.beta))
 
 
 @dataclass(frozen=True)
@@ -205,7 +310,7 @@ def solve(problem: Problem, params: SolverParams, x0, *,
 
         The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu,
         the grad and c(x) there, and prev and the dual step gam taken from it;
-        its merit is L at z = zhat(lam, mu) in the reduced form f + <lam, c> - dd/(2 rho).
+        its merit is L at z = (lam - mu)/alpha in the reduced form f + <lam, c> - dd/(2 rho).
         """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)

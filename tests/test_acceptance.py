@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from merit import eval_full, zhat
 from pplad import (FullState, PenaltyParams, SolveStatus, SolverParams, check_trace,
-                   eval_full, fd_jacobian, grad_x, initial_state, iterate, solve,
-                   tail_step_maxima, zhat)
+                   fd_jacobian, grad_x, initial_state, iterate, solve, tail_step_maxima)
 from pplad.problems import example1, example2, example3
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import pytest
 
@@ -9,7 +10,8 @@ from pplad import (FullState, PenaltyParams, RunHistory, SolverParams, check_tra
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
            "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
-           "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio")
+           "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio",
+           "zhat", "eval_full")
 
 PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                       step_size=0.002, max_iterations=5)
@@ -24,6 +26,12 @@ def test_every_exported_name_resolves_once():
 def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(pplad.__all__)
     assert not [name for name in REMOVED if hasattr(pplad, name)]
+
+
+def test_the_lagrangian_module_is_gone():
+    # its parameters, state and gradient live in pplad.solver; the z-form merit in the tests
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("pplad.lagrangian")
 
 
 def test_solve_takes_no_trace_stride():
@@ -46,7 +54,7 @@ def test_removed_keywords_raise_type_error(keyword, call):
 
 
 def test_full_state_takes_no_z():
-    # z is the closed form zhat(lam, mu), not state: an old (x, z, lam, mu)
+    # z is the closed form (lam - mu)/alpha, not state: an old (x, z, lam, mu)
     # call fails instead of binding z to lam, lam to mu and mu to k
     x, z, lam, mu = [3.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.5, 0.5]
     with pytest.raises(TypeError):

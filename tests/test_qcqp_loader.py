@@ -200,6 +200,10 @@ MALFORMED = {
     "vector-row-short": (malformed({7: "0 0"}), "row of q: expected 3 numbers, got 2", 7),
     "offset-row-long": (malformed({15: "-1 2"}), "row of b1: expected 1 numbers, got 2", 15),
     "projection-row-short": (malformed({17: "-1 -1"}), "box lo: expected 3 numbers, got 2", 17),
+    "box-lo-above-hi": (malformed({17: "2 -1 -1"}), "projection box: box requires lo <= hi, "
+                        "and no NaN, in every coordinate", 16),
+    "ball-negative-radius": (malformed({16: "projection ball", 17: "0 0 0", 18: "-1"}),
+                             "projection ball: ball radius must be > 0, got -1.0", 16),
     "cut-inside-a-matrix": (malformed(cut_after=9),
                             "unexpected end of file, expected row of Q1", 9),
 }

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from merit import eval_full, zhat
 from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
-                   Problem, SolveStatus, SolverParams, eval_full, grad_x, initial_state,
-                   iterate, kkt_report, solve, validate, zhat)
+                   Problem, SolveStatus, SolverParams, grad_x, initial_state,
+                   iterate, kkt_report, solve, validate)
 from pplad.problems import example1, example2, example3
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
