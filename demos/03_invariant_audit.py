@@ -47,7 +47,7 @@ step_mu_sq = history.column("step_mu_sq")
 print(f"max ||dmu||^2/delta_k : {np.max(step_mu_sq[1:] / delta[:-1]):.3e}")
 
 # asymptotics: successive differences die out
-maxima = tail_step_maxima(history, window=100)
+maxima = tail_step_maxima(history)
 print("max step over final 100 iterations:")
 for key, value in maxima.items():
     print(f"  {key:<7}: {value:.2e}")

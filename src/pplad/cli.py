@@ -8,12 +8,13 @@ Usage:
 ``SETTINGS`` is the one list of settings: each key, with its flag (the key
 with '-' for '_'), the parser of its text and its help.  argparse parses
 every flag, through that parser: vectors are comma-separated, and
-``--check-invariants`` takes no value.  A malformed value, a missing
+``--check-invariants`` takes no value.  A flag never takes ``-h``, or a
+token that starts with '--', as its value.  A malformed value, a missing
 ``--problem`` or ``--step-size``, a value given to ``--check-invariants``
 and an unknown flag are usage errors.  ``run`` then checks every setting
-before it loads the problem.  The solver records every iteration:
-``stride`` thins only the trace CSV, so ``check_invariants`` always checks
-the whole run.  Problem files are read by ``pplad.problems.load_qcqp``.
+before it loads the problem.  The trace CSV holds every iteration, as does the history
+that ``check_invariants`` checks.  Problem files are read by
+``pplad.problems.load_qcqp``.
 
 Exit codes: 0 converged (and no invariant violations when checked),
 1 iteration limit, 2 diverged or evaluation error, 3 converged but
@@ -23,7 +24,6 @@ invariant violations found, 4 unwritable output path, 5 usage/setting error.
 from __future__ import annotations
 
 import argparse
-import numbers
 import sys
 from dataclasses import MISSING, fields
 
@@ -61,12 +61,8 @@ SETTINGS = {
     "tol_opt": (float, "tol_optimality", "optimality tolerance"),
     "tol_feas": (float, "tol_feasibility", "feasibility tolerance"),
     "max_iters": (int, "max_iterations", "iteration budget"),
-    "divergence_bound": (float, "divergence_bound", "abort when ||x|| exceeds this"),
     "trace": (str, "trace", "trace CSV output path"),
     "report": (str, "report", "report output path"),
-    "stride": (int, "stride",
-               "write every k-th row of the CSV; invariants are still checked on "
-               "every iteration"),
     "check_invariants": (None, "check_invariants",
                          "re-check the per-iteration inequalities on the trace"),
 }
@@ -74,7 +70,7 @@ SETTINGS = {
 # field -> default; PenaltyParams has none of its own, SolverParams' are its dataclass's
 _DEFAULTS = ({f.name: f.default for f in fields(SolverParams) if f.default is not MISSING}
              | {"alpha": 2000.0, "beta": 0.5, "trace": "trace.csv", "report": "report.txt",
-                "stride": 1, "check_invariants": False})
+                "check_invariants": False})
 
 # every flag, and those of them that take a value
 _FLAGS = {"-h", "--help"} | {"--" + key.replace("_", "-") for key in SETTINGS}
@@ -122,15 +118,13 @@ def run(settings: dict) -> int:
     """Solve with the settings, keyed by key, over the defaults; return the exit code.
 
     ``problem`` and ``step_size`` have no defaults.  A bad setting raises
-    ValueError before the problem is loaded.  Writes the trace CSV and the report.
+    ValueError before the problem is loaded.  Writes the trace CSV and the report,
+    and an unwritable path raises OSError.
     """
     values = _DEFAULTS | {SETTINGS[key][1]: value for key, value in settings.items()}
     penalty = PenaltyParams(values["alpha"], values["beta"])
     params = SolverParams(penalty, **{f.name: values[f.name]
                                       for f in fields(SolverParams) if f.name in values})
-    stride = values["stride"]
-    if not (isinstance(stride, numbers.Integral) and stride >= 1):
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
 
     problem = _load_problem(values["problem"])
     x0 = values.get("x0")
@@ -154,12 +148,8 @@ def run(settings: dict) -> int:
     if values["check_invariants"]:
         violations = check_trace(problem, outcome.history, params)
 
-    try:
-        write_trace_csv(outcome.history, values["trace"], stride)
-        _write_report(values["report"], outcome, problem, violations)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
+    write_trace_csv(outcome.history, values["trace"])
+    _write_report(values["report"], outcome, problem, violations)
 
     print(f"{problem.name}: {outcome.status.value} after {outcome.iterations} "
           f"iterations; optimality {outcome.kkt.optimality:.3e}, "
@@ -205,10 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # argparse reads a value that starts with '-' (--x0 -1,2) as a flag, so each value is
-    # attached to its flag (--x0=-1,2), unless it is itself a flag, bare or with a value
+    # attached to its flag (--x0=-1,2), unless it is -h or starts with '--': a misspelt
+    # flag is then named as unrecognized, not taken as the value
     tokens = []
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in _VALUE_FLAGS and token.split("=")[0] not in _FLAGS:
+        if tokens and tokens[-1] in _VALUE_FLAGS and not token.startswith("--") and token != "-h":
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

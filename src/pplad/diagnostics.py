@@ -7,16 +7,15 @@ iteration; nothing here reads an iterate vector or calls the problem.
 ``check_trace`` replays the convergence theory's per-iteration
 inequalities over the terms the solver recorded and reports every
 violation; an empty list is a machine-checked consistency certificate for
-the run.  ``tail_step_maxima`` reads the last steps of x, lam and mu.
+the run.  ``tail_step_maxima`` reads the last 100 steps of x, lam and mu.
 
-``write_trace_csv`` writes the history's trace columns straight to CSV,
-keeping every stride-th row plus the last, and ``read_trace_csv`` reads
-them back as one array per column.
+``write_trace_csv`` writes the history's trace columns straight to CSV, one
+row per iteration, and ``read_trace_csv`` reads them back as one array per
+column.
 """
 
 from __future__ import annotations
 
-import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -220,16 +219,11 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     return violations
 
 
-def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
-    """Max successive-difference norms of x, lam, mu over the last `window` steps.
-
-    Raises ValueError unless ``window`` is an integer >= 1.
-    """
-    if not (isinstance(window, numbers.Integral) and window >= 1):
-        raise ValueError(f"window must be an integer >= 1, got {window!r}")
+def tail_step_maxima(history: RunHistory) -> dict:
+    """Max successive-difference norms of x, lam, mu over the last 100 steps."""
     if len(history) < 2:
         return {"x": 0.0, "lambda": 0.0, "mu": 0.0}
-    tail = slice(max(1, len(history) - window), None)
+    tail = slice(max(1, len(history) - 100), None)
     col = history.column
     return {"x": float(np.max(col("step_x_norm")[tail])),
             "lambda": float(np.sqrt(np.max(col("step_lambda_sq")[tail]))),
@@ -240,19 +234,13 @@ def tail_step_maxima(history: RunHistory, window: int = 100) -> dict:
 # trace CSV
 # ---------------------------------------------------------------------------
 
-def write_trace_csv(history: RunHistory, path, stride: int = 1) -> None:
+def write_trace_csv(history: RunHistory, path) -> None:
     """Write the history's scalar columns as CSV with the fixed column contract.
 
-    Keeps every ``stride``-th row, k = 0 first, plus the last row.  Values are
-    written at full precision (%.17e is lossless for doubles).  Raises
-    ValueError unless ``stride`` is an integer >= 1.
+    A header, then one row per iteration, k = 0 first.  Values are written
+    at full precision (%.17e is lossless for doubles).
     """
-    if not (isinstance(stride, numbers.Integral) and stride >= 1):
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    keep = np.zeros(len(history), dtype=bool)
-    keep[::stride] = True
-    keep[-1:] = True  # the last row always (a no-op on an empty history)
-    ks, *values = (history.column(name)[keep].tolist() for name in TRACE_COLUMNS)
+    ks, *values = (history.column(name).tolist() for name in TRACE_COLUMNS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k, *row in zip(ks, *values):

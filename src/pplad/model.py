@@ -158,8 +158,8 @@ class Problem:
 
     A checked call returns its field's output as a float array (f as a
     float) and raises DimensionMismatch naming the field when the shape is
-    wrong.  The solver, the Lagrangian, the residuals and ``validate`` call
-    the evaluators only through them; the fields stay plain callables.  The
+    wrong.  The solver (its gradient, residuals and loop) and ``validate``
+    call the evaluators only through them; the fields stay plain callables.  The
     dual-weighted gradient term is jac(x).T @ lam, and a projection kind
     (``Box(...)``, ``Ball(...)``, ...) is a valid ``projection``.
 

@@ -162,7 +162,6 @@ class SolverParams:
     tol_optimality: float = 1e-6
     tol_feasibility: float = 1e-6
     max_iterations: int = 200000
-    divergence_bound: float = 1e8
 
     def __post_init__(self):
         if not (self.step_size > 0 and math.isfinite(self.step_size)):
@@ -178,8 +177,6 @@ class SolverParams:
         if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
             raise ValueError(f"max_iterations must be an integer >= 0, "
                              f"got {self.max_iterations!r}")
-        if not self.divergence_bound > 0:
-            raise ValueError(f"divergence_bound must be > 0, got {self.divergence_bound}")
 
     def budget(self, k: int) -> float:
         """The dual movement budget delta_k = decay^k * delta0 at iteration k."""
@@ -249,14 +246,18 @@ def initial_state(problem: Problem, x0, lam0=None, mu0=None) -> FullState:
     return state
 
 
+# ||x|| beyond this ends the run as DIVERGED: the boundedness assumption failing in practice
+_DIVERGENCE_BOUND = 1e8
+
+
 def _stop(params: SolverParams, k: int, kkt: KktReport, fx, merit, norm_x):
     """Status and message if the loop stops at iteration k, else (None, "")."""
     if not all(map(math.isfinite, (fx, kkt.optimality, kkt.feasibility, merit))):
         return SolveStatus.EVALUATION_ERROR, f"non-finite iterate at k={k}"
     if kkt.satisfied:
         return SolveStatus.CONVERGED, ""
-    if norm_x > params.divergence_bound:
-        return SolveStatus.DIVERGED, f"||x|| exceeded {params.divergence_bound:g} at k={k}"
+    if norm_x > _DIVERGENCE_BOUND:
+        return SolveStatus.DIVERGED, f"||x|| exceeded {_DIVERGENCE_BOUND:g} at k={k}"
     if k >= params.max_iterations:
         return SolveStatus.ITERATION_LIMIT, ""
     return None, ""
@@ -273,8 +274,8 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     Stops with CONVERGED when the projected-gradient optimality residual
     and the feasibility residual ||c(x)|| are simultaneously below their
     tolerances, with ITERATION_LIMIT at the iteration budget, with DIVERGED
-    when ||x|| exceeds the divergence bound (the boundedness assumption
-    failing in practice), and with EVALUATION_ERROR when an iterate turns
+    when ||x|| exceeds 1e8 (the boundedness assumption failing in
+    practice), and with EVALUATION_ERROR when an iterate turns
     non-finite or a problem callback raises after the starting point was
     evaluated.  In both EVALUATION_ERROR cases the partial history is kept
     and the final state is the last fully evaluated one.

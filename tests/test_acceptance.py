@@ -203,7 +203,7 @@ def test_criterion_8_vanishing_differences(run1, run2, run3):
     for label, (_, _, out, _) in (("example1", run1), ("example2", run2),
                                   ("example3", run3)):
         assert out.status is SolveStatus.CONVERGED
-        maxima = tail_step_maxima(out.history, window=100)
+        maxima = tail_step_maxima(out.history)
         worst[label] = max(maxima.values())
     ok = all(value <= 1e-5 for value in worst.values())
     report(8, "max step of x, lam, mu over the final 100 iterations: "

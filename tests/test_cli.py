@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (QcqpSpec, WholeSpace, check_trace as real_check_trace, example1,
-                   read_trace_csv, solve as real_solve)
+from pplad import QcqpSpec, WholeSpace, example1, read_trace_csv, solve as real_solve
 from pplad.cli import SETTINGS, main, run
 from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
                             load_qcqp_spec, save_qcqp)
@@ -70,22 +69,10 @@ class TestParseConfig:
         assert params.step_size == 0.002
         assert params.max_iterations == 200000  # default
 
-    def test_nonpositive_stride_names_the_key(self, tmp_path):
-        for stride in (0, -3):
-            with pytest.raises(ValueError, match="stride"):
-                run({"problem": "example1", "step_size": 0.002, "stride": stride,
-                     "trace": str(tmp_path / "t.csv")})
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_nan_stride_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="stride must be an integer >= 1, got nan"):
-            run({"problem": str(tmp_path / "missing.qcqp"), "step_size": 0.002,
-                 "stride": float("nan")})
-
     @pytest.mark.parametrize("source", ["flag", "run"])
     def test_fractional_stride_fails_before_the_problem_is_loaded(self, tmp_path, capsys,
                                                                   source):
-        # write_trace_csv refused it only after the whole solve
+        # the trace CSV holds every row: stride is no setting, whatever its value
         missing = str(tmp_path / "missing.qcqp")
         if source == "flag":
             with pytest.raises(SystemExit) as info:
@@ -93,13 +80,13 @@ class TestParseConfig:
                                 "--x0", "1", "--stride", "2.5"))
             assert info.value.code == 5
             message = capsys.readouterr().err
-            assert "argument --stride: invalid int value: '2.5'" in message
+            assert message.endswith("error: unrecognized arguments: --stride 2.5\n")
         else:
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(KeyError) as info:
                 run({"problem": missing, "step_size": 0.002, "x0": np.ones(1),
                      "stride": 2.5, "trace": str(tmp_path / "t.csv")})
             message = str(info.value)
-            assert message == "stride must be an integer >= 1, got 2.5"
+            assert message == "'stride'"
         assert "missing.qcqp" not in message
         assert not (tmp_path / "t.csv").exists()
 
@@ -111,8 +98,7 @@ class TestParseConfig:
             (2000.0, 0.5, 0.999, 1.0)
         assert params.tol_optimality == params.tol_feasibility == 1e-6
         assert params.max_iterations == 200000
-        assert params.divergence_bound == 1e8
-        # trace.csv holds every row (stride 1); report.txt no invariant check
+        # trace.csv holds every row; report.txt no invariant check
         report = (tmp_path / "report.txt").read_text()
         iterations = int(report.split("iterations = ")[1].split("\n")[0])
         assert read_trace_csv(tmp_path / "trace.csv")["k"].tolist() == \
@@ -239,16 +225,34 @@ class TestRun:
                                "--max-iters", "1")) == 1
 
     def test_divergence_exit_two(self, tmp_path):
-        # unconstrained concave QCQP: projected gradient descent runs away
+        # unconstrained concave QCQP: projected gradient descent runs away past 1e8
         path = tmp_path / "runaway.qcqp"
         path.write_text("dim 1 0\nQ\n-1\nq\n0\nprojection whole\n")
         assert main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.5",
-                               "--x0", "1", "--divergence-bound", "1e4")) == 2
+                               "--x0", "1")) == 2
+        report = (tmp_path / "r.txt").read_text()
+        assert "status = diverged" in report
+        assert "message = ||x|| exceeded 1e+08 at k=" in report
 
-    def test_unwritable_trace_path_exit_four(self, tmp_path):
+    @staticmethod
+    def assert_unwritable_exit_four(capsys, trace, report, unwritable):
+        # an unwritable output fails through main's one OSError path, with no summary line
         assert main(["solve", "--problem", "example1", "--step-size", "0.002",
-                     "--max-iters", "5", "--trace", str(tmp_path / "missing" / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")]) == 4
+                     "--max-iters", "5", "--trace", str(trace),
+                     "--report", str(report)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"pplad: error: [Errno 2] No such file or directory: '{unwritable}'\n"
+
+    def test_unwritable_trace_path_exit_four(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.csv"
+        self.assert_unwritable_exit_four(capsys, trace, tmp_path / "r.txt", trace)
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_unwritable_report_path_exit_four(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.txt"
+        self.assert_unwritable_exit_four(capsys, tmp_path / "t.csv", report, report)
+        assert (tmp_path / "t.csv").exists()  # the trace is written first
 
     def test_file_problem_requires_x0(self, tmp_path, capsys):
         path = tmp_path / "plain.qcqp"
@@ -262,29 +266,6 @@ class TestRun:
                                "--x0", "1,2,3")) == 5
         assert capsys.readouterr().err == \
             "pplad: error: x0 has length 3, problem 'example1' needs 2\n"
-
-    def test_stride_decimates_csv(self, tmp_path):
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--max-iters", "40", "--stride", "10")) == 1
-        assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
-
-    def test_check_invariants_with_stride_checks_every_iteration(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        import pplad.cli as cli_module
-        checked = []
-
-        def check_trace(problem, history, params):
-            checked.append(history.ks.tolist())
-            return real_check_trace(problem, history, params)
-
-        monkeypatch.setattr(cli_module, "check_trace", check_trace)
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--max-iters", "40", "--stride", "10",
-                               "--check-invariants")) == 1
-        assert capsys.readouterr().err == ""
-        assert checked == [list(range(41))]
-        assert "invariant_violations = 0" in (tmp_path / "r.txt").read_text()
-        assert read_trace_csv(tmp_path / "t.csv")["k"].tolist() == [0, 10, 20, 30, 40]
 
     def test_problem_files_are_read_through_the_module_level_load_qcqp(self, tmp_path,
                                                                        monkeypatch):
@@ -361,7 +342,7 @@ class TestMain:
         assert err.startswith(f"pplad: error: {field} must be finite and > 0")
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("key, text", [("stride", "1.5"), ("step_size", "abc")])
+    @pytest.mark.parametrize("key, text", [("max_iters", "1.5"), ("step_size", "abc")])
     def test_bad_flag_text_fails_with_the_parse_message(self, tmp_path, capsys, key, text):
         flag, parse = "--" + key.replace("_", "-"), SETTINGS[key][0]
         with pytest.raises(SystemExit) as info:
@@ -384,8 +365,14 @@ class TestMain:
          "--check-invariants"),
         (["--problem", "MISSING", "--step-size", "0.002", "--tol-optimality", "1e-9"],
          "--tol-optimality"),
+        # the CSV holds every row, and the divergence bound is the solver's constant 1e8
+        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "10"],
+         "unrecognized arguments: --stride 10"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--divergence-bound", "1e4"],
+         "unrecognized arguments: --divergence-bound 1e4"),
     ], ids=["missing-problem", "missing-step-size", "malformed-number", "malformed-integer",
-            "malformed-vector", "valued-bare-flag", "unknown-flag"])
+            "malformed-vector", "valued-bare-flag", "unknown-flag", "stride",
+            "divergence-bound"])
     def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, flag):
         missing = str(tmp_path / "missing.qcqp")
         with pytest.raises(SystemExit) as info:
@@ -398,17 +385,21 @@ class TestMain:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("value", ["--check-invariants", "--stride", "--x0=1,2",
-                                       "-h", "--help"])
+                                       "-h", "--help", "--check-invariant",
+                                       "--divergence-bound", "--tol-optimality 1e-9"])
     def test_value_flag_takes_no_flag_as_its_value(self, tmp_path, capsys, monkeypatch,
                                                    value):
-        # --trace used to take the next flag as its file name and run without it
+        # --trace used to take the next flag as its file name and run without it, and
+        # a misspelt flag after it still did (--trace --check-invariant)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "example1", "--step-size", "0.002",
-                  "--report", "r.txt", "--trace", value])
+                  "--report", "r.txt", "--trace", *value.split()])
         assert info.value.code == 5
-        assert capsys.readouterr().err.endswith(
-            "pplad: error: argument --trace: expected one argument\n")
+        message = ("argument --trace: expected one argument"
+                   if value.split("=")[0] in ("--check-invariants", "--x0", "-h", "--help")
+                   else f"unrecognized arguments: {value}")
+        assert capsys.readouterr().err.endswith(f"pplad: error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_help_lists_every_flag_with_its_default(self, capsys, monkeypatch):
@@ -419,8 +410,8 @@ class TestMain:
         text = " ".join(capsys.readouterr().out.split())
         defaults = {"alpha": "2000.0", "beta": "0.5", "delta0": "1.0", "decay": "0.999",
                     "tol_opt": "1e-06", "tol_feas": "1e-06", "max_iters": "200000",
-                    "divergence_bound": "100000000.0", "trace": "trace.csv",
-                    "report": "report.txt", "stride": "1", "check_invariants": "False"}
+                    "trace": "trace.csv", "report": "report.txt",
+                    "check_invariants": "False"}
         for key, (parse, _, help_text) in SETTINGS.items():
             flag = "--" + key.replace("_", "-")
             entry = flag if parse is None else f"{flag} {key.upper()}"
@@ -530,13 +521,16 @@ class TestMain:
     @pytest.mark.parametrize("check", [[], ["--check-invariants"]])
     def test_nonpositive_stride_exit_five_before_solving(self, tmp_path, capsys, stride,
                                                          check):
-        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
-                     "--stride", stride, *check,
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
-        assert code == 5
-        assert "stride" in capsys.readouterr().err
-        assert not (tmp_path / "t.csv").exists()
+        # --stride is no flag: the CSV holds every row, whatever the value
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "example1", "--step-size", "0.002",
+                  "--stride", stride, *check,
+                  "--trace", str(tmp_path / "t.csv"),
+                  "--report", str(tmp_path / "r.txt")])
+        assert info.value.code == 5
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: --stride {stride}\n")
+        assert not list(tmp_path.iterdir())
 
     def test_config_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys):
         # settings come from flags only: there is no config file to name

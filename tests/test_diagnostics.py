@@ -254,7 +254,7 @@ class TestCheckTrace:
 class TestTailAndRatio:
     def test_tail_step_maxima_small_after_convergence(self, run1):
         _, _, out = run1
-        maxima = tail_step_maxima(out.history, window=100)
+        maxima = tail_step_maxima(out.history)
         assert set(maxima) == {"x", "lambda", "mu"}
         for key in ("x", "lambda", "mu"):
             assert maxima[key] <= 1e-5
@@ -268,15 +268,17 @@ class TestTailAndRatio:
 
     @pytest.mark.parametrize("window", [0, -5, np.nan])
     def test_tail_step_maxima_rejects_a_window_below_one(self, run1, window):
+        # the window is the last 100 steps: no window is taken, by keyword or by position
         _, _, out = run1
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(TypeError, match="window"):
             tail_step_maxima(out.history, window=window)
+        with pytest.raises(TypeError, match="positional"):
+            tail_step_maxima(out.history, window)
 
     @pytest.mark.parametrize("window", [2.5, 3.0, "3"])
     def test_tail_step_maxima_rejects_a_window_that_is_not_an_integer(self, run1, window):
-        # 2.5 failed inside numpy's slicing with a TypeError that named no argument
         _, _, out = run1
-        with pytest.raises(ValueError, match="window must be an integer"):
+        with pytest.raises(TypeError, match="window"):
             tail_step_maxima(out.history, window=window)
 
 
@@ -438,12 +440,11 @@ class TestRecordedTerms:
         for key, values in expected.items():
             assert_array_equal(hist.column(key), values, err_msg=key)
 
-        window = 40
-        tail = states[max(0, len(states) - 1 - window):]
+        tail = states[max(0, len(states) - 101):]  # the last 100 steps
         steps = {label: max(np.linalg.norm(getattr(b, attr) - getattr(a, attr))
                             for a, b in zip(tail, tail[1:]))
                  for label, attr in (("x", "x"), ("lambda", "lam"), ("mu", "mu"))}
-        assert tail_step_maxima(hist, window=window) == pytest.approx(steps, rel=1e-12, abs=0)
+        assert tail_step_maxima(hist) == pytest.approx(steps, rel=1e-12, abs=0)
 
 
 class TestTraceCsv:
@@ -458,31 +459,22 @@ class TestTraceCsv:
             # %.17e is lossless for doubles
             assert_array_equal(back[name], out.history.column(name))
 
-    def test_stride_keeps_multiples_plus_last_row(self, tmp_path):
-        p = example1()
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.002, max_iterations=47)
-        out = solve(p, params, [3.0, 3.0])
-        assert_array_equal(out.history.ks, np.arange(48))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path, stride=np.int64(10))  # any integer type
-        back = read_trace_csv(path)
-        assert back["k"].tolist() == [0, 10, 20, 30, 40, 47]
-        for name in TRACE_COLUMNS:
-            assert_array_equal(back[name], out.history.column(name)[back["k"]])
-
     @pytest.mark.parametrize("stride", [0, -3, np.nan])
     def test_nonpositive_stride_rejected(self, run1, tmp_path, stride):
+        # the CSV holds every row: no stride is taken, by keyword or by position
         _, _, out = run1
-        with pytest.raises(ValueError, match="stride"):
-            write_trace_csv(out.history, tmp_path / "trace.csv", stride=stride)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(TypeError, match="stride"):
+            write_trace_csv(out.history, path, stride=stride)
+        with pytest.raises(TypeError, match="positional"):
+            write_trace_csv(out.history, path, stride)
+        assert not path.exists()
 
     @pytest.mark.parametrize("stride", [2.5, 1.0])
     def test_non_integer_stride_rejected(self, run1, tmp_path, stride):
-        # a float stride would otherwise pick rows by k % stride
         _, _, out = run1
         path = tmp_path / "trace.csv"
-        with pytest.raises(ValueError, match="stride"):
+        with pytest.raises(TypeError, match="stride"):
             write_trace_csv(out.history, path, stride=stride)
         assert not path.exists()
 

@@ -327,10 +327,11 @@ class TestSolve:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 1)),
                     projection=lambda v: v, name="concave")
-        params = SolverParams(penalty=RHO2, step_size=0.5, divergence_bound=1e6)
+        params = SolverParams(penalty=RHO2, step_size=0.5)
         out = solve(p, params, [1.0])
         assert out.status is SolveStatus.DIVERGED
-        assert "1e+06" in out.message or "||x||" in out.message
+        # x doubles each step: 2^27 is the first norm past the bound 1e8
+        assert out.message == "||x|| exceeded 1e+08 at k=27"
 
     def test_unconstrained_degenerates_to_projected_gradient_descent(self):
         p = unconstrained_quadratic([2.0, -3.0])
