@@ -117,10 +117,12 @@ def _write_report(path: str, outcome, problem, violations) -> None:
 def run(settings: dict) -> int:
     """Solve with the settings, keyed by key, over the defaults; return the exit code.
 
-    ``problem`` and ``step_size`` have no defaults.  A bad setting raises
-    ValueError before the problem is loaded.  Writes the trace CSV and the report,
-    and an unwritable path raises OSError.
+    ``problem`` and ``step_size`` have no defaults.  A key not in ``SETTINGS``, or a
+    bad setting, raises ValueError before the problem is loaded.  Writes the trace CSV
+    and the report, and an unwritable path raises OSError.
     """
+    if unknown := sorted(settings.keys() - SETTINGS.keys()):
+        raise ValueError("unknown settings: " + ", ".join(unknown))
     values = _DEFAULTS | {SETTINGS[key][1]: value for key, value in settings.items()}
     penalty = PenaltyParams(values["alpha"], values["beta"])
     params = SolverParams(penalty, **{f.name: values[f.name]

@@ -9,13 +9,13 @@ inequalities over the terms the solver recorded and reports every
 violation; an empty list is a machine-checked consistency certificate for
 the run.  ``tail_step_maxima`` reads the last 100 steps of x, lam and mu.
 
-``write_trace_csv`` writes the history's trace columns straight to CSV, one
-row per iteration, and ``read_trace_csv`` reads them back as one array per
-column.
+``write_trace_csv`` writes the trace columns, one row per iteration, as plain
+CSV with ``np.savetxt``; ``read_trace_csv`` reads them back with ``np.loadtxt``.
 """
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -235,38 +235,35 @@ def tail_step_maxima(history: RunHistory) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(history: RunHistory, path) -> None:
-    """Write the history's scalar columns as CSV with the fixed column contract.
+    """Write ``TRACE_COLUMNS`` as plain CSV: a header, then one row per k, at full precision.
 
-    A header, then one row per iteration, k = 0 first.  Values are written
-    at full precision (%.17e is lossless for doubles).
+    The file is opened here, so its name never changes the bytes (savetxt gzips a .gz path).
     """
-    ks, *values = (history.column(name).tolist() for name in TRACE_COLUMNS)
+    table = np.column_stack([history.column(name) for name in TRACE_COLUMNS])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for k, *row in zip(ks, *values):
-            fh.write(",".join([str(k)] + ["%.17e" % v for v in row]) + "\n")
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17e"] * (len(TRACE_COLUMNS) - 1),
+                   delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
 
 def read_trace_csv(path) -> Dict[str, np.ndarray]:
     """Parse a trace CSV written by ``write_trace_csv`` into one array per column.
 
-    Keys are ``TRACE_COLUMNS``; ``k`` is an int array, the rest are floats.
+    Keys are ``TRACE_COLUMNS``; ``k`` is int64, the rest are floats.  The file is
+    plain text whatever its name.  A foreign header, or a row with a missing, extra
+    or non-numeric field or a fractional k, raises ValueError.
     """
+    dtype = [("k", np.int64)] + [(name, float) for name in TRACE_COLUMNS[1:]]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(TRACE_COLUMNS):
-                raise ValueError(f"malformed trace row: {line!r}")
-            rows.append(parts)
-    fields = list(zip(*rows)) if rows else [()] * len(TRACE_COLUMNS)
-    columns = {"k": np.array([int(v) for v in fields[0]], dtype=int)}
-    for name, values in zip(TRACE_COLUMNS[1:], fields[1:]):
-        columns[name] = np.array([float(v) for v in values], dtype=float)
-    return columns
+        if not fh.readline():  # header only: loadtxt would warn on the empty input
+            return {name: np.empty(0, kind) for name, kind in dtype}
+        fh.seek(0)
+        with warnings.catch_warnings():  # older numpy 2.x only warns on a fractional k
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                table = np.loadtxt(fh, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+            except (ValueError, DeprecationWarning) as exc:
+                raise ValueError(f"malformed trace row: {exc}") from None
+    return {name: table[name] for name in TRACE_COLUMNS}

@@ -82,11 +82,11 @@ class TestParseConfig:
             message = capsys.readouterr().err
             assert message.endswith("error: unrecognized arguments: --stride 2.5\n")
         else:
-            with pytest.raises(KeyError) as info:
+            with pytest.raises(ValueError) as info:
                 run({"problem": missing, "step_size": 0.002, "x0": np.ones(1),
                      "stride": 2.5, "trace": str(tmp_path / "t.csv")})
             message = str(info.value)
-            assert message == "'stride'"
+            assert message == "unknown settings: stride"
         assert "missing.qcqp" not in message
         assert not (tmp_path / "t.csv").exists()
 

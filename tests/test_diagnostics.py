@@ -531,3 +531,37 @@ class TestTraceCsv:
             fh.write(",".join(["0"] * (len(TRACE_COLUMNS) + off)) + "\n")
         with pytest.raises(ValueError, match="malformed trace row"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("column, text", [(3, "abc"), (0, "1.5")],
+                             ids=["non-numeric", "fractional-k"])
+    def test_reader_rejects_a_malformed_field(self, run1, tmp_path, column, text):
+        _, _, out = run1
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.history, path)
+        row = ["1"] * len(TRACE_COLUMNS)
+        row[column] = text
+        with open(path, "a") as fh:
+            fh.write(",".join(row) + "\n")
+        with pytest.raises(ValueError, match="malformed trace row"):
+            read_trace_csv(path)
+
+    def test_empty_history_round_trips_to_empty_columns(self, tmp_path):
+        # a warning on the empty input would be an error under the test settings
+        path = tmp_path / "trace.csv"
+        write_trace_csv(RunHistory(), path)
+        assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
+        back = read_trace_csv(path)
+        assert list(back) == list(TRACE_COLUMNS)
+        for name in TRACE_COLUMNS:
+            assert back[name].shape == (0,)
+            assert back[name].dtype == (np.int64 if name == "k" else np.float64), name
+
+    def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
+        _, _, out = run1
+        plain, gz = tmp_path / "t.csv", tmp_path / "t.csv.gz"
+        write_trace_csv(out.history, plain)
+        write_trace_csv(out.history, gz)
+        assert gz.read_bytes() == plain.read_bytes()
+        back = read_trace_csv(gz)
+        for name in TRACE_COLUMNS:
+            assert back[name].tobytes() == out.history.column(name).tobytes(), name
