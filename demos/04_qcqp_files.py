@@ -50,8 +50,7 @@ save_qcqp(spec, custom_path)
 cmd = [sys.executable, "-m", "pplad", "solve",
        "--problem", "least_norm.txt", "--x0", "1,1", "--step-size", "0.05",
        "--tol-opt", "1e-9", "--tol-feas", "1e-9",
-       "--trace", "least_norm_trace.csv", "--report", "least_norm_report.txt",
-       "--check-invariants"]
+       "--trace", "least_norm_trace.csv", "--report", "least_norm_report.txt"]
 print("running:", " ".join(cmd[2:]))
 env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pplad.__file__)))
 proc = subprocess.run(cmd, capture_output=True, text=True, cwd=OUT_DIR, env=env)

@@ -182,36 +182,36 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
     checks = [("mu_bound", ks, norm_mu, bound, _SLACK * (1.0 + bound)),
               ("lambda_mu_sq_nonnegative", ks, np.zeros(size), lambda_mu_sq, 0.0)]
 
-    if size > 1:  # transitions k -> k+1, and the state identity from the first lam-update on
-        nlm2 = lambda_mu_sq[:-1]
-        g_over_rho = col("gamma")[1:] / rho
-        mid = g_over_rho * nlm2
-        contraction = (1.0 - g_over_rho) * np.sqrt(np.maximum(nlm2, 0.0))
-        checks += [
-            ("mu_step", ks[:-1], col("step_mu_sq")[1:], mid, _SLACK * (1.0 + mid)),
-            ("mu_step_budget", ks[:-1], mid, delta[:-1], _SLACK * (1.0 + delta[:-1])),
-            ("mu_lam_contraction", ks[:-1], np.abs(col("mu_prev_lambda_norm")[1:] - contraction),
-             _EXACT_TOL * (1.0 + contraction), 0.0),
-            ("identity_lam_mu", ks[1:], col("gap_lambda_mu")[1:],
-             _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:]), 0.0)]
+    # transitions k -> k+1, and the state identity from the first lam-update on; a
+    # one-row history has none, and its slices below are empty
+    nlm2 = lambda_mu_sq[:-1]
+    g_over_rho = col("gamma")[1:] / rho
+    mid = g_over_rho * nlm2
+    contraction = (1.0 - g_over_rho) * np.sqrt(np.maximum(nlm2, 0.0))
+    checks += [
+        ("mu_step", ks[:-1], col("step_mu_sq")[1:], mid, _SLACK * (1.0 + mid)),
+        ("mu_step_budget", ks[:-1], mid, delta[:-1], _SLACK * (1.0 + delta[:-1])),
+        ("mu_lam_contraction", ks[:-1], np.abs(col("mu_prev_lambda_norm")[1:] - contraction),
+         _EXACT_TOL * (1.0 + contraction), 0.0),
+        ("identity_lam_mu", ks[1:], col("gap_lambda_mu")[1:],
+         _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:]), 0.0)]
 
-    if size > 2:  # merit decrease and lam displacement, from k >= 1
-        ndx = col("step_x_norm")[2:]
-        L_c = problem.lipschitz_c
-
-        allowance = merit[1:-1] + 2.0 * delta[1:-1] / rho
-        certified = (L_c is not None and grad_lipschitz is not None
-                     and 1.0 / params.step_size > grad_lipschitz + 2.0 * rho * L_c ** 2)
-        if certified:
-            coeff = 0.5 * (1.0 / params.step_size - grad_lipschitz - 2.0 * rho * L_c ** 2)
-            allowance = allowance - coeff * ndx ** 2
-        tol = _DECREASE_TOL * (1.0 + np.abs(merit[1:-1]))
-        checks.append(("merit_decrease_certified" if certified else "merit_decrease",
-                       ks[1:-1], merit[2:], allowance + tol, 0.0))
-        if L_c is not None:
-            rhs = 2.0 * rho ** 2 * L_c ** 2 * ndx ** 2 + 2.0 * delta[1:-1]
-            checks.append(("lam_step", ks[1:-1], col("step_lambda_sq")[2:], rhs,
-                           _SLACK * (1.0 + rhs)))
+    # merit decrease and lam displacement, from k >= 1: none below three rows
+    ndx = col("step_x_norm")[2:]
+    L_c = problem.lipschitz_c
+    allowance = merit[1:-1] + 2.0 * delta[1:-1] / rho
+    certified = (L_c is not None and grad_lipschitz is not None
+                 and 1.0 / params.step_size > grad_lipschitz + 2.0 * rho * L_c ** 2)
+    if certified:
+        coeff = 0.5 * (1.0 / params.step_size - grad_lipschitz - 2.0 * rho * L_c ** 2)
+        allowance = allowance - coeff * ndx ** 2
+    tol = _DECREASE_TOL * (1.0 + np.abs(merit[1:-1]))
+    checks.append(("merit_decrease_certified" if certified else "merit_decrease",
+                   ks[1:-1], merit[2:], allowance + tol, 0.0))
+    if L_c is not None:
+        rhs = 2.0 * rho ** 2 * L_c ** 2 * ndx ** 2 + 2.0 * delta[1:-1]
+        checks.append(("lam_step", ks[1:-1], col("step_lambda_sq")[2:], rhs,
+                       _SLACK * (1.0 + rhs)))
 
     violations = [_violation(name, k[i], lhs[i], rhs[i]) for name, k, lhs, rhs, slack in checks
                   for i in np.flatnonzero(lhs > rhs + slack)]
@@ -248,16 +248,16 @@ def write_trace_csv(history: RunHistory, path) -> None:
 def read_trace_csv(path) -> Dict[str, np.ndarray]:
     """Parse a trace CSV written by ``write_trace_csv`` into one array per column.
 
-    Keys are ``TRACE_COLUMNS``; ``k`` is int64, the rest are floats.  The file is
-    plain text whatever its name.  A foreign header, or a row with a missing, extra
-    or non-numeric field or a fractional k, raises ValueError.
+    Keys are ``TRACE_COLUMNS``; ``k`` is int64, the rest are floats.  Blank lines hold
+    no row.  The file is plain text whatever its name.  A foreign header, or a row with
+    a missing, extra or non-numeric field or a fractional k, raises ValueError.
     """
     dtype = [("k", np.int64)] + [(name, float) for name in TRACE_COLUMNS[1:]]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header: {header!r}")
-        if not fh.readline():  # header only: loadtxt would warn on the empty input
+        if all(line == "\n" for line in fh):  # no row: loadtxt would warn on the empty input
             return {name: np.empty(0, kind) for name, kind in dtype}
         fh.seek(0)
         with warnings.catch_warnings():  # older numpy 2.x only warns on a fractional k

@@ -98,12 +98,12 @@ class TestParseConfig:
             (2000.0, 0.5, 0.999, 1.0)
         assert params.tol_optimality == params.tol_feasibility == 1e-6
         assert params.max_iterations == 200000
-        # trace.csv holds every row; report.txt no invariant check
+        # trace.csv holds every row; report.txt the invariant check of every run
         report = (tmp_path / "report.txt").read_text()
         iterations = int(report.split("iterations = ")[1].split("\n")[0])
         assert read_trace_csv(tmp_path / "trace.csv")["k"].tolist() == \
             list(range(iterations + 1))
-        assert "invariant_violations" not in report
+        assert report.endswith("\ninvariant_violations = 0\n")
 
     def test_readme_settings_table_lists_exactly_the_settings(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -209,8 +209,7 @@ class TestQcqpFormat:
 
 class TestRun:
     def test_example1_converges_exit_zero(self, tmp_path):
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--check-invariants")) == 0
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002")) == 0
         report = (tmp_path / "r.txt").read_text()
         assert "status = converged" in report
         assert "invariant_violations = 0" in report
@@ -285,17 +284,34 @@ class TestRun:
 
     def test_violations_on_converged_run_exit_three(self, tmp_path, monkeypatch):
         # a correct run produces no violations, so force one to pin the
-        # exit-code mapping
+        # exit-code mapping; every run is checked, with the ignored flag or without
         from pplad import InvariantViolation
         import pplad.cli as cli_module
         fake = InvariantViolation("mu_bound", 3, 2.0, 1.0, 1.0)
         monkeypatch.setattr(cli_module, "check_trace",
                             lambda *args, **kw: [fake])
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--check-invariants")) == 3
-        report = (tmp_path / "r.txt").read_text()
-        assert "invariant_violations = 1" in report
-        assert "violation.0 = mu_bound" in report
+        for name, check in (("plain", []), ("flagged", ["--check-invariants"])):
+            (tmp_path / name).mkdir()
+            assert main(solve_argv(tmp_path / name, "--problem", "example1",
+                                   "--step-size", "0.002", *check)) == 3, name
+            report = (tmp_path / name / "r.txt").read_text()
+            assert "invariant_violations = 1" in report
+            assert "violation.0 = mu_bound" in report
+
+    def test_check_invariants_flag_is_accepted_ignored_and_hidden(self, tmp_path, capsys):
+        # every run is checked; the flag stays only for commands that still pass it
+        outputs = []
+        for name, check in (("plain", []), ("flagged", ["--check-invariants"])):
+            (tmp_path / name).mkdir()
+            assert main(solve_argv(tmp_path / name, "--problem", "example2",
+                                   "--step-size", "0.005", *check)) == 0
+            outputs.append([(tmp_path / name / f).read_bytes() for f in ("r.txt", "t.csv")])
+        assert outputs[0] == outputs[1]
+        assert b"\ninvariant_violations = 0\n" in outputs[0][0]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "check-invariants" not in capsys.readouterr().out
 
 
 class TestMain:

@@ -210,6 +210,20 @@ class TestCheckTrace:
         assert len(out.history) == 1
         assert check_trace(p, out.history, params) == []
 
+    def test_two_record_trace_checks_its_one_step_only(self):
+        # one transition, from k = 0: the step checks apply, the merit decrease
+        # (from k >= 1) and the lam step have nothing to compare
+        p = example1()
+        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
+                              step_size=0.002, max_iterations=1)
+        hist = solve(p, params, [3.0, 3.0]).history
+        assert len(hist) == 2
+        assert check_trace(p, hist, params) == []
+        hist.column("step_mu_sq")[1] += 600.0
+        hist.column("lagrangian")[1] += 600.0
+        hist.column("step_lambda_sq")[1] += 1e12
+        assert [(v.name, v.k) for v in check_trace(p, hist, params)] == [("mu_step", 0)]
+
     def test_certified_decrease_with_generous_constants_passes(self):
         # Honest global constants for a well-conditioned run: small convex
         # quadratic with one affine constraint, eta far above the threshold.
@@ -550,11 +564,15 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(RunHistory(), path)
         assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
-        back = read_trace_csv(path)
-        assert list(back) == list(TRACE_COLUMNS)
-        for name in TRACE_COLUMNS:
-            assert back[name].shape == (0,)
-            assert back[name].dtype == (np.int64 if name == "k" else np.float64), name
+        # a header followed by blank lines only holds no row either
+        blank = tmp_path / "blank.csv"
+        blank.write_text(",".join(TRACE_COLUMNS) + "\n\n\r\n\n")
+        for source in (path, blank):
+            back = read_trace_csv(source)
+            assert list(back) == list(TRACE_COLUMNS)
+            for name in TRACE_COLUMNS:
+                assert back[name].shape == (0,)
+                assert back[name].dtype == (np.int64 if name == "k" else np.float64), name
 
     def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
         _, _, out = run1
