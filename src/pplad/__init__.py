@@ -10,7 +10,7 @@ solutions) converge to KKT points.
 """
 
 from .diagnostics import (InvariantViolation, RunHistory, TRACE_COLUMNS, check_trace,
-                          read_trace_csv, tail_step_maxima, write_trace_csv)
+                          tail_step_maxima, write_trace_csv)
 from .model import (Ball, Box, DimensionMismatch, EvaluationError,
                     NonnegativeOrthant, Problem, ProjectionKind,
                     ValidationCheck, ValidationReport, WholeSpace, validate)
@@ -30,5 +30,5 @@ __all__ = [
     "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
     "check_trace", "compare", "example1", "example2", "example2_spec", "example3",
     "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate", "kkt_report",
-    "read_trace_csv", "solve", "tail_step_maxima", "validate", "write_trace_csv",
+    "solve", "tail_step_maxima", "validate", "write_trace_csv",
 ]

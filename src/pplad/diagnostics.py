@@ -10,15 +10,15 @@ violation; an empty list is a machine-checked consistency certificate for
 the run.  ``tail_step_maxima`` reads the last 100 steps of x, lam and mu.
 
 ``write_trace_csv`` writes the trace columns, one row per iteration, as plain
-CSV with ``np.savetxt``; ``read_trace_csv`` reads them back with ``np.loadtxt``.
+CSV with ``np.savetxt``; ``np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)``
+reads them back.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class RunHistory:
     view of the rows stored so far, and rows may be appended before and
     after any read.  A view keeps the rows it was taken with; a write
     through it is seen by later reads as long as no row was appended since
-    it was taken.  ``column("k")`` and ``ks`` are a fresh ``arange`` of the
-    row count, not a view.
+    it was taken.  ``column("k")`` is a fresh ``arange`` of the row count,
+    not a view.
     """
 
     COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
@@ -98,10 +98,6 @@ class RunHistory:
         table = np.frombuffer(self._table, dtype=float).reshape(-1, len(self.COLUMNS))
         return table[:, self._INDEX[name]]
 
-    @property
-    def ks(self):
-        return self.column("k")
-
 
 # ---------------------------------------------------------------------------
 # trace invariant suite
@@ -115,8 +111,7 @@ _EXACT_TOL = 1e-12      # ||mu_{k+1} - lam_k|| equality
 _DECREASE_TOL = 1e-10   # merit decrease inequalities
 
 
-def check_trace(problem: Problem, history: RunHistory, params, *,
-                grad_lipschitz: Optional[float] = None) -> List[InvariantViolation]:
+def check_trace(problem: Problem, history: RunHistory, params) -> List[InvariantViolation]:
     """Evaluate every checkable per-iteration inequality over a recorded run.
 
     A vectorized replay of the history's recorded terms (see
@@ -134,36 +129,31 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
                       ||mu_{k+1} - lam_k|| = (1 - gamma_k/rho)||lam_k - mu_k||
     - state identity for k >= 1 (1e-10 relative to 1 + ||rho c(x_k)||):
                       lam_k - mu_k = rho c(x_k)
-    - merit decrease, for transitions from k >= 1 (the lam-update identity
+    - merit_decrease, for transitions from k >= 1 (the lam-update identity
       that the bound rests on first holds at k = 1):
-        observed form   L^{k+1} <= L^k + 2 delta_k / rho;
-        certified form  L^{k+1} <= L^k - ((eta - Lp - 2 rho Lc^2)/2)||dx||^2
-                        + 2 delta_k / rho,
-        enforced only when ``problem.lipschitz_c`` supplies Lc and
-        ``grad_lipschitz`` supplies Lp with eta = 1/step_size > Lp + 2 rho Lc^2
+                      L^{k+1} <= L^k + 2 delta_k / rho
     - lam_step, for transitions from k >= 1, when ``problem.lipschitz_c``
       supplies Lc:
                       ||lam_{k+1} - lam_k||^2 <= 2 rho^2 Lc^2 ||dx||^2 + 2 delta_k
 
+    A NaN term fails every check that reads it, at that check's k.
+
     Parameters
     ----------
     problem : Problem
-        The problem the run solved; only its ``lipschitz_c`` is read.  Checks
-        needing it are skipped when it is None.
+        The problem the run solved; only its ``lipschitz_c`` is read.  The
+        lam_step check needs it, and is skipped when it is None.
     history : RunHistory
         Every iteration of the run, as ``solve`` records it.
     params : SolverParams
         The parameters the run used (penalty, step size, schedule).
-    grad_lipschitz : float, optional
-        Lipschitz constant of the merit gradient in x (depends on the dual
-        magnitudes, so it can only be user-supplied).
 
     Returns
     -------
     list of InvariantViolation
         Empty when the run is consistent with the theory.
     """
-    ks = history.ks
+    ks = history.column("k")
     size = len(history)
     if size == 0:
         raise ValueError("empty trace: nothing to check")
@@ -197,24 +187,18 @@ def check_trace(problem: Problem, history: RunHistory, params, *,
          _IDENTITY_TOL * (1.0 + rho * col("feasibility")[1:]), 0.0)]
 
     # merit decrease and lam displacement, from k >= 1: none below three rows
-    ndx = col("step_x_norm")[2:]
-    L_c = problem.lipschitz_c
-    allowance = merit[1:-1] + 2.0 * delta[1:-1] / rho
-    certified = (L_c is not None and grad_lipschitz is not None
-                 and 1.0 / params.step_size > grad_lipschitz + 2.0 * rho * L_c ** 2)
-    if certified:
-        coeff = 0.5 * (1.0 / params.step_size - grad_lipschitz - 2.0 * rho * L_c ** 2)
-        allowance = allowance - coeff * ndx ** 2
     tol = _DECREASE_TOL * (1.0 + np.abs(merit[1:-1]))
-    checks.append(("merit_decrease_certified" if certified else "merit_decrease",
-                   ks[1:-1], merit[2:], allowance + tol, 0.0))
+    checks.append(("merit_decrease", ks[1:-1], merit[2:],
+                   merit[1:-1] + 2.0 * delta[1:-1] / rho + tol, 0.0))
+    L_c = problem.lipschitz_c
     if L_c is not None:
-        rhs = 2.0 * rho ** 2 * L_c ** 2 * ndx ** 2 + 2.0 * delta[1:-1]
+        rhs = 2.0 * rho ** 2 * L_c ** 2 * col("step_x_norm")[2:] ** 2 + 2.0 * delta[1:-1]
         checks.append(("lam_step", ks[1:-1], col("step_lambda_sq")[2:], rhs,
                        _SLACK * (1.0 + rhs)))
 
+    # negated, so that a NaN on either side is a violation
     violations = [_violation(name, k[i], lhs[i], rhs[i]) for name, k, lhs, rhs, slack in checks
-                  for i in np.flatnonzero(lhs > rhs + slack)]
+                  for i in np.flatnonzero(~(lhs <= rhs + slack))]
     violations.sort(key=lambda v: (v.k, v.name))
     return violations
 
@@ -244,26 +228,3 @@ def write_trace_csv(history: RunHistory, path) -> None:
         np.savetxt(fh, table, fmt=["%d"] + ["%.17e"] * (len(TRACE_COLUMNS) - 1),
                    delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
-
-def read_trace_csv(path) -> Dict[str, np.ndarray]:
-    """Parse a trace CSV written by ``write_trace_csv`` into one array per column.
-
-    Keys are ``TRACE_COLUMNS``; ``k`` is int64, the rest are floats.  Blank lines hold
-    no row.  The file is plain text whatever its name.  A foreign header, or a row with
-    a missing, extra or non-numeric field or a fractional k, raises ValueError.
-    """
-    dtype = [("k", np.int64)] + [(name, float) for name in TRACE_COLUMNS[1:]]
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(TRACE_COLUMNS):
-            raise ValueError(f"unexpected trace header: {header!r}")
-        if all(line == "\n" for line in fh):  # no row: loadtxt would warn on the empty input
-            return {name: np.empty(0, kind) for name, kind in dtype}
-        fh.seek(0)
-        with warnings.catch_warnings():  # older numpy 2.x only warns on a fractional k
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                table = np.loadtxt(fh, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-            except (ValueError, DeprecationWarning) as exc:
-                raise ValueError(f"malformed trace row: {exc}") from None
-    return {name: table[name] for name in TRACE_COLUMNS}

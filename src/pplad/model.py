@@ -176,8 +176,8 @@ class Problem:
 
     ``lipschitz_c`` is an optional global Lipschitz constant of the
     constraint map over X.  It is advisory metadata only: the solver never
-    derives its step size from it; it enables the ``lam_step`` and
-    certified merit-decrease checks of ``check_trace``.
+    derives its step size from it; it enables the ``lam_step`` check of
+    ``check_trace``.
     """
 
     n: int

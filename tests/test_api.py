@@ -12,7 +12,7 @@ REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState"
            "optimality_residual", "feasibility_residual", "TraceRecord",
            "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
            "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio",
-           "zhat", "eval_full")
+           "zhat", "eval_full", "read_trace_csv")
 
 PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                       step_size=0.002, max_iterations=5)
@@ -43,6 +43,8 @@ def test_solve_takes_no_trace_stride():
 
 @pytest.mark.parametrize("keyword,call", [
     ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
+    ("grad_lipschitz", lambda: check_trace(example1(), RunHistory(), PARAMS,
+                                           grad_lipschitz=1.0)),
     ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
     ("z0", lambda: solve(example1(), PARAMS, [3.0, 3.0], z0=[0.0, 0.0])),
     ("delta", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], delta=0.5)),
@@ -51,9 +53,9 @@ def test_solve_takes_no_trace_stride():
     ("divergence_bound", lambda: SolverParams(penalty=PenaltyParams(2000.0, 0.5),
                                               step_size=0.002, divergence_bound=1e8)),
     ("window", lambda: tail_step_maxima(RunHistory(), window=100)),
-], ids=["check_trace-hints", "from_qcqp-lipschitz_hints", "solve-z0", "FullState-delta",
-        "FullState-gamma", "write_trace_csv-stride", "SolverParams-divergence_bound",
-        "tail_step_maxima-window"])
+], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",
+        "solve-z0", "FullState-delta", "FullState-gamma", "write_trace_csv-stride",
+        "SolverParams-divergence_bound", "tail_step_maxima-window"])
 def test_removed_keywords_raise_type_error(keyword, call):
     # each raises before it writes a file
     with pytest.raises(TypeError, match=keyword):

@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
-                   RunHistory, SolverParams, TRACE_COLUMNS, check_trace, from_qcqp,
-                   initial_state, iterate, kkt_report, read_trace_csv, solve,
-                   tail_step_maxima, write_trace_csv)
+                   RunHistory, SolveStatus, SolverParams, TRACE_COLUMNS, check_trace,
+                   from_qcqp, initial_state, iterate, kkt_report, solve, tail_step_maxima,
+                   write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -175,6 +175,42 @@ class TestCheckTrace:
         violations = check_trace(p, hist, params)
         assert [(v.name, v.k) for v in violations] == [(check, k)]
 
+    @pytest.mark.parametrize("column,expected", [
+        ("norm_mu", [("mu_bound", 20)]),
+        ("step_mu_sq", [("mu_step", 19)]),
+        ("lagrangian", [("merit_decrease", 19), ("merit_decrease", 20)]),
+        ("gap_lambda_mu", [("identity_lam_mu", 20)]),
+        ("feasibility", [("identity_lam_mu", 20)]),
+        ("mu_prev_lambda_norm", [("mu_lam_contraction", 19)]),
+        ("step_lambda_sq", [("lam_step", 19)]),
+        ("step_x_norm", [("lam_step", 19)]),
+        ("lambda_mu_sq", [("lambda_mu_sq_nonnegative", 20), ("mu_lam_contraction", 20),
+                          ("mu_step", 20), ("mu_step_budget", 20)]),
+        ("gamma", [("mu_lam_contraction", 19), ("mu_step", 19), ("mu_step_budget", 19)]),
+        ("delta", [("lam_step", 20), ("merit_decrease", 20), ("mu_step_budget", 20)]),
+    ])
+    def test_nan_term_trips_every_check_that_reads_it(self, run1, column, expected):
+        # lhs > rhs is False for a NaN, so a check that only asked that would pass it
+        p, params, _ = run1
+        params = dataclasses.replace(params, max_iterations=50)
+        hist = solve(p, params, [3.0, 3.0]).history
+        hist.column(column)[20] = np.nan
+        assert [(v.name, v.k) for v in check_trace(p, hist, params)] == expected
+
+    def test_a_run_ending_in_a_nan_constraint_value_is_not_clean(self):
+        # c(x) is NaN for x < 0, where the first step lands from x0 = 0.5
+        p = Problem(n=1, m=1, objective=lambda x: float(x @ x),
+                    objective_gradient=lambda x: 2.0 * x,
+                    constraints=lambda x: np.array([np.nan if x[0] < 0 else x[0] - 0.25]),
+                    constraint_jacobian=lambda x: np.ones((1, 1)),
+                    projection=lambda v: v, name="nan-c")
+        params = SolverParams(penalty=RHO2, step_size=1.0)
+        out = solve(p, params, [0.5])
+        assert out.status is SolveStatus.EVALUATION_ERROR
+        assert_array_equal(out.history.column("feasibility"), [0.25, np.nan])
+        assert [(v.name, v.k) for v in check_trace(p, out.history, params)] == [
+            ("identity_lam_mu", 1), ("lambda_mu_sq_nonnegative", 1)]
+
     def test_negative_lambda_mu_sq_is_a_violation_at_its_k(self, run1):
         # a squared norm below zero is reported before its root is taken,
         # where np.sqrt would warn (an error under this repo's warning filter)
@@ -223,30 +259,6 @@ class TestCheckTrace:
         hist.column("lagrangian")[1] += 600.0
         hist.column("step_lambda_sq")[1] += 1e12
         assert [(v.name, v.k) for v in check_trace(p, hist, params)] == [("mu_step", 0)]
-
-    def test_certified_decrease_with_generous_constants_passes(self):
-        # Honest global constants for a well-conditioned run: small convex
-        # quadratic with one affine constraint, eta far above the threshold.
-        Q = np.diag([1.0, 2.0])
-        a = np.array([1.0, 1.0])
-
-        p = Problem(n=2, m=1,
-                    objective=lambda x: float(0.5 * x @ Q @ x),
-                    objective_gradient=lambda x: Q @ x,
-                    constraints=lambda x: np.array([a @ x - 1.0]),
-                    constraint_jacobian=lambda x: a.reshape(1, 2),
-                    projection=lambda v: v,
-                    lipschitz_c=np.sqrt(2.0),
-                    name="affine-eq")
-        params = SolverParams(penalty=PenaltyParams(alpha=100.0, beta=0.5),
-                              step_size=1e-3, delta0=0.5, decay=0.999,
-                              max_iterations=2000, tol_optimality=1e-5,
-                              tol_feasibility=1e-5)
-        out = solve(p, params, [2.0, -1.0])
-        # certification threshold: eta = 1000 > L_p + 2 rho Lc^2
-        # with L_p <= ||Q|| + 0 (affine constraints add no curvature in x)
-        violations = check_trace(p, out.history, params, grad_lipschitz=2.0)
-        assert violations == []
 
     def test_lam_step_check_runs_when_hints_present(self, run1):
         p, params, out = run1
@@ -300,13 +312,13 @@ class TestRunHistory:
     def test_append_takes_a_row_in_column_order_and_k_is_its_index(self):
         hist = RunHistory()
         hist.append([float(i) for i in range(len(COLUMNS))])
-        assert hist.ks.tolist() == [0] and hist.ks.dtype == np.int64
+        assert hist.column("k").tolist() == [0] and hist.column("k").dtype == np.int64
         assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
         assert COLUMNS[:len(TRACE_COLUMNS) - 1] == TRACE_COLUMNS[1:]
-        ks, objective = hist.ks, hist.column("objective")
+        ks, objective = hist.column("k"), hist.column("objective")
         hist.append([-1.0] * len(COLUMNS))
         assert ks.tolist() == [0] and objective.tolist() == [0.0]
-        assert hist.ks.tolist() == [0, 1] and hist.column("objective").tolist() == [0.0, -1.0]
+        assert hist.column("objective").tolist() == [0.0, -1.0]
         assert hist.column("k").tolist() == [0, 1] and len(hist) == 2
 
     @pytest.mark.parametrize("size", [len(COLUMNS) - 1, len(COLUMNS) + 1])
@@ -316,7 +328,7 @@ class TestRunHistory:
         with pytest.raises(ValueError, match="row"):
             hist.append([1.0] * size)
         assert len(hist) == 1
-        assert hist.ks.tolist() == [0]
+        assert hist.column("k").tolist() == [0]
         assert [hist.column(name)[0] for name in COLUMNS] == [0.0] * len(COLUMNS)
 
     @pytest.mark.parametrize("view", ["k", "objective"])
@@ -328,13 +340,13 @@ class TestRunHistory:
         held = hist.column(view)
         hist.append([1.0] * len(COLUMNS))
         assert held.tolist() == [0]
-        assert len(hist) == 2 and hist.ks.tolist() == [0, 1]
+        assert len(hist) == 2 and hist.column("k").tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
         with pytest.raises(ValueError, match="row"):
             hist.append([2.0] * (len(COLUMNS) + 1))
         with pytest.raises(TypeError):
             hist.append([2.0] * (len(COLUMNS) - 1) + ["2"])
-        assert hist.ks.tolist() == [0, 1]
+        assert hist.column("k").tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
 
     def test_reading_every_column_copies_no_row(self):
@@ -463,15 +475,17 @@ class TestRecordedTerms:
 
 class TestTraceCsv:
     def test_round_trip(self, run1, tmp_path):
-        _, _, out = run1
-        path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path)
-        back = read_trace_csv(path)
-        assert list(back) == list(TRACE_COLUMNS)
-        assert back["k"].dtype.kind == "i"
-        for name in TRACE_COLUMNS:
-            # %.17e is lossless for doubles
-            assert_array_equal(back[name], out.history.column(name))
+        # the README's reader; ndmin=2 keeps a one-row trace, from max_iterations=0, a table
+        p, params, out = run1
+        one_row = solve(p, dataclasses.replace(params, max_iterations=0), [3.0, 3.0]).history
+        for history in (out.history, one_row):
+            path = tmp_path / "trace.csv"
+            write_trace_csv(history, path)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert table.shape == (len(history), len(TRACE_COLUMNS))
+            for j, name in enumerate(TRACE_COLUMNS):
+                # %.17e is lossless for doubles, and k comes back as its float value
+                assert_array_equal(table[:, j], history.column(name))
 
     @pytest.mark.parametrize("stride", [0, -3, np.nan])
     def test_nonpositive_stride_rejected(self, run1, tmp_path, stride):
@@ -513,66 +527,10 @@ class TestTraceCsv:
         assert header == ("k,objective,feasibility,optimality,lagrangian,"
                           "norm_x,norm_lambda,norm_mu,step_x_norm,gamma,delta")
 
-    def test_reader_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="unexpected trace header"):
-            read_trace_csv(path)
-
-    def test_reader_rejects_a_header_with_two_columns_swapped(self, tmp_path):
-        names = list(TRACE_COLUMNS)
-        names[1], names[2] = names[2], names[1]
-        path = tmp_path / "bad.csv"
-        path.write_text(",".join(names) + "\n")
-        with pytest.raises(ValueError, match="unexpected trace header"):
-            read_trace_csv(path)
-
-    def test_reader_rejects_ragged_row(self, run1, tmp_path):
-        _, _, out = run1
-        path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path)
-        with open(path, "a") as fh:
-            fh.write("1,2,3\n")
-        with pytest.raises(ValueError, match="malformed trace row"):
-            read_trace_csv(path)
-
-    @pytest.mark.parametrize("off", [-1, 1])
-    def test_reader_rejects_a_row_one_field_off(self, run1, tmp_path, off):
-        _, _, out = run1
-        path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path)
-        with open(path, "a") as fh:
-            fh.write(",".join(["0"] * (len(TRACE_COLUMNS) + off)) + "\n")
-        with pytest.raises(ValueError, match="malformed trace row"):
-            read_trace_csv(path)
-
-    @pytest.mark.parametrize("column, text", [(3, "abc"), (0, "1.5")],
-                             ids=["non-numeric", "fractional-k"])
-    def test_reader_rejects_a_malformed_field(self, run1, tmp_path, column, text):
-        _, _, out = run1
-        path = tmp_path / "trace.csv"
-        write_trace_csv(out.history, path)
-        row = ["1"] * len(TRACE_COLUMNS)
-        row[column] = text
-        with open(path, "a") as fh:
-            fh.write(",".join(row) + "\n")
-        with pytest.raises(ValueError, match="malformed trace row"):
-            read_trace_csv(path)
-
     def test_empty_history_round_trips_to_empty_columns(self, tmp_path):
-        # a warning on the empty input would be an error under the test settings
         path = tmp_path / "trace.csv"
         write_trace_csv(RunHistory(), path)
         assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
-        # a header followed by blank lines only holds no row either
-        blank = tmp_path / "blank.csv"
-        blank.write_text(",".join(TRACE_COLUMNS) + "\n\n\r\n\n")
-        for source in (path, blank):
-            back = read_trace_csv(source)
-            assert list(back) == list(TRACE_COLUMNS)
-            for name in TRACE_COLUMNS:
-                assert back[name].shape == (0,)
-                assert back[name].dtype == (np.int64 if name == "k" else np.float64), name
 
     def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
         _, _, out = run1
@@ -580,6 +538,9 @@ class TestTraceCsv:
         write_trace_csv(out.history, plain)
         write_trace_csv(out.history, gz)
         assert gz.read_bytes() == plain.read_bytes()
-        back = read_trace_csv(gz)
-        for name in TRACE_COLUMNS:
-            assert back[name].tobytes() == out.history.column(name).tobytes(), name
+        # opened here: np.loadtxt given the .gz path itself would gunzip it
+        with open(gz, encoding="utf-8") as fh:
+            table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        assert_array_equal(table[:, 0], out.history.column("k"))
+        for j, name in enumerate(TRACE_COLUMNS[1:], start=1):
+            assert table[:, j].tobytes() == out.history.column(name).tobytes(), name

@@ -425,7 +425,7 @@ class TestSolve:
         out = solve(p, fig1_params(), [3.0, 3.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert "DimensionMismatch raised at iteration 1: projection" in out.message
-        assert out.history.ks.tolist() == [0]
+        assert out.history.column("k").tolist() == [0]
 
     def test_callback_exception_becomes_evaluation_error(self):
         calls = {"n": 0}
@@ -443,7 +443,7 @@ class TestSolve:
         out = solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert "ZeroDivisionError" in out.message and "iteration 5" in out.message
-        assert out.history.ks.tolist() == [0, 1, 2, 3, 4]
+        assert out.history.column("k").tolist() == [0, 1, 2, 3, 4]
         assert out.iterations == 4
         assert out.history.column("norm_x")[-1] == np.linalg.norm(out.final_state.x)
 
