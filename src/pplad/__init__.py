@@ -18,7 +18,7 @@ from .numcheck import compare, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
 from .solver import (FullState, KktReport, PenaltyParams, SolveOutcome, SolveStatus,
-                     SolverParams, grad_x, initial_state, iterate, kkt_report, solve)
+                     SolverParams, grad_x, kkt_report, solve, steps)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
     "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
     "check_trace", "compare", "example1", "example2", "example2_spec", "example3",
-    "fd_jacobian", "from_qcqp", "grad_x", "initial_state", "iterate", "kkt_report",
-    "solve", "tail_step_maxima", "validate", "write_trace_csv",
+    "fd_jacobian", "from_qcqp", "grad_x", "kkt_report", "solve", "steps",
+    "tail_step_maxima", "validate", "write_trace_csv",
 ]

@@ -16,6 +16,7 @@ reads them back.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import List
@@ -63,18 +64,20 @@ class RunHistory:
     No iterate vector is stored: a row is 15 eight-byte numbers whatever n
     and m, and k is not stored at all.  ``column(name)`` is a live numpy
     view of the rows stored so far, and rows may be appended before and
-    after any read.  A view keeps the rows it was taken with; a write
-    through it is seen by later reads as long as no row was appended since
-    it was taken.  ``column("k")`` is a fresh ``arange`` of the row count,
-    not a view.
+    after any read, at amortized O(1) cost per row whatever views are
+    alive.  A view keeps the rows it was taken with; a write through it is
+    seen by later reads as long as no row was appended since it was taken.
+    ``column("k")`` is a fresh ``arange`` of the row count, not a view.
     """
 
     COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
                "step_mu_sq", "mu_prev_lambda_norm")
     _INDEX = {name: j for j, name in enumerate(COLUMNS)}
+    _PACK_ROW = struct.Struct(f"{len(COLUMNS)}d").pack_into
 
     def __init__(self):
-        self._table = array("d")  # row-major, one row of COLUMNS per iteration
+        self._table = array("d")  # row-major, one row of COLUMNS per iteration, then any room
+        self._size = 0            # the floats of the rows stored so far
 
     def append(self, row: list) -> None:
         """Store the next iteration from ``row``, a list of one float per name in ``COLUMNS``.
@@ -84,19 +87,25 @@ class RunHistory:
         if len(row) != len(self.COLUMNS):
             raise ValueError(f"a history row has {len(self.COLUMNS)} values, got {len(row)}")
         try:
-            self._table.fromlist(row)
-        except BufferError:  # a view holds the buffer: go on in a copy, leaving the view its rows
-            self._table = self._table + array("d", row)
+            if self._size < len(self._table):  # room from a copy: written in place, views or not
+                self._PACK_ROW(self._table, 8 * self._size, *row)
+            else:
+                self._table.fromlist(row)  # in place, amortized by the array's over-allocation
+        except BufferError:  # a view pins the buffer: go on in a copy with as much room again
+            self._table = self._table + array("d", row) + array("d", bytes(8 * self._size))
+        except struct.error as exc:
+            raise TypeError(f"a history row holds floats: {exc}") from None
+        self._size += len(row)
 
     def __len__(self):
-        return len(self._table) // len(self.COLUMNS)
+        return self._size // len(self.COLUMNS)
 
     def column(self, name: str) -> np.ndarray:
         """A view of column ``name`` over the rows stored so far; for ``"k"``, the row indices."""
         if name == "k":
             return np.arange(len(self), dtype=np.int64)
-        table = np.frombuffer(self._table, dtype=float).reshape(-1, len(self.COLUMNS))
-        return table[:, self._INDEX[name]]
+        table = np.frombuffer(self._table, dtype=float, count=self._size)
+        return table.reshape(-1, len(self.COLUMNS))[:, self._INDEX[name]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ new x and new mu.  The damped dual step gamma keeps the total movement of
 mu summable, which is what bounds the dual iterates without any safeguard.
 Every update is a closed form or a single projection: nothing is solved
 iteratively inside an iteration.  The formulas live once, in ``_advance``,
-which both ``solve`` and the public one-step ``iterate`` run.
+and the loop lives once, in the generator ``steps``, which ``solve`` drains.
 
 The optimality measure is the projected-gradient fixed-point residual
 ||x - P_X[x - grad_x L]|| (unit step inside P_X, so it does not depend on
@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .diagnostics import RunHistory
-from .model import DimensionMismatch, EvaluationError, Problem, _norm
+from .model import DimensionMismatch, Problem, _norm
 
 
 @dataclass
@@ -219,33 +219,6 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, gr
     return nxt, cx, gam
 
 
-def iterate(problem: Problem, params: SolverParams, state: FullState) -> FullState:
-    """Apply one full iteration and return the successor state.
-
-    Raises DimensionMismatch if the state's sizes do not match the problem,
-    and EvaluationError if any component comes out non-finite.
-    """
-    state.check_dims(problem)
-    d = state.lam - state.mu
-    next_state, _, _ = _advance(problem, params, state, d, float(d.dot(d)),
-                                grad_x(problem, state))
-    if not all(np.all(np.isfinite(v)) for v in (next_state.x, next_state.lam, next_state.mu)):
-        raise EvaluationError("non-finite iterate component", state=next_state,
-                              iteration=next_state.k)
-    return next_state
-
-
-def initial_state(problem: Problem, x0, lam0=None, mu0=None) -> FullState:
-    """Build the starting state: x0 projected onto X, duals defaulting to zero."""
-    def dual(value):
-        return np.zeros(problem.m) if value is None else value
-
-    state = FullState(x0, dual(lam0), dual(mu0))
-    state.check_dims(problem)
-    state.x = problem.project(state.x)
-    return state
-
-
 # ||x|| beyond this ends the run as DIVERGED: the boundedness assumption failing in practice
 _DIVERGENCE_BOUND = 1e8
 
@@ -264,45 +237,23 @@ def _stop(params: SolverParams, k: int, kkt: KktReport, fx, merit, norm_x):
 
 
 # ---------------------------------------------------------------------------
-# full solve loop
+# the loop
 # ---------------------------------------------------------------------------
 
-def solve(problem: Problem, params: SolverParams, x0, *,
-          lam0=None, mu0=None) -> SolveOutcome:
-    """Run the alternating-direction loop from x0 until a stopping condition.
+def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
+    """Run the loop from x0, yielding ``(status, state, kkt, history, message)`` after each row.
 
-    Stops with CONVERGED when the projected-gradient optimality residual
-    and the feasibility residual ||c(x)|| are simultaneously below their
-    tolerances, with ITERATION_LIMIT at the iteration budget, with DIVERGED
-    when ||x|| exceeds 1e8 (the boundedness assumption failing in
-    practice), and with EVALUATION_ERROR when an iterate turns
-    non-finite or a problem callback raises after the starting point was
-    evaluated.  In both EVALUATION_ERROR cases the partial history is kept
-    and the final state is the last fully evaluated one.
-
-    The output shapes of f, grad f, c, J and the projection are checked
-    against the evaluator contract; a wrong shape at the starting point
-    raises DimensionMismatch naming the callback.
-
-    The history records every iteration, k = 0 included, as scalars only:
-    the trace columns plus the per-transition terms ``check_trace`` replays
-    (see ``RunHistory``).  Vector memory stays O(n + m) whatever the number
-    of iterations; to follow the iterate vectors, step ``iterate`` from
-    ``initial_state``, which takes the same steps bit for bit.
-
-    Parameters
-    ----------
-    problem, params : the model and algorithm parameters.
-    x0 : array_like
-        Starting point; projected onto X before the first iteration.
-    lam0, mu0 : array_like, optional
-        Warm-start multipliers; both default to zero vectors.
-
-    Returns
-    -------
-    SolveOutcome
-        Final state, KKT report and the scalar history of every iteration.
+    The fields are ``SolveOutcome``'s, live, and status is None until the last
+    yield.  Callbacks run only inside ``next()``, so breaking out ends the run;
+    the first ``next()`` checks the start's sizes before any callback runs.  A
+    callback that raises after the start adds a last EVALUATION_ERROR yield,
+    with the last fully evaluated state.  A yielded state is not changed by
+    later steps.
     """
+    cur = FullState(x0, np.zeros(problem.m) if lam0 is None else lam0,
+                    np.zeros(problem.m) if mu0 is None else mu0)
+    cur.check_dims(problem)
+    cur.x = problem.project(cur.x)
     rho = params.penalty.rho
     history = RunHistory()
 
@@ -329,22 +280,60 @@ def solve(problem: Problem, params: SolverParams, x0, *,
                         _norm(d - rho * cx), step_lam_sq, step_mu_sq, mu_prev_lam])
         return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
-    cur = initial_state(problem, x0, lam0=lam0, mu0=mu0)
     d = cur.lam - cur.mu
     cx, grad = problem.c(cur.x), grad_x(problem, cur)  # c before J, as at every later point
     kkt, dd, status, message = record(cur, d, grad, cx, None, 0.0)
+    yield status, cur, kkt, history, message
     while status is None:
         try:
             nxt, cx, gam = _advance(problem, params, cur, d, dd, grad)
             d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
             kkt, dd, status, message = record(nxt, d, grad, cx, cur, gam)
+            cur = nxt
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"
-            break
-        cur = nxt
+        yield status, cur, kkt, history, message
 
+
+def solve(problem: Problem, params: SolverParams, x0, *,
+          lam0=None, mu0=None) -> SolveOutcome:
+    """Run the alternating-direction loop from x0 until a stopping condition.
+
+    Stops with CONVERGED when the projected-gradient optimality residual
+    and the feasibility residual ||c(x)|| are simultaneously below their
+    tolerances, with ITERATION_LIMIT at the iteration budget, with DIVERGED
+    when ||x|| exceeds 1e8 (the boundedness assumption failing in
+    practice), and with EVALUATION_ERROR when an iterate turns
+    non-finite or a problem callback raises after the starting point was
+    evaluated.  In both EVALUATION_ERROR cases the partial history is kept
+    and the final state is the last fully evaluated one.
+
+    The output shapes of f, grad f, c, J and the projection are checked
+    against the evaluator contract; a wrong shape at the starting point
+    raises DimensionMismatch naming the callback.
+
+    The history records every iteration, k = 0 included, as scalars only:
+    the trace columns plus the per-transition terms ``check_trace`` replays
+    (see ``RunHistory``).  Vector memory stays O(n + m) whatever the number
+    of iterations; to follow the iterate vectors, or to stop early, loop
+    over ``steps``, the generator this function drains.
+
+    Parameters
+    ----------
+    problem, params : the model and algorithm parameters.
+    x0 : array_like
+        Starting point; projected onto X before the first iteration.
+    lam0, mu0 : array_like, optional
+        Warm-start multipliers; both default to zero vectors.
+
+    Returns
+    -------
+    SolveOutcome
+        Final state, KKT report and the scalar history of every iteration.
+    """
+    for status, cur, kkt, history, message in steps(problem, params, x0, lam0=lam0, mu0=mu0):
+        pass
     final = replace(cur, x=cur.x.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
-    return SolveOutcome(status=status, final_state=final, kkt=kkt, history=history,
-                        message=message)
+    return SolveOutcome(status, final, kkt, history, message)

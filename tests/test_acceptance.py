@@ -5,14 +5,16 @@ line per criterion.
 """
 
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from merit import eval_full, zhat
 from pplad import (FullState, PenaltyParams, SolveStatus, SolverParams, check_trace,
-                   fd_jacobian, grad_x, initial_state, iterate, solve, tail_step_maxima)
+                   fd_jacobian, grad_x, solve, steps, tail_step_maxima)
 from pplad.problems import example1, example2, example3
+from stepping import advance
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
 MAX_ITERS = 200000
@@ -129,7 +131,7 @@ def test_criterion_5_gradient_oracle():
 
 
 def test_criterion_6_closed_form_inner_solutions():
-    # z is checked at the sampled state; lam is the one iterate returns from
+    # z is checked at the sampled state; lam is the one an iteration returns from
     # it, checked against the merit at its own x and mu with z = zhat(lam, mu)
     params = PenaltyParams(alpha=2000.0, beta=0.5)
     solver_params = SolverParams(penalty=params, step_size=0.002)
@@ -148,7 +150,7 @@ def test_criterion_6_closed_form_inner_solutions():
 
             z_best = zhat(params, lam, mu)
             v_best = eval_full(problem, params, FullState(x, lam, mu), z=z_best)
-            nxt = iterate(problem, solver_params, FullState(x, lam, mu))
+            nxt = advance(problem, solver_params, FullState(x, lam, mu))
             r_best = reduced(problem, nxt.x, nxt.lam, nxt.mu)
             for _ in range(20):
                 u = rng.standard_normal(problem.m)
@@ -185,8 +187,8 @@ def test_criterion_7_one_step_oracle():
     problem = example1()
     params = SolverParams(penalty=PenaltyParams(alpha=alpha, beta=beta),
                           step_size=step, delta0=delta0, decay=r, max_iterations=1)
-    nxt = iterate(problem, params, initial_state(problem, [3.0, 3.0]))
-    delta1 = solve(problem, params, [3.0, 3.0]).history.column("delta")[1]
+    [_, (_, nxt, _, history, _)] = islice(steps(problem, params, [3.0, 3.0]), 2)
+    delta1 = history.column("delta")[1]
 
     gap = max(np.max(np.abs(nxt.x - np.array(x_new))),
               np.max(np.abs(nxt.mu - np.array(mu_new))),

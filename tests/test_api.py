@@ -12,7 +12,7 @@ REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState"
            "optimality_residual", "feasibility_residual", "TraceRecord",
            "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
            "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio",
-           "zhat", "eval_full", "read_trace_csv")
+           "zhat", "eval_full", "read_trace_csv", "iterate", "initial_state")
 
 PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
                       step_size=0.002, max_iterations=5)

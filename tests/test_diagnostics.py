@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
                    RunHistory, SolveStatus, SolverParams, TRACE_COLUMNS, check_trace,
-                   from_qcqp, initial_state, iterate, kkt_report, solve, tail_step_maxima,
-                   write_trace_csv)
+                   from_qcqp, kkt_report, solve, steps, tail_step_maxima, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -33,12 +32,9 @@ def kkt(problem, state, tol=1e-6):
     return kkt_report(problem, state, tol_optimality=tol, tol_feasibility=tol)
 
 
-def replay(problem, params, x0, count):
-    """The first ``count`` states of a run, stepped with the public ``iterate``."""
-    states = [initial_state(problem, x0)]
-    while len(states) < count:
-        states.append(iterate(problem, params, states[-1]))
-    return states
+def replay(problem, params, x0):
+    """Every state of the run from x0, read off ``steps``."""
+    return [state for _, state, *_ in steps(problem, params, x0)]
 
 
 def box_qcqp(n, m, seed):
@@ -83,7 +79,9 @@ class TestResiduals:
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
         p, params, out = run1
         feas = out.history.column("feasibility")
-        for k, s in enumerate(replay(p, params, [3.0, 3.0], len(out.history))):
+        states = replay(p, params, [3.0, 3.0])
+        assert len(states) == len(feas)
+        for k, s in enumerate(states):
             assert feas[k] == np.linalg.norm(p.constraints(s.x))
 
 
@@ -349,6 +347,27 @@ class TestRunHistory:
         assert hist.column("k").tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
 
+    def test_views_kept_across_appends_keep_their_rows_and_do_not_copy_each_time(self):
+        # a reader that keeps a view while rows are appended, as a consumer of ``steps``
+        # may: every view still reads its rows, a fresh column reads every row, and
+        # the table is replaced a logarithmic number of times, not once per view
+        def row(k):
+            return [k + j / 100 for j in range(len(COLUMNS))]
+
+        hist, held, replaced = RunHistory(), [], 0
+        for k in range(11000):
+            table = hist._table
+            hist.append(row(k))
+            replaced += hist._table is not table
+            if k in (0, 1, 63, 64, 999) or k % 64 == 0:
+                view = hist.column(COLUMNS[-1])
+                held.append((view, view.copy()))
+        assert replaced <= np.log2(11000 * len(COLUMNS)) + 1
+        for view, seen in held:
+            assert view.tobytes() == seen.tobytes()
+        assert hist.column("objective").tolist() == list(range(11000))
+        assert hist.column(COLUMNS[-1]).tolist() == [k + 0.14 for k in range(11000)]
+
     def test_reading_every_column_copies_no_row(self):
         # the columns are views of the stored rows: reading them all copies none
         rows = 5000
@@ -410,7 +429,7 @@ class TestRunHistory:
 
 
 class TestRecordedTerms:
-    """Every recorded column against a replay of ``iterate`` with fresh callback calls."""
+    """Every recorded column against a replay of the states with fresh callback calls."""
 
     @staticmethod
     def unconstrained():
@@ -434,7 +453,8 @@ class TestRecordedTerms:
             params = SolverParams(penalty=PenaltyParams(alpha=100.0, beta=0.5),
                                   step_size=0.05, max_iterations=150)
         hist = solve(p, params, x0).history
-        states = replay(p, params, x0, len(hist))
+        states = replay(p, params, x0)
+        assert len(states) == len(hist)
         rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
 
         def norm_sq(v):

@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
 from pplad import (DimensionMismatch, FullState, PenaltyParams, SolverParams, fd_jacobian,
-                   grad_x, iterate)
+                   grad_x)
 from pplad.problems import example1, example2, example3
+from stepping import advance
 
 # alpha/(1 + alpha*beta) = 2 exactly
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
@@ -196,14 +197,14 @@ class TestEvalReduced:
 
 
 class TestLambdaHat:
-    """The lam that ``iterate`` returns is the closed-form maximizer mu + rho c(x)."""
+    """The lam one iteration returns is the closed-form maximizer mu + rho c(x)."""
 
     def test_feasible_point_returns_mu(self):
         # x = (1, 0) is feasible and, with lam = 0, stationary: x stays put and lam = mu
         p = example1()
         mu = np.array([1.5, -2.0])
         state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=mu)
-        nxt = iterate(p, SolverParams(penalty=RHO2, step_size=0.1), state)
+        nxt = advance(p, SolverParams(penalty=RHO2, step_size=0.1), state)
         assert_allclose(nxt.x, [1.0, 0.0])
         assert_allclose(nxt.lam, nxt.mu)
 
@@ -213,7 +214,7 @@ class TestLambdaHat:
         # gamma = rho/(||lam - mu||^2 + 1) = 0.4 moves mu to 0.2*(0, 2) = (0, 0.4),
         # and lam = mu + 2*c = (-8, 50.4)
         state = FullState(x=[5.0, 5.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
-        nxt = iterate(example3(), SolverParams(penalty=RHO2, step_size=0.1), state)
+        nxt = advance(example3(), SolverParams(penalty=RHO2, step_size=0.1), state)
         assert_allclose(nxt.x, [5.0, 5.0])
         assert_allclose(nxt.lam, [-8.0, 50.4])
 
@@ -226,7 +227,7 @@ class TestLambdaHat:
         for _ in range(25):
             x = rng.uniform(-4.0, 4.0, p.n)
             mu = 2.0 * rng.standard_normal(p.m)
-            nxt = iterate(p, solver_params, FullState(x, mu, mu))
+            nxt = advance(p, solver_params, FullState(x, mu, mu))
             value = reduced(p, params, nxt.x, nxt.lam, nxt.mu)
             for _ in range(4):
                 u = rng.standard_normal(p.m)

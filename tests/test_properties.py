@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from merit import eval_full, zhat
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
-                   TRACE_COLUMNS, check_trace, from_qcqp, initial_state, iterate,
-                   kkt_report, solve, validate, write_trace_csv)
+                   TRACE_COLUMNS, check_trace, from_qcqp, kkt_report, solve, steps,
+                   validate, write_trace_csv)
 from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
 
@@ -164,9 +164,8 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     problem, params, start = drawn
     outcome = solve(problem, params, **start)
     # K steps, K the solve's iteration count: its budget, or fewer when it stops early
-    states = [initial_state(problem, **start)]
-    while len(states) <= outcome.iterations:
-        states.append(iterate(problem, params, states[-1]))
+    states = [state for _, state, *_ in steps(problem, params, **start)]
+    assert len(states) == outcome.iterations + 1
     final = outcome.final_state
     for name in ("x", "lam", "mu"):
         assert getattr(states[-1], name).tobytes() == getattr(final, name).tobytes(), name
@@ -209,7 +208,8 @@ def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
     problem, params, start = drawn
     once = dataclasses.replace(params, max_iterations=0)
     recorded = solve(problem, once, **start).history.column("lagrangian")[0]
-    s, penalty = initial_state(problem, **start), params.penalty
+    _, s, *_ = next(steps(problem, once, **start))
+    penalty = params.penalty
     z, d = zhat(penalty, s.lam, s.mu), s.lam - s.mu
     terms = (problem.objective(s.x), s.lam @ (problem.constraints(s.x) - z), s.mu @ z,
              0.5 * penalty.alpha * (z @ z), -0.5 * penalty.beta * (d @ d))

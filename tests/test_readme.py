@@ -1,0 +1,25 @@
+"""README's "Library usage" code runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_usage_code_runs(capsys):
+    section = README.read_text().split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # one namespace: a later block continues the example
+        exec(compile(block, str(README), "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("SolveStatus.CONVERGED") and lines[0].endswith("True")
+    # the stepped run prints every 100th iteration, then breaks out before the run would stop
+    progress, last = lines[1:-1], lines[-1]
+    assert [line.split(":")[0] for line in progress] == [f"k={k}" for k in
+                                                         range(0, 100 * len(progress), 100)]
+    stopped, rows = map(int, re.match(r"stopped at k=(\d+) with (\d+) rows, status None$",
+                                      last).groups())
+    assert rows == stopped + 1
+    assert 100 * (len(progress) - 1) <= stopped < namespace["outcome"].iterations

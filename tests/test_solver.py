@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
-from pplad import (DimensionMismatch, EvaluationError, FullState, PenaltyParams,
-                   Problem, SolveStatus, SolverParams, grad_x, initial_state,
-                   iterate, kkt_report, solve, validate)
+from pplad import (DimensionMismatch, FullState, PenaltyParams, Problem, RunHistory,
+                   SolveStatus, SolverParams, grad_x, kkt_report, solve, steps, validate)
 from pplad.problems import example1, example2, example3
+from stepping import advance
 
 RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
 
@@ -50,6 +51,20 @@ def first_gamma(params, lam, mu):
     return out.history.column("gamma")[1]
 
 
+def logged(problem, calls):
+    """``problem`` with each of its five callbacks wrapped to append its name to ``calls``."""
+    def wrap(name):
+        call = getattr(problem, name)
+
+        def wrapper(x):
+            calls.append(name)
+            return call(x)
+        return wrapper
+
+    return dataclasses.replace(problem, **{name: wrap(name) for name in (
+        "objective", "objective_gradient", "constraints", "constraint_jacobian", "projection")})
+
+
 def circle_callbacks():
     """The evaluators of min ||x||^2 s.t. ||x||^2 = 1 in R^2, by field name."""
     return dict(objective=lambda x: float(x @ x),
@@ -77,6 +92,22 @@ def test_any_wrong_output_shape_is_named_by_solve_and_validate(callback, shape):
     assert not check.passed and "output shape" in check.message
 
 
+def raising_at_iteration_5():
+    """f = x^2 in one variable, whose objective raises at its sixth call, iteration 5."""
+    calls = {"n": 0}
+
+    def objective(x):
+        calls["n"] += 1  # one call per iteration, the first at k = 0
+        if calls["n"] == 6:
+            raise ZeroDivisionError("division by zero")
+        return float(x @ x)
+
+    return Problem(n=1, m=0, objective=objective, objective_gradient=lambda x: 2.0 * x,
+                   constraints=lambda x: np.zeros(0),
+                   constraint_jacobian=lambda x: np.zeros((0, 1)),
+                   projection=lambda v: v, name="raises")
+
+
 def unconstrained_quadratic(target):
     target = np.asarray(target, float)
     n = target.size
@@ -90,25 +121,25 @@ def unconstrained_quadratic(target):
 
 
 class TestSteps:
-    """Each update formula, read off one call of ``iterate``."""
+    """Each update formula, read off one call of the kernel."""
 
     def test_step_x_fixed_point_at_stationary_state(self):
         p = example1()
         # grad f(1,0) = 0 and J(1,0)^T (t,t) = 0: any equal multipliers work
         s = state(0, [1.0, 0.0], [3.0, 3.0], [3.0, 3.0])
-        assert_allclose(iterate(p, fig1_params(), s).x, [1.0, 0.0])
+        assert_allclose(advance(p, fig1_params(), s).x, [1.0, 0.0])
 
     def test_step_x_hand_arithmetic_with_clamp(self):
         # x - 0.002 * (-4, 6) = (3.008, 2.988), clamped to (3, 2.988)
         p = example1()
         s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0])
-        assert_allclose(iterate(p, fig1_params(), s).x, [3.0, 2.988])
+        assert_allclose(advance(p, fig1_params(), s).x, [3.0, 2.988])
 
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
         s = state(0, [3.0, 3.0], [], [])
         params = SolverParams(penalty=RHO2, step_size=0.25)
-        assert_allclose(iterate(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
+        assert_allclose(advance(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
 
     def test_gamma_unit_denominator(self):
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
@@ -119,7 +150,7 @@ class TestSteps:
         params = SolverParams(penalty=RHO2, step_size=0.1)
         assert params.budget(ZERO_BUDGET_K) == 0.0
         s = state(ZERO_BUDGET_K, [0.0], [5.0], [1.0])
-        assert iterate(constant_constraints([0.0]), params, s).mu.tolist() == [1.0]
+        assert advance(constant_constraints([0.0]), params, s).mu.tolist() == [1.0]
 
     def test_gamma_direct_arithmetic(self):
         # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
@@ -139,15 +170,15 @@ class TestSteps:
         p = constant_constraints([0.0, 0.0])
         params = SolverParams(penalty=RHO2, step_size=0.1)
         same = state(0, [0.0], [1.5, -1.0], [1.5, -1.0])
-        assert_allclose(iterate(p, params, same).mu, same.mu)
+        assert_allclose(advance(p, params, same).mu, same.mu)
         frozen = state(ZERO_BUDGET_K, [0.0], [9.0, 0.0], [0.0, 0.0])
-        assert_allclose(iterate(p, params, frozen).mu, frozen.mu)
+        assert_allclose(advance(p, params, frozen).mu, frozen.mu)
 
     def test_step_mu_direct_arithmetic(self):
         # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
         params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
         s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0])
-        assert_allclose(iterate(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
+        assert_allclose(advance(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
 
     def test_step_mu_moves_at_most_half_delta(self):
         rng = np.random.default_rng(4)
@@ -156,7 +187,7 @@ class TestSteps:
             delta = float(rng.uniform(0.0, 1.0))
             params = SolverParams(penalty=RHO2, step_size=0.1, delta0=delta)
             s = state(0, [0.0], 10 * rng.standard_normal(2), 10 * rng.standard_normal(2))
-            moved = np.linalg.norm(iterate(p, params, s).mu - s.mu)
+            moved = np.linalg.norm(advance(p, params, s).mu - s.mu)
             assert moved <= 0.5 * delta + 1e-15
 
     def test_mu_moves_by_the_schedule_step_from_a_hand_built_state(self):
@@ -166,7 +197,7 @@ class TestSteps:
         params = fig1_params(delta0=0.5)
         d = np.array([1.0, -1.0])
         for k, delta in ((0, 0.5), (1000, 0.5 * 0.999 ** 1000), (ZERO_BUDGET_K, 0.0)):
-            nxt = iterate(p, params, FullState([3.0, 3.0], d, [0.0, 0.0], k=k))
+            nxt = advance(p, params, FullState([3.0, 3.0], d, [0.0, 0.0], k=k))
             assert nxt.k == k + 1
             assert_allclose(nxt.mu, delta / 3.0 * d, rtol=1e-14, atol=0.0)
 
@@ -175,7 +206,7 @@ class TestSteps:
         params = SolverParams(penalty=RHO2, step_size=0.1)
         mu = np.array([0.7, -0.3])
         s = state(ZERO_BUDGET_K, [1.0, 0.0], [2.0, 2.0], mu)
-        assert_allclose(iterate(example1(), params, s).lam, mu)
+        assert_allclose(advance(example1(), params, s).lam, mu)
 
     def test_step_lambda_at_qcqp_solution_any_mu(self):
         # at (0, 0, 8) the constraint gradients vanish and the objective
@@ -183,13 +214,13 @@ class TestSteps:
         params = fig1_params()
         for mu in ([0.0, 0.0], [3.0, -1.0], [100.0, 7.0]):
             s = state(0, [0.0, 0.0, 8.0], mu, mu)
-            assert_allclose(iterate(example2(), params, s).lam, mu, atol=1e-12)
+            assert_allclose(advance(example2(), params, s).lam, mu, atol=1e-12)
 
     def test_step_lambda_direct_formula(self):
         # rho=2, mu=(1,1), c=(0.5,-1) -> (2, -1)
         params = SolverParams(penalty=RHO2, step_size=0.1)
         s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0])
-        assert_allclose(iterate(constant_constraints([0.5, -1.0]), params, s).lam,
+        assert_allclose(advance(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
 
     def test_step_z_cases(self):
@@ -197,11 +228,11 @@ class TestSteps:
         penalty = PenaltyParams(alpha=2000.0, beta=0.5)
         params = SolverParams(penalty=penalty, step_size=0.1)
         s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0])
-        nxt = iterate(constant_constraints([0.0, 0.0]), params, s)
+        nxt = advance(constant_constraints([0.0, 0.0]), params, s)
         assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.0, 0.0])
         # lam - mu = rho c = (2, -1) after the step
         c = np.array([2.0, -1.0]) / penalty.rho
-        nxt = iterate(constant_constraints(c), params, s)
+        nxt = advance(constant_constraints(c), params, s)
         assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.001, -0.0005])
 
 
@@ -211,7 +242,7 @@ class TestIterate:
         params = fig1_params()
         lam_star = np.array([2.0, 2.0])
         s = state(3, [1.0, 0.0], lam_star, lam_star)
-        nxt = iterate(p, params, s)
+        nxt = advance(p, params, s)
         assert nxt.k == 4
         assert_allclose(nxt.x, s.x)
         assert_allclose(nxt.lam, lam_star)
@@ -245,8 +276,8 @@ class TestIterate:
 
         p = example1()
         params = fig1_params()
-        nxt = iterate(p, params, initial_state(p, [3.0, 3.0]))
-        row = solve(p, fig1_params(max_iterations=1), [3.0, 3.0]).history.column
+        [_, (_, nxt, _, history, _)] = islice(steps(p, params, [3.0, 3.0]), 2)
+        row = history.column
 
         assert nxt.k == 1
         assert_allclose(nxt.x, [x1n, x2n], rtol=0.0, atol=1e-14)
@@ -264,22 +295,28 @@ class TestIterate:
             expected = params.delta0 * params.decay ** k
             assert abs(delta - expected) <= 1e-12 * expected
 
-    def test_non_finite_iterate_raises_with_index(self):
+    def test_non_finite_iterate_ends_the_run_naming_k(self):
+        # c is finite at the start x = 1 and NaN wherever the first step takes x
         p = Problem(n=1, m=1, objective=lambda x: float(x[0]),
                     objective_gradient=lambda x: np.array([1.0]),
-                    constraints=lambda x: np.array([np.nan]),
+                    constraints=lambda x: np.array([0.0 if x[0] == 1.0 else np.nan]),
                     constraint_jacobian=lambda x: np.array([[0.0]]),
                     projection=lambda v: v, name="nanc")
         params = SolverParams(penalty=RHO2, step_size=0.1)
-        with pytest.raises(EvaluationError) as info:
-            iterate(p, params, initial_state(p, [1.0]))
-        assert info.value.iteration == 1
+        *_, (status, state, _, history, message) = steps(p, params, [1.0])
+        assert status is SolveStatus.EVALUATION_ERROR
+        assert message == "non-finite iterate at k=1"
+        assert state.k == 1 and len(history) == 2
 
     def test_wrongly_sized_state_raises(self):
-        # unchecked, the length-1 mu broadcast against example1's m = 2
-        s = FullState([3.0, 3.0], [1.0, 2.0], [0.5])
+        # unchecked, the length-1 mu broadcast against example1's m = 2; the
+        # generator checks at its first next(), before it calls any callback
+        calls = []
+        run = steps(logged(example1(), calls), fig1_params(), [3.0, 3.0], lam0=[1.0, 2.0],
+                    mu0=[0.5])
         with pytest.raises(DimensionMismatch, match="state.mu"):
-            iterate(example1(), fig1_params(), s)
+            next(run)
+        assert calls == []
 
 
 class TestSolve:
@@ -296,12 +333,13 @@ class TestSolve:
         p = example1()
         params = fig1_params(max_iterations=60)
         out = solve(p, params, [3.0, 3.0])
-        s = initial_state(p, [3.0, 3.0])
+        states = [state for _, state, *_ in steps(p, params, [3.0, 3.0])]
+        assert len(states) == 61
         col = out.history.column
         rho, delta0, decay = params.penalty.rho, params.delta0, params.decay
         for k in range(1, 61):
-            d = s.lam - s.mu
-            s = iterate(p, params, s)
+            prev, s = states[k - 1], states[k]
+            d = prev.lam - prev.mu
             assert col("norm_x")[k] == np.linalg.norm(s.x)
             assert col("norm_lambda")[k] == np.linalg.norm(s.lam)
             assert col("norm_mu")[k] == np.linalg.norm(s.mu)
@@ -312,14 +350,17 @@ class TestSolve:
 
     def test_state_identities_hold_from_first_iteration(self):
         p = example3()
-        params = fig1_params(step_size=0.004, delta0=0.5)
+        # tolerances no iterate meets: the run takes all 500 steps
+        params = fig1_params(step_size=0.004, delta0=0.5, tol_optimality=1e-300,
+                             tol_feasibility=1e-300, max_iterations=500)
         rho = params.penalty.rho
-        s = initial_state(p, [5.0, 5.0])
-        for _ in range(500):
-            s = iterate(p, params, s)
+        run = steps(p, params, [5.0, 5.0])
+        next(run)  # k = 0: the duals are the zero start, unrelated to x
+        for _, s, *_ in run:
             rho_c = rho * p.constraints(s.x)
             scale = 1.0 + np.linalg.norm(rho_c)
             assert np.linalg.norm((s.lam - s.mu) - rho_c) <= 1e-10 * scale
+        assert s.k == 500
 
     def test_divergence_detected_on_unbounded_problem(self):
         p = Problem(n=1, m=0, objective=lambda x: float(-x[0] ** 2),
@@ -401,7 +442,7 @@ class TestSolve:
         state = FullState(x, duals, duals)
         call = {"solve": lambda: solve(p, params, x),
                 "eval_full": lambda: eval_full(p, RHO2, state),
-                "iterate": lambda: iterate(p, params, state),
+                "iterate": lambda: advance(p, params, state),
                 "grad_x": lambda: grad_x(p, state),
                 "kkt_report": lambda: kkt_report(p, state, tol_optimality=1e-6,
                                                  tol_feasibility=1e-6)}[entry]
@@ -428,19 +469,7 @@ class TestSolve:
         assert out.history.column("k").tolist() == [0]
 
     def test_callback_exception_becomes_evaluation_error(self):
-        calls = {"n": 0}
-
-        def objective(x):
-            calls["n"] += 1  # one call per iteration, the first at k = 0
-            if calls["n"] == 6:
-                raise ZeroDivisionError("division by zero")
-            return float(x @ x)
-
-        p = Problem(n=1, m=0, objective=objective, objective_gradient=lambda x: 2.0 * x,
-                    constraints=lambda x: np.zeros(0),
-                    constraint_jacobian=lambda x: np.zeros((0, 1)),
-                    projection=lambda v: v, name="raises")
-        out = solve(p, SolverParams(penalty=RHO2, step_size=0.1), [1.0])
+        out = solve(raising_at_iteration_5(), SolverParams(penalty=RHO2, step_size=0.1), [1.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert "ZeroDivisionError" in out.message and "iteration 5" in out.message
         assert out.history.column("k").tolist() == [0, 1, 2, 3, 4]
@@ -497,6 +526,54 @@ class TestSolve:
         for alpha in (np.inf, np.nan, -np.inf):
             with pytest.raises(ValueError, match="alpha"):
                 PenaltyParams(alpha=alpha, beta=0.5)
+
+
+def same_run(history, state, out):
+    """Whether a history and final state equal a solve outcome's, bit for bit."""
+    return (all(history.column(name).tobytes() == out.history.column(name).tobytes()
+                for name in ("k", *RunHistory.COLUMNS))
+            and all(getattr(state, name).tobytes() == getattr(out.final_state, name).tobytes()
+                    for name in ("x", "lam", "mu")))
+
+
+class TestTheLoopGenerator:
+    """``steps``: the loop ``solve`` drains, seen from its consumer."""
+
+    @pytest.mark.parametrize("j", [1, 2, 10])
+    def test_a_break_after_the_jth_yield_leaves_j_rows_and_calls_nothing_more(self, j):
+        calls = []
+        run = steps(logged(example1(), calls), fig1_params(), [3.0, 3.0])
+        for count, (status, state, _, history, _) in enumerate(run, start=1):
+            assert status is None and state.k == count - 1 and len(history) == count
+            if count == j:
+                break
+        made = len(calls)
+        run.close()
+        assert len(history) == j and len(calls) == made
+
+    def test_a_callback_raising_at_iteration_5_ends_as_solve_does(self):
+        params = SolverParams(penalty=RHO2, step_size=0.1)
+        yields = list(steps(raising_at_iteration_5(), params, [1.0]))
+        assert [status for status, *_ in yields] == [None] * 5 + [SolveStatus.EVALUATION_ERROR]
+        _, state, kkt, history, message = yields[-1]
+        assert state.k == 4 and len(history) == 5
+        assert "ZeroDivisionError raised at iteration 5" in message
+        out = solve(raising_at_iteration_5(), params, [1.0])
+        assert (out.status, out.kkt, out.message) == (yields[-1][0], kkt, message)
+        assert same_run(history, state, out)
+
+    @pytest.mark.parametrize("build, x0, step_size, delta0", [
+        (example1, [3.0, 3.0], 0.002, 1.0), (example2, [4.0, 4.0, 4.0], 0.005, 0.5),
+        (example3, [5.0, 5.0], 0.004, 0.5)], ids=["example1", "example2", "example3"])
+    def test_draining_steps_is_solve_bitwise(self, build, x0, step_size, delta0):
+        # the reproduction runs, at the acceptance suite's settings
+        params = fig1_params(step_size=step_size, delta0=delta0, tol_optimality=1e-7,
+                             tol_feasibility=1e-7)
+        *_, (status, state, kkt, history, message) = steps(build(), params, x0)
+        out = solve(build(), params, x0)
+        assert status is out.status is SolveStatus.CONVERGED
+        assert (kkt, message) == (out.kkt, out.message)
+        assert same_run(history, state, out)
 
 
 class TestEvaluationOrder:
