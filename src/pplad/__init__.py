@@ -11,9 +11,8 @@ solutions) converge to KKT points.
 
 from .diagnostics import (InvariantViolation, RunHistory, TRACE_COLUMNS, check_trace,
                           tail_step_maxima, write_trace_csv)
-from .model import (Ball, Box, DimensionMismatch, EvaluationError,
-                    NonnegativeOrthant, Problem, ProjectionKind,
-                    ValidationCheck, ValidationReport, WholeSpace, validate)
+from .model import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
+                    ProjectionKind, ValidationCheck, ValidationReport, WholeSpace, validate)
 from .numcheck import compare, fd_jacobian
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
@@ -24,10 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "Box", "BUILTIN_PROBLEMS", "DEFAULT_START", "DimensionMismatch",
-    "EvaluationError", "FullState", "InvariantViolation", "KktReport",
-    "NonnegativeOrthant", "PenaltyParams", "Problem", "ProjectionKind",
-    "QcqpSpec", "RunHistory", "SolveOutcome", "SolveStatus", "SolverParams",
-    "TRACE_COLUMNS", "ValidationCheck", "ValidationReport", "WholeSpace",
+    "FullState", "InvariantViolation", "KktReport", "NonnegativeOrthant",
+    "PenaltyParams", "Problem", "ProjectionKind", "QcqpSpec", "RunHistory",
+    "SolveOutcome", "SolveStatus", "SolverParams", "TRACE_COLUMNS",
+    "ValidationCheck", "ValidationReport", "WholeSpace",
     "check_trace", "compare", "example1", "example2", "example2_spec", "example3",
     "fd_jacobian", "from_qcqp", "grad_x", "kkt_report", "solve", "steps",
     "tail_step_maxima", "validate", "write_trace_csv",

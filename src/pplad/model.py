@@ -48,21 +48,6 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     return value
 
 
-class EvaluationError(RuntimeError):
-    """An evaluator produced a non-finite value.
-
-    Carries the offending state and, when raised inside a solver loop,
-    the iteration index.
-    """
-
-    def __init__(self, message: str, state=None, iteration: int | None = None):
-        self.state = state
-        self.iteration = iteration
-        if iteration is not None:
-            message = f"{message} (iteration {iteration})"
-        super().__init__(message)
-
-
 # ---------------------------------------------------------------------------
 # projection kinds
 # ---------------------------------------------------------------------------

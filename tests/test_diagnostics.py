@@ -236,6 +236,11 @@ class TestCheckTrace:
         assert check_trace(p, out.history, params) == []
         assert calls == []
 
+    def test_empty_trace_is_rejected(self, run1):
+        p, params, _ = run1
+        with pytest.raises(ValueError, match="^empty trace: nothing to check$"):
+            check_trace(p, RunHistory(), params)
+
     def test_single_record_trace_is_vacuously_clean(self):
         p = example1()
         params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),

@@ -1,11 +1,13 @@
 import dataclasses
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant,
-                   Problem, WholeSpace, validate)
+from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant, PenaltyParams,
+                   Problem, SolverParams, WholeSpace, validate)
 from pplad.problems import DEFAULT_START, example1, example2, example3
 
 KINDS = [
@@ -108,15 +110,25 @@ def test_problem_rejects_negative_lipschitz_c():
         dataclasses.replace(base, lipschitz_c=-1.0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: dataclasses.replace(example1(), lipschitz_c=np.nan),
-    lambda: dataclasses.replace(example1(), n=np.nan),
-    lambda: dataclasses.replace(example1(), m=np.nan),
-    lambda: Box(lo=[np.nan], hi=[1.0]),
-    lambda: Ball(center=[np.nan], radius=1.0),
-], ids=["lipschitz_c", "problem-n", "problem-m", "box-lo", "ball-center"])
-def test_nan_parameters_are_rejected(make):
-    with pytest.raises(ValueError):
+BAD_PARAMETERS = {
+    "lipschitz_c": (lambda: dataclasses.replace(example1(), lipschitz_c=np.nan), "lipschitz_c"),
+    "problem-n": (lambda: dataclasses.replace(example1(), n=np.nan), "n must be"),
+    "problem-m": (lambda: dataclasses.replace(example1(), m=np.nan), "m must be"),
+    "box-lo": (lambda: Box(lo=[np.nan], hi=[1.0]), "no NaN"),
+    "ball-center": (lambda: Ball(center=[np.nan], radius=1.0), "ball center"),
+    "box-shapes": (lambda: Box(lo=[0.0, 0.0], hi=[1.0, 1.0, 1.0]),
+                   re.escape("box bounds: expected (2,), got (3,)")),
+    **{f"{field}-{label}": (partial(SolverParams, penalty=PenaltyParams(alpha=2.0, beta=0.5),
+                                    step_size=0.1, **{field: value}), f"{field} must be > 0")
+       for field in ("tol_optimality", "tol_feasibility")
+       for label, value in (("zero", 0.0), ("negative", -1.0), ("nan", np.nan))},
+}
+
+
+@pytest.mark.parametrize("make,match", BAD_PARAMETERS.values(), ids=BAD_PARAMETERS.keys())
+def test_nan_parameters_are_rejected(make, match):
+    # NaN, a wrong shape or a bound <= 0: each check's message names what it rejects
+    with pytest.raises(ValueError, match=match):
         make()
 
 
@@ -192,6 +204,11 @@ def test_validate_blames_a_non_finite_projection(bad):
 
 def test_validate_reports_a_passing_projection():
     assert validate(example1(), np.array([3.0, 3.0])).check("projection").passed
+
+
+def test_validation_report_has_no_check_of_an_unknown_name():
+    with pytest.raises(KeyError, match="no_such_check"):
+        validate(example1(), np.array([3.0, 3.0])).check("no_such_check")
 
 
 def test_validate_rejects_wrong_x0_length():

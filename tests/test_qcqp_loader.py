@@ -206,6 +206,15 @@ MALFORMED = {
                              "projection ball: ball radius must be > 0, got -1.0", 16),
     "cut-inside-a-matrix": (malformed(cut_after=9),
                             "unexpected end of file, expected row of Q1", 9),
+    "dim-line-of-the-wrong-form": (malformed({1: "dim 3"}), "expected 'dim n m', got 'dim 3'", 1),
+    "dimensions-not-integers": (malformed({1: "dim 3 1.0"}),
+                                "non-integer dimensions in 'dim 3 1.0'", 1),
+    "n-below-one": (malformed({1: "dim 0 1"}), "invalid dimensions n=0, m=1", 1),
+    "m-negative": (malformed({1: "dim 3 -1"}), "invalid dimensions n=3, m=-1", 1),
+    "wrong-section-tag": (malformed({2: "R"}), "expected section 'Q', got 'R'", 2),
+    "projection-line-missing": (VALID.replace("projection box\n", ""),
+                                "expected 'projection <kind>', got '-1 -1 -1'", 16),
+    "content-after-the-last-section": (VALID + "Q2\n", "trailing content 'Q2'", 19),
 }
 
 
@@ -216,3 +225,11 @@ def test_malformed_file_names_its_fault_and_line(tmp_path, text, message, line):
     with pytest.raises(QcqpParseError) as info:
         load_qcqp_spec(str(path))
     assert (str(info.value), info.value.line) == (f"{message} (line {line})", line)
+
+
+def test_save_rejects_a_projection_of_no_known_kind(tmp_path):
+    spec = QcqpSpec(Q=np.eye(2), q=np.zeros(2), Qj=(), qj=(), bj=(), projection=lambda v: v)
+    path = tmp_path / "unwritten.qcqp"
+    with pytest.raises(TypeError, match="unknown projection kind: function"):
+        save_qcqp(spec, str(path))
+    assert not path.exists()
