@@ -12,8 +12,8 @@ solutions) converge to KKT points.
 from .diagnostics import (InvariantViolation, RunHistory, TRACE_COLUMNS, check_trace,
                           tail_step_maxima, write_trace_csv)
 from .model import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
-                    ProjectionKind, ValidationCheck, ValidationReport, WholeSpace, validate)
-from .numcheck import compare, fd_jacobian
+                    ProjectionKind, ValidationCheck, ValidationReport, WholeSpace, compare,
+                    fd_jacobian, validate)
 from .problems import (BUILTIN_PROBLEMS, DEFAULT_START, QcqpSpec, example1,
                        example2, example2_spec, example3, from_qcqp)
 from .solver import (FullState, KktReport, PenaltyParams, SolveOutcome, SolveStatus,

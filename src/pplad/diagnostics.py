@@ -23,8 +23,6 @@ from typing import List
 
 import numpy as np
 
-from .model import Problem
-
 TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
                  "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
 
@@ -37,11 +35,10 @@ class InvariantViolation:
     k: int
     lhs: float
     rhs: float
-    margin: float
 
-
-def _violation(name, k, lhs, rhs):
-    return InvariantViolation(name, int(k), float(lhs), float(rhs), float(lhs - rhs))
+    @property
+    def margin(self) -> float:
+        return self.lhs - self.rhs
 
 
 class RunHistory:
@@ -120,7 +117,7 @@ _EXACT_TOL = 1e-12      # ||mu_{k+1} - lam_k|| equality
 _DECREASE_TOL = 1e-10   # merit decrease inequalities
 
 
-def check_trace(problem: Problem, history: RunHistory, params) -> List[InvariantViolation]:
+def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation]:
     """Evaluate every checkable per-iteration inequality over a recorded run.
 
     A vectorized replay of the history's recorded terms (see
@@ -206,7 +203,8 @@ def check_trace(problem: Problem, history: RunHistory, params) -> List[Invariant
                        _SLACK * (1.0 + rhs)))
 
     # negated, so that a NaN on either side is a violation
-    violations = [_violation(name, k[i], lhs[i], rhs[i]) for name, k, lhs, rhs, slack in checks
+    violations = [InvariantViolation(name, int(k[i]), float(lhs[i]), float(rhs[i]))
+                  for name, k, lhs, rhs, slack in checks
                   for i in np.flatnonzero(~(lhs <= rhs + slack))]
     violations.sort(key=lambda v: (v.k, v.name))
     return violations

@@ -22,8 +22,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numcheck import compare, fd_jacobian
-
 
 class DimensionMismatch(ValueError):
     """A vector or matrix has the wrong size for the operation."""
@@ -38,6 +36,11 @@ class DimensionMismatch(ValueError):
 def _norm(v) -> float:
     """Euclidean norm of a 1-D float array: np.linalg.norm's own formula, without its overhead."""
     return math.sqrt(v.dot(v))
+
+
+def _is_count(value, least: int = 0) -> bool:
+    """Whether ``value`` is an integer, a bool not counting as one, and at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
@@ -176,9 +179,9 @@ class Problem:
     name: str = "problem"
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not _is_count(self.n, 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.m, numbers.Integral) and self.m >= 0):
+        if not _is_count(self.m):
             raise ValueError(f"m must be a nonnegative integer, got {self.m!r}")
         if self.lipschitz_c is not None and not self.lipschitz_c >= 0:
             raise ValueError(f"lipschitz_c must be nonnegative, got {self.lipschitz_c}")
@@ -197,6 +200,48 @@ class Problem:
 
     def project(self, v) -> np.ndarray:
         return check_shape("projection", self.projection(v), (self.n,))
+
+
+# ---------------------------------------------------------------------------
+# derivative oracle
+# ---------------------------------------------------------------------------
+
+_STEP = 1e-6
+_REL_TOL = 1e-5
+
+
+def fd_jacobian(fn: Callable, x) -> np.ndarray:
+    """Central-difference derivative of fn at x, column i (fn(x + h e_i) - fn(x - h e_i)) / (2h).
+
+    h = 1e-6.  A scalar fn gives its gradient, shape (n,); a vector fn of
+    m outputs gives its (m, n) Jacobian, (0, n) when m = 0.  fn is called
+    exactly 2n times and never at x itself.  Perturbed points are not
+    projected; fn must be defined near x in all of R^n.  A non-finite value
+    raises ValueError naming the coordinate.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = _STEP
+        hi = np.asarray(fn(x + step), dtype=float)
+        lo = np.asarray(fn(x - step), dtype=float)
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+            raise ValueError(f"non-finite function value while perturbing coordinate {i}")
+        columns.append((hi - lo) / (2.0 * _STEP))
+    return np.stack(columns, axis=-1)
+
+
+def compare(analytic, numeric) -> tuple[float, bool]:
+    """Elementwise max of |a - b| / (1 + |a|), and whether it is <= 1e-5."""
+    a = np.asarray(analytic, dtype=float)
+    b = np.asarray(numeric, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        return 0.0, True
+    err = float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+    return err, err <= _REL_TOL
 
 
 # ---------------------------------------------------------------------------

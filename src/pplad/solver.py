@@ -28,14 +28,13 @@ iterate, k = 0 included.  ``kkt_report`` and the loop share ``_kkt``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import KW_ONLY, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .diagnostics import RunHistory
-from .model import DimensionMismatch, Problem, _norm
+from .model import DimensionMismatch, Problem, _is_count, _norm
 
 
 @dataclass
@@ -54,7 +53,7 @@ class FullState:
     k: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 0):
+        if not _is_count(self.k):
             raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
         self.x, self.lam, self.mu = (np.asarray(v, dtype=float)
                                      for v in (self.x, self.lam, self.mu))
@@ -174,7 +173,7 @@ class SolverParams:
             raise ValueError(f"tol_optimality must be > 0, got {self.tol_optimality}")
         if not self.tol_feasibility > 0:
             raise ValueError(f"tol_feasibility must be > 0, got {self.tol_feasibility}")
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+        if not _is_count(self.max_iterations):
             raise ValueError(f"max_iterations must be an integer >= 0, "
                              f"got {self.max_iterations!r}")
 

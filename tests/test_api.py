@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,29 @@ def test_the_lagrangian_module_is_gone():
     # its parameters, state and gradient live in pplad.solver; the z-form merit in the tests
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("pplad.lagrangian")
+
+
+def test_the_derivative_oracle_lives_in_the_model_module():
+    # validate is its only caller in the package; no pplad.numcheck shim is left
+    assert importlib.util.find_spec("pplad.numcheck") is None
+    assert pplad.fd_jacobian.__module__ == pplad.compare.__module__ == "pplad.model"
+
+
+def test_the_replay_layer_imports_nothing_from_the_package():
+    # importing pplad.diagnostics runs pplad/__init__ first, so only its source can show this
+    source = Path(pplad.__file__).with_name("diagnostics.py").read_text(encoding="utf-8")
+    relative = [node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level >= 1]
+    assert relative == []
+
+
+def test_a_violation_derives_its_margin_from_its_sides():
+    fields = [f.name for f in dataclasses.fields(pplad.InvariantViolation)]
+    assert fields == ["name", "k", "lhs", "rhs"]
+    violation = pplad.InvariantViolation("mu_bound", 3, 2.0, 0.5)
+    assert violation.margin == violation.lhs - violation.rhs == 1.5
+    with pytest.raises(TypeError):
+        pplad.InvariantViolation("mu_bound", 3, 2.0, 1.0, 5.0)
 
 
 def test_solve_takes_no_trace_stride():

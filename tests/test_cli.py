@@ -287,7 +287,7 @@ class TestRun:
         # exit-code mapping; every run is checked, with the ignored flag or without
         from pplad import InvariantViolation
         import pplad.cli as cli_module
-        fake = InvariantViolation("mu_bound", 3, 2.0, 1.0, 1.0)
+        fake = InvariantViolation("mu_bound", 3, 2.0, 1.0)
         monkeypatch.setattr(cli_module, "check_trace",
                             lambda *args, **kw: [fake])
         for name, check in (("plain", []), ("flagged", ["--check-invariants"])):

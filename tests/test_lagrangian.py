@@ -241,7 +241,7 @@ def test_full_state_dimension_check():
         state.check_dims(example1())
 
 
-@pytest.mark.parametrize("k", [-10, -1, 2.5, 1.0, "3"])
+@pytest.mark.parametrize("k", [-10, -1, 2.5, 1.0, "3", True, False])
 def test_full_state_rejects_a_k_that_is_not_a_nonnegative_integer(k):
     # at k = -10 the schedule's budget would be delta0 decay^-10, outside (0, delta0]
     with pytest.raises(ValueError, match="k must be"):

@@ -97,7 +97,8 @@ def test_problem_validation_of_dimensions():
                 projection=lambda v: v)
 
 
-@pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 2.0), ("m", 1.5), ("m", "2")])
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 2.0), ("m", 1.5), ("m", "2"),
+                                          ("n", True), ("m", False)])
 def test_problem_rejects_dimensions_that_are_not_integers(field, value):
     # n = 2.5 failed later in solve as "expected 2.5", and m = 1.5 inside numpy
     with pytest.raises(ValueError, match=f"{field} must be a"):

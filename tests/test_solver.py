@@ -515,7 +515,8 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverParams(penalty=penalty, step_size=0.1, max_iterations=-1)
         # 2.5 ran 3 iterations on example1 and returned ITERATION_LIMIT
-        for max_iterations in (np.nan, 2.5, 3.0, "3"):
+        # (True ran 1: a bool is an Integral, but not a count)
+        for max_iterations in (np.nan, 2.5, 3.0, "3", True, False):
             with pytest.raises(ValueError, match="max_iterations must be an integer"):
                 SolverParams(penalty=penalty, step_size=0.1, max_iterations=max_iterations)
         assert SolverParams(penalty=penalty, step_size=0.1,
