@@ -26,11 +26,12 @@ class QcqpSpec:
     constraint j's matrix at ``Qj[j]``, qj (m, n) and bj (m,).  Each field
     accepts anything ``np.asarray`` reads as that shape, so the constraint
     data may be given stacked or as tuples or lists of per-constraint
-    matrices, vectors and numbers; ``()`` gives m = 0.  Q and every Qj are
-    symmetrized on construction ((M + M') / 2) so the gradients are exactly
-    Qx + q and Qj x + qj.  Wrong or ragged shapes raise DimensionMismatch,
-    and NaN or infinite data, or a matrix whose M + M' overflows, a
-    ValueError naming the field.
+    matrices, vectors and numbers; ``()`` gives m = 0.  Every field is an
+    owned, C-ordered copy.  A Q or Qj stack that is not symmetric is replaced
+    by (M + M') / 2, so the gradients are exactly Qx + q and Qj x + qj; a
+    symmetric one is kept as given.  Wrong or ragged shapes raise
+    DimensionMismatch, and NaN or infinite data, or a non-symmetric matrix
+    whose M + M' overflows, a ValueError naming the field.
     """
 
     Q: np.ndarray
@@ -44,8 +45,8 @@ class QcqpSpec:
         n, m = len(self.Q), len(self.Qj)
         for field, shape in (("Q", (n, n)), ("q", (n,)), ("Qj", (m, n, n)),
                              ("qj", (m, n)), ("bj", (m,))):
-            try:
-                value = np.asarray(getattr(self, field), dtype=float)
+            try:  # owned, and C-ordered so that from_qcqp's reshape of Qj copies nothing
+                value = np.array(getattr(self, field), dtype=float, order="C")
             except ValueError:
                 raise DimensionMismatch(f"QCQP field {field}", shape,
                                         "ragged or non-numeric input") from None
@@ -55,16 +56,14 @@ class QcqpSpec:
                 raise DimensionMismatch(f"QCQP field {field}", shape, value.shape)
             if not np.isfinite(value).all():
                 raise ValueError(f"QCQP field {field} has NaN or infinite entries")
-            if field in ("Q", "Qj"):  # (M + M') / 2 of every matrix at once, halved in place
-                try:
+            if field in ("Q", "Qj") and not np.array_equal(value, value.swapaxes(-1, -2)):
+                try:  # (M + M') / 2 of every matrix at once, halved in place
                     with np.errstate(over="raise"):
                         value = np.add(value, value.swapaxes(-1, -2), order="C")
                 except FloatingPointError:
                     raise ValueError(f"QCQP field {field} overflows when symmetrized "
                                      "as (M + M') / 2") from None
                 value *= 0.5
-            else:  # small: owned, so the Problem never shares a caller's array
-                value = value.copy()
             object.__setattr__(self, field, value)
 
     @property
@@ -164,7 +163,7 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
     """
     with open(path, "r", encoding="utf-8") as fh:
         fields = _parse_qcqp(fh)
-    # built once the file and the parser are released: its symmetrized copies set the peak
+    # built once the file and the parser are released: its owned copies set the peak
     return QcqpSpec(**fields)
 
 

@@ -73,8 +73,6 @@ def grad_x(problem: Problem, state) -> np.ndarray:
     merit function involves none of them.  The Jacobian term is formed
     first, so J is released before grad f is allocated.
     """
-    if problem.m == 0:
-        return problem.grad_f(state.x)
     dual_term = problem.jac(state.x).T @ state.lam
     return problem.grad_f(state.x) + dual_term
 

@@ -447,7 +447,8 @@ class TestMain:
 
     def test_problem_file_that_overflows_when_symmetrized_exit_five(self, tmp_path, capsys):
         path = tmp_path / "huge.qcqp"
-        path.write_text(EXAMPLE2_FILE.replace("10 4 1", "10 1e308 1"))
+        # Q's mirrored pair (0, 1) and (1, 0) differs, and its sum overflows
+        path.write_text(EXAMPLE2_FILE.replace("-2 10 2\n10 4 1", "-2 1.7e308 2\n1.6e308 4 1"))
         code = main(["solve", "--problem", str(path), "--step-size", "0.005",
                      "--trace", str(tmp_path / "t.csv"),
                      "--report", str(tmp_path / "r.txt")])

@@ -136,13 +136,29 @@ class TestQcqpSpec:
 
     @pytest.mark.parametrize("field", ["Q", "Qj"])
     def test_data_whose_symmetrization_overflows_is_rejected(self, field):
-        # finite data, but the diagonal entry is its own mirror: 1e308 + 1e308 = inf
+        # finite and not symmetric, and the mirrored pair sums past the float range
         data = dict(Q=np.eye(2), q=np.zeros(2), Qj=np.ones((1, 2, 2)), qj=np.zeros((1, 2)),
                     bj=np.zeros(1))
         data[field] = data[field].copy()
-        data[field].flat[0] = 1e308
+        data[field].flat[1], data[field].flat[2] = 1.7e308, 1.6e308  # (0, 1) and (1, 0)
         with pytest.raises(ValueError, match=f"field {field} overflows when symmetrized"):
             QcqpSpec(**data, projection=WholeSpace())
+
+    def test_symmetric_data_is_stored_as_given_and_cannot_overflow(self):
+        # 1e308 + 1e308 overflows, but a symmetric matrix is never summed with its mirror
+        spec = QcqpSpec(Q=[[1e308]], q=[0.0], Qj=(), qj=(), bj=(), projection=WholeSpace())
+        assert_bitwise([spec.Q], [np.array([[1e308]])])
+
+    def test_fortran_ordered_input_gives_owned_c_ordered_fields(self):
+        A = np.random.default_rng(3).standard_normal((3, 3))
+        M = np.asfortranarray(A + A.T)
+        Qj = np.asfortranarray(np.stack([M, 0.5 * M, -M]))
+        spec = QcqpSpec(Q=M, q=np.zeros(3), Qj=Qj, qj=np.zeros((3, 3)), bj=np.zeros(3),
+                        projection=WholeSpace())
+        assert_bitwise([spec.Q, spec.Qj], [M, Qj])
+        for field, given in (("Q", M), ("Qj", Qj)):
+            value = getattr(spec, field)
+            assert value.flags.c_contiguous and not np.shares_memory(value, given)
 
     def test_symmetrization_near_the_float_range_is_exact(self):
         M = np.array([[8.9e307, 1.7e308], [-1.7e308, 5e-324]])  # every M + M' stays finite

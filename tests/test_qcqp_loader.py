@@ -24,7 +24,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None)
 FIELDS = ("Q", "q", "Qj", "qj", "bj")
 
 # signed zeros, subnormals, integers and magnitudes near 1e300; all below
-# 8.9e307, so that M + M' stays finite when a spec is symmetrized
+# 8.9e307, so that M + M' stays finite when specs() symmetrizes the
+# non-symmetric matrices it draws
 numbers = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
     st.integers(-10**6, 10**6).map(float),
@@ -74,6 +75,19 @@ def test_save_then_load_is_bitwise(spec):
     assert_bitwise(vars(loaded.projection),
                    {f.name: getattr(spec.projection, f.name)
                     for f in dataclasses.fields(spec.projection)})
+
+
+def test_symmetric_data_at_the_float_range_round_trips_bitwise(tmp_path):
+    # a symmetric matrix is stored as given, so M + M' never forms and cannot overflow
+    big = 1.7976931348623157e308
+    M = np.array([[big, 5e-324, -0.0], [5e-324, -big, -5e-324], [-0.0, -5e-324, 0.0]])
+    fields = dict(Q=M, q=np.zeros(3), Qj=np.stack([M, -M]), qj=np.zeros((2, 3)),
+                  bj=np.zeros(2))
+    spec = QcqpSpec(**fields, projection=WholeSpace())
+    assert_bitwise({f: getattr(spec, f) for f in FIELDS}, fields)
+    path = tmp_path / "extremes.qcqp"
+    save_qcqp(spec, str(path))
+    assert_bitwise({f: getattr(load_qcqp_spec(str(path)), f) for f in FIELDS}, fields)
 
 
 def spellings(value: float) -> list[str]:
