@@ -16,7 +16,6 @@ reads them back.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass
 from typing import List
@@ -70,7 +69,6 @@ class RunHistory:
     COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
                "step_mu_sq", "mu_prev_lambda_norm")
     _INDEX = {name: j for j, name in enumerate(COLUMNS)}
-    _PACK_ROW = struct.Struct(f"{len(COLUMNS)}d").pack_into
 
     def __init__(self):
         self._table = array("d")  # row-major, one row of COLUMNS per iteration, then any room
@@ -79,19 +77,18 @@ class RunHistory:
     def append(self, row: list) -> None:
         """Store the next iteration from ``row``, a list of one float per name in ``COLUMNS``.
 
-        Raises ValueError, storing nothing, when ``row`` has the wrong length.
+        A row of the wrong length raises ValueError, one holding a non-number
+        TypeError; neither is stored.
         """
         if len(row) != len(self.COLUMNS):
             raise ValueError(f"a history row has {len(self.COLUMNS)} values, got {len(row)}")
         try:
             if self._size < len(self._table):  # room from a copy: written in place, views or not
-                self._PACK_ROW(self._table, 8 * self._size, *row)
+                self._table[self._size:self._size + len(row)] = array("d", row)
             else:
                 self._table.fromlist(row)  # in place, amortized by the array's over-allocation
         except BufferError:  # a view pins the buffer: go on in a copy with as much room again
             self._table = self._table + array("d", row) + array("d", bytes(8 * self._size))
-        except struct.error as exc:
-            raise TypeError(f"a history row holds floats: {exc}") from None
         self._size += len(row)
 
     def __len__(self):

@@ -65,7 +65,7 @@ class WholeSpace:
 
 @dataclass(frozen=True)
 class Box:
-    """Coordinate-wise bounds lo <= x <= hi; entries may be -inf / +inf, not NaN.
+    """Bounds lo <= x <= hi, kept as float copies: no NaN, nor an empty lo = inf or hi = -inf.
 
     Projection is a coordinate-wise clamp, max with lo and then min with
     hi, so NaN propagates and a zero on a zero bound takes the bound's sign.
@@ -75,12 +75,14 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.array(self.lo, dtype=float, ndmin=1)
+        hi = np.array(self.hi, dtype=float, ndmin=1)
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds", lo.shape, hi.shape)
         if not np.all(lo <= hi):
             raise ValueError("box requires lo <= hi, and no NaN, in every coordinate")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("box is empty: lo = +inf or hi = -inf in a coordinate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -101,13 +103,13 @@ class NonnegativeOrthant:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball of finite center and radius > 0; projection scales radially when outside."""
+    """Euclidean ball of finite center, kept as a float copy, and radius > 0; radial projection."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = np.array(self.center, dtype=float, ndmin=1)
         if not np.all(np.isfinite(center)):
             raise ValueError(f"ball center must be finite, got {center}")
         object.__setattr__(self, "center", center)
@@ -294,7 +296,7 @@ def validate(problem: Problem, x0) -> ValidationReport:
     report; nothing is raised for contract violations, they are reported
     as failed checks.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)  # the report's own copy
     if x0.shape != (problem.n,):
         raise DimensionMismatch("x0 length", problem.n, x0.shape)
     evaluators = {"objective": problem.f, "objective_gradient": problem.grad_f,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,13 +244,15 @@ def _parse_qcqp(fh) -> dict:
         raise QcqpParseError(f"non-integer dimensions in {text!r}", lineno) from None
     if n < 1 or m < 0:
         raise QcqpParseError(f"invalid dimensions n={n}, m={m}", lineno)
-    # each number takes a byte at least: allocate nothing a short file cannot fill
-    if (m + 1) * n * n > os.fstat(fh.fileno()).st_size:
+    status = os.fstat(fh.fileno())  # each number takes a byte at least
+    if stat.S_ISREG(status.st_mode) and (m + 1) * n * n > status.st_size:
         raise QcqpParseError(f"dimensions n={n}, m={m} need more numbers than the file has",
                              lineno)
-
-    Q, q = np.empty((n, n)), np.empty(n)
-    Qj, qj, bj = np.empty((m, n, n)), np.empty((m, n)), np.empty(m)
+    try:  # a pipe reports size 0, so for it nothing above bounds n and m
+        Q, q = np.empty((n, n)), np.empty(n)
+        Qj, qj, bj = np.empty((m, n, n)), np.empty((m, n)), np.empty(m)
+    except (ValueError, MemoryError):
+        raise QcqpParseError(f"dimensions n={n}, m={m} cannot be allocated", lineno) from None
     read_section("Q", Q)
     read_section("q", q)
     for j in range(m):

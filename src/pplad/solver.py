@@ -28,7 +28,7 @@ iterate, k = 0 included.  ``kkt_report`` and the loop share ``_kkt``.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,9 +41,9 @@ from .model import DimensionMismatch, Problem, _is_count, _norm
 class FullState:
     """Primal point x, the two multipliers, and the keyword-only iteration number k >= 0.
 
-    The perturbation z, the dual budget at k and the dual step from k are not
-    state: each is a closed form ((lam - mu)/alpha, ``SolverParams.budget``,
-    ``_advance``).
+    x, lam and mu are owned float copies of the arrays given.  The perturbation
+    z, the dual budget at k and the dual step from k are not state: each is a
+    closed form ((lam - mu)/alpha, ``SolverParams.budget``, ``_advance``).
     """
 
     x: np.ndarray
@@ -55,7 +55,7 @@ class FullState:
     def __post_init__(self):
         if not _is_count(self.k):
             raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
-        self.x, self.lam, self.mu = (np.asarray(v, dtype=float)
+        self.x, self.lam, self.mu = (np.array(v, dtype=float)
                                      for v in (self.x, self.lam, self.mu))
 
     def check_dims(self, problem: Problem) -> None:
@@ -200,11 +200,10 @@ class SolveOutcome:
 def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, grad):
     """One iteration from ``state``, given d = lam - mu, dd = ||d||^2 and grad_x L there.
 
-    Returns the successor, c(x_next) for the caller's residuals, merit and
-    history terms, and the dual step gamma for the successor's row.  Order is
-    normative: the mu-update uses the pre-update lam and mu, the lam-update
-    uses the new x and new mu.  The successor is built from the kernel's own
-    float arrays, without ``FullState``'s conversions.
+    Returns the successor, c(x_next) and the dual step gamma taken into it.
+    Order is normative: the mu-update uses the pre-update lam and mu, the
+    lam-update uses the new x and new mu.  The successor's three arrays are
+    new, so it is built without ``FullState``'s copies.
     """
     rho = params.penalty.rho
     gam = rho * params.budget(state.k) / (dd + 1.0)
@@ -244,8 +243,8 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
     yield.  Callbacks run only inside ``next()``, so breaking out ends the run;
     the first ``next()`` checks the start's sizes before any callback runs.  A
     callback that raises after the start adds a last EVALUATION_ERROR yield,
-    with the last fully evaluated state.  A yielded state is not changed by
-    later steps.
+    with the last fully evaluated state.  A yielded state is changed neither
+    by later steps nor by edits of x0, lam0 or mu0.
     """
     cur = FullState(x0, np.zeros(problem.m) if lam0 is None else lam0,
                     np.zeros(problem.m) if mu0 is None else mu0)
@@ -332,5 +331,4 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     """
     for status, cur, kkt, history, message in steps(problem, params, x0, lam0=lam0, mu0=mu0):
         pass
-    final = replace(cur, x=cur.x.copy(), lam=cur.lam.copy(), mu=cur.mu.copy())
-    return SolveOutcome(status, final, kkt, history, message)
+    return SolveOutcome(status, cur, kkt, history, message)

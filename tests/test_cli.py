@@ -260,6 +260,15 @@ class TestRun:
         assert capsys.readouterr().err == \
             "pplad: error: x0 is required for problems loaded from files\n"
 
+    def test_empty_box_exits_five_naming_its_line(self, tmp_path, capsys):
+        # lo = +inf in the first coordinate: no point lies in the box
+        path = tmp_path / "empty.qcqp"
+        path.write_text("dim 2 0\nQ\n1 0\n0 1\nq\n0 0\nprojection box\ninf 0\ninf 1\n")
+        assert main(solve_argv(tmp_path, "--problem", str(path), "--x0", "1,1",
+                               "--step-size", "0.1")) == 5
+        assert capsys.readouterr().err == ("pplad: error: projection box: box is empty: "
+                                           "lo = +inf or hi = -inf in a coordinate (line 7)\n")
+
     def test_wrong_x0_length_rejected(self, tmp_path, capsys):
         assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
                                "--x0", "1,2,3")) == 5

@@ -116,6 +116,8 @@ BAD_PARAMETERS = {
     "problem-n": (lambda: dataclasses.replace(example1(), n=np.nan), "n must be"),
     "problem-m": (lambda: dataclasses.replace(example1(), m=np.nan), "m must be"),
     "box-lo": (lambda: Box(lo=[np.nan], hi=[1.0]), "no NaN"),
+    "box-lo-plus-inf": (lambda: Box(lo=[np.inf, 0.0], hi=[np.inf, 1.0]), "box is empty"),
+    "box-hi-minus-inf": (lambda: Box(lo=[-np.inf], hi=[-np.inf]), "box is empty"),
     "ball-center": (lambda: Ball(center=[np.nan], radius=1.0), "ball center"),
     "box-shapes": (lambda: Box(lo=[0.0, 0.0], hi=[1.0, 1.0, 1.0]),
                    re.escape("box bounds: expected (2,), got (3,)")),

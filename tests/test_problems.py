@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pplad import (DimensionMismatch, QcqpSpec, WholeSpace, compare, fd_jacobian,
+from pplad import (Box, DimensionMismatch, QcqpSpec, WholeSpace, compare, fd_jacobian,
                    from_qcqp, validate)
 from pplad.problems import (BUILTIN_PROBLEMS, DEFAULT_START, example1, example2,
                             example2_spec, example3)
@@ -118,12 +118,13 @@ class TestQcqpSpec:
     def test_problem_is_unchanged_by_later_edits_of_the_input_arrays(self):
         data = dict(Q=np.eye(2), q=np.zeros(2), Qj=np.ones((1, 2, 2)), qj=np.zeros((1, 2)),
                     bj=np.zeros(1))
-        p = from_qcqp(QcqpSpec(**data, projection=WholeSpace()))
+        lo, hi = np.full(2, -3.0), np.full(2, 3.0)
+        p = from_qcqp(QcqpSpec(**data, projection=Box(lo=lo, hi=hi)))
         x = np.array([1.0, -2.0])
-        before = p.objective(x), p.constraints(x).tobytes()
-        for value in data.values():
+        before = p.objective(x), p.constraints(x).tobytes(), p.project(x).tobytes()
+        for value in (*data.values(), lo, hi):
             value[...] = 7.0
-        assert (p.objective(x), p.constraints(x).tobytes()) == before
+        assert (p.objective(x), p.constraints(x).tobytes(), p.project(x).tobytes()) == before
 
     @pytest.mark.parametrize("field", ["Q", "q", "Qj", "qj", "bj"])
     def test_non_finite_data_is_rejected(self, field):

@@ -10,7 +10,9 @@ cases.
 """
 
 import dataclasses
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,8 @@ MALFORMED = {
     "projection-row-short": (malformed({17: "-1 -1"}), "box lo: expected 3 numbers, got 2", 17),
     "box-lo-above-hi": (malformed({17: "2 -1 -1"}), "projection box: box requires lo <= hi, "
                         "and no NaN, in every coordinate", 16),
+    "box-empty": (malformed({17: "inf -1 -1", 18: "inf 1 1"}), "projection box: box is empty: "
+                  "lo = +inf or hi = -inf in a coordinate", 16),
     "ball-negative-radius": (malformed({16: "projection ball", 17: "0 0 0", 18: "-1"}),
                              "projection ball: ball radius must be > 0, got -1.0", 16),
     "cut-inside-a-matrix": (malformed(cut_after=9),
@@ -247,3 +251,32 @@ def test_save_rejects_a_projection_of_no_known_kind(tmp_path):
     with pytest.raises(TypeError, match="unknown projection kind: function"):
         save_qcqp(spec, str(path))
     assert not path.exists()
+
+
+def load_through_a_fifo(tmp_path, text):
+    """load_qcqp_spec of a FIFO that one writer thread fills with ``text``."""
+    fifo = tmp_path / "problem.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        return load_qcqp_spec(str(fifo))
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_a_file_read_through_a_fifo_loads_as_by_path(tmp_path):
+    # a FIFO's size is 0, so the short-file guard must not refuse it
+    path = Path(__file__).resolve().parents[1] / "demos" / "output" / "builtin_qcqp.txt"
+    by_path, piped = load_qcqp_spec(str(path)), load_through_a_fifo(tmp_path, path.read_text())
+    assert_bitwise({f: getattr(piped, f) for f in FIELDS}, {f: getattr(by_path, f) for f in FIELDS})
+    assert type(piped.projection) is type(by_path.projection)
+
+
+@pytest.mark.parametrize("n", [10**10, 2**29], ids=["past-numpy-limit", "past-address-space"])
+def test_piped_dimensions_that_cannot_be_allocated_name_the_dim_line(tmp_path, n):
+    # numpy refuses the first with ValueError; 2 EiB fails in malloc with MemoryError
+    with pytest.raises(QcqpParseError) as info:
+        load_through_a_fifo(tmp_path, f"# huge\ndim {n} 0\n")
+    assert str(info.value) == f"dimensions n={n}, m=0 cannot be allocated (line 2)"

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
-from pplad import (DimensionMismatch, FullState, PenaltyParams, Problem, RunHistory,
-                   SolveStatus, SolverParams, grad_x, kkt_report, solve, steps, validate)
+from pplad import (Ball, Box, DimensionMismatch, FullState, PenaltyParams, Problem,
+                   RunHistory, SolveStatus, SolverParams, grad_x, kkt_report, solve, steps,
+                   validate)
 from pplad.problems import example1, example2, example3
 from stepping import advance
 
@@ -611,3 +612,78 @@ class TestEvaluationOrder:
         kkt_report(problem, out.final_state, tol_optimality=1e-6, tol_feasibility=1e-6)
         x = out.final_state.x.tobytes()
         assert calls == [("constraints", x), ("constraint_jacobian", x)]
+
+
+# ---------------------------------------------------------------------------
+# ownership: a value keeps copies of the arrays it is built from
+# ---------------------------------------------------------------------------
+
+def vectors(state):
+    return state.x, state.lam, state.mu
+
+
+def run_of_example2(x0, lam0, mu0):
+    return steps(example2(), fig1_params(step_size=0.005), x0, lam0=lam0, mu0=mu0)
+
+
+def start_of_a_run(x0, lam0, mu0):
+    start = next(run_of_example2(x0, lam0, mu0))[1]
+    return lambda: vectors(start)
+
+
+def state_1_of_a_started_run(x0, lam0, mu0):
+    run = run_of_example2(x0, lam0, mu0)
+    next(run)  # started: the k = 1 state is made after the edits
+    return lambda: vectors(next(run)[1])
+
+
+def full_state(x, lam, mu):
+    state = FullState(x, lam, mu, k=3)
+    return lambda: vectors(state)
+
+
+def box(lo, hi):
+    kind = Box(lo=lo, hi=hi)
+    return lambda: (kind.lo, kind.hi, kind(np.zeros(3)))
+
+
+def ball(center):
+    kind = Ball(center=center, radius=1.0)
+    return lambda: (kind.center, kind(np.full(3, 2.0)))
+
+
+def validation_report(x0):
+    report = validate(example1(), x0)
+    return lambda: (report.x0,)
+
+
+START = ([4.0, 4.0, 4.0], [0.5, -0.5], [0.25, 0.0])  # x, lam and mu of example2's size
+OWNED = {
+    "full-state": (full_state, START),
+    "steps-start": (start_of_a_run, START),
+    "steps-state-at-k1": (state_1_of_a_started_run, START),
+    "box-lo-hi": (box, ([-1.0] * 3, [1.0] * 3)),
+    "ball-center": (ball, ([0.0] * 3,)),
+    "validation-report-x0": (validation_report, ([3.0, 3.0],)),
+}
+
+
+@pytest.mark.parametrize("build, given", OWNED.values(), ids=OWNED.keys())
+def test_no_later_edit_of_the_given_arrays_changes_what_a_value_keeps(build, given):
+    # build returns a reader of what the value keeps, and of what it computes from that
+    clean = [a.tobytes() for a in build(*(np.array(v) for v in given))()]
+    arrays = [np.array(v) for v in given]
+    kept = build(*arrays)
+    for a in arrays:
+        a[...] = 5.0
+    assert [a.tobytes() for a in kept()] == clean
+
+
+def test_a_solved_state_shares_no_memory_with_the_start():
+    # no iteration, and a projection that returns its input: the final state is the start
+    x0, lam0, mu0 = np.zeros(1), np.ones(2), np.ones(2)
+    out = solve(constant_constraints([1.0, 2.0]), fig1_params(max_iterations=0), x0,
+                lam0=lam0, mu0=mu0)
+    assert out.iterations == 0
+    assert not any(np.shares_memory(kept, given) for kept in vectors(out.final_state)
+                   for given in (x0, lam0, mu0))
