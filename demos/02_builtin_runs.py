@@ -3,8 +3,8 @@
 Each built-in violates LICQ at its solution, so the multiplier set is
 unbounded; the damped dual schedule still keeps the iterates bounded and
 drives both residuals to zero.  Traces land in demos/output/ as CSV with
-columns k, objective, feasibility, optimality, lagrangian, norm_x,
-norm_lambda, norm_mu, step_x_norm, gamma, delta.
+columns k, then every name of ``RunHistory.COLUMNS``: the whole history,
+which ``check_trace`` can replay.
 """
 
 import os

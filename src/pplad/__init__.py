@@ -9,8 +9,7 @@ what lets the built-in test problems (all of which violate LICQ at their
 solutions) converge to KKT points.
 """
 
-from .diagnostics import (InvariantViolation, RunHistory, TRACE_COLUMNS, check_trace,
-                          tail_step_maxima, write_trace_csv)
+from .diagnostics import InvariantViolation, RunHistory, check_trace, write_trace_csv
 from .model import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem,
                     ProjectionKind, ValidationCheck, ValidationReport, WholeSpace, compare,
                     fd_jacobian, validate)
@@ -25,9 +24,8 @@ __all__ = [
     "Ball", "Box", "BUILTIN_PROBLEMS", "DEFAULT_START", "DimensionMismatch",
     "FullState", "InvariantViolation", "KktReport", "NonnegativeOrthant",
     "PenaltyParams", "Problem", "ProjectionKind", "QcqpSpec", "RunHistory",
-    "SolveOutcome", "SolveStatus", "SolverParams", "TRACE_COLUMNS",
-    "ValidationCheck", "ValidationReport", "WholeSpace",
-    "check_trace", "compare", "example1", "example2", "example2_spec", "example3",
-    "fd_jacobian", "from_qcqp", "grad_x", "kkt_report", "solve", "steps",
-    "tail_step_maxima", "validate", "write_trace_csv",
+    "SolveOutcome", "SolveStatus", "SolverParams", "ValidationCheck", "ValidationReport",
+    "WholeSpace", "check_trace", "compare", "example1", "example2", "example2_spec",
+    "example3", "fd_jacobian", "from_qcqp", "grad_x", "kkt_report", "solve", "steps",
+    "validate", "write_trace_csv",
 ]

@@ -11,7 +11,7 @@ every flag, through that parser: vectors are comma-separated.  A flag never
 takes ``-h``, or a token that starts with '--', as its value.  A malformed
 value, a missing ``--problem`` or ``--step-size`` and an unknown flag are
 usage errors.  ``run`` then checks every setting before it loads the
-problem.  Every run's history, whose every row the trace CSV holds, is
+problem.  Every run's history, which the trace CSV holds whole, is
 replayed by ``check_trace``, and the report lists each violation.  Problem
 files are read by ``pplad.problems.load_qcqp``.
 

@@ -7,11 +7,12 @@ iteration; nothing here reads an iterate vector or calls the problem.
 ``check_trace`` replays the convergence theory's per-iteration
 inequalities over the terms the solver recorded and reports every
 violation; an empty list is a machine-checked consistency certificate for
-the run.  ``tail_step_maxima`` reads the last 100 steps of x, lam and mu.
+the run.
 
-``write_trace_csv`` writes the trace columns, one row per iteration, as plain
-CSV with ``np.savetxt``; ``np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)``
-reads them back.
+``write_trace_csv`` writes k and every history column, one row per iteration,
+as plain CSV with ``np.savetxt``; ``np.loadtxt(path, delimiter=",", skiprows=1,
+ndmin=2)`` reads them back, and appending the rows of that table after its k
+column to a new ``RunHistory`` rebuilds the run bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-
-TRACE_COLUMNS = ("k", "objective", "feasibility", "optimality", "lagrangian",
-                 "norm_x", "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta")
-
 
 @dataclass(frozen=True)
 class InvariantViolation:
@@ -44,18 +41,18 @@ class RunHistory:
     """Column-oriented record of every iteration of a solve run, in O(1) scalars per row.
 
     Row k is iteration k, and holds one float per name in ``COLUMNS``, in
-    that order: the trace columns after k, ``lagrangian`` being the merit in
-    reduced form f + <lam, c> - ||lam - mu||^2/(2 rho), then the terms that
-    ``check_trace`` and ``tail_step_maxima`` replay, formed from the vectors
-    of that iteration:
+    that order: ``objective`` to ``delta``, ``lagrangian`` being the merit in
+    reduced form f + <lam, c> - ||lam - mu||^2/(2 rho), ``gamma`` the dual step
+    into k and ``delta`` the budget at k, then the terms that ``check_trace``
+    replays, formed from the vectors of that iteration:
 
     - state terms at k: ``lambda_mu_sq`` = ||lam_k - mu_k||^2 and the
       identity gap ``gap_lambda_mu`` = ||(lam_k - mu_k) - rho c(x_k)|| (its
       scale ||rho c(x_k)|| is rho times the ``feasibility`` column);
-    - terms of the transition k-1 -> k (zero at k = 0): the trace's
-      ``step_x_norm`` = ||x_k - x_{k-1}||, ``step_lambda_sq`` =
-      ||lam_k - lam_{k-1}||^2, ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and
-      ``mu_prev_lambda_norm`` = ||mu_k - lam_{k-1}||.
+    - terms of the transition k-1 -> k (zero at k = 0): ``step_x_norm`` =
+      ||x_k - x_{k-1}||, ``step_lambda_sq`` = ||lam_k - lam_{k-1}||^2,
+      ``step_mu_sq`` = ||mu_k - mu_{k-1}||^2 and ``mu_prev_lambda_norm`` =
+      ||mu_k - lam_{k-1}||.
 
     No iterate vector is stored: a row is 15 eight-byte numbers whatever n
     and m, and k is not stored at all.  ``column(name)`` is a live numpy
@@ -66,8 +63,9 @@ class RunHistory:
     ``column("k")`` is a fresh ``arange`` of the row count, not a view.
     """
 
-    COLUMNS = (*TRACE_COLUMNS[1:], "lambda_mu_sq", "gap_lambda_mu", "step_lambda_sq",
-               "step_mu_sq", "mu_prev_lambda_norm")
+    COLUMNS = ("objective", "feasibility", "optimality", "lagrangian", "norm_x",
+               "norm_lambda", "norm_mu", "step_x_norm", "gamma", "delta", "lambda_mu_sq",
+               "gap_lambda_mu", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
     _INDEX = {name: j for j, name in enumerate(COLUMNS)}
 
     def __init__(self):
@@ -122,9 +120,9 @@ def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation
     formed each term from the c(x) it already held.  Row k of the history
     is iteration k, so each pair of consecutive rows is a transition.
     Checks, for every stored transition k -> k+1 (gamma_k is the dual step
-    actually taken, delta_k the budget at k):
+    actually taken, delta_k the recorded budget at k):
 
-    - mu_bound:       ||mu_k|| <= ||mu_0|| + (delta_0/2)(1 - r^k)/(1 - r)
+    - mu_bound:       ||mu_k|| <= ||mu_0|| + (1/2) sum_{i<k} delta_i
     - lambda_mu_sq_nonnegative: 0 <= ||lam_k - mu_k||^2; where it fails, the root below is 0
     - mu_step:        ||mu_{k+1} - mu_k||^2 <= (gamma_k/rho)||lam_k - mu_k||^2
     - mu_step_budget: (gamma_k/rho)||lam_k - mu_k||^2 <= delta_k
@@ -149,7 +147,7 @@ def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation
     history : RunHistory
         Every iteration of the run, as ``solve`` records it.
     params : SolverParams
-        The parameters the run used (penalty, step size, schedule).
+        The parameters the run used; only ``params.penalty.rho`` is read.
 
     Returns
     -------
@@ -162,7 +160,6 @@ def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation
         raise ValueError("empty trace: nothing to check")
 
     rho = params.penalty.rho
-    delta0, decay = params.delta0, params.decay
     col = history.column
     delta = col("delta")
     merit = col("lagrangian")
@@ -170,7 +167,7 @@ def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation
     # one (name, k of each entry, lhs, rhs, slack) per inequality lhs <= rhs + slack;
     # the exact checks have their tolerance in rhs, and slack 0.0
     norm_mu = col("norm_mu")
-    bound = norm_mu[0] + 0.5 * delta0 * (1.0 - decay ** ks.astype(float)) / (1.0 - decay)
+    bound = norm_mu[0] + 0.5 * np.concatenate(([0.0], np.cumsum(delta[:-1])))
     lambda_mu_sq = col("lambda_mu_sq")
     checks = [("mu_bound", ks, norm_mu, bound, _SLACK * (1.0 + bound)),
               ("lambda_mu_sq_nonnegative", ks, np.zeros(size), lambda_mu_sq, 0.0)]
@@ -207,28 +204,19 @@ def check_trace(problem, history: RunHistory, params) -> List[InvariantViolation
     return violations
 
 
-def tail_step_maxima(history: RunHistory) -> dict:
-    """Max successive-difference norms of x, lam, mu over the last 100 steps."""
-    if len(history) < 2:
-        return {"x": 0.0, "lambda": 0.0, "mu": 0.0}
-    tail = slice(max(1, len(history) - 100), None)
-    col = history.column
-    return {"x": float(np.max(col("step_x_norm")[tail])),
-            "lambda": float(np.sqrt(np.max(col("step_lambda_sq")[tail]))),
-            "mu": float(np.sqrt(np.max(col("step_mu_sq")[tail])))}
-
-
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(history: RunHistory, path) -> None:
-    """Write ``TRACE_COLUMNS`` as plain CSV: a header, then one row per k, at full precision.
+    """Write k and ``RunHistory.COLUMNS`` as plain CSV: a header, then one row per k.
 
-    The file is opened here, so its name never changes the bytes (savetxt gzips a .gz path).
+    %.17e writes every float losslessly.  The file is opened here, so its name
+    never changes the bytes (savetxt gzips a .gz path).
     """
-    table = np.column_stack([history.column(name) for name in TRACE_COLUMNS])
+    names = ("k", *history.COLUMNS)
+    table = np.column_stack([history.column(name) for name in names])
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17e"] * (len(TRACE_COLUMNS) - 1),
-                   delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17e"] * len(history.COLUMNS),
+                   delimiter=",", header=",".join(names), comments="")
 

@@ -311,8 +311,8 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     raises DimensionMismatch naming the callback.
 
     The history records every iteration, k = 0 included, as scalars only:
-    the trace columns plus the per-transition terms ``check_trace`` replays
-    (see ``RunHistory``).  Vector memory stays O(n + m) whatever the number
+    the residuals, norms and steps that ``check_trace`` replays (see
+    ``RunHistory``).  Vector memory stays O(n + m) whatever the number
     of iterations; to follow the iterate vectors, or to stop early, loop
     over ``steps``, the generator this function drains.
 

@@ -8,8 +8,7 @@ import pytest
 
 import pplad
 from pplad import (FullState, PenaltyParams, RunHistory, SolverParams, check_trace,
-                   example1, example2_spec, from_qcqp, solve, tail_step_maxima,
-                   write_trace_csv)
+                   example1, example2_spec, from_qcqp, solve, write_trace_csv)
 
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
@@ -79,10 +78,9 @@ def test_solve_takes_no_trace_stride():
     ("stride", lambda: write_trace_csv(RunHistory(), "unwritten.csv", stride=1)),
     ("divergence_bound", lambda: SolverParams(penalty=PenaltyParams(2000.0, 0.5),
                                               step_size=0.002, divergence_bound=1e8)),
-    ("window", lambda: tail_step_maxima(RunHistory(), window=100)),
 ], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",
         "solve-z0", "FullState-delta", "FullState-gamma", "write_trace_csv-stride",
-        "SolverParams-divergence_bound", "tail_step_maxima-window"])
+        "SolverParams-divergence_bound"])
 def test_removed_keywords_raise_type_error(keyword, call):
     # each raises before it writes a file
     with pytest.raises(TypeError, match=keyword):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import QcqpSpec, WholeSpace, example1, solve as real_solve
+from pplad import (PenaltyParams, Problem, QcqpSpec, RunHistory, SolverParams, WholeSpace,
+                   check_trace, example1, solve as real_solve, write_trace_csv)
 from pplad.cli import SETTINGS, main, run
 from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
                             load_qcqp_spec, save_qcqp)
@@ -321,6 +322,73 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "check-invariants" not in capsys.readouterr().out
+
+
+def read_back(path):
+    """README's recipe: a trace CSV as a table, and the history its rows after k rebuild."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    history = RunHistory()
+    for row in table[:, 1:].tolist():
+        history.append(row)
+    return table, history
+
+
+def listed(violations):
+    """Each violation's fields, its two sides as their repr, so that NaN sides compare."""
+    return [(v.name, v.k, repr(v.lhs), repr(v.rhs)) for v in violations]
+
+
+class TestTraceReplay:
+    """A written trace rebuilds the run's history bit for bit, and replays to its violations."""
+
+    @staticmethod
+    def replayed(path, problem, params, history):
+        table, rebuilt = read_back(path)
+        assert table.shape == (len(history), 1 + len(RunHistory.COLUMNS))
+        assert table[:, 0].tolist() == history.column("k").tolist()
+        for name in RunHistory.COLUMNS:
+            assert rebuilt.column(name).tobytes() == history.column(name).tobytes(), name
+        violations = check_trace(problem, rebuilt, params)
+        assert listed(violations) == listed(check_trace(problem, history, params))
+        return violations
+
+    @pytest.mark.parametrize("flags, code, count", [
+        (("--step-size", "0.002"), 0, 0),
+        # the merit rises past its allowance from k = 1 on, at every other step
+        (("--step-size", "0.02", "--max-iters", "2000"), 1, 1000),
+    ], ids=["converged", "step-0.02"])
+    def test_a_pplad_solve_trace_replays_to_its_report(self, tmp_path, monkeypatch, flags,
+                                                         code, count):
+        import pplad.cli as cli_module
+        runs = []
+        monkeypatch.setattr(cli_module, "solve", lambda problem, params, x0: runs.append(
+            (problem, params, real_solve(problem, params, x0))) or runs[-1][2])
+        assert main(solve_argv(tmp_path, "--problem", "example1", *flags)) == code
+        [(problem, params, outcome)] = runs
+        violations = self.replayed(tmp_path / "t.csv", problem, params, outcome.history)
+        assert len(violations) == count
+        if count:
+            assert (violations[0].name, violations[0].k) == ("merit_decrease", 1)
+        # the report lists the same violations, with their sides at full precision
+        report = (tmp_path / "r.txt").read_text().splitlines()
+        assert f"invariant_violations = {count}" in report
+        assert [line for line in report if line.startswith("violation.")] == [
+            f"violation.{i} = {v.name} k={v.k} lhs={v.lhs!r} rhs={v.rhs!r} margin={v.margin!r}"
+            for i, v in enumerate(violations)]
+
+    def test_a_trace_with_a_nan_row_replays_to_the_same_violations(self, tmp_path):
+        # c(x) is NaN for x < 0, where the first step lands from x0 = 0.5
+        problem = Problem(n=1, m=1, objective=lambda x: float(x @ x),
+                          objective_gradient=lambda x: 2.0 * x,
+                          constraints=lambda x: np.array([np.nan if x[0] < 0 else x[0] - 0.25]),
+                          constraint_jacobian=lambda x: np.ones((1, 1)),
+                          projection=lambda v: v, name="nan-c")
+        params = SolverParams(penalty=PenaltyParams(alpha=4.0, beta=0.25), step_size=1.0)
+        history = real_solve(problem, params, [0.5]).history
+        write_trace_csv(history, tmp_path / "t.csv")
+        violations = self.replayed(tmp_path / "t.csv", problem, params, history)
+        assert [(v.name, v.k) for v in violations] == [("identity_lam_mu", 1),
+                                                       ("lambda_mu_sq_nonnegative", 1)]
 
 
 class TestMain:

@@ -2,14 +2,15 @@ import dataclasses
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
-                   RunHistory, SolveStatus, SolverParams, TRACE_COLUMNS, check_trace,
-                   from_qcqp, kkt_report, solve, steps, tail_step_maxima, write_trace_csv)
+                   RunHistory, SolveStatus, SolverParams, check_trace, from_qcqp,
+                   kkt_report, solve, steps, write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -185,7 +186,8 @@ class TestCheckTrace:
         ("lambda_mu_sq", [("lambda_mu_sq_nonnegative", 20), ("mu_lam_contraction", 20),
                           ("mu_step", 20), ("mu_step_budget", 20)]),
         ("gamma", [("mu_lam_contraction", 19), ("mu_step", 19), ("mu_step_budget", 19)]),
-        ("delta", [("lam_step", 20), ("merit_decrease", 20), ("mu_step_budget", 20)]),
+        ("delta", [("lam_step", 20), ("merit_decrease", 20), ("mu_step_budget", 20)]
+         + [("mu_bound", k) for k in range(21, 51)]),  # the bound sums the budgets before k
     ])
     def test_nan_term_trips_every_check_that_reads_it(self, run1, column, expected):
         # lhs > rhs is False for a NaN, so a check that only asked that would pass it
@@ -220,6 +222,24 @@ class TestCheckTrace:
         assert [(v.name, v.k) for v in violations] == [
             ("lambda_mu_sq_nonnegative", 100), ("mu_lam_contraction", 100), ("mu_step", 100)]
         assert (violations[0].lhs, violations[0].rhs, violations[0].margin) == (0.0, -1.0, 1.0)
+
+    def test_mu_bound_reads_the_recorded_budgets(self, run1):
+        # budgets recorded 10 larger before k = 200 leave room for ||mu_200|| 1,000 larger
+        p, params, _ = run1
+        hist = solve(p, params, [3.0, 3.0]).history
+        hist.column("norm_mu")[200] += 600.0
+        hist.column("delta")[:200] += 10.0
+        assert check_trace(p, hist, params) == []
+
+    def test_reads_only_rho_and_the_lipschitz_constant(self, run1):
+        p, params, _ = run1
+        hist = solve(p, params, [3.0, 3.0]).history
+        hist.column("norm_mu")[200] += 600.0
+        hist.column("step_lambda_sq")[150] += 600.0
+        bare = check_trace(SimpleNamespace(lipschitz_c=p.lipschitz_c), hist,
+                           SimpleNamespace(penalty=SimpleNamespace(rho=params.penalty.rho)))
+        assert bare == check_trace(p, hist, params)
+        assert [(v.name, v.k) for v in bare] == [("lam_step", 149), ("mu_bound", 200)]
 
     def test_makes_no_constraint_calls(self, run1):
         _, params, _ = run1
@@ -280,44 +300,12 @@ class TestCheckTrace:
         assert check_trace(p, out.history, params) == []
 
 
-class TestTailAndRatio:
-    def test_tail_step_maxima_small_after_convergence(self, run1):
-        _, _, out = run1
-        maxima = tail_step_maxima(out.history)
-        assert set(maxima) == {"x", "lambda", "mu"}
-        for key in ("x", "lambda", "mu"):
-            assert maxima[key] <= 1e-5
-
-    def test_tail_step_maxima_on_tiny_history(self):
-        p = example1()
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.002, max_iterations=0)
-        out = solve(p, params, [3.0, 3.0])
-        assert tail_step_maxima(out.history) == {"x": 0.0, "lambda": 0.0, "mu": 0.0}
-
-    @pytest.mark.parametrize("window", [0, -5, np.nan])
-    def test_tail_step_maxima_rejects_a_window_below_one(self, run1, window):
-        # the window is the last 100 steps: no window is taken, by keyword or by position
-        _, _, out = run1
-        with pytest.raises(TypeError, match="window"):
-            tail_step_maxima(out.history, window=window)
-        with pytest.raises(TypeError, match="positional"):
-            tail_step_maxima(out.history, window)
-
-    @pytest.mark.parametrize("window", [2.5, 3.0, "3"])
-    def test_tail_step_maxima_rejects_a_window_that_is_not_an_integer(self, run1, window):
-        _, _, out = run1
-        with pytest.raises(TypeError, match="window"):
-            tail_step_maxima(out.history, window=window)
-
-
 class TestRunHistory:
     def test_append_takes_a_row_in_column_order_and_k_is_its_index(self):
         hist = RunHistory()
         hist.append([float(i) for i in range(len(COLUMNS))])
         assert hist.column("k").tolist() == [0] and hist.column("k").dtype == np.int64
         assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
-        assert COLUMNS[:len(TRACE_COLUMNS) - 1] == TRACE_COLUMNS[1:]
         ks, objective = hist.column("k"), hist.column("objective")
         hist.append([-1.0] * len(COLUMNS))
         assert ks.tolist() == [0] and objective.tolist() == [0.0]
@@ -491,12 +479,6 @@ class TestRecordedTerms:
         for key, values in expected.items():
             assert_array_equal(hist.column(key), values, err_msg=key)
 
-        tail = states[max(0, len(states) - 101):]  # the last 100 steps
-        steps = {label: max(np.linalg.norm(getattr(b, attr) - getattr(a, attr))
-                            for a, b in zip(tail, tail[1:]))
-                 for label, attr in (("x", "x"), ("lambda", "lam"), ("mu", "mu"))}
-        assert tail_step_maxima(hist) == pytest.approx(steps, rel=1e-12, abs=0)
-
 
 class TestTraceCsv:
     def test_round_trip(self, run1, tmp_path):
@@ -507,8 +489,8 @@ class TestTraceCsv:
             path = tmp_path / "trace.csv"
             write_trace_csv(history, path)
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            assert table.shape == (len(history), len(TRACE_COLUMNS))
-            for j, name in enumerate(TRACE_COLUMNS):
+            assert table.shape == (len(history), 1 + len(COLUMNS))
+            for j, name in enumerate(("k", *COLUMNS)):
                 # %.17e is lossless for doubles, and k comes back as its float value
                 assert_array_equal(table[:, j], history.column(name))
 
@@ -550,12 +532,14 @@ class TestTraceCsv:
         write_trace_csv(out.history, path)
         header = path.read_text().splitlines()[0]
         assert header == ("k,objective,feasibility,optimality,lagrangian,"
-                          "norm_x,norm_lambda,norm_mu,step_x_norm,gamma,delta")
+                          "norm_x,norm_lambda,norm_mu,step_x_norm,gamma,delta,"
+                          "lambda_mu_sq,gap_lambda_mu,step_lambda_sq,step_mu_sq,"
+                          "mu_prev_lambda_norm")
 
     def test_empty_history_round_trips_to_empty_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv(RunHistory(), path)
-        assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
+        assert path.read_text() == ",".join(("k", *COLUMNS)) + "\n"
 
     def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
         _, _, out = run1
@@ -567,5 +551,5 @@ class TestTraceCsv:
         with open(gz, encoding="utf-8") as fh:
             table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
         assert_array_equal(table[:, 0], out.history.column("k"))
-        for j, name in enumerate(TRACE_COLUMNS[1:], start=1):
+        for j, name in enumerate(COLUMNS, start=1):
             assert table[:, j].tobytes() == out.history.column(name).tobytes(), name

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from merit import eval_full, zhat
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
-                   TRACE_COLUMNS, check_trace, from_qcqp, kkt_report, solve, steps,
-                   validate, write_trace_csv)
+                   check_trace, from_qcqp, kkt_report, solve, steps, validate,
+                   write_trace_csv)
 from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
 
@@ -126,9 +126,9 @@ def test_trace_csv_round_trips_every_kept_row_bitwise(run):
         write_trace_csv(history, path)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     # k comes back as float: its values are compared, every other column bitwise
-    assert table.shape == (len(history), len(TRACE_COLUMNS))
+    assert table.shape == (len(history), 1 + len(RunHistory.COLUMNS))
     assert table[:, 0].tolist() == history.column("k").tolist()
-    for j, name in enumerate(TRACE_COLUMNS[1:], start=1):
+    for j, name in enumerate(RunHistory.COLUMNS, start=1):
         assert table[:, j].tobytes() == history.column(name).tobytes(), name
 
 

@@ -1,7 +1,9 @@
-"""README's "Library usage" code runs as written."""
+"""README's "Library usage" code and its trace replay recipe run as written."""
 
 import re
 from pathlib import Path
+
+from pplad.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +25,17 @@ def test_library_usage_code_runs(capsys):
                                       last).groups())
     assert rows == stopped + 1
     assert 100 * (len(progress) - 1) <= stopped < namespace["outcome"].iterations
+
+
+def test_trace_replay_recipe_reproduces_the_report(capsys, tmp_path, monkeypatch):
+    # the recipe replays the trace of README's first command to the count in its report
+    section = README.read_text().split("\n### Trace CSV\n", 1)[1].split("\n### ", 1)[0]
+    recipe = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)[-1]
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "example1", "--step-size", "0.002",
+                 "--trace", "trace.csv", "--report", "report.txt"]) == 0
+    capsys.readouterr()
+    exec(compile(recipe, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["invariant_violations = 0"]
+    assert printed[0] in (tmp_path / "report.txt").read_text().splitlines()
