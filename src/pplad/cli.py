@@ -95,7 +95,6 @@ def _write_report(path: str, outcome, problem, violations) -> None:
         f"objective = {float(outcome.history.column('objective')[-1])!r}",
         f"optimality = {outcome.kkt.optimality!r}",
         f"feasibility = {outcome.kkt.feasibility!r}",
-        f"satisfied = {str(outcome.kkt.satisfied).lower()}",
         "x = " + ",".join(repr(float(v)) for v in outcome.final_state.x),
         "lambda = " + ",".join(repr(float(v)) for v in outcome.final_state.lam),
     ]
@@ -215,7 +214,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pplad: error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

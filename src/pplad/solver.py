@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -83,29 +84,22 @@ def grad_x(problem: Problem, state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Residual pair at a state and the convergence verdict."""
+    """The optimality and feasibility residuals at a state."""
 
     optimality: float
     feasibility: float
-    satisfied: bool
 
 
-def _kkt(problem: Problem, state, grad, cx, tol_optimality: float,
-         tol_feasibility: float) -> KktReport:
+def _kkt(problem: Problem, state, grad, cx) -> KktReport:
     """Both residuals at a state, from grad_x L and c(x) already evaluated there."""
-    projected = problem.project(state.x - grad)
-    opt = _norm(state.x - projected)
-    feas = _norm(cx)
-    return KktReport(optimality=opt, feasibility=feas,
-                     satisfied=bool(opt <= tol_optimality and feas <= tol_feasibility))
+    return KktReport(_norm(state.x - problem.project(state.x - grad)), _norm(cx))
 
 
-def kkt_report(problem: Problem, state, *, tol_optimality: float,
-               tol_feasibility: float) -> KktReport:
-    """Check the state's sizes, then evaluate both residuals there, with the satisfied verdict."""
+def kkt_report(problem: Problem, state) -> KktReport:
+    """Check the state's sizes, then evaluate both residuals there."""
     state.check_dims(problem)
     cx = problem.c(state.x)
-    return _kkt(problem, state, grad_x(problem, state), cx, tol_optimality, tol_feasibility)
+    return _kkt(problem, state, grad_x(problem, state), cx)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +174,10 @@ class SolverParams:
         return self.delta0 * self.decay ** k
 
 
-@dataclass
-class SolveOutcome:
-    status: SolveStatus
+class SolveOutcome(NamedTuple):
+    """A run so far; its status is None until the run stops."""
+
+    status: Optional[SolveStatus]
     final_state: FullState
     kkt: KktReport
     history: RunHistory
@@ -223,7 +218,7 @@ def _stop(params: SolverParams, k: int, kkt: KktReport, fx, merit, norm_x):
     """Status and message if the loop stops at iteration k, else (None, "")."""
     if not all(map(math.isfinite, (fx, kkt.optimality, kkt.feasibility, merit))):
         return SolveStatus.EVALUATION_ERROR, f"non-finite iterate at k={k}"
-    if kkt.satisfied:
+    if kkt.optimality <= params.tol_optimality and kkt.feasibility <= params.tol_feasibility:
         return SolveStatus.CONVERGED, ""
     if norm_x > _DIVERGENCE_BOUND:
         return SolveStatus.DIVERGED, f"||x|| exceeded {_DIVERGENCE_BOUND:g} at k={k}"
@@ -237,9 +232,9 @@ def _stop(params: SolverParams, k: int, kkt: KktReport, fx, merit, norm_x):
 # ---------------------------------------------------------------------------
 
 def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
-    """Run the loop from x0, yielding ``(status, state, kkt, history, message)`` after each row.
+    """Run the loop from x0, yielding the ``SolveOutcome`` so far after each row.
 
-    The fields are ``SolveOutcome``'s, live, and status is None until the last
+    Its state and history are live, and its status is None until the last
     yield.  Callbacks run only inside ``next()``, so breaking out ends the run;
     the first ``next()`` checks the start's sizes before any callback runs.  A
     callback that raises after the start adds a last EVALUATION_ERROR yield,
@@ -261,7 +256,7 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
         its merit is L at z = (lam - mu)/alpha in the reduced form f + <lam, c> - dd/(2 rho).
         """
         fx = problem.f(state.x)
-        kkt = _kkt(problem, state, grad, cx, params.tol_optimality, params.tol_feasibility)
+        kkt = _kkt(problem, state, grad, cx)
         dd = float(d.dot(d))
         merit = fx + float(state.lam.dot(cx)) - dd / (2.0 * rho)
         norm_x = _norm(state.x)
@@ -279,7 +274,7 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
     d = cur.lam - cur.mu
     cx, grad = problem.c(cur.x), grad_x(problem, cur)  # c before J, as at every later point
     kkt, dd, status, message = record(cur, d, grad, cx, None, 0.0)
-    yield status, cur, kkt, history, message
+    yield SolveOutcome(status, cur, kkt, history, message)
     while status is None:
         try:
             nxt, cx, gam = _advance(problem, params, cur, d, dd, grad)
@@ -290,7 +285,7 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR
             message = f"{type(exc).__name__} raised at iteration {cur.k + 1}: {exc}"
-        yield status, cur, kkt, history, message
+        yield SolveOutcome(status, cur, kkt, history, message)
 
 
 def solve(problem: Problem, params: SolverParams, x0, *,
@@ -327,8 +322,9 @@ def solve(problem: Problem, params: SolverParams, x0, *,
     Returns
     -------
     SolveOutcome
-        Final state, KKT report and the scalar history of every iteration.
+        The last yield of ``steps``: final state, residuals and the scalar
+        history of every iteration.
     """
-    for status, cur, kkt, history, message in steps(problem, params, x0, lam0=lam0, mu0=mu0):
+    for outcome in steps(problem, params, x0, lam0=lam0, mu0=mu0):
         pass
-    return SolveOutcome(status, cur, kkt, history, message)
+    return outcome

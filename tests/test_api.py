@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import pplad
-from pplad import (FullState, PenaltyParams, RunHistory, SolverParams, check_trace,
-                   example1, example2_spec, from_qcqp, solve, write_trace_csv)
+from pplad import (FullState, KktReport, PenaltyParams, RunHistory, SolverParams,
+                   check_trace, example1, example2_spec, from_qcqp, kkt_report, solve,
+                   write_trace_csv)
 
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
@@ -78,9 +79,11 @@ def test_solve_takes_no_trace_stride():
     ("stride", lambda: write_trace_csv(RunHistory(), "unwritten.csv", stride=1)),
     ("divergence_bound", lambda: SolverParams(penalty=PenaltyParams(2000.0, 0.5),
                                               step_size=0.002, divergence_bound=1e8)),
+    ("tol_optimality", lambda: kkt_report(example1(), None, tol_optimality=1e-6)),
+    ("satisfied", lambda: KktReport(0.0, 0.0, satisfied=True)),
 ], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",
         "solve-z0", "FullState-delta", "FullState-gamma", "write_trace_csv-stride",
-        "SolverParams-divergence_bound"])
+        "SolverParams-divergence_bound", "kkt_report-tol_optimality", "KktReport-satisfied"])
 def test_removed_keywords_raise_type_error(keyword, call):
     # each raises before it writes a file
     with pytest.raises(TypeError, match=keyword):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -510,6 +513,23 @@ class TestMain:
             entry = flag if parse is None else f"{flag} {key.upper()}"
             default = f" (default {defaults[key]})" if key in defaults else ""
             assert f"{entry} {help_text}{default}" in text
+
+    def test_module_entry_point_exits_with_the_process_code(self, tmp_path):
+        # python -m pplad is the one module entry; its exit code is the process's
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def pplad(*args):
+            return subprocess.run([sys.executable, "-m", "pplad", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        usage = pplad("solve", "--problem", "example1", "--step-size", "fast")
+        assert usage.returncode == 5
+        assert usage.stderr.startswith("usage: pplad [-h] ")
+        assert "argument --step-size: invalid float value: 'fast'" in usage.stderr
+        helped = pplad("--help")
+        assert helped.returncode == 0
+        assert helped.stdout.startswith("usage: pplad [-h] ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_problem_file_exit_five(self, tmp_path, capsys):
         path = tmp_path / "nan.qcqp"

@@ -14,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from merit import eval_full, zhat
-from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolverParams,
-                   check_trace, from_qcqp, kkt_report, solve, steps, validate,
+from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolveStatus,
+                   SolverParams, check_trace, from_qcqp, kkt_report, solve, steps, validate,
                    write_trace_csv)
 from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
@@ -87,6 +87,18 @@ def test_dual_invariants_hold_for_any_valid_parameters(run):
     problem, params, outcome = run
     violations = check_trace(problem, outcome.history, params)
     assert not [v for v in violations if v.name in DUAL_INVARIANTS]
+
+
+@PROPERTY
+@given(run=runs())
+def test_status_is_converged_exactly_when_the_last_row_is_within_tolerance(run):
+    problem, params, outcome = run
+    last = {name: outcome.history.column(name)[-1]
+            for name in ("objective", "optimality", "feasibility", "lagrangian")}
+    within = (last["optimality"] <= params.tol_optimality
+              and last["feasibility"] <= params.tol_feasibility
+              and all(np.isfinite(value) for value in last.values()))
+    assert (outcome.status is SolveStatus.CONVERGED) == within
 
 
 @PROPERTY
@@ -221,8 +233,7 @@ def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
 @given(run=runs())
 def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
     problem, params, outcome = run
-    report = kkt_report(problem, outcome.final_state, tol_optimality=params.tol_optimality,
-                        tol_feasibility=params.tol_feasibility)
+    report = kkt_report(problem, outcome.final_state)
     assert dataclasses.astuple(outcome.kkt) == dataclasses.astuple(report)
 
 

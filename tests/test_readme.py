@@ -16,7 +16,7 @@ def test_library_usage_code_runs(capsys):
     for block in blocks:  # one namespace: a later block continues the example
         exec(compile(block, str(README), "exec"), namespace)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("SolveStatus.CONVERGED") and lines[0].endswith("True")
+    assert lines[0].endswith("SolveStatus.CONVERGED")
     # the stepped run prints every 100th iteration, then breaks out before the run would stop
     progress, last = lines[1:-1], lines[-1]
     assert [line.split(":")[0] for line in progress] == [f"k={k}" for k in
@@ -39,3 +39,21 @@ def test_trace_replay_recipe_reproduces_the_report(capsys, tmp_path, monkeypatch
     printed = capsys.readouterr().out.splitlines()
     assert printed == ["invariant_violations = 0"]
     assert printed[0] in (tmp_path / "report.txt").read_text().splitlines()
+
+
+def test_report_file_section_lists_the_report_keys_in_order(tmp_path):
+    section = README.read_text().split("\n### Report file\n", 1)[1].split("\n### ", 1)[0]
+    keys = re.findall(r"^- `([a-z_.]+)`", section, re.MULTILINE)
+    runaway = tmp_path / "runaway.qcqp"
+    runaway.write_text("dim 1 0\nQ\n-1\nq\n0\nprojection whole\n")
+    # a divergence sets a message; example1 at step 0.02 breaks the merit decrease
+    runs = {"message": ["--problem", str(runaway), "--step-size", "0.5", "--x0", "1"],
+            "violation.i": ["--problem", "example1", "--step-size", "0.02",
+                            "--max-iters", "50"]}
+    for optional, flags in runs.items():
+        report = tmp_path / "r.txt"
+        main(["solve", *flags, "--trace", str(tmp_path / "t.csv"), "--report", str(report)])
+        written = dict.fromkeys(re.sub(r"^violation\.\d+$", "violation.i", line.split(" = ")[0])
+                                for line in report.read_text().splitlines())
+        assert list(written) == [key for key in keys
+                                 if key not in ("message", "violation.i") or key == optional]

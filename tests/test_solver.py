@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
-from pplad import (Ball, Box, DimensionMismatch, FullState, PenaltyParams, Problem,
-                   RunHistory, SolveStatus, SolverParams, grad_x, kkt_report, solve, steps,
-                   validate)
+import pplad.solver
+from pplad import (Ball, Box, DimensionMismatch, FullState, KktReport, PenaltyParams,
+                   Problem, RunHistory, SolveOutcome, SolveStatus, SolverParams, grad_x,
+                   kkt_report, solve, steps, validate)
 from pplad.problems import example1, example2, example3
 from stepping import advance
 
@@ -385,6 +386,18 @@ class TestSolve:
         assert out.final_state.lam.size == 0
         assert out.kkt.feasibility == 0.0
 
+    def test_nan_objective_at_a_kkt_point_is_an_evaluation_error(self):
+        # both residuals vanish at the start, where f is NaN: the status alone is the verdict
+        p = Problem(n=1, m=1, objective=lambda x: np.nan,
+                    objective_gradient=lambda x: np.zeros(1), constraints=lambda x: x.copy(),
+                    constraint_jacobian=lambda x: np.ones((1, 1)),
+                    projection=lambda v: v, name="nan-objective")
+        out = solve(p, fig1_params(), [0.0])
+        assert out.status is SolveStatus.EVALUATION_ERROR
+        assert out.iterations == 0 and out.message == "non-finite iterate at k=0"
+        assert out.kkt == KktReport(0.0, 0.0)
+        assert [f.name for f in dataclasses.fields(out.kkt)] == ["optimality", "feasibility"]
+
     def test_evaluation_error_keeps_partial_trace(self):
         calls = {"n": 0}
 
@@ -413,7 +426,6 @@ class TestSolve:
         params = fig1_params(step_size=0.004, delta0=0.5, max_iterations=50)
         out = solve(example3(), params, [0.0, 0.0])
         assert out.status is SolveStatus.ITERATION_LIMIT
-        assert out.kkt.satisfied is False
         assert out.kkt.feasibility == 4.0
         assert out.history.column("feasibility")[0] == 4.0
 
@@ -445,8 +457,7 @@ class TestSolve:
                 "eval_full": lambda: eval_full(p, RHO2, state),
                 "iterate": lambda: advance(p, params, state),
                 "grad_x": lambda: grad_x(p, state),
-                "kkt_report": lambda: kkt_report(p, state, tol_optimality=1e-6,
-                                                 tol_feasibility=1e-6)}[entry]
+                "kkt_report": lambda: kkt_report(p, state)}[entry]
         with pytest.raises(DimensionMismatch, match=callback):
             call()
 
@@ -501,7 +512,6 @@ class TestSolve:
         p = example1()
         out = solve(p, fig1_params(), [3.0, 3.0])
         assert out.status is SolveStatus.CONVERGED
-        assert out.kkt.satisfied
         assert out.kkt.optimality <= 1e-6
         assert out.kkt.feasibility <= 1e-6
 
@@ -564,6 +574,20 @@ class TestTheLoopGenerator:
         assert (out.status, out.kkt, out.message) == (yields[-1][0], kkt, message)
         assert same_run(history, state, out)
 
+    def test_each_yield_is_a_solve_outcome_and_solve_returns_the_last(self, monkeypatch):
+        yields = []
+
+        def recorded(*args, real=pplad.solver.steps, **kwargs):
+            for outcome in real(*args, **kwargs):
+                yields.append(outcome)
+                yield outcome
+
+        monkeypatch.setattr(pplad.solver, "steps", recorded)
+        out = solve(example1(), fig1_params(max_iterations=20), [3.0, 3.0])
+        assert [type(y) for y in yields] == [SolveOutcome] * 21
+        assert [y.status for y in yields] == [None] * 20 + [SolveStatus.ITERATION_LIMIT]
+        assert out is yields[-1]
+
     @pytest.mark.parametrize("build, x0, step_size, delta0", [
         (example1, [3.0, 3.0], 0.002, 1.0), (example2, [4.0, 4.0, 4.0], 0.005, 0.5),
         (example3, [5.0, 5.0], 0.004, 0.5)], ids=["example1", "example2", "example3"])
@@ -609,7 +633,7 @@ class TestEvaluationOrder:
             assert (first, second) == ("constraints", "constraint_jacobian")
             assert x_c == x_j
         calls.clear()
-        kkt_report(problem, out.final_state, tol_optimality=1e-6, tol_feasibility=1e-6)
+        kkt_report(problem, out.final_state)
         x = out.final_state.x.tobytes()
         assert calls == [("constraints", x), ("constraint_jacobian", x)]
 
