@@ -11,8 +11,8 @@ the run.
 
 ``write_trace_csv`` writes k and every history column, one row per iteration,
 as plain CSV with ``np.savetxt``; ``np.loadtxt(path, delimiter=",", skiprows=1,
-ndmin=2)`` reads them back, and appending the rows of that table after its k
-column to a new ``RunHistory`` rebuilds the run bit for bit.
+ndmin=2)`` reads them back, and ``RunHistory(table[:, 1:])``, the columns after
+k, rebuilds the run bit for bit.
 """
 
 from __future__ import annotations
@@ -68,9 +68,17 @@ class RunHistory:
                "gap_lambda_mu", "step_lambda_sq", "step_mu_sq", "mu_prev_lambda_norm")
     _INDEX = {name: j for j, name in enumerate(COLUMNS)}
 
-    def __init__(self):
-        self._table = array("d")  # row-major, one row of COLUMNS per iteration, then any room
-        self._size = 0            # the floats of the rows stored so far
+    def __init__(self, rows=()):
+        """Start from ``rows``, a table in ``COLUMNS`` order such as a trace's columns after k.
+
+        Refused whole as ``append`` refuses a row: a table not 2-D or not
+        ``len(COLUMNS)`` wide raises ValueError, a non-number entry TypeError.
+        """
+        table = np.asarray(rows).astype(float, casting="safe", copy=False)
+        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != len(self.COLUMNS)):
+            raise ValueError(f"rows are a 2-D table {len(self.COLUMNS)} wide, got {table.shape}")
+        self._table = array("d", table.tobytes())  # row-major, a row of COLUMNS each, then room
+        self._size = table.size                    # the floats of the rows stored so far
 
     def append(self, row: list) -> None:
         """Store the next iteration from ``row``, a list of one float per name in ``COLUMNS``.

@@ -330,10 +330,7 @@ class TestRun:
 def read_back(path):
     """README's recipe: a trace CSV as a table, and the history its rows after k rebuild."""
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    history = RunHistory()
-    for row in table[:, 1:].tolist():
-        history.append(row)
-    return table, history
+    return table, RunHistory(table[:, 1:])
 
 
 def listed(violations):

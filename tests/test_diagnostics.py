@@ -326,6 +326,36 @@ class TestRunHistory:
         assert hist.column("k").tolist() == [0, 1]
         assert [hist.column(name).tolist() for name in COLUMNS] == [[0.0, 1.0]] * len(COLUMNS)
 
+    @pytest.mark.parametrize("rows, error", [
+        (np.zeros((2, len(COLUMNS) - 1)), ValueError),
+        (np.zeros((2, len(COLUMNS) + 1)), ValueError),
+        (np.zeros(len(COLUMNS)), ValueError),
+        (np.zeros((1, 2, len(COLUMNS))), ValueError),
+        ([[0.0] * len(COLUMNS), [0.0] * (len(COLUMNS) - 1)], ValueError),
+        ([[0.0] * (len(COLUMNS) - 1) + ["2"]], TypeError),
+    ], ids=["width-14", "width-16", "1-d-row", "3-d", "ragged", "string-entry"])
+    def test_rows_are_refused_whole_as_append_refuses_a_row(self, rows, error):
+        # the constructor raises, so no history holds any of the rows
+        with pytest.raises(error):
+            RunHistory(rows)
+
+    def test_no_rows_make_an_empty_history_that_check_trace_refuses(self, run1):
+        p, params, _ = run1
+        for hist in (RunHistory(), RunHistory(())):
+            assert len(hist) == 0
+            assert all(len(hist.column(name)) == 0 for name in ("k", *COLUMNS))
+            with pytest.raises(ValueError, match="^empty trace: nothing to check$"):
+                check_trace(p, hist, params)
+
+    def test_rows_are_copied_from_a_table_slice(self):
+        # a trace table's columns after k, as README passes them: a strided slice
+        table = np.arange(2.0 * (1 + len(COLUMNS))).reshape(2, -1)
+        hist = RunHistory(table[:, 1:])
+        table[:] = -1.0
+        assert len(hist) == 2 and hist.column("k").tolist() == [0, 1]
+        assert [hist.column(name).tolist() for name in COLUMNS] == [
+            [1.0 + j, 2.0 + len(COLUMNS) + j] for j in range(len(COLUMNS))]
+
     def test_views_kept_across_appends_keep_their_rows_and_do_not_copy_each_time(self):
         # a reader that keeps a view while rows are appended, as a consumer of ``steps``
         # may: every view still reads its rows, a fresh column reads every row, and
@@ -511,6 +541,16 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(out.history, path)
         assert path.read_bytes() == (DEMO_OUTPUT / f"{name}_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "least_norm"])
+    def test_committed_traces_rebuild_and_write_back_byte_for_byte(self, name, tmp_path):
+        committed = DEMO_OUTPUT / f"{name}_trace.csv"
+        table = np.loadtxt(committed, delimiter=",", skiprows=1, ndmin=2)
+        history = RunHistory(table[:, 1:])
+        assert history.column("k").tolist() == table[:, 0].tolist()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(history, path)
+        assert path.read_bytes() == committed.read_bytes()
 
     def test_header_contract(self, run1, tmp_path):
         _, _, out = run1

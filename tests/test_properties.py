@@ -75,10 +75,22 @@ def starts(draw, problems=qcqps()):
 
 
 @st.composite
-def runs(draw):
+def runs(draw, problems=qcqps()):
     """A solve of a drawn QCQP from a drawn start."""
-    problem, params, start = draw(starts())
+    problem, params, start = draw(starts(problems))
     return problem, params, solve(problem, params, **start)
+
+
+@st.composite
+def nan_beyond(draw, problems=qcqps()):
+    """A drawn QCQP whose objective is NaN where x[0] exceeds a drawn level.
+
+    A run that reaches such a point records its NaN row and stops with
+    EVALUATION_ERROR.
+    """
+    problem, level = draw(problems), draw(st.floats(-1.0, 1.0))
+    f = problem.objective
+    return dataclasses.replace(problem, objective=lambda x: np.nan if x[0] > level else f(x))
 
 
 @PROPERTY
@@ -142,6 +154,42 @@ def test_trace_csv_round_trips_every_kept_row_bitwise(run):
     assert table[:, 0].tolist() == history.column("k").tolist()
     for j, name in enumerate(RunHistory.COLUMNS, start=1):
         assert table[:, j].tobytes() == history.column(name).tobytes(), name
+
+
+def listed(violations):
+    """Each violation's fields, its two sides as their repr, so that NaN sides compare."""
+    return [(v.name, v.k, repr(v.lhs), repr(v.rhs)) for v in violations]
+
+
+@PROPERTY
+@given(run=st.one_of(runs(), runs(nan_beyond())),
+       extra=st.lists(vectors(len(RunHistory.COLUMNS), 1e6), max_size=5))
+def test_a_written_trace_rebuilds_its_history_in_one_call(run, extra):
+    # NaN rows included: a run of a nan_beyond problem may stop on a NaN objective
+    problem, params, outcome = run
+    history = outcome.history
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(history, path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+    rebuilt = RunHistory(rows)
+    for name in RunHistory.COLUMNS:
+        assert rebuilt.column(name).tobytes() == history.column(name).tobytes(), name
+    assert listed(check_trace(problem, rebuilt, params)) == listed(
+        check_trace(problem, history, params))
+    # rows appended after the one call: as if every row had been appended, and
+    # views taken before those appends keep their rows
+    views = [(name, rebuilt.column(name), rebuilt.column(name).copy())
+             for name in RunHistory.COLUMNS]
+    appended = RunHistory()
+    for row in rows.tolist():
+        appended.append(row)
+    for row in extra:
+        rebuilt.append(row)
+        appended.append(row)
+    for name, view, seen in views:
+        assert view.tobytes() == seen.tobytes(), name
+        assert rebuilt.column(name).tobytes() == appended.column(name).tobytes(), name
 
 
 @PROPERTY
