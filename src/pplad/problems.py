@@ -84,19 +84,22 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
     ``Mx`` (row j is Qj x) per point: c_j = 0.5 <Qj x, x> + qj'x + bj, and
     J = Mx + qj row-wise.  One cache serves the order in which ``solve`` and
     ``kkt_report`` ask: c before J at a point, and J once.  ``constraints``
-    forms Mx and c(x), parks Mx under the exact bits of x once c(x) is formed,
-    and returns c(x) itself; ``constraint_jacobian`` takes the parked Mx for
-    its x out of the cache (atomically, so two threads never get the same
-    array) or forms its own, adds qj in place and returns it.  Any other
-    order gets the same values, at the cost of one more product.  So a point
-    holds one m x n array, no c(x) outlives a call, and no array is held by
-    the cache and a caller, or by two callers.
+    forms Mx and c(x), parks Mx beside a copy of x's bits once c(x) is formed,
+    and returns c(x) itself; ``constraint_jacobian`` takes the parked entry
+    out of the cache (atomically, so two threads never get the same array)
+    and uses its Mx if those bits match x's own buffer, which it compares in
+    place rather than copying x again, or else forms its own, adds qj in
+    place and returns it.  A J at another point so drops the parked product,
+    and a later J at the parked point forms it again.  Any other order gets
+    the same values, at the cost of one more product.  So a point holds one
+    m x n array, no c(x) outlives a call, and no array is held by the cache
+    and a caller, or by two callers.
     """
     Q, q = spec.Q, spec.q
     n, m = spec.n, spec.m
     stacked = spec.Qj.reshape(m * n, n)  # Q1 on top of Q2 ...
     linear, offset = spec.qj, spec.bj
-    spare = {}                           # key of x -> its Mx, until J takes it; replaced whole
+    spare = {}                           # shape of x -> (bits of x, its Mx); replaced whole
 
     def objective(x):
         return float(0.5 * (x @ Q @ x) + q @ x)
@@ -109,13 +112,14 @@ def from_qcqp(spec: QcqpSpec, name: str = "qcqp") -> Problem:
         x = np.asarray(x, dtype=float)
         Mx = (stacked @ x).reshape(m, n)
         cx = 0.5 * np.vecdot(Mx, x) + linear @ x + offset
-        spare = {(x.shape, x.tobytes()): Mx}  # only now: J edits it in place
+        spare = {x.shape: (x.tobytes(), Mx)}  # only now: J edits it in place
         return cx
 
     def constraint_jacobian(x):
-        x = np.asarray(x, dtype=float)
-        Mx = spare.pop((x.shape, x.tobytes()), None)
-        if Mx is None:  # not parked at this point, or taken by an earlier call
+        x = np.asarray(x, dtype=float, order="C")
+        bits, Mx = spare.pop(x.shape, (None, None))  # one taker, even across threads
+        # equal shapes make equal lengths, so a prefix match is x's exact bits
+        if Mx is None or not bits.startswith(x):  # not parked at x: dropped
             Mx = (stacked @ x).reshape(m, n)
         Mx += linear
         return Mx

@@ -11,38 +11,38 @@ import numpy as np
 import pytest
 
 from merit import eval_full, zhat
-from pplad import (FullState, PenaltyParams, SolveStatus, SolverParams, check_trace,
-                   fd_jacobian, grad_x, solve, steps)
-from pplad.problems import example1, example2, example3
+from params import FIG1, fig1_params, reproduction_params
+from pplad import FullState, SolveStatus, check_trace, fd_jacobian, grad_x, solve, steps
+from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example2, example3
 from stepping import advance
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
 MAX_ITERS = 200000
 
 
-def timed_run(problem, x0, **param_kw):
-    params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                          decay=0.999, tol_optimality=TOL, tol_feasibility=TOL,
-                          max_iterations=MAX_ITERS, **param_kw)
+def timed_run(name):
+    problem = BUILTIN_PROBLEMS[name]()
+    params = reproduction_params(name, tol_optimality=TOL, tol_feasibility=TOL,
+                                 max_iterations=MAX_ITERS)
     start = time.perf_counter()
-    outcome = solve(problem, params, x0)
+    outcome = solve(problem, params, DEFAULT_START[name])
     elapsed = time.perf_counter() - start
     return problem, params, outcome, elapsed
 
 
 @pytest.fixture(scope="module")
 def run1():
-    return timed_run(example1(), [3.0, 3.0], step_size=0.002, delta0=1.0)
+    return timed_run("example1")
 
 
 @pytest.fixture(scope="module")
 def run2():
-    return timed_run(example2(), [4.0, 4.0, 4.0], step_size=0.005, delta0=0.5)
+    return timed_run("example2")
 
 
 @pytest.fixture(scope="module")
 def run3():
-    return timed_run(example3(), [5.0, 5.0], step_size=0.004, delta0=0.5)
+    return timed_run("example3")
 
 
 def report(num, description, ok):
@@ -105,7 +105,6 @@ def test_criterion_4_invariant_suite(run1, run2, run3):
 
 
 def test_criterion_5_gradient_oracle():
-    params = PenaltyParams(alpha=2000.0, beta=0.5)
     rng = np.random.default_rng(2024)
     worst_grad, worst_jac = 0.0, 0.0
     for problem in (example1(), example2(), example3()):
@@ -116,7 +115,7 @@ def test_criterion_5_gradient_oracle():
                               mu=2.0 * rng.standard_normal(problem.m))
             analytic = grad_x(problem, state)
             numeric = fd_jacobian(
-                lambda x: eval_full(problem, params, FullState(x, state.lam, state.mu), z=z),
+                lambda x: eval_full(problem, FIG1, FullState(x, state.lam, state.mu), z=z),
                 state.x)
             worst_grad = max(worst_grad, float(np.max(
                 np.abs(analytic - numeric) / (1.0 + np.abs(analytic)))))
@@ -133,14 +132,13 @@ def test_criterion_5_gradient_oracle():
 def test_criterion_6_closed_form_inner_solutions():
     # z is checked at the sampled state; lam is the one an iteration returns from
     # it, checked against the merit at its own x and mu with z = zhat(lam, mu)
-    params = PenaltyParams(alpha=2000.0, beta=0.5)
-    solver_params = SolverParams(penalty=params, step_size=0.002)
+    params = fig1_params()
     rng = np.random.default_rng(77)
     eps = 1e-3
     ok = True
 
     def reduced(problem, x, lam, mu):
-        return eval_full(problem, params, FullState(x, lam, mu))
+        return eval_full(problem, FIG1, FullState(x, lam, mu))
 
     for problem in (example1(), example2(), example3()):
         for _ in range(100):
@@ -148,23 +146,23 @@ def test_criterion_6_closed_form_inner_solutions():
             lam = 2.0 * rng.standard_normal(problem.m)
             mu = 2.0 * rng.standard_normal(problem.m)
 
-            z_best = zhat(params, lam, mu)
-            v_best = eval_full(problem, params, FullState(x, lam, mu), z=z_best)
-            nxt = advance(problem, solver_params, FullState(x, lam, mu))
+            z_best = zhat(FIG1, lam, mu)
+            v_best = eval_full(problem, FIG1, FullState(x, lam, mu), z=z_best)
+            nxt = advance(problem, params, FullState(x, lam, mu))
             r_best = reduced(problem, nxt.x, nxt.lam, nxt.mu)
             for _ in range(20):
                 u = rng.standard_normal(problem.m)
                 u /= np.linalg.norm(u)
                 ok = ok and v_best <= eval_full(
-                    problem, params, FullState(x, lam, mu), z=z_best + eps * u)
+                    problem, FIG1, FullState(x, lam, mu), z=z_best + eps * u)
                 ok = ok and r_best >= reduced(problem, nxt.x, nxt.lam + eps * u, nxt.mu)
     report(6, "sampled minimality of the closed-form z and maximality of the "
               "closed-form multiplier (100 states x 20 directions per problem)", ok)
 
 
 def test_criterion_7_one_step_oracle():
-    # Straight-line transcription of one iteration in plain floats,
-    # independent of the library code paths.
+    # Straight-line transcription of one iteration in plain floats, at the
+    # Fig. 1 settings, independent of the library code paths.
     alpha, beta, step, delta0, r = 2000.0, 0.5, 0.002, 1.0, 0.999
     rho = alpha / (1.0 + alpha * beta)
     x = (3.0, 3.0)
@@ -185,8 +183,7 @@ def test_criterion_7_one_step_oracle():
     z_new = ((lam_new[0] - mu_new[0]) / alpha, (lam_new[1] - mu_new[1]) / alpha)
 
     problem = example1()
-    params = SolverParams(penalty=PenaltyParams(alpha=alpha, beta=beta),
-                          step_size=step, delta0=delta0, decay=r, max_iterations=1)
+    params = fig1_params(max_iterations=1)
     [_, (_, nxt, _, history, _)] = islice(steps(problem, params, [3.0, 3.0]), 2)
     delta1 = history.column("delta")[1]
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import pplad
-from pplad import (FullState, KktReport, PenaltyParams, RunHistory, SolverParams,
-                   check_trace, example1, example2_spec, from_qcqp, kkt_report, solve,
-                   write_trace_csv)
+from params import fig1_params
+from pplad import (FullState, KktReport, RunHistory, check_trace, example1, example2_spec,
+                   from_qcqp, kkt_report, solve, write_trace_csv)
 
 REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
            "optimality_residual", "feasibility_residual", "TraceRecord",
@@ -17,9 +17,6 @@ REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState"
            "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio",
            "zhat", "eval_full", "read_trace_csv", "iterate", "initial_state",
            "EvaluationError")
-
-PARAMS = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                      step_size=0.002, max_iterations=5)
 
 
 def test_every_exported_name_resolves_once():
@@ -65,20 +62,19 @@ def test_a_violation_derives_its_margin_from_its_sides():
 def test_solve_takes_no_trace_stride():
     # solve records every iteration; only write_trace_csv strides
     with pytest.raises(TypeError, match="trace_stride"):
-        solve(example1(), PARAMS, [3.0, 3.0], trace_stride=5)
+        solve(example1(), fig1_params(), [3.0, 3.0], trace_stride=5)
 
 
 @pytest.mark.parametrize("keyword,call", [
     ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
-    ("grad_lipschitz", lambda: check_trace(example1(), RunHistory(), PARAMS,
+    ("grad_lipschitz", lambda: check_trace(example1(), RunHistory(), fig1_params(),
                                            grad_lipschitz=1.0)),
     ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
-    ("z0", lambda: solve(example1(), PARAMS, [3.0, 3.0], z0=[0.0, 0.0])),
+    ("z0", lambda: solve(example1(), fig1_params(), [3.0, 3.0], z0=[0.0, 0.0])),
     ("delta", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], delta=0.5)),
     ("gamma", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], gamma=0.25)),
     ("stride", lambda: write_trace_csv(RunHistory(), "unwritten.csv", stride=1)),
-    ("divergence_bound", lambda: SolverParams(penalty=PenaltyParams(2000.0, 0.5),
-                                              step_size=0.002, divergence_bound=1e8)),
+    ("divergence_bound", lambda: fig1_params(divergence_bound=1e8)),
     ("tol_optimality", lambda: kkt_report(example1(), None, tol_optimality=1e-6)),
     ("satisfied", lambda: KktReport(0.0, 0.0, satisfied=True)),
 ], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",

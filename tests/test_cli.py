@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (PenaltyParams, Problem, QcqpSpec, RunHistory, SolverParams, WholeSpace,
-                   check_trace, example1, solve as real_solve, write_trace_csv)
+from params import rho2_params
+from pplad import (Problem, QcqpSpec, RunHistory, WholeSpace, check_trace, example1,
+                   solve as real_solve, write_trace_csv)
 from pplad.cli import SETTINGS, main, run
-from pplad.problems import (QcqpParseError, example2, example2_spec, load_qcqp,
-                            load_qcqp_spec, save_qcqp)
+from pplad.problems import example2, example2_spec, load_qcqp, load_qcqp_spec, save_qcqp
 
 EXAMPLE2_FILE = """\
 # three-variable indefinite QCQP
@@ -73,25 +73,12 @@ class TestParseConfig:
         assert params.step_size == 0.002
         assert params.max_iterations == 200000  # default
 
-    @pytest.mark.parametrize("source", ["flag", "run"])
-    def test_fractional_stride_fails_before_the_problem_is_loaded(self, tmp_path, capsys,
-                                                                  source):
-        # the trace CSV holds every row: stride is no setting, whatever its value
-        missing = str(tmp_path / "missing.qcqp")
-        if source == "flag":
-            with pytest.raises(SystemExit) as info:
-                main(solve_argv(tmp_path, "--problem", missing, "--step-size", "0.002",
-                                "--x0", "1", "--stride", "2.5"))
-            assert info.value.code == 5
-            message = capsys.readouterr().err
-            assert message.endswith("error: unrecognized arguments: --stride 2.5\n")
-        else:
-            with pytest.raises(ValueError) as info:
-                run({"problem": missing, "step_size": 0.002, "x0": np.ones(1),
-                     "stride": 2.5, "trace": str(tmp_path / "t.csv")})
-            message = str(info.value)
-            assert message == "unknown settings: stride"
-        assert "missing.qcqp" not in message
+    def test_fractional_stride_fails_before_the_problem_is_loaded(self, tmp_path):
+        # the trace CSV holds every row: stride is no setting of run, as it is no flag
+        with pytest.raises(ValueError) as info:
+            run({"problem": str(tmp_path / "missing.qcqp"), "step_size": 0.002,
+                 "x0": np.ones(1), "stride": 2.5, "trace": str(tmp_path / "t.csv")})
+        assert str(info.value) == "unknown settings: stride"
         assert not (tmp_path / "t.csv").exists()
 
     def test_defaults_match_documented_values(self, tmp_path, monkeypatch):
@@ -147,39 +134,6 @@ class TestQcqpFormat:
         p = load_qcqp(str(path))
         assert p.m == 0
         assert p.constraints(np.zeros(2)).shape == (0,)
-
-    def test_ragged_matrix_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.qcqp"
-        path.write_text("dim 2 0\nQ\n1 0\n0\nq\n0 0\nprojection whole\n")
-        with pytest.raises(QcqpParseError, match="expected 2 numbers") as info:
-            load_qcqp(str(path))
-        assert info.value.line == 4
-
-    def test_non_numeric_token_reports_line(self, tmp_path):
-        path = tmp_path / "bad.qcqp"
-        path.write_text("dim 2 0\nQ\n1 zero\n0 1\nq\n0 0\nprojection whole\n")
-        with pytest.raises(QcqpParseError, match="non-numeric"):
-            load_qcqp(str(path))
-
-    def test_unknown_projection_kind(self, tmp_path):
-        path = tmp_path / "bad.qcqp"
-        path.write_text("dim 1 0\nQ\n1\nq\n0\nprojection simplex\n")
-        with pytest.raises(QcqpParseError, match="simplex"):
-            load_qcqp(str(path))
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.qcqp"
-        path.write_text("dim 2 1\nQ\n1 0\n0 1\nq\n0 0\nQ1\n1 0\n")
-        with pytest.raises(QcqpParseError, match="unexpected end"):
-            load_qcqp(str(path))
-
-    def test_dimensions_the_file_cannot_fill(self, tmp_path):
-        # refused before any array is allocated for them
-        path = tmp_path / "bad.qcqp"
-        path.write_text("dim 2 1000000000000\nQ\n1 0\n0 1\nq\n0 0\nprojection whole\n")
-        with pytest.raises(QcqpParseError, match="more numbers than the file has") as info:
-            load_qcqp(str(path))
-        assert info.value.line == 1
 
     def test_loading_holds_less_than_the_file_at_once(self, tmp_path):
         # the text is read line by line: the peak is the arrays, not the file's lines
@@ -297,21 +251,19 @@ class TestRun:
 
     def test_violations_on_converged_run_exit_three(self, tmp_path, monkeypatch):
         # a correct run produces no violations, so force one to pin the
-        # exit-code mapping; every run is checked, with the ignored flag or without
+        # exit-code mapping; every run is checked
         from pplad import InvariantViolation
         import pplad.cli as cli_module
         fake = InvariantViolation("mu_bound", 3, 2.0, 1.0)
         monkeypatch.setattr(cli_module, "check_trace",
                             lambda *args, **kw: [fake])
-        for name, check in (("plain", []), ("flagged", ["--check-invariants"])):
-            (tmp_path / name).mkdir()
-            assert main(solve_argv(tmp_path / name, "--problem", "example1",
-                                   "--step-size", "0.002", *check)) == 3, name
-            report = (tmp_path / name / "r.txt").read_text()
-            assert "invariant_violations = 1" in report
-            assert "violation.0 = mu_bound" in report
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002")) == 3
+        report = (tmp_path / "r.txt").read_text()
+        assert "invariant_violations = 1" in report
+        assert "violation.0 = mu_bound" in report
 
-    def test_check_invariants_flag_is_accepted_ignored_and_hidden(self, tmp_path, capsys):
+    def test_check_invariants_flag_is_accepted_ignored_and_hidden(self, tmp_path, capsys,
+                                                                  monkeypatch):
         # every run is checked; the flag stays only for commands that still pass it
         outputs = []
         for name, check in (("plain", []), ("flagged", ["--check-invariants"])):
@@ -325,6 +277,20 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "check-invariants" not in capsys.readouterr().out
+        # a bare flag: it takes no value, and is no file name for --trace
+        (tmp_path / "usage").mkdir()
+        monkeypatch.chdir(tmp_path / "usage")
+        for flags, message in (
+                (["--check-invariants=true"],
+                 "argument --check-invariants: ignored explicit argument 'true'"),
+                (["--report", "r.txt", "--trace", "--check-invariants"],
+                 "argument --trace: expected one argument")):
+            with pytest.raises(SystemExit) as info:
+                main(["solve", "--problem", "missing.qcqp", "--step-size", "0.002", *flags])
+            assert info.value.code == 5
+            err = capsys.readouterr().err
+            assert err.startswith("usage: pplad ") and err.endswith(f"pplad: error: {message}\n")
+        assert os.listdir() == []
 
 
 def read_back(path):
@@ -383,7 +349,7 @@ class TestTraceReplay:
                           constraints=lambda x: np.array([np.nan if x[0] < 0 else x[0] - 0.25]),
                           constraint_jacobian=lambda x: np.ones((1, 1)),
                           projection=lambda v: v, name="nan-c")
-        params = SolverParams(penalty=PenaltyParams(alpha=4.0, beta=0.25), step_size=1.0)
+        params = rho2_params(step_size=1.0)
         history = real_solve(problem, params, [0.5]).history
         write_trace_csv(history, tmp_path / "t.csv")
         violations = self.replayed(tmp_path / "t.csv", problem, params, history)
@@ -393,18 +359,14 @@ class TestTraceReplay:
 
 class TestMain:
     def test_flag_override_of_decay_accepted_with_warning(self, tmp_path, capsys):
-        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
-                     "--decay", "0.5", "--max-iters", "2",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--decay", "0.5", "--max-iters", "2"))
         assert code == 1
         assert "decay" in capsys.readouterr().err
 
     def test_missing_step_size_exit_five(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1",
-                  "--trace", str(tmp_path / "t.csv"),
-                  "--report", str(tmp_path / "r.txt")])
+            main(solve_argv(tmp_path, "--problem", "example1"))
         assert info.value.code == 5
         err = " ".join(capsys.readouterr().err.split())
         # the usage line marks both required flags: neither is in brackets
@@ -412,10 +374,8 @@ class TestMain:
         assert err.endswith("error: the following arguments are required: --step-size")
 
     def test_bad_setting_fails_before_the_problem_is_loaded(self, tmp_path, capsys):
-        code = main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
-                     "--step-size", "0",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", str(tmp_path / "missing.qcqp"),
+                               "--step-size", "0"))
         assert code == 5
         err = capsys.readouterr().err
         assert "step_size" in err and "missing.qcqp" not in err
@@ -427,9 +387,7 @@ class TestMain:
     ], ids=["alpha-inf", "step_size-inf", "step_size-minus-inf"])
     def test_non_finite_alpha_or_step_size_exit_five(self, tmp_path, capsys, flags, field):
         # alpha = inf made rho NaN and step_size = inf ran to the iteration limit
-        code = main(["solve", "--problem", "example1", *flags,
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", "example1", *flags))
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith(f"pplad: error: {field} must be finite and > 0")
@@ -439,9 +397,8 @@ class TestMain:
     def test_bad_flag_text_fails_with_the_parse_message(self, tmp_path, capsys, key, text):
         flag, parse = "--" + key.replace("_", "-"), SETTINGS[key][0]
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1", "--step-size", "0.002", flag, text,
-                  "--trace", str(tmp_path / "t.csv"),
-                  "--report", str(tmp_path / "r.txt")])
+            main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                            flag, text))
         assert info.value.code == 5
         assert capsys.readouterr().err.endswith(
             f"pplad: error: argument {flag}: invalid {parse.__name__} value: '{text}'\n")
@@ -454,18 +411,25 @@ class TestMain:
         (["--problem", "MISSING", "--step-size", "0.002", "--max-iters", "1e3"],
          "--max-iters"),
         (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1,,2"], "--x0"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--check-invariants=true"],
-         "--check-invariants"),
         (["--problem", "MISSING", "--step-size", "0.002", "--tol-optimality", "1e-9"],
          "--tol-optimality"),
         # the CSV holds every row, and the divergence bound is the solver's constant 1e8
         (["--problem", "MISSING", "--step-size", "0.002", "--stride", "10"],
          "unrecognized arguments: --stride 10"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1", "--stride", "2.5"],
+         "unrecognized arguments: --stride 2.5"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "0"],
+         "unrecognized arguments: --stride 0"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "-3"],
+         "unrecognized arguments: --stride -3"),
         (["--problem", "MISSING", "--step-size", "0.002", "--divergence-bound", "1e4"],
          "unrecognized arguments: --divergence-bound 1e4"),
+        # settings come from flags only: there is no config file to name
+        (["--config", "run.cfg", "--problem", "MISSING", "--step-size", "0.002"],
+         "unrecognized arguments: --config run.cfg"),
     ], ids=["missing-problem", "missing-step-size", "malformed-number", "malformed-integer",
-            "malformed-vector", "valued-bare-flag", "unknown-flag", "stride",
-            "divergence-bound"])
+            "malformed-vector", "unknown-flag", "stride", "stride-fractional", "stride-zero",
+            "stride-negative", "divergence-bound", "config"])
     def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, flag):
         missing = str(tmp_path / "missing.qcqp")
         with pytest.raises(SystemExit) as info:
@@ -475,10 +439,10 @@ class TestMain:
         usage, message = err.split("pplad: error: ")
         assert usage.startswith("usage: pplad ")
         assert flag in message and "missing.qcqp" not in err
-        assert not (tmp_path / "t.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["--check-invariants", "--stride", "--x0=1,2",
-                                       "-h", "--help", "--check-invariant",
+    @pytest.mark.parametrize("value", ["--stride", "--x0=1,2", "-h", "--help",
+                                       "--check-invariant",
                                        "--divergence-bound", "--tol-optimality 1e-9"])
     def test_value_flag_takes_no_flag_as_its_value(self, tmp_path, capsys, monkeypatch,
                                                    value):
@@ -490,7 +454,7 @@ class TestMain:
                   "--report", "r.txt", "--trace", *value.split()])
         assert info.value.code == 5
         message = ("argument --trace: expected one argument"
-                   if value.split("=")[0] in ("--check-invariants", "--x0", "-h", "--help")
+                   if value.split("=")[0] in ("--x0", "-h", "--help")
                    else f"unrecognized arguments: {value}")
         assert capsys.readouterr().err.endswith(f"pplad: error: {message}\n")
         assert list(tmp_path.iterdir()) == []
@@ -503,13 +467,11 @@ class TestMain:
         text = " ".join(capsys.readouterr().out.split())
         defaults = {"alpha": "2000.0", "beta": "0.5", "delta0": "1.0", "decay": "0.999",
                     "tol_opt": "1e-06", "tol_feas": "1e-06", "max_iters": "200000",
-                    "trace": "trace.csv", "report": "report.txt",
-                    "check_invariants": "False"}
-        for key, (parse, _, help_text) in SETTINGS.items():
+                    "trace": "trace.csv", "report": "report.txt"}
+        for key, (_, _, help_text) in SETTINGS.items():
             flag = "--" + key.replace("_", "-")
-            entry = flag if parse is None else f"{flag} {key.upper()}"
             default = f" (default {defaults[key]})" if key in defaults else ""
-            assert f"{entry} {help_text}{default}" in text
+            assert f"{flag} {key.upper()} {help_text}{default}" in text
 
     def test_module_entry_point_exits_with_the_process_code(self, tmp_path):
         # python -m pplad is the one module entry; its exit code is the process's
@@ -531,9 +493,7 @@ class TestMain:
     def test_non_finite_problem_file_exit_five(self, tmp_path, capsys):
         path = tmp_path / "nan.qcqp"
         path.write_text(EXAMPLE2_FILE.replace("10 4 1", "10 nan 1"))
-        code = main(["solve", "--problem", str(path), "--step-size", "0.005",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.005"))
         assert code == 5
         assert capsys.readouterr().err == \
             "pplad: error: QCQP field Q has NaN or infinite entries\n"
@@ -543,19 +503,15 @@ class TestMain:
         path = tmp_path / "huge.qcqp"
         # Q's mirrored pair (0, 1) and (1, 0) differs, and its sum overflows
         path.write_text(EXAMPLE2_FILE.replace("-2 10 2\n10 4 1", "-2 1.7e308 2\n1.6e308 4 1"))
-        code = main(["solve", "--problem", str(path), "--step-size", "0.005",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.005"))
         assert code == 5
         assert capsys.readouterr().err == \
             "pplad: error: QCQP field Q overflows when symmetrized as (M + M') / 2\n"
         assert not (tmp_path / "t.csv").exists()
 
     def test_x0_flag_parsed_as_vector(self, tmp_path):
-        code = main(["solve", "--problem", "example1", "--step-size", "0.002",
-                     "--x0", "2.5,-1.0", "--max-iters", "3",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--x0", "2.5,-1.0", "--max-iters", "3"))
         assert code == 1
 
     @pytest.mark.parametrize("x0", ["-1,2", "-0.5,1"])
@@ -577,8 +533,8 @@ class TestMain:
         # argparse's prefix match read --step as --step-size, but only when the
         # value did not start with '-'; a flag must now be spelled in full
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1", "--step-size", "0.002", "--step", value,
-                  "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
+            main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                            "--step", value))
         assert info.value.code == 5
         err = capsys.readouterr().err
         assert f"error: unrecognized arguments: --step {value}" in err
@@ -588,8 +544,7 @@ class TestMain:
     def test_unknown_flag_in_place_of_a_required_one_is_named(self, tmp_path, capsys):
         # argparse alone would report the missing --step-size and never name --step
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1", "--step", "0.002",
-                  "--trace", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")])
+            main(solve_argv(tmp_path, "--problem", "example1", "--step", "0.002"))
         assert info.value.code == 5
         err = " ".join(capsys.readouterr().err.split())
         assert err.endswith("error: unrecognized arguments: --step 0.002")
@@ -601,9 +556,8 @@ class TestMain:
     def test_malformed_x0_exit_five_before_loading(self, tmp_path, capsys, text, source):
         x0 = ["--x0", text] if source == "flag" else ["--x0=" + text]
         with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", str(tmp_path / "missing.qcqp"),
-                  "--step-size", "0.002", *x0, "--trace", str(tmp_path / "t.csv"),
-                  "--report", str(tmp_path / "r.txt")])
+            main(solve_argv(tmp_path, "--problem", str(tmp_path / "missing.qcqp"),
+                            "--step-size", "0.002", *x0))
         assert info.value.code == 5
         err = capsys.readouterr().err
         assert f"argument --x0: invalid vector value: '{text}'" in err
@@ -611,45 +565,14 @@ class TestMain:
         assert not (tmp_path / "t.csv").exists()
 
     def test_bad_problem_name_exit_five(self, tmp_path, capsys):
-        code = main(["solve", "--problem", "nonexistent.qcqp",
-                     "--step-size", "0.01",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", "nonexistent.qcqp", "--step-size", "0.01"))
         assert code == 5
         assert "problem" in capsys.readouterr().err
 
     def test_stationary_infeasible_start_exit_one(self, tmp_path, capsys):
         # example3 from the origin never moves and c = (-4, 0): not converged
-        code = main(["solve", "--problem", "example3", "--step-size", "0.004",
-                     "--delta0", "0.5", "--x0", "0,0", "--max-iters", "50",
-                     "--trace", str(tmp_path / "t.csv"),
-                     "--report", str(tmp_path / "r.txt")])
+        code = main(solve_argv(tmp_path, "--problem", "example3", "--step-size", "0.004",
+                               "--delta0", "0.5", "--x0", "0,0", "--max-iters", "50"))
         assert code == 1
         assert "iteration_limit after 50 iterations" in capsys.readouterr().out
         assert "feasibility = 4.0" in (tmp_path / "r.txt").read_text()
-
-    @pytest.mark.parametrize("stride", ["0", "-3"])
-    @pytest.mark.parametrize("check", [[], ["--check-invariants"]])
-    def test_nonpositive_stride_exit_five_before_solving(self, tmp_path, capsys, stride,
-                                                         check):
-        # --stride is no flag: the CSV holds every row, whatever the value
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "--problem", "example1", "--step-size", "0.002",
-                  "--stride", stride, *check,
-                  "--trace", str(tmp_path / "t.csv"),
-                  "--report", str(tmp_path / "r.txt")])
-        assert info.value.code == 5
-        assert capsys.readouterr().err.endswith(
-            f"error: unrecognized arguments: --stride {stride}\n")
-        assert not list(tmp_path.iterdir())
-
-    def test_config_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys):
-        # settings come from flags only: there is no config file to name
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "--config", str(tmp_path / "run.cfg"), "--problem", "example1",
-                  "--step-size", "0.002", "--trace", str(tmp_path / "t.csv"),
-                  "--report", str(tmp_path / "r.txt")])
-        assert info.value.code == 5
-        err = capsys.readouterr().err
-        assert f"error: unrecognized arguments: --config {tmp_path / 'run.cfg'}" in err
-        assert not (tmp_path / "t.csv").exists()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pplad import (Box, DimensionMismatch, FullState, PenaltyParams, Problem, QcqpSpec,
-                   RunHistory, SolveStatus, SolverParams, check_trace, from_qcqp,
-                   kkt_report, solve, steps, write_trace_csv)
+from params import fig1_params, reproduction_params, rho2_params
+from pplad import (Box, DimensionMismatch, FullState, Problem, QcqpSpec, RunHistory,
+                   SolveStatus, check_trace, from_qcqp, kkt_report, solve, steps,
+                   write_trace_csv)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example3
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
@@ -18,14 +19,10 @@ DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 # the float columns of a history row, in the order ``append`` takes them after k
 COLUMNS = RunHistory.COLUMNS
 
-RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
-
 
 @pytest.fixture(scope="module")
 def run1():
-    params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                          step_size=0.002, delta0=1.0, decay=0.999,
-                          tol_optimality=1e-7, tol_feasibility=1e-7)
+    params = reproduction_params("example1", tol_optimality=1e-7, tol_feasibility=1e-7)
     return example1(), params, solve(example1(), params, [3.0, 3.0])
 
 
@@ -190,7 +187,7 @@ class TestCheckTrace:
                     constraints=lambda x: np.array([np.nan if x[0] < 0 else x[0] - 0.25]),
                     constraint_jacobian=lambda x: np.ones((1, 1)),
                     projection=lambda v: v, name="nan-c")
-        params = SolverParams(penalty=RHO2, step_size=1.0)
+        params = rho2_params(step_size=1.0)
         out = solve(p, params, [0.5])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert_array_equal(out.history.column("feasibility"), [0.25, np.nan])
@@ -249,8 +246,7 @@ class TestCheckTrace:
 
     def test_single_record_trace_is_vacuously_clean(self):
         p = example1()
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.002, max_iterations=0)
+        params = fig1_params(max_iterations=0)
         out = solve(p, params, [3.0, 3.0])
         assert len(out.history) == 1
         assert check_trace(p, out.history, params) == []
@@ -259,8 +255,7 @@ class TestCheckTrace:
         # one transition, from k = 0: the step checks apply, the merit decrease
         # (from k >= 1) and the lam step have nothing to compare
         p = example1()
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                              step_size=0.002, max_iterations=1)
+        params = fig1_params(max_iterations=1)
         hist = solve(p, params, [3.0, 3.0]).history
         assert len(hist) == 2
         assert check_trace(p, hist, params) == []
@@ -280,8 +275,7 @@ class TestCheckTrace:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 1)),
                     projection=lambda v: v, name="scalar")
-        params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=200,
-                              tol_optimality=1e-8, tol_feasibility=1e-8)
+        params = rho2_params(max_iterations=200, tol_optimality=1e-8, tol_feasibility=1e-8)
         out = solve(p, params, [5.0])
         assert check_trace(p, out.history, params) == []
 
@@ -400,8 +394,7 @@ class TestRunHistory:
     def test_solve_memory_does_not_grow_with_iterations_times_n(self):
         # m = 3 and 200 iterations: storing x at every iteration would add
         # 200 * (400 - 50) * 8 B = 560 kB between the two sizes
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), step_size=0.1,
-                              max_iterations=200)
+        params = fig1_params(step_size=0.1, max_iterations=200)
         peaks, iterations = {}, {}
         for n in (50, 400):
             problem = box_qcqp(n, 3, seed=n)
@@ -421,8 +414,7 @@ class TestRunHistory:
         # so besides its history a solve holds one m x n array and O(n + m) vectors
         n, m = 200, 20
         problem = box_qcqp(n, m, seed=7)
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), step_size=0.1,
-                              max_iterations=300)
+        params = fig1_params(step_size=0.1, max_iterations=300)
         x0 = np.zeros(n)
         # one solve first: the interpreter's free lists it fills outlive it
         solve(problem, params, x0)
@@ -454,13 +446,11 @@ class TestRecordedTerms:
     def test_terms_match_a_replay_of_iterate(self, name):
         if name in BUILTIN_PROBLEMS:
             p, x0 = BUILTIN_PROBLEMS[name](), DEFAULT_START[name]
-            params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                                  step_size=0.002, delta0=0.5, max_iterations=150)
+            params = fig1_params(delta0=0.5, max_iterations=150)
         else:
             p = box_qcqp(6, 2, seed=3) if name == "qcqp-box" else self.unconstrained()
             x0 = np.zeros(p.n)
-            params = SolverParams(penalty=PenaltyParams(alpha=100.0, beta=0.5),
-                                  step_size=0.05, max_iterations=150)
+            params = fig1_params(step_size=0.05, max_iterations=150)
         hist = solve(p, params, x0).history
         states = replay(p, params, x0)
         assert len(states) == len(hist)
@@ -532,12 +522,7 @@ class TestTraceCsv:
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_demo_traces_reproduced_byte_for_byte(self, name, tmp_path):
         # the settings of demos/02_builtin_runs.py, which wrote the committed CSVs
-        settings = {"example1": (0.002, 1.0), "example2": (0.005, 0.5),
-                    "example3": (0.004, 0.5)}
-        step_size, delta0 = settings[name]
-        params = SolverParams(penalty=PenaltyParams(alpha=2000.0, beta=0.5), decay=0.999,
-                              step_size=step_size, delta0=delta0)
-        out = solve(BUILTIN_PROBLEMS[name](), params, DEFAULT_START[name])
+        out = solve(BUILTIN_PROBLEMS[name](), reproduction_params(name), DEFAULT_START[name])
         path = tmp_path / "trace.csv"
         write_trace_csv(out.history, path)
         assert path.read_bytes() == (DEMO_OUTPUT / f"{name}_trace.csv").read_bytes()

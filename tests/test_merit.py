@@ -3,13 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
-from pplad import (DimensionMismatch, FullState, PenaltyParams, SolverParams, fd_jacobian,
-                   grad_x)
+from params import FIG1, RHO2, fig1_params, rho2_params
+from pplad import DimensionMismatch, FullState, PenaltyParams, fd_jacobian, grad_x
 from pplad.problems import example1, example2, example3
 from stepping import advance
 
-# alpha/(1 + alpha*beta) = 2 exactly
-RHO2 = PenaltyParams(alpha=4.0, beta=0.25)
+RHO1 = PenaltyParams(alpha=2.0, beta=0.5)  # rho = 1
 
 
 def random_state(problem, rng, x_scale=4.0, dual_scale=2.0):
@@ -22,8 +21,7 @@ def random_state(problem, rng, x_scale=4.0, dual_scale=2.0):
 
 class TestPenaltyParams:
     def test_rho_formula(self):
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
-        assert params.rho == 2000.0 / 1001.0
+        assert PenaltyParams(alpha=2000.0, beta=0.5).rho == 2000.0 / 1001.0
 
     def test_rho_bounds_and_reciprocal_identity(self):
         rng = np.random.default_rng(0)
@@ -43,20 +41,21 @@ class TestPenaltyParams:
             PenaltyParams(alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
             PenaltyParams(alpha=1.0, beta=0.0)
+        for alpha in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                PenaltyParams(alpha=alpha, beta=0.5)
 
 
 class TestEvalFull:
     def test_reduces_to_objective_when_coupling_vanishes(self):
         p = example1()
-        params = PenaltyParams(alpha=2.0, beta=0.5)
         state = FullState(x=[2.0, -1.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
-        assert eval_full(p, params, state) == pytest.approx(p.objective(state.x))
+        assert eval_full(p, RHO1, state) == pytest.approx(p.objective(state.x))
 
     def test_zero_at_solution_with_zero_duals(self):
         p = example1()
-        params = PenaltyParams(alpha=2.0, beta=0.5)
         state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
-        assert eval_full(p, params, state) == pytest.approx(0.0)
+        assert eval_full(p, RHO1, state) == pytest.approx(0.0)
 
     def test_hand_arithmetic_term_by_term(self):
         # x=(3,3), z=(1,0), lam=(1,1), mu=(0,0), alpha=2, beta=0.5:
@@ -67,7 +66,6 @@ class TestEvalFull:
         #   (alpha/2)||z||^2 = 1 * 1                 =  1
         #   -(beta/2)||lam - mu||^2 = -0.25 * 2      = -0.5
         p = example1()
-        params = PenaltyParams(alpha=2.0, beta=0.5)
         x = np.array([3.0, 3.0])
         z = np.array([1.0, 0.0])
         lam = np.array([1.0, 1.0])
@@ -77,23 +75,22 @@ class TestEvalFull:
         c = p.constraints(x)
         assert_allclose(c, [17.0, 9.0])
         coupling = lam @ (c - z)
-        z_terms = mu @ z + 0.5 * params.alpha * (z @ z)
-        prox = -0.5 * params.beta * ((lam - mu) @ (lam - mu))
+        z_terms = mu @ z + 0.5 * RHO1.alpha * (z @ z)
+        prox = -0.5 * RHO1.beta * ((lam - mu) @ (lam - mu))
         assert f_term == pytest.approx(5.0)
         assert coupling == pytest.approx(25.0)
         assert z_terms == pytest.approx(1.0)
         assert prox == pytest.approx(-0.5)
 
-        total = eval_full(p, params, FullState(x=x, lam=lam, mu=mu), z=z)
+        total = eval_full(p, RHO1, FullState(x=x, lam=lam, mu=mu), z=z)
         assert total == pytest.approx(30.5)
         assert total == pytest.approx(f_term + coupling + z_terms + prox)
 
     def test_z_defaults_to_its_closed_form(self):
         p = example1()
-        params = PenaltyParams(alpha=2.0, beta=0.5)
         state = FullState(x=[3.0, 3.0], lam=[1.0, 1.0], mu=[0.5, -2.0])
-        assert eval_full(p, params, state) == \
-            eval_full(p, params, state, z=zhat(params, state.lam, state.mu))
+        assert eval_full(p, RHO1, state) == \
+            eval_full(p, RHO1, state, z=zhat(RHO1, state.lam, state.mu))
 
     @pytest.mark.parametrize("name, value", [("lam", [1.0]), ("lam", [1.0, 1.0, 1.0]),
                                              ("mu", [0.5]), ("x", [3.0, 3.0, 3.0])],
@@ -130,13 +127,12 @@ class TestGradX:
     @pytest.mark.parametrize("factory", [example1, example2, example3])
     def test_matches_finite_differences_of_eval_full(self, factory):
         p = factory()
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
         rng = np.random.default_rng(17)
         for _ in range(10):
             state, z = random_state(p, rng)
             analytic = grad_x(p, state)
             fd = fd_jacobian(
-                lambda x: eval_full(p, params, FullState(x, state.lam, state.mu), z=z),
+                lambda x: eval_full(p, FIG1, FullState(x, state.lam, state.mu), z=z),
                 state.x)
             assert np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))) <= 1e-6
 
@@ -146,22 +142,20 @@ class TestZhat:
         assert_allclose(zhat(RHO2, [3.0, -1.0], [3.0, -1.0]), [0.0, 0.0])
 
     def test_direct_formula(self):
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
-        assert_allclose(zhat(params, [2.0, -4.0], [0.0, 0.0]), [0.001, -0.002])
+        assert_allclose(zhat(FIG1, [2.0, -4.0], [0.0, 0.0]), [0.001, -0.002])
 
     @pytest.mark.parametrize("factory", [example1, example2, example3])
     def test_minimizes_eval_full_over_z(self, factory):
         p = factory()
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
         rng = np.random.default_rng(5)
         for _ in range(25):
             state, _ = random_state(p, rng)
-            best = zhat(params, state.lam, state.mu)
-            value = eval_full(p, params, state, z=best)
+            best = zhat(FIG1, state.lam, state.mu)
+            value = eval_full(p, FIG1, state, z=best)
             for _ in range(5):
                 u = rng.standard_normal(p.m)
                 u /= np.linalg.norm(u)
-                perturbed = eval_full(p, params, state, z=best + 1e-3 * u)
+                perturbed = eval_full(p, FIG1, state, z=best + 1e-3 * u)
                 assert value <= perturbed
 
 
@@ -183,16 +177,15 @@ class TestEvalReduced:
 
     def test_concave_in_lambda_along_segments(self):
         p = example2()
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
         rng = np.random.default_rng(29)
         for _ in range(50):
             x = rng.uniform(0.0, 5.0, 3)
             mu = rng.standard_normal(2)
             a = 3.0 * rng.standard_normal(2)
             b = 3.0 * rng.standard_normal(2)
-            va = reduced(p, params, x, a, mu)
-            vb = reduced(p, params, x, b, mu)
-            vmid = reduced(p, params, x, 0.5 * (a + b), mu)
+            va = reduced(p, FIG1, x, a, mu)
+            vb = reduced(p, FIG1, x, b, mu)
+            vmid = reduced(p, FIG1, x, 0.5 * (a + b), mu)
             assert vmid >= 0.5 * (va + vb) - 1e-12 * (1.0 + abs(vmid))
 
 
@@ -204,7 +197,7 @@ class TestLambdaHat:
         p = example1()
         mu = np.array([1.5, -2.0])
         state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=mu)
-        nxt = advance(p, SolverParams(penalty=RHO2, step_size=0.1), state)
+        nxt = advance(p, rho2_params(), state)
         assert_allclose(nxt.x, [1.0, 0.0])
         assert_allclose(nxt.lam, nxt.mu)
 
@@ -214,25 +207,24 @@ class TestLambdaHat:
         # gamma = rho/(||lam - mu||^2 + 1) = 0.4 moves mu to 0.2*(0, 2) = (0, 0.4),
         # and lam = mu + 2*c = (-8, 50.4)
         state = FullState(x=[5.0, 5.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
-        nxt = advance(example3(), SolverParams(penalty=RHO2, step_size=0.1), state)
+        nxt = advance(example3(), rho2_params(), state)
         assert_allclose(nxt.x, [5.0, 5.0])
         assert_allclose(nxt.lam, [-8.0, 50.4])
 
     @pytest.mark.parametrize("factory", [example1, example2, example3])
     def test_maximizes_eval_reduced_over_lambda(self, factory):
         p = factory()
-        params = PenaltyParams(alpha=2000.0, beta=0.5)
-        solver_params = SolverParams(penalty=params, step_size=0.002)
+        params = fig1_params()
         rng = np.random.default_rng(31)
         for _ in range(25):
             x = rng.uniform(-4.0, 4.0, p.n)
             mu = 2.0 * rng.standard_normal(p.m)
-            nxt = advance(p, solver_params, FullState(x, mu, mu))
-            value = reduced(p, params, nxt.x, nxt.lam, nxt.mu)
+            nxt = advance(p, params, FullState(x, mu, mu))
+            value = reduced(p, FIG1, nxt.x, nxt.lam, nxt.mu)
             for _ in range(4):
                 u = rng.standard_normal(p.m)
                 u /= np.linalg.norm(u)
-                assert value >= reduced(p, params, nxt.x, nxt.lam + 1e-3 * u, nxt.mu)
+                assert value >= reduced(p, FIG1, nxt.x, nxt.lam + 1e-3 * u, nxt.mu)
 
 
 def test_full_state_dimension_check():

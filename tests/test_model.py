@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant, PenaltyParams,
-                   Problem, SolverParams, WholeSpace, compare, fd_jacobian, validate)
+from params import rho2_params
+from pplad import (Ball, Box, DimensionMismatch, NonnegativeOrthant, Problem, WholeSpace,
+                   compare, fd_jacobian, validate)
 from pplad.problems import DEFAULT_START, example1, example2, example3
 
 KINDS = [
@@ -121,8 +122,7 @@ BAD_PARAMETERS = {
     "ball-center": (lambda: Ball(center=[np.nan], radius=1.0), "ball center"),
     "box-shapes": (lambda: Box(lo=[0.0, 0.0], hi=[1.0, 1.0, 1.0]),
                    re.escape("box bounds: expected (2,), got (3,)")),
-    **{f"{field}-{label}": (partial(SolverParams, penalty=PenaltyParams(alpha=2.0, beta=0.5),
-                                    step_size=0.1, **{field: value}), f"{field} must be > 0")
+    **{f"{field}-{label}": (partial(rho2_params, **{field: value}), f"{field} must be > 0")
        for field in ("tol_optimality", "tol_feasibility")
        for label, value in (("zero", 0.0), ("negative", -1.0), ("nan", np.nan))},
 }

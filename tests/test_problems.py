@@ -311,6 +311,25 @@ class TestStackedConstraints:
         c[:] = 7.0
         assert_bitwise(c_and_J(p, x), expected)
 
+    def test_jacobian_at_the_parked_point_copies_no_key(self):
+        # J compares the parked bits with x's own buffer: at the point c parked, it
+        # adds less than one n * 8-byte copy of x to what c left, J's m * n * 8 bytes
+        spec = dense_spec()
+        p = from_qcqp(spec)
+        x = np.linspace(-1.0, 1.0, spec.n)
+        tracemalloc.start()
+        try:
+            p.constraints(x)
+            parked = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            J = p.constraint_jacobian(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert J.nbytes == spec.m * spec.n * 8 <= parked
+        assert peak - parked < spec.n * 8
+        assert_bitwise([J], [fresh(spec, x)[1]])
+
     def test_two_threads_at_different_points(self):
         spec = dense_spec()
         p = from_qcqp(spec)

@@ -229,7 +229,13 @@ MALFORMED = {
                                 "non-integer dimensions in 'dim 3 1.0'", 1),
     "n-below-one": (malformed({1: "dim 0 1"}), "invalid dimensions n=0, m=1", 1),
     "m-negative": (malformed({1: "dim 3 -1"}), "invalid dimensions n=3, m=-1", 1),
+    # refused before any array is allocated for them
+    "dimensions-the-file-cannot-fill": (malformed({1: "dim 3 1000000000000"}),
+                                        "dimensions n=3, m=1000000000000 need more numbers "
+                                        "than the file has", 1),
     "wrong-section-tag": (malformed({2: "R"}), "expected section 'Q', got 'R'", 2),
+    "unknown-projection-kind": (malformed({16: "projection simplex"}),
+                                "unknown projection kind 'simplex'", 16),
     "projection-line-missing": (VALID.replace("projection box\n", ""),
                                 "expected 'projection <kind>', got '-1 -1 -1'", 16),
     "content-after-the-last-section": (VALID + "Q2\n", "trailing content 'Q2'", 19),

@@ -8,20 +8,11 @@ from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
 import pplad.solver
-from pplad import (Ball, Box, DimensionMismatch, FullState, KktReport, PenaltyParams,
-                   Problem, RunHistory, SolveOutcome, SolveStatus, SolverParams, grad_x,
-                   kkt_report, solve, steps, validate)
-from pplad.problems import example1, example2, example3
+from params import FIG1, REPRODUCTION, RHO2, fig1_params, reproduction_params, rho2_params
+from pplad import (Ball, Box, DimensionMismatch, FullState, KktReport, Problem, RunHistory,
+                   SolveOutcome, SolveStatus, grad_x, kkt_report, solve, steps, validate)
+from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example2, example3
 from stepping import advance
-
-RHO2 = PenaltyParams(alpha=4.0, beta=0.25)  # rho = 2 exactly
-
-
-def fig1_params(**kw):
-    defaults = dict(penalty=PenaltyParams(alpha=2000.0, beta=0.5),
-                    step_size=0.002, delta0=1.0, decay=0.999)
-    defaults.update(kw)
-    return SolverParams(**defaults)
 
 
 # 0.999 ** 10**6 is exactly 0.0: under the default decay, a state at this k has no dual budget
@@ -89,7 +80,7 @@ def test_any_wrong_output_shape_is_named_by_solve_and_validate(callback, shape):
     callbacks[callback] = lambda x: np.ones(shape)
     p = Problem(n=2, m=1, name="circle", **callbacks)
     with pytest.raises(DimensionMismatch, match=callback):
-        solve(p, SolverParams(penalty=RHO2, step_size=0.1, max_iterations=3), [1.0, 1.0])
+        solve(p, rho2_params(max_iterations=3), [1.0, 1.0])
     check = validate(p, [1.0, 1.0]).check(callback)
     assert not check.passed and "output shape" in check.message
 
@@ -140,37 +131,37 @@ class TestSteps:
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
         s = state(0, [3.0, 3.0], [], [])
-        params = SolverParams(penalty=RHO2, step_size=0.25)
+        params = rho2_params(step_size=0.25)
         assert_allclose(advance(p, params, s).x, [3.0 - 0.25 * 2.0, 3.0 - 0.25 * 4.0])
 
     def test_gamma_unit_denominator(self):
-        params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
+        params = rho2_params(delta0=1.0)
         assert first_gamma(params, [2.0], [2.0]) == pytest.approx(2.0)
 
     def test_gamma_zero_budget(self):
         # a zero budget takes a zero dual step: mu stays put though lam != mu
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         assert params.budget(ZERO_BUDGET_K) == 0.0
         s = state(ZERO_BUDGET_K, [0.0], [5.0], [1.0])
         assert advance(constant_constraints([0.0]), params, s).mu.tolist() == [1.0]
 
     def test_gamma_direct_arithmetic(self):
         # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
-        params = SolverParams(penalty=RHO2, step_size=0.1, delta0=0.5)
+        params = rho2_params(delta0=0.5)
         assert first_gamma(params, [np.sqrt(3.0)], [0.0]) == pytest.approx(0.25)
 
     def test_gamma_over_rho_bounded_by_delta(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             delta = float(rng.uniform(0.0, 1.0))
-            params = SolverParams(penalty=RHO2, step_size=0.1, delta0=delta)
+            params = rho2_params(delta0=delta)
             gamma = first_gamma(params, rng.standard_normal(3) * 10,
                                 rng.standard_normal(3) * 10)
             assert 0.0 <= gamma / RHO2.rho <= delta <= 1.0
 
     def test_step_mu_no_move_cases(self):
         p = constant_constraints([0.0, 0.0])
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         same = state(0, [0.0], [1.5, -1.0], [1.5, -1.0])
         assert_allclose(advance(p, params, same).mu, same.mu)
         frozen = state(ZERO_BUDGET_K, [0.0], [9.0, 0.0], [0.0, 0.0])
@@ -178,7 +169,7 @@ class TestSteps:
 
     def test_step_mu_direct_arithmetic(self):
         # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
-        params = SolverParams(penalty=RHO2, step_size=0.1, delta0=1.0)
+        params = rho2_params(delta0=1.0)
         s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0])
         assert_allclose(advance(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
 
@@ -187,7 +178,7 @@ class TestSteps:
         p = constant_constraints([0.0, 0.0])
         for _ in range(200):
             delta = float(rng.uniform(0.0, 1.0))
-            params = SolverParams(penalty=RHO2, step_size=0.1, delta0=delta)
+            params = rho2_params(delta0=delta)
             s = state(0, [0.0], 10 * rng.standard_normal(2), 10 * rng.standard_normal(2))
             moved = np.linalg.norm(advance(p, params, s).mu - s.mu)
             assert moved <= 0.5 * delta + 1e-15
@@ -205,7 +196,7 @@ class TestSteps:
 
     def test_step_lambda_feasible_point(self):
         # x stays at the feasible (1, 0) because lam = (t, t); a zero budget keeps mu
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         mu = np.array([0.7, -0.3])
         s = state(ZERO_BUDGET_K, [1.0, 0.0], [2.0, 2.0], mu)
         assert_allclose(advance(example1(), params, s).lam, mu)
@@ -220,22 +211,21 @@ class TestSteps:
 
     def test_step_lambda_direct_formula(self):
         # rho=2, mu=(1,1), c=(0.5,-1) -> (2, -1)
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0])
         assert_allclose(advance(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
 
     def test_step_z_cases(self):
         # z is no state: the successor's z is its closed form zhat(lam, mu)
-        penalty = PenaltyParams(alpha=2000.0, beta=0.5)
-        params = SolverParams(penalty=penalty, step_size=0.1)
+        params = fig1_params(step_size=0.1)
         s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0])
         nxt = advance(constant_constraints([0.0, 0.0]), params, s)
-        assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.0, 0.0])
+        assert_allclose(zhat(FIG1, nxt.lam, nxt.mu), [0.0, 0.0])
         # lam - mu = rho c = (2, -1) after the step
-        c = np.array([2.0, -1.0]) / penalty.rho
+        c = np.array([2.0, -1.0]) / FIG1.rho
         nxt = advance(constant_constraints(c), params, s)
-        assert_allclose(zhat(penalty, nxt.lam, nxt.mu), [0.001, -0.0005])
+        assert_allclose(zhat(FIG1, nxt.lam, nxt.mu), [0.001, -0.0005])
 
 
 class TestIterate:
@@ -304,7 +294,7 @@ class TestIterate:
                     constraints=lambda x: np.array([0.0 if x[0] == 1.0 else np.nan]),
                     constraint_jacobian=lambda x: np.array([[0.0]]),
                     projection=lambda v: v, name="nanc")
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         *_, (status, state, _, history, message) = steps(p, params, [1.0])
         assert status is SolveStatus.EVALUATION_ERROR
         assert message == "non-finite iterate at k=1"
@@ -370,7 +360,7 @@ class TestSolve:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 1)),
                     projection=lambda v: v, name="concave")
-        params = SolverParams(penalty=RHO2, step_size=0.5)
+        params = rho2_params(step_size=0.5)
         out = solve(p, params, [1.0])
         assert out.status is SolveStatus.DIVERGED
         # x doubles each step: 2^27 is the first norm past the bound 1e8
@@ -378,8 +368,8 @@ class TestSolve:
 
     def test_unconstrained_degenerates_to_projected_gradient_descent(self):
         p = unconstrained_quadratic([2.0, -3.0])
-        params = SolverParams(penalty=RHO2, step_size=0.5, tol_optimality=1e-10,
-                              tol_feasibility=1e-10, max_iterations=1000)
+        params = rho2_params(step_size=0.5, tol_optimality=1e-10, tol_feasibility=1e-10,
+                             max_iterations=1000)
         out = solve(p, params, [0.0, 0.0])
         assert out.status is SolveStatus.CONVERGED
         assert_allclose(out.final_state.x, [2.0, -3.0], atol=1e-9)
@@ -414,7 +404,7 @@ class TestSolve:
                     constraints=lambda x: np.zeros(0),
                     constraint_jacobian=lambda x: np.zeros((0, 1)),
                     projection=lambda v: np.clip(v, -10, 10), name="flaky")
-        params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=100)
+        params = rho2_params(max_iterations=100)
         out = solve(p, params, [0.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert len(out.history) >= 1
@@ -444,7 +434,7 @@ class TestSolve:
     def test_wrong_callback_shape_raises_at_entry(self, entry, callback):
         # the circle problem with one callback's output reshaped
         callbacks = circle_callbacks()
-        params = SolverParams(penalty=RHO2, step_size=0.1, max_iterations=3)
+        params = rho2_params(max_iterations=3)
         good = callbacks[callback]
         bad_shape = {"objective": (1,), "objective_gradient": (2, 1),
                      "constraints": (1, 1), "constraint_jacobian": (2,),
@@ -481,7 +471,7 @@ class TestSolve:
         assert out.history.column("k").tolist() == [0]
 
     def test_callback_exception_becomes_evaluation_error(self):
-        out = solve(raising_at_iteration_5(), SolverParams(penalty=RHO2, step_size=0.1), [1.0])
+        out = solve(raising_at_iteration_5(), rho2_params(), [1.0])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert "ZeroDivisionError" in out.message and "iteration 5" in out.message
         assert out.history.column("k").tolist() == [0, 1, 2, 3, 4]
@@ -516,28 +506,23 @@ class TestSolve:
         assert out.kkt.feasibility <= 1e-6
 
     def test_params_validation(self):
-        penalty = PenaltyParams(alpha=2.0, beta=0.5)
         with pytest.raises(ValueError):
-            SolverParams(penalty=penalty, step_size=0.0)
+            rho2_params(step_size=0.0)
         with pytest.raises(ValueError):
-            SolverParams(penalty=penalty, step_size=0.1, delta0=1.5)
+            rho2_params(delta0=1.5)
         with pytest.raises(ValueError):
-            SolverParams(penalty=penalty, step_size=0.1, decay=1.0)
+            rho2_params(decay=1.0)
         with pytest.raises(ValueError):
-            SolverParams(penalty=penalty, step_size=0.1, max_iterations=-1)
+            rho2_params(max_iterations=-1)
         # 2.5 ran 3 iterations on example1 and returned ITERATION_LIMIT
         # (True ran 1: a bool is an Integral, but not a count)
         for max_iterations in (np.nan, 2.5, 3.0, "3", True, False):
             with pytest.raises(ValueError, match="max_iterations must be an integer"):
-                SolverParams(penalty=penalty, step_size=0.1, max_iterations=max_iterations)
-        assert SolverParams(penalty=penalty, step_size=0.1,
-                            max_iterations=np.int64(3)).max_iterations == 3
+                rho2_params(max_iterations=max_iterations)
+        assert rho2_params(max_iterations=np.int64(3)).max_iterations == 3
         for step_size in (np.inf, np.nan):
             with pytest.raises(ValueError, match="step_size"):
-                SolverParams(penalty=penalty, step_size=step_size)
-        for alpha in (np.inf, np.nan, -np.inf):
-            with pytest.raises(ValueError, match="alpha"):
-                PenaltyParams(alpha=alpha, beta=0.5)
+                rho2_params(step_size=step_size)
 
 
 def same_run(history, state, out):
@@ -564,7 +549,7 @@ class TestTheLoopGenerator:
         assert len(history) == j and len(calls) == made
 
     def test_a_callback_raising_at_iteration_5_ends_as_solve_does(self):
-        params = SolverParams(penalty=RHO2, step_size=0.1)
+        params = rho2_params()
         yields = list(steps(raising_at_iteration_5(), params, [1.0]))
         assert [status for status, *_ in yields] == [None] * 5 + [SolveStatus.EVALUATION_ERROR]
         _, state, kkt, history, message = yields[-1]
@@ -588,13 +573,11 @@ class TestTheLoopGenerator:
         assert [y.status for y in yields] == [None] * 20 + [SolveStatus.ITERATION_LIMIT]
         assert out is yields[-1]
 
-    @pytest.mark.parametrize("build, x0, step_size, delta0", [
-        (example1, [3.0, 3.0], 0.002, 1.0), (example2, [4.0, 4.0, 4.0], 0.005, 0.5),
-        (example3, [5.0, 5.0], 0.004, 0.5)], ids=["example1", "example2", "example3"])
-    def test_draining_steps_is_solve_bitwise(self, build, x0, step_size, delta0):
+    @pytest.mark.parametrize("name", sorted(REPRODUCTION))
+    def test_draining_steps_is_solve_bitwise(self, name):
         # the reproduction runs, at the acceptance suite's settings
-        params = fig1_params(step_size=step_size, delta0=delta0, tol_optimality=1e-7,
-                             tol_feasibility=1e-7)
+        build, x0 = BUILTIN_PROBLEMS[name], DEFAULT_START[name]
+        params = reproduction_params(name, tol_optimality=1e-7, tol_feasibility=1e-7)
         *_, (status, state, kkt, history, message) = steps(build(), params, x0)
         out = solve(build(), params, x0)
         assert status is out.status is SolveStatus.CONVERGED
