@@ -1,48 +1,18 @@
 """Acceptance suite: end-to-end reproduction runs plus the property backbone.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion.
+line per criterion.  The reproduction runs are the fixtures of conftest.py.
 """
 
-import time
 from itertools import islice
 
 import numpy as np
-import pytest
 
 from merit import eval_full, zhat
-from params import FIG1, fig1_params, reproduction_params
-from pplad import FullState, SolveStatus, check_trace, fd_jacobian, grad_x, solve, steps
-from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example2, example3
+from params import FIG1, fig1_params
+from pplad import FullState, SolveStatus, check_trace, fd_jacobian, grad_x, steps
+from pplad.problems import example1, example2, example3
 from stepping import advance
-
-TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
-MAX_ITERS = 200000
-
-
-def timed_run(name):
-    problem = BUILTIN_PROBLEMS[name]()
-    params = reproduction_params(name, tol_optimality=TOL, tol_feasibility=TOL,
-                                 max_iterations=MAX_ITERS)
-    start = time.perf_counter()
-    outcome = solve(problem, params, DEFAULT_START[name])
-    elapsed = time.perf_counter() - start
-    return problem, params, outcome, elapsed
-
-
-@pytest.fixture(scope="module")
-def run1():
-    return timed_run("example1")
-
-
-@pytest.fixture(scope="module")
-def run2():
-    return timed_run("example2")
-
-
-@pytest.fixture(scope="module")
-def run3():
-    return timed_run("example3")
 
 
 def report(num, description, ok):
@@ -58,7 +28,7 @@ def test_criterion_1_example1_reproduction(run1):
     lam_bound = params.delta0 / (2.0 * (1.0 - params.decay)) \
         + params.penalty.rho * c_norm
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= MAX_ITERS
+          and out.iterations <= params.max_iterations
           and x_err <= 1e-3
           and c_norm <= 1e-4
           and elapsed < 10.0
@@ -71,11 +41,11 @@ def test_criterion_1_example1_reproduction(run1):
 
 
 def test_criterion_2_example2_reproduction(run2):
-    problem, _, out, _ = run2
+    problem, params, out, _ = run2
     x_err = float(np.linalg.norm(out.final_state.x - np.array([0.0, 0.0, 8.0])))
     f_err = abs(problem.objective(out.final_state.x) - 224.0)
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= MAX_ITERS
+          and out.iterations <= params.max_iterations
           and x_err <= 1e-2
           and f_err <= 1e-2)
     report(2, f"QCQP run: |x - (0,0,8)| = {x_err:.2e} <= 1e-2, "
@@ -83,11 +53,11 @@ def test_criterion_2_example2_reproduction(run2):
 
 
 def test_criterion_3_example3_reproduction(run3):
-    problem, _, out, _ = run3
+    problem, params, out, _ = run3
     x_err = float(np.linalg.norm(out.final_state.x - np.array([2.0, 0.0])))
     c_norm = float(np.linalg.norm(problem.constraints(out.final_state.x)))
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= MAX_ITERS
+          and out.iterations <= params.max_iterations
           and x_err <= 1e-3
           and c_norm <= 1e-4)
     report(3, f"complementarity run: |x - (2,0)| = {x_err:.2e} <= 1e-3, "

@@ -59,31 +59,31 @@ def test_a_violation_derives_its_margin_from_its_sides():
         pplad.InvariantViolation("mu_bound", 3, 2.0, 1.0, 5.0)
 
 
-def test_solve_takes_no_trace_stride():
-    # solve records every iteration; only write_trace_csv strides
-    with pytest.raises(TypeError, match="trace_stride"):
-        solve(example1(), fig1_params(), [3.0, 3.0], trace_stride=5)
-
-
 @pytest.mark.parametrize("keyword,call", [
     ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
     ("grad_lipschitz", lambda: check_trace(example1(), RunHistory(), fig1_params(),
                                            grad_lipschitz=1.0)),
     ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
     ("z0", lambda: solve(example1(), fig1_params(), [3.0, 3.0], z0=[0.0, 0.0])),
+    ("trace_stride", lambda: solve(example1(), fig1_params(), [3.0, 3.0], trace_stride=5)),
     ("delta", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], delta=0.5)),
     ("gamma", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], gamma=0.25)),
     ("stride", lambda: write_trace_csv(RunHistory(), "unwritten.csv", stride=1)),
+    ("takes 2 positional", lambda: write_trace_csv(RunHistory(), "unwritten.csv", 1)),
     ("divergence_bound", lambda: fig1_params(divergence_bound=1e8)),
     ("tol_optimality", lambda: kkt_report(example1(), None, tol_optimality=1e-6)),
     ("satisfied", lambda: KktReport(0.0, 0.0, satisfied=True)),
 ], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",
-        "solve-z0", "FullState-delta", "FullState-gamma", "write_trace_csv-stride",
+        "solve-z0", "solve-trace_stride", "FullState-delta", "FullState-gamma",
+        "write_trace_csv-stride", "write_trace_csv-positional-stride",
         "SolverParams-divergence_bound", "kkt_report-tol_optimality", "KktReport-satisfied"])
-def test_removed_keywords_raise_type_error(keyword, call):
-    # each raises before it writes a file
+def test_removed_keywords_raise_type_error(keyword, call, tmp_path, monkeypatch):
+    # each raises before it writes a file; the trace CSV holds every row, so no
+    # stride is taken, by keyword or by position
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(TypeError, match=keyword):
         call()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_full_state_takes_no_z():

@@ -12,7 +12,7 @@ from params import rho2_params
 from pplad import (Problem, QcqpSpec, RunHistory, WholeSpace, check_trace, example1,
                    solve as real_solve, write_trace_csv)
 from pplad.cli import SETTINGS, main, run
-from pplad.problems import example2, example2_spec, load_qcqp, load_qcqp_spec, save_qcqp
+from pplad.problems import example2, load_qcqp, save_qcqp
 
 EXAMPLE2_FILE = """\
 # three-variable indefinite QCQP
@@ -115,26 +115,6 @@ class TestQcqpFormat:
         assert abs(loaded.objective(x) - builtin.objective(x)) <= 1e-12
         assert np.max(np.abs(loaded.constraints(x) - builtin.constraints(x))) <= 1e-12
 
-    def test_round_trip_of_builtin_spec(self, tmp_path):
-        path = tmp_path / "ex2.qcqp"
-        save_qcqp(example2_spec(), str(path))
-        loaded = load_qcqp(str(path))
-        builtin = example2()
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            x = rng.uniform(-10.0, 10.0, 3)
-            assert abs(loaded.objective(x) - builtin.objective(x)) <= 1e-12
-            assert np.max(np.abs(loaded.constraints(x) - builtin.constraints(x))) <= 1e-12
-            assert np.max(np.abs(loaded.constraint_jacobian(x)
-                                 - builtin.constraint_jacobian(x))) <= 1e-12
-
-    def test_empty_constraint_list_is_valid(self, tmp_path):
-        path = tmp_path / "plain.qcqp"
-        path.write_text("dim 2 0\nQ\n1 0\n0 1\nq\n0 0\nprojection whole\n")
-        p = load_qcqp(str(path))
-        assert p.m == 0
-        assert p.constraints(np.zeros(2)).shape == (0,)
-
     def test_loading_holds_less_than_the_file_at_once(self, tmp_path):
         # the text is read line by line: the peak is the arrays, not the file's lines
         n, m = 100, 10
@@ -152,17 +132,6 @@ class TestQcqpFormat:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
-
-    def test_box_and_ball_round_trip(self, tmp_path):
-        from pplad import Ball, Box, QcqpSpec
-        for kind in (Box(lo=[-1.0, 0.0], hi=[1.0, 2.0]),
-                     Ball(center=[0.5, -0.5], radius=3.0)):
-            spec = QcqpSpec(Q=np.eye(2), q=[1.0, -1.0], Qj=(), qj=(), bj=(),
-                            projection=kind)
-            path = tmp_path / "k.qcqp"
-            save_qcqp(spec, str(path))
-            reloaded = load_qcqp_spec(str(path))
-            assert type(reloaded.projection) is type(kind)
 
 
 class TestRun:
@@ -416,20 +385,13 @@ class TestMain:
         # the CSV holds every row, and the divergence bound is the solver's constant 1e8
         (["--problem", "MISSING", "--step-size", "0.002", "--stride", "10"],
          "unrecognized arguments: --stride 10"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1", "--stride", "2.5"],
-         "unrecognized arguments: --stride 2.5"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "0"],
-         "unrecognized arguments: --stride 0"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "-3"],
-         "unrecognized arguments: --stride -3"),
         (["--problem", "MISSING", "--step-size", "0.002", "--divergence-bound", "1e4"],
          "unrecognized arguments: --divergence-bound 1e4"),
         # settings come from flags only: there is no config file to name
         (["--config", "run.cfg", "--problem", "MISSING", "--step-size", "0.002"],
          "unrecognized arguments: --config run.cfg"),
     ], ids=["missing-problem", "missing-step-size", "malformed-number", "malformed-integer",
-            "malformed-vector", "unknown-flag", "stride", "stride-fractional", "stride-zero",
-            "stride-negative", "divergence-bound", "config"])
+            "malformed-vector", "unknown-flag", "stride", "divergence-bound", "config"])
     def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, flag):
         missing = str(tmp_path / "missing.qcqp")
         with pytest.raises(SystemExit) as info:
@@ -441,9 +403,8 @@ class TestMain:
         assert flag in message and "missing.qcqp" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["--stride", "--x0=1,2", "-h", "--help",
-                                       "--check-invariant",
-                                       "--divergence-bound", "--tol-optimality 1e-9"])
+    @pytest.mark.parametrize("value", ["--x0=1,2", "-h", "--help", "--check-invariant",
+                                       "--tol-optimality 1e-9"])
     def test_value_flag_takes_no_flag_as_its_value(self, tmp_path, capsys, monkeypatch,
                                                    value):
         # --trace used to take the next flag as its file name and run without it, and

@@ -20,12 +20,6 @@ DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 COLUMNS = RunHistory.COLUMNS
 
 
-@pytest.fixture(scope="module")
-def run1():
-    params = reproduction_params("example1", tol_optimality=1e-7, tol_feasibility=1e-7)
-    return example1(), params, solve(example1(), params, [3.0, 3.0])
-
-
 def replay(problem, params, x0):
     """Every state of the run from x0, read off ``steps``."""
     return [state for _, state, *_ in steps(problem, params, x0)]
@@ -71,7 +65,7 @@ class TestResiduals:
         assert kkt_report(example3(), s).feasibility == pytest.approx(np.hypot(4.0, 25.0))
 
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
-        p, params, out = run1
+        p, params, out, _ = run1
         feas = out.history.column("feasibility")
         states = replay(p, params, [3.0, 3.0])
         assert len(states) == len(feas)
@@ -81,12 +75,12 @@ class TestResiduals:
 
 class TestKktReport:
     def test_converged_run_is_satisfied(self, run1):
-        _, _, out = run1
+        _, _, out, _ = run1
         assert out.status is SolveStatus.CONVERGED
         assert_allclose(out.final_state.x, [1.0, 0.0], atol=1e-3)
 
     def test_solve_report_matches_a_fresh_evaluation(self, run1):
-        p, _, out = run1
+        p, _, out, _ = run1
         fresh = kkt_report(p, out.final_state)
         assert fresh == out.kkt
 
@@ -122,18 +116,19 @@ class TestKktReport:
 
 class TestCheckTrace:
     def test_correct_run_has_no_violations(self, run1):
-        p, params, out = run1
+        p, params, out, _ = run1
+        assert p.lipschitz_c is not None  # so the lam step is checked too
         assert check_trace(p, out.history, params) == []
 
     def test_perturbed_mu_trips_the_bound(self, run1):
-        p, params, out = run1
+        p, params, _, _ = run1
         hist = solve(p, params, [3.0, 3.0]).history  # fresh history to mutate
         hist.column("norm_mu")[200] += 600.0  # beyond ||mu_0|| + delta0/(2(1-r)) = 500
         violations = check_trace(p, hist, params)
         assert [(v.name, v.k) for v in violations] == [("mu_bound", 200)]
 
     def test_violation_carries_positive_margin(self, run1):
-        p, params, _ = run1
+        p, params, _, _ = run1
         out = solve(p, params, [3.0, 3.0])
         out.history.column("norm_mu")[150] += 600.0
         violations = check_trace(p, out.history, params)
@@ -151,7 +146,7 @@ class TestCheckTrace:
         ("lagrangian", 200, "merit_decrease", 199),
     ])
     def test_corrupted_term_trips_its_check_by_name(self, run1, column, row, check, k):
-        p, params, _ = run1
+        p, params, _, _ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column(column)[row] += 600.0
         violations = check_trace(p, hist, params)
@@ -174,7 +169,7 @@ class TestCheckTrace:
     ])
     def test_nan_term_trips_every_check_that_reads_it(self, run1, column, expected):
         # lhs > rhs is False for a NaN, so a check that only asked that would pass it
-        p, params, _ = run1
+        p, params, _, _ = run1
         params = dataclasses.replace(params, max_iterations=50)
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column(column)[20] = np.nan
@@ -197,7 +192,7 @@ class TestCheckTrace:
     def test_negative_lambda_mu_sq_is_a_violation_at_its_k(self, run1):
         # a squared norm below zero is reported before its root is taken,
         # where np.sqrt would warn (an error under this repo's warning filter)
-        p, params, _ = run1
+        p, params, _, _ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column("lambda_mu_sq")[100] = -1.0
         violations = check_trace(p, hist, params)
@@ -208,14 +203,14 @@ class TestCheckTrace:
 
     def test_mu_bound_reads_the_recorded_budgets(self, run1):
         # budgets recorded 10 larger before k = 200 leave room for ||mu_200|| 1,000 larger
-        p, params, _ = run1
+        p, params, _, _ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column("norm_mu")[200] += 600.0
         hist.column("delta")[:200] += 10.0
         assert check_trace(p, hist, params) == []
 
     def test_reads_only_rho_and_the_lipschitz_constant(self, run1):
-        p, params, _ = run1
+        p, params, _, _ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column("norm_mu")[200] += 600.0
         hist.column("step_lambda_sq")[150] += 600.0
@@ -225,7 +220,7 @@ class TestCheckTrace:
         assert [(v.name, v.k) for v in bare] == [("lam_step", 149), ("mu_bound", 200)]
 
     def test_makes_no_constraint_calls(self, run1):
-        _, params, _ = run1
+        _, params, _, _ = run1
         calls = []
         base = example1()
 
@@ -240,7 +235,7 @@ class TestCheckTrace:
         assert calls == []
 
     def test_empty_trace_is_rejected(self, run1):
-        p, params, _ = run1
+        p, params, _, _ = run1
         with pytest.raises(ValueError, match="^empty trace: nothing to check$"):
             check_trace(p, RunHistory(), params)
 
@@ -263,11 +258,6 @@ class TestCheckTrace:
         hist.column("lagrangian")[1] += 600.0
         hist.column("step_lambda_sq")[1] += 1e12
         assert [(v.name, v.k) for v in check_trace(p, hist, params)] == [("mu_step", 0)]
-
-    def test_lam_step_check_runs_when_hints_present(self, run1):
-        p, params, out = run1
-        assert p.lipschitz_c is not None
-        assert check_trace(p, out.history, params) == []
 
     def test_unconstrained_history_checks_cleanly(self):
         p = Problem(n=1, m=0, objective=lambda x: float((x[0] - 1.0) ** 2),
@@ -334,7 +324,7 @@ class TestRunHistory:
             RunHistory(rows)
 
     def test_no_rows_make_an_empty_history_that_check_trace_refuses(self, run1):
-        p, params, _ = run1
+        p, params, _, _ = run1
         for hist in (RunHistory(), RunHistory(())):
             assert len(hist) == 0
             assert all(len(hist.column(name)) == 0 for name in ("k", *COLUMNS))
@@ -488,36 +478,17 @@ class TestRecordedTerms:
 
 class TestTraceCsv:
     def test_round_trip(self, run1, tmp_path):
-        # the README's reader; ndmin=2 keeps a one-row trace, from max_iterations=0, a table
-        p, params, out = run1
-        one_row = solve(p, dataclasses.replace(params, max_iterations=0), [3.0, 3.0]).history
-        for history in (out.history, one_row):
-            path = tmp_path / "trace.csv"
-            write_trace_csv(history, path)
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            assert table.shape == (len(history), 1 + len(COLUMNS))
-            for j, name in enumerate(("k", *COLUMNS)):
-                # %.17e is lossless for doubles, and k comes back as its float value
-                assert_array_equal(table[:, j], history.column(name))
-
-    @pytest.mark.parametrize("stride", [0, -3, np.nan])
-    def test_nonpositive_stride_rejected(self, run1, tmp_path, stride):
-        # the CSV holds every row: no stride is taken, by keyword or by position
-        _, _, out = run1
+        # the README's reader; ndmin=2 keeps a one-row trace, from max_iterations=0, a
+        # table (a whole run's round trip is a property in test_properties.py)
+        p, params, _, _ = run1
+        history = solve(p, dataclasses.replace(params, max_iterations=0), [3.0, 3.0]).history
         path = tmp_path / "trace.csv"
-        with pytest.raises(TypeError, match="stride"):
-            write_trace_csv(out.history, path, stride=stride)
-        with pytest.raises(TypeError, match="positional"):
-            write_trace_csv(out.history, path, stride)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("stride", [2.5, 1.0])
-    def test_non_integer_stride_rejected(self, run1, tmp_path, stride):
-        _, _, out = run1
-        path = tmp_path / "trace.csv"
-        with pytest.raises(TypeError, match="stride"):
-            write_trace_csv(out.history, path, stride=stride)
-        assert not path.exists()
+        write_trace_csv(history, path)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (1, 1 + len(COLUMNS))
+        for j, name in enumerate(("k", *COLUMNS)):
+            # %.17e is lossless for doubles, and k comes back as its float value
+            assert_array_equal(table[:, j], history.column(name))
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_demo_traces_reproduced_byte_for_byte(self, name, tmp_path):
@@ -538,7 +509,7 @@ class TestTraceCsv:
         assert path.read_bytes() == committed.read_bytes()
 
     def test_header_contract(self, run1, tmp_path):
-        _, _, out = run1
+        _, _, out, _ = run1
         path = tmp_path / "trace.csv"
         write_trace_csv(out.history, path)
         header = path.read_text().splitlines()[0]
@@ -553,7 +524,7 @@ class TestTraceCsv:
         assert path.read_text() == ",".join(("k", *COLUMNS)) + "\n"
 
     def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
-        _, _, out = run1
+        _, _, out, _ = run1
         plain, gz = tmp_path / "t.csv", tmp_path / "t.csv.gz"
         write_trace_csv(out.history, plain)
         write_trace_csv(out.history, gz)

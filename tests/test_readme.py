@@ -35,10 +35,15 @@ def test_trace_replay_recipe_reproduces_the_report(capsys, tmp_path, monkeypatch
     assert main(["solve", "--problem", "example1", "--step-size", "0.002",
                  "--trace", "trace.csv", "--report", "report.txt"]) == 0
     capsys.readouterr()
-    exec(compile(recipe, str(README), "exec"), {})
+    namespace = {}
+    exec(compile(recipe, str(README), "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
     assert printed == ["invariant_violations = 0"]
-    assert printed[0] in (tmp_path / "report.txt").read_text().splitlines()
+    report = (tmp_path / "report.txt").read_text()
+    assert printed[0] in report.splitlines()
+    # one history row per iteration, k = 0 .. iterations
+    iterations = int(report.split("\niterations = ")[1].split("\n")[0])
+    assert len(namespace["history"]) == iterations + 1
 
 
 def test_report_file_section_lists_the_report_keys_in_order(tmp_path):
