@@ -1,15 +1,17 @@
 """Audit a solve run against the method's per-iteration inequalities.
 
-The convergence theory rests on a handful of per-iteration relations: the
-auxiliary multiplier moves at most delta_k/2 per step and stays inside a
-closed-form ball, the two multipliers contract toward each other at an
-exactly known rate, the iterate identity lam - mu = rho c(x) holds after
-every update, and the merit value cannot rise by more than 2 delta_k / rho
-per iteration.  The solver records the
-terms of each relation as scalars while it holds the iterates, and
-``check_trace`` replays all of them over the recorded history; an empty
-violation list is a machine-checked certificate that the run behaved like
-the theory says it must.
+The convergence theory rests on a handful of per-iteration relations.  Three
+of them can fail on a run, and ``check_trace`` replays them over the
+recorded history: the auxiliary multiplier stays inside a closed-form ball,
+the merit value cannot rise by more than 2 delta_k / rho per iteration, and
+lam moves no further than the constraint map's Lipschitz constant allows;
+it also reports every row holding a NaN or infinite term.  The others (each
+mu step is at most delta_k/2, the multipliers contract toward each other at
+an exactly known rate, lam - mu = rho c(x) after every update) hold by the
+kernel's own arithmetic while the problem's callbacks return finite values,
+and the tests check them on the iterates.  An empty violation list is a
+machine-checked certificate that the run behaved like the theory says it
+must.
 """
 
 import numpy as np
@@ -53,12 +55,12 @@ print(f"  lambda : {np.sqrt(history.column('step_lambda_sq')[-100:].max()):.2e}"
 print(f"  mu     : {np.sqrt(history.column('step_mu_sq')[-100:].max()):.2e}")
 
 # what a genuine violation looks like: corrupt the recorded ||mu_k|| and
-# the recorded step into k = 150
+# the recorded merit at k = 150
 corrupted = solve(problem, params, [3.0, 3.0]).history
 corrupted.column("norm_mu")[200] += 600.0
-corrupted.column("step_mu_sq")[150] += 1.0
+corrupted.column("lagrangian")[150] += 1.0
 broken = check_trace(problem, corrupted, params)
-print(f"\nafter corrupting ||mu|| at k=200 and the mu step into k=150: "
+print(f"\nafter corrupting ||mu|| at k=200 and the merit at k=150: "
       f"{len(broken)} violations")
 for v in broken[:3]:
     print(f"  {v.name} at k={v.k}: lhs={v.lhs:.4g} > rhs={v.rhs:.4g} "

@@ -195,10 +195,10 @@ class SolveOutcome(NamedTuple):
 def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, grad):
     """One iteration from ``state``, given d = lam - mu, dd = ||d||^2 and grad_x L there.
 
-    Returns the successor, c(x_next) and the dual step gamma taken into it.
-    Order is normative: the mu-update uses the pre-update lam and mu, the
-    lam-update uses the new x and new mu.  The successor's three arrays are
-    new, so it is built without ``FullState``'s copies.
+    Returns the successor and c(x_next).  Order is normative: the mu-update
+    uses the pre-update lam and mu, the lam-update uses the new x and new mu.
+    The successor's three arrays are new, so it is built without
+    ``FullState``'s copies.
     """
     rho = params.penalty.rho
     gam = rho * params.budget(state.k) / (dd + 1.0)
@@ -207,7 +207,7 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, gr
     cx = problem.c(x_next)
     nxt = object.__new__(FullState)
     nxt.x, nxt.lam, nxt.mu, nxt.k = x_next, mu_next + rho * cx, mu_next, state.k + 1
-    return nxt, cx, gam
+    return nxt, cx
 
 
 # ||x|| beyond this ends the run as DIVERGED: the boundedness assumption failing in practice
@@ -248,12 +248,12 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
     rho = params.penalty.rho
     history = RunHistory()
 
-    def record(state, d, grad, cx, prev, gam):
+    def record(state, d, grad, cx, prev):
         """Append the row of state; return its KKT report, ||d||^2 and the stop status and message.
 
         The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu,
-        the grad and c(x) there, and prev and the dual step gam taken from it;
-        its merit is L at z = (lam - mu)/alpha in the reduced form f + <lam, c> - dd/(2 rho).
+        the grad and c(x) there, and the state prev before it; its merit is L at
+        z = (lam - mu)/alpha in the reduced form f + <lam, c> - dd/(2 rho).
         """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx)
@@ -261,26 +261,26 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
         merit = fx + float(state.lam.dot(cx)) - dd / (2.0 * rho)
         norm_x = _norm(state.x)
         if prev is None:
-            step_x = step_lam_sq = step_mu_sq = mu_prev_lam = 0.0
+            step_x = step_lam_sq = step_mu_sq = 0.0
         else:
             step_lam, step_mu = state.lam - prev.lam, state.mu - prev.mu
-            step_x, mu_prev_lam = _norm(state.x - prev.x), _norm(state.mu - prev.lam)
+            step_x = _norm(state.x - prev.x)
             step_lam_sq, step_mu_sq = float(step_lam.dot(step_lam)), float(step_mu.dot(step_mu))
         history.append([fx, kkt.feasibility, kkt.optimality, merit, norm_x, _norm(state.lam),
-                        _norm(state.mu), step_x, gam, params.budget(state.k), dd,
-                        _norm(d - rho * cx), step_lam_sq, step_mu_sq, mu_prev_lam])
+                        _norm(state.mu), step_x, params.budget(state.k), step_lam_sq,
+                        step_mu_sq])
         return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
     d = cur.lam - cur.mu
     cx, grad = problem.c(cur.x), grad_x(problem, cur)  # c before J, as at every later point
-    kkt, dd, status, message = record(cur, d, grad, cx, None, 0.0)
+    kkt, dd, status, message = record(cur, d, grad, cx, None)
     yield SolveOutcome(status, cur, kkt, history, message)
     while status is None:
         try:
-            nxt, cx, gam = _advance(problem, params, cur, d, dd, grad)
+            nxt, cx = _advance(problem, params, cur, d, dd, grad)
             d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
-            kkt, dd, status, message = record(nxt, d, grad, cx, cur, gam)
+            kkt, dd, status, message = record(nxt, d, grad, cx, cur)
             cur = nxt
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR

@@ -1,7 +1,9 @@
 """The reproduction runs at the acceptance settings, each solved once per session.
 
-A fixture is ``(problem, params, outcome, elapsed)``, elapsed the wall time
-of the solve alone.  ``run1``, the example1 run, is shared by the acceptance
+A fixture is ``(problem, params, outcome, elapsed, states)``: the run is
+stepped once with ``steps``, ``outcome`` is its last yield (what ``solve``
+returns), ``states`` the state of every yield, and elapsed the wall time of
+the stepping alone.  ``run1``, the example1 run, is shared by the acceptance
 suite and the diagnostics tests, so tier-1 solves it once.
 """
 
@@ -10,7 +12,7 @@ import time
 import pytest
 
 from params import reproduction_params
-from pplad import solve
+from pplad import steps
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
@@ -19,9 +21,11 @@ TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
 def timed_run(name):
     problem = BUILTIN_PROBLEMS[name]()
     params = reproduction_params(name, tol_optimality=TOL, tol_feasibility=TOL)
+    states = []
     start = time.perf_counter()
-    outcome = solve(problem, params, DEFAULT_START[name])
-    return problem, params, outcome, time.perf_counter() - start
+    for outcome in steps(problem, params, DEFAULT_START[name]):
+        states.append(outcome.final_state)
+    return problem, params, outcome, time.perf_counter() - start, states
 
 
 @pytest.fixture(scope="session")

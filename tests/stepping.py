@@ -11,4 +11,5 @@ def advance(problem, params, state):
     """The successor of ``state`` under one application of the update formulas."""
     state.check_dims(problem)
     d = state.lam - state.mu
-    return _advance(problem, params, state, d, float(d.dot(d)), grad_x(problem, state))[0]
+    nxt, _ = _advance(problem, params, state, d, float(d.dot(d)), grad_x(problem, state))
+    return nxt

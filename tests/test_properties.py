@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from identities import kernel_violations
 from merit import eval_full, zhat
 from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolveStatus,
                    SolverParams, check_trace, from_qcqp, kkt_report, solve, steps, validate,
@@ -21,10 +22,6 @@ from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
-
-# the inequalities that hold for any valid parameters, whatever the step size
-DUAL_INVARIANTS = {"mu_bound", "mu_step", "mu_step_budget", "mu_lam_contraction",
-                   "identity_lam_mu"}
 
 ITERATIONS = 80
 
@@ -94,11 +91,16 @@ def nan_beyond(draw, problems=qcqps()):
 
 
 @PROPERTY
-@given(run=runs())
-def test_dual_invariants_hold_for_any_valid_parameters(run):
-    problem, params, outcome = run
-    violations = check_trace(problem, outcome.history, params)
-    assert not [v for v in violations if v.name in DUAL_INVARIANTS]
+@given(drawn=starts())
+def test_dual_invariants_hold_for_any_valid_parameters(drawn):
+    # whatever the step size: the dual bound over the history, and the kernel's
+    # five identities over every state that steps yields
+    problem, params, start = drawn
+    outcomes = list(steps(problem, params, **start))
+    states, history = [outcome.final_state for outcome in outcomes], outcomes[-1].history
+    assert kernel_violations(problem, params, states, history.column("lagrangian")) == []
+    violations = check_trace(problem, history, params)
+    assert not [v for v in violations if v.name == "mu_bound"]
 
 
 @PROPERTY
@@ -231,17 +233,12 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
                    lagrangian=problem.objective(s.x) + s.lam @ c - (d @ d) / (2.0 * rho),
                    norm_x=np.linalg.norm(s.x), norm_lambda=np.linalg.norm(s.lam),
                    norm_mu=np.linalg.norm(s.mu), delta=delta0 * decay ** k,
-                   lambda_mu_sq=d @ d, gap_lambda_mu=np.linalg.norm(d - rho * c),
-                   step_x_norm=0.0, gamma=0.0, step_lambda_sq=0.0, step_mu_sq=0.0,
-                   mu_prev_lambda_norm=0.0)
+                   step_x_norm=0.0, step_lambda_sq=0.0, step_mu_sq=0.0)
         if k > 0:
             p = states[k - 1]
-            p_d = p.lam - p.mu
             row.update(step_x_norm=np.linalg.norm(s.x - p.x),
-                       gamma=rho * (delta0 * decay ** (k - 1)) / (p_d @ p_d + 1.0),
                        step_lambda_sq=(s.lam - p.lam) @ (s.lam - p.lam),
-                       step_mu_sq=(s.mu - p.mu) @ (s.mu - p.mu),
-                       mu_prev_lambda_norm=np.linalg.norm(s.mu - p.lam))
+                       step_mu_sq=(s.mu - p.mu) @ (s.mu - p.mu))
         for name, value in row.items():
             expected[name].append(value)
     for name, values in expected.items():
