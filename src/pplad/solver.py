@@ -192,8 +192,8 @@ class SolveOutcome(NamedTuple):
 # the iteration kernel
 # ---------------------------------------------------------------------------
 
-def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, grad):
-    """One iteration from ``state``, given d = lam - mu, dd = ||d||^2 and grad_x L there.
+def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, delta, grad):
+    """One iteration from ``state``, given d = lam - mu, dd = ||d||^2, delta_k and grad_x L there.
 
     Returns the successor and c(x_next).  Order is normative: the mu-update
     uses the pre-update lam and mu, the lam-update uses the new x and new mu.
@@ -201,7 +201,7 @@ def _advance(problem: Problem, params: SolverParams, state: FullState, d, dd, gr
     ``FullState``'s copies.
     """
     rho = params.penalty.rho
-    gam = rho * params.budget(state.k) / (dd + 1.0)
+    gam = rho * delta / (dd + 1.0)
     x_next = problem.project(state.x - params.step_size * grad)
     mu_next = state.mu + (gam / rho) * d
     cx = problem.c(x_next)
@@ -249,7 +249,7 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
     history = RunHistory()
 
     def record(state, d, grad, cx, prev):
-        """Append the row of state; return its KKT report, ||d||^2 and the stop status and message.
+        """Append state's row; return its KKT report, ||d||^2, delta_k, stop status and message.
 
         The row, in ``RunHistory.COLUMNS`` order, comes from state's d = lam - mu,
         the grad and c(x) there, and the state prev before it; its merit is L at
@@ -257,7 +257,7 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
         """
         fx = problem.f(state.x)
         kkt = _kkt(problem, state, grad, cx)
-        dd = float(d.dot(d))
+        dd, delta = float(d.dot(d)), params.budget(state.k)
         merit = fx + float(state.lam.dot(cx)) - dd / (2.0 * rho)
         norm_x = _norm(state.x)
         if prev is None:
@@ -267,20 +267,19 @@ def steps(problem: Problem, params: SolverParams, x0, *, lam0=None, mu0=None):
             step_x = _norm(state.x - prev.x)
             step_lam_sq, step_mu_sq = float(step_lam.dot(step_lam)), float(step_mu.dot(step_mu))
         history.append([fx, kkt.feasibility, kkt.optimality, merit, norm_x, _norm(state.lam),
-                        _norm(state.mu), step_x, params.budget(state.k), step_lam_sq,
-                        step_mu_sq])
-        return (kkt, dd, *_stop(params, state.k, kkt, fx, merit, norm_x))
+                        _norm(state.mu), step_x, delta, step_lam_sq, step_mu_sq])
+        return (kkt, dd, delta, *_stop(params, state.k, kkt, fx, merit, norm_x))
 
     d = cur.lam - cur.mu
     cx, grad = problem.c(cur.x), grad_x(problem, cur)  # c before J, as at every later point
-    kkt, dd, status, message = record(cur, d, grad, cx, None)
+    kkt, dd, delta, status, message = record(cur, d, grad, cx, None)
     yield SolveOutcome(status, cur, kkt, history, message)
     while status is None:
         try:
-            nxt, cx = _advance(problem, params, cur, d, dd, grad)
+            nxt, cx = _advance(problem, params, cur, d, dd, delta, grad)
             d = nxt.lam - nxt.mu
             grad = grad_x(problem, nxt)
-            kkt, dd, status, message = record(nxt, d, grad, cx, cur)
+            kkt, dd, delta, status, message = record(nxt, d, grad, cx, cur)
             cur = nxt
         except Exception as exc:  # a problem callback raised: keep the partial run
             status = SolveStatus.EVALUATION_ERROR

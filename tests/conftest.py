@@ -4,7 +4,9 @@ A fixture is ``(problem, params, outcome, elapsed, states)``: the run is
 stepped once with ``steps``, ``outcome`` is its last yield (what ``solve``
 returns), ``states`` the state of every yield, and elapsed the wall time of
 the stepping alone.  ``run1``, the example1 run, is shared by the acceptance
-suite and the diagnostics tests, so tier-1 solves it once.
+suite and the diagnostics tests, which mutate copies of its history, so the
+tests under ``tests/`` solve it once (``bench/test_checks.py`` solves the
+three reproductions again, from ``bench/reference.py``'s copy of these settings).
 """
 
 import time

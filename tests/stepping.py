@@ -11,5 +11,6 @@ def advance(problem, params, state):
     """The successor of ``state`` under one application of the update formulas."""
     state.check_dims(problem)
     d = state.lam - state.mu
-    nxt, _ = _advance(problem, params, state, d, float(d.dot(d)), grad_x(problem, state))
+    nxt, _ = _advance(problem, params, state, d, float(d.dot(d)), params.budget(state.k),
+                      grad_x(problem, state))
     return nxt

@@ -2,6 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The reproduction runs are the fixtures of conftest.py.
+Criteria 4-7 are the one home of their checks: the trace invariants and
+kernel identities on the reproduction runs, the gradient oracle, the
+closed-form inner solutions and the one-step transcription.  The unit
+modules keep the hand-arithmetic cases of each formula.
 """
 
 from itertools import islice
@@ -63,6 +67,7 @@ def test_criterion_3_example3_reproduction(run3):
 
 
 def test_criterion_4_invariant_suite(run1, run2, run3):
+    assert run1[0].lipschitz_c is not None  # so that example1's lam step is checked too
     counts = {}
     for label, (problem, params, out, _, states) in (("example1", run1), ("example2", run2),
                                                      ("example3", run3)):
@@ -95,9 +100,9 @@ def test_criterion_5_gradient_oracle():
             jac_fd = fd_jacobian(problem.constraints, state.x)
             worst_jac = max(worst_jac, float(np.max(
                 np.abs(jac - jac_fd) / (1.0 + np.abs(jac)))))
-    ok = worst_grad <= 1e-5 and worst_jac <= 1e-5
+    ok = worst_grad <= 1e-6 and worst_jac <= 1e-5
     report(5, f"merit gradient vs finite differences: max rel err {worst_grad:.2e} "
-              f"<= 1e-5; Jacobians: {worst_jac:.2e} <= 1e-5", ok)
+              f"<= 1e-6; Jacobians: {worst_jac:.2e} <= 1e-5", ok)
 
 
 def test_criterion_6_closed_form_inner_solutions():

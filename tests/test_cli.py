@@ -469,25 +469,6 @@ class TestMain:
             "pplad: error: QCQP field Q overflows when symmetrized as (M + M') / 2\n"
         assert not (tmp_path / "t.csv").exists()
 
-    def test_x0_flag_parsed_as_vector(self, tmp_path):
-        code = main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--x0", "2.5,-1.0", "--max-iters", "3"))
-        assert code == 1
-
-    @pytest.mark.parametrize("x0", ["-1,2", "-0.5,1"])
-    def test_x0_flag_with_a_negative_first_entry(self, tmp_path, x0):
-        # argparse alone reads "-1,2" as a flag; the attached form always worked
-        reports = []
-        for args in (["--x0", x0], ["--x0=" + x0]):
-            report = tmp_path / f"r{len(reports)}.txt"
-            code = main(["solve", "--problem", "example1", "--step-size", "0.002", *args,
-                         "--max-iters", "0", "--trace", str(tmp_path / "t.csv"),
-                         "--report", str(report)])
-            assert code == 1
-            reports.append(report.read_text())
-        assert reports[0] == reports[1]
-        assert "x = " + ",".join(repr(float(v)) for v in x0.split(",")) in reports[0]
-
     @pytest.mark.parametrize("value", ["-inf", "0.002"])
     def test_abbreviated_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys, value):
         # argparse's prefix match read --step as --step-size, but only when the

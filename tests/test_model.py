@@ -298,15 +298,6 @@ def test_compare_empty_passes():
     assert err == 0.0 and ok
 
 
-def test_builtin_gradients_pass_at_random_points():
-    rng = np.random.default_rng(11)
-    p = example1()
-    for _ in range(10):
-        x = rng.uniform(-3.0, 3.0, 2)
-        err, ok = compare(p.objective_gradient(x), fd_jacobian(p.objective, x))
-        assert ok, err
-
-
 def test_oracle_calls_fn_twice_per_coordinate_and_never_at_x():
     p = example1()
     x = np.array([3.0, 3.0])

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, QcqpSpec, WholeSpace, compare, fd_jacobian,
-                   from_qcqp, validate)
+                   from_qcqp)
 from pplad.problems import (BUILTIN_PROBLEMS, DEFAULT_START, example1, example2,
                             example2_spec, example3)
 
@@ -440,9 +440,3 @@ def test_builtins_registry_and_start_points():
         p = factory()
         assert p.name == name
         assert len(DEFAULT_START[name]) == p.n
-
-
-@pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
-def test_builtins_validate_at_default_start(name):
-    report = validate(BUILTIN_PROBLEMS[name](), np.array(DEFAULT_START[name]))
-    assert report.passed, report.summary()

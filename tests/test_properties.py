@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from identities import kernel_violations
 from merit import eval_full, zhat
@@ -62,6 +62,11 @@ solver_params = st.builds(
     decay=st.floats(0.5, 0.9999), step=st.floats(1e-4, 2.0))
 
 
+# a drawn QCQP or one of the builtins
+qcqps_or_builtins = st.one_of(qcqps(), st.sampled_from(sorted(BUILTIN_PROBLEMS)).map(
+    lambda name: BUILTIN_PROBLEMS[name]()))
+
+
 @st.composite
 def starts(draw, problems=qcqps()):
     """A drawn problem, parameters (non-converging steps included) and start (x0, lam0, mu0)."""
@@ -73,7 +78,7 @@ def starts(draw, problems=qcqps()):
 
 @st.composite
 def runs(draw, problems=qcqps()):
-    """A solve of a drawn QCQP from a drawn start."""
+    """A solve of a drawn problem from a drawn start."""
     problem, params, start = draw(starts(problems))
     return problem, params, solve(problem, params, **start)
 
@@ -210,7 +215,7 @@ def test_interleaved_appends_and_reads_see_the_rows_stored_so_far(ops):
 
 
 @PROPERTY
-@given(drawn=starts())
+@given(drawn=starts(qcqps_or_builtins))
 def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     problem, params, start = drawn
     outcome = solve(problem, params, **start)
@@ -247,8 +252,7 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
 
 
 @PROPERTY
-@given(drawn=starts(st.one_of(qcqps(), st.sampled_from(sorted(BUILTIN_PROBLEMS)).map(
-    lambda name: BUILTIN_PROBLEMS[name]()))))
+@given(drawn=starts(qcqps_or_builtins))
 def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
     # at k = 0 the multipliers are the drawn ones, unrelated to x
     problem, params, start = drawn
@@ -264,7 +268,7 @@ def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
 
 
 @PROPERTY
-@given(run=runs())
+@given(run=runs(qcqps_or_builtins))
 def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
     problem, params, outcome = run
     report = kkt_report(problem, outcome.final_state)
@@ -273,6 +277,9 @@ def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
 
 @PROPERTY
 @given(x0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2))
+@example(x0=[-1.0, 2.0])
+@example(x0=[-0.5, 1.0])
+@example(x0=[2.5, -1.0])
 def test_x0_flag_text_reaches_the_report_as_its_projection_bitwise(x0):
     # a value may start with '-', and repr may write an exponent or a subnormal
     text = ",".join(map(repr, x0))
