@@ -7,17 +7,25 @@ the stepping alone.  ``run1``, the example1 run, is shared by the acceptance
 suite and the diagnostics tests, which mutate copies of its history, so the
 tests under ``tests/`` solve it once (``bench/test_checks.py`` solves the
 three reproductions again, from ``bench/reference.py``'s copy of these settings).
+
+Every property test runs under the hypothesis profile ``repeatable``, loaded
+here: it draws its examples from a fixed seed, keeps no example database and
+sets no deadline, so every run draws the same cases.
 """
 
 import time
 
 import pytest
+from hypothesis import settings
 
 from params import reproduction_params
 from pplad import steps
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START
 
 TOL = 1e-7  # stopping tolerance calibrated for the reproduction runs
+
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
 
 
 def timed_run(name):

@@ -5,7 +5,7 @@ line per criterion.  The reproduction runs are the fixtures of conftest.py.
 Criteria 4-7 are the one home of their checks: the trace invariants and
 kernel identities on the reproduction runs, the gradient oracle, the
 closed-form inner solutions and the one-step transcription.  The unit
-modules keep the hand-arithmetic cases of each formula.
+modules keep one hand-worked case per rule.
 """
 
 from itertools import islice

@@ -61,7 +61,7 @@ def solve_params(monkeypatch, argv):
     return params, x0
 
 
-class TestParseConfig:
+class TestSettings:
     """The settings as main parses them from its flags, over the defaults."""
 
     def test_standard_values_given_as_flag_text(self, tmp_path, monkeypatch):
@@ -73,7 +73,7 @@ class TestParseConfig:
         assert params.step_size == 0.002
         assert params.max_iterations == 200000  # default
 
-    def test_fractional_stride_fails_before_the_problem_is_loaded(self, tmp_path):
+    def test_an_unknown_setting_fails_before_the_problem_is_loaded(self, tmp_path):
         # the trace CSV holds every row: stride is no setting of run, as it is no flag
         with pytest.raises(ValueError) as info:
             run({"problem": str(tmp_path / "missing.qcqp"), "step_size": 0.002,

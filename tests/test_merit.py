@@ -3,10 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from merit import eval_full, zhat
-from params import FIG1, RHO2, rho2_params
+from params import FIG1, RHO2
 from pplad import DimensionMismatch, FullState, PenaltyParams, grad_x
-from pplad.problems import example1, example2, example3
-from stepping import advance
+from pplad.problems import example1, example2
 
 RHO1 = PenaltyParams(alpha=2.0, beta=0.5)  # rho = 1
 
@@ -43,11 +42,6 @@ class TestEvalFull:
         p = example1()
         state = FullState(x=[2.0, -1.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
         assert eval_full(p, RHO1, state) == pytest.approx(p.objective(state.x))
-
-    def test_zero_at_solution_with_zero_duals(self):
-        p = example1()
-        state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
-        assert eval_full(p, RHO1, state) == pytest.approx(0.0)
 
     def test_hand_arithmetic_term_by_term(self):
         # x=(3,3), z=(1,0), lam=(1,1), mu=(0,0), alpha=2, beta=0.5:
@@ -95,11 +89,6 @@ class TestEvalFull:
 
 
 class TestGradX:
-    def test_zero_duals_give_objective_gradient(self):
-        p = example1()
-        state = FullState(x=[3.0, 3.0], lam=[0.0, 0.0], mu=[0.0, 0.0])
-        assert_allclose(grad_x(p, state), [-4.0, 6.0])
-
     def test_hand_arithmetic(self):
         # grad f(3,3) = (-4, 6); J rows (6,6), (2,6); J^T (1,1) = (8, 12)
         p = example1()
@@ -116,12 +105,6 @@ class TestGradX:
         state = FullState(x=[1.0, -2.0], lam=[], mu=[])
         assert_allclose(grad_x(p, state), [2.0, -4.0])
 
-class TestZhat:
-    def test_equal_multipliers_give_zero(self):
-        assert_allclose(zhat(RHO2, [3.0, -1.0], [3.0, -1.0]), [0.0, 0.0])
-
-    def test_direct_formula(self):
-        assert_allclose(zhat(FIG1, [2.0, -4.0], [0.0, 0.0]), [0.001, -0.002])
 
 def reduced(problem, params, x, lam, mu):
     """The merit with z eliminated: eval_full at z = zhat(lam, mu)."""
@@ -129,12 +112,6 @@ def reduced(problem, params, x, lam, mu):
 
 
 class TestEvalReduced:
-    def test_zero_duals_give_objective(self):
-        p = example1()
-        x = np.array([2.5, -1.0])
-        value = reduced(p, RHO2, x, np.zeros(2), np.zeros(2))
-        assert value == pytest.approx(p.objective(x))
-
     def test_feasible_point_equal_multipliers(self):
         value = reduced(example1(), RHO2, [1.0, 0.0], [5.0, 7.0], [5.0, 7.0])
         assert value == pytest.approx(0.0)
@@ -151,35 +128,6 @@ class TestEvalReduced:
             vb = reduced(p, FIG1, x, b, mu)
             vmid = reduced(p, FIG1, x, 0.5 * (a + b), mu)
             assert vmid >= 0.5 * (va + vb) - 1e-12 * (1.0 + abs(vmid))
-
-
-class TestLambdaHat:
-    """The lam one iteration returns is the closed-form maximizer mu + rho c(x)."""
-
-    def test_feasible_point_returns_mu(self):
-        # x = (1, 0) is feasible and, with lam = 0, stationary: x stays put and lam = mu
-        p = example1()
-        mu = np.array([1.5, -2.0])
-        state = FullState(x=[1.0, 0.0], lam=[0.0, 0.0], mu=mu)
-        nxt = advance(p, rho2_params(), state)
-        assert_allclose(nxt.x, [1.0, 0.0])
-        assert_allclose(nxt.lam, nxt.mu)
-
-    def test_hand_arithmetic_on_complementarity_problem(self):
-        # at (5, 5) with lam = (0, 2): grad f = (-10, -10) and J^T lam = (10, 10),
-        # so x stays at (5, 5), where c = (25-25-4, 25) = (-4, 25);
-        # gamma = rho/(||lam - mu||^2 + 1) = 0.4 moves mu to 0.2*(0, 2) = (0, 0.4),
-        # and lam = mu + 2*c = (-8, 50.4)
-        state = FullState(x=[5.0, 5.0], lam=[0.0, 2.0], mu=[0.0, 0.0])
-        nxt = advance(example3(), rho2_params(), state)
-        assert_allclose(nxt.x, [5.0, 5.0])
-        assert_allclose(nxt.lam, [-8.0, 50.4])
-
-
-def test_full_state_dimension_check():
-    state = FullState(x=[1.0, 2.0], lam=[0.0], mu=[0.0])
-    with pytest.raises(DimensionMismatch):
-        state.check_dims(example1())
 
 
 @pytest.mark.parametrize("k", [-10, -1, 2.5, 1.0, "3", True, False])

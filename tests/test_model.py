@@ -147,31 +147,6 @@ def test_validate_passes_on_builtins_at_start_points(factory, start):
     assert report.check("constraint_jacobian_fd").max_rel_error <= 1e-6
 
 
-def test_validate_flags_wrong_gradient_length():
-    base = example1()
-    broken = Problem(n=2, m=2, objective=base.objective,
-                     objective_gradient=lambda x: np.zeros(3),
-                     constraints=base.constraints,
-                     constraint_jacobian=base.constraint_jacobian,
-                     projection=base.projection, name="broken")
-    report = validate(broken, np.array([3.0, 3.0]))
-    assert not report.passed
-    assert not report.check("objective_gradient").passed
-    assert "shape" in report.check("objective_gradient").message
-
-
-def test_validate_flags_wrong_objective_shape():
-    base = example1()
-    broken = Problem(n=2, m=2, objective=lambda x: np.array([base.objective(x)]),
-                     objective_gradient=base.objective_gradient,
-                     constraints=base.constraints,
-                     constraint_jacobian=base.constraint_jacobian,
-                     projection=base.projection, name="vector-f")
-    report = validate(broken, np.array([3.0, 3.0]))
-    assert not report.check("objective").passed
-    assert "shape" in report.check("objective").message
-
-
 def test_validate_flags_non_finite_objective():
     base = example1()
     broken = Problem(n=2, m=2, objective=lambda x: np.nan,
@@ -205,10 +180,6 @@ def test_validate_blames_a_non_finite_projection(bad):
         assert not check.passed and check.message == "skipped: projection failed"
 
 
-def test_validate_reports_a_passing_projection():
-    assert validate(example1(), np.array([3.0, 3.0])).check("projection").passed
-
-
 def test_validation_report_has_no_check_of_an_unknown_name():
     with pytest.raises(KeyError, match="no_such_check"):
         validate(example1(), np.array([3.0, 3.0])).check("no_such_check")
@@ -217,24 +188,6 @@ def test_validation_report_has_no_check_of_an_unknown_name():
 def test_validate_rejects_wrong_x0_length():
     with pytest.raises(DimensionMismatch):
         validate(example1(), np.array([1.0, 2.0, 3.0]))
-
-
-def test_constant_function_has_zero_gradient():
-    grad = fd_jacobian(lambda x: 7.25, np.array([1.0, -2.0, 0.5]))
-    assert_allclose(grad, 0.0, atol=1e-8)
-
-
-def test_gradient_of_half_norm_squared_is_x():
-    x = np.array([3.0, -4.0])
-    grad = fd_jacobian(lambda v: 0.5 * (v @ v), x)
-    assert_allclose(grad, x, atol=1e-8)
-
-
-def test_example1_objective_gradient_at_start():
-    # f = -(x1-1)^2 + x2^2, so grad f(3, 3) = (-4, 6)
-    p = example1()
-    grad = fd_jacobian(p.objective, np.array([3.0, 3.0]))
-    assert_allclose(grad, [-4.0, 6.0], atol=1e-8)
 
 
 def test_linear_map_jacobian_recovered():
@@ -256,7 +209,12 @@ def test_empty_output_gives_empty_jacobian():
 
 def test_central_exact_on_quadratics_up_to_roundoff():
     # degree <= 2 polynomials have no third derivative: central differences
-    # are exact up to floating-point cancellation
+    # are exact up to floating-point cancellation: a constant, half the squared norm and
+    # example1's f = -(x1-1)^2 + x2^2 at its start, then random quadratics
+    for fn, x, grad in ((lambda v: 7.25, [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]),
+                        (lambda v: 0.5 * (v @ v), [3.0, -4.0], [3.0, -4.0]),
+                        (example1().objective, [3.0, 3.0], [-4.0, 6.0])):
+        assert np.max(np.abs(fd_jacobian(fn, np.array(x)) - grad)) <= 1e-8
     rng = np.random.default_rng(7)
     for _ in range(10):
         A = rng.standard_normal((3, 3))

@@ -2,8 +2,8 @@
 
 Each instance is feasible by construction: the constraint offsets are
 chosen so that a random point of X satisfies every constraint.  The
-examples are derandomized and no example database is kept, so every run
-draws the same cases.
+examples are drawn under conftest.py's ``repeatable`` hypothesis profile,
+so every run draws the same cases.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from identities import kernel_violations
 from merit import eval_full, zhat
@@ -20,8 +20,6 @@ from pplad import (Ball, Box, PenaltyParams, QcqpSpec, RunHistory, SolveStatus,
                    write_trace_csv)
 from pplad.cli import main
 from pplad.problems import BUILTIN_PROBLEMS, example1
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 ITERATIONS = 80
 
@@ -95,7 +93,6 @@ def nan_beyond(draw, problems=qcqps()):
     return dataclasses.replace(problem, objective=lambda x: np.nan if x[0] > level else f(x))
 
 
-@PROPERTY
 @given(drawn=starts())
 def test_dual_invariants_hold_for_any_valid_parameters(drawn):
     # whatever the step size: the dual bound over the history, and the kernel's
@@ -108,7 +105,6 @@ def test_dual_invariants_hold_for_any_valid_parameters(drawn):
     assert not [v for v in violations if v.name == "mu_bound"]
 
 
-@PROPERTY
 @given(run=runs())
 def test_status_is_converged_exactly_when_the_last_row_is_within_tolerance(run):
     problem, params, outcome = run
@@ -120,7 +116,6 @@ def test_status_is_converged_exactly_when_the_last_row_is_within_tolerance(run):
     assert (outcome.status is SolveStatus.CONVERGED) == within
 
 
-@PROPERTY
 @given(problem=qcqps(), data=st.data())
 def test_validate_passes_on_a_correct_qcqp(problem, data):
     x = data.draw(vectors(problem.n, 3.0))
@@ -133,7 +128,6 @@ def test_validate_passes_on_a_correct_qcqp(problem, data):
 BUILTIN_BOUNDS = {"example1": (-3.0, 3.0), "example2": (0.0, 10.0), "example3": (0.0, 10.0)}
 
 
-@PROPERTY
 @given(name=st.sampled_from(sorted(BUILTIN_PROBLEMS)), data=st.data())
 def test_validate_passes_on_the_builtins_at_points_of_x(name, data):
     problem = BUILTIN_PROBLEMS[name]()
@@ -152,7 +146,6 @@ def listed(violations):
     return [(v.name, v.k, repr(v.lhs), repr(v.rhs)) for v in violations]
 
 
-@PROPERTY
 @given(run=st.one_of(runs(), runs(nan_beyond())),
        extra=st.lists(vectors(len(RunHistory.COLUMNS), 1e6), max_size=5))
 def test_a_written_trace_rebuilds_its_history_in_one_call(run, extra):
@@ -188,7 +181,6 @@ def test_a_written_trace_rebuilds_its_history_in_one_call(run, extra):
         assert rebuilt.column(name).tobytes() == appended.column(name).tobytes(), name
 
 
-@PROPERTY
 @given(ops=st.lists(st.one_of(st.integers(1, 12),
                               st.sampled_from(("k", *RunHistory.COLUMNS))), max_size=40))
 def test_interleaved_appends_and_reads_see_the_rows_stored_so_far(ops):
@@ -214,7 +206,6 @@ def test_interleaved_appends_and_reads_see_the_rows_stored_so_far(ops):
         assert np.array_equal(view, history.column(name)[:len(view)])
 
 
-@PROPERTY
 @given(drawn=starts(qcqps_or_builtins))
 def test_stepping_iterate_retraces_solve_and_its_history(drawn):
     problem, params, start = drawn
@@ -251,7 +242,6 @@ def test_stepping_iterate_retraces_solve_and_its_history(drawn):
         assert recorded.tobytes() == np.array(values, dtype=recorded.dtype).tobytes(), name
 
 
-@PROPERTY
 @given(drawn=starts(qcqps_or_builtins))
 def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
     # at k = 0 the multipliers are the drawn ones, unrelated to x
@@ -267,7 +257,6 @@ def test_the_recorded_reduced_merit_is_eval_full_at_zhat(drawn):
     assert abs(recorded - eval_full(problem, penalty, s)) <= tol
 
 
-@PROPERTY
 @given(run=runs(qcqps_or_builtins))
 def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
     problem, params, outcome = run
@@ -275,7 +264,6 @@ def test_the_outcome_kkt_is_kkt_report_at_the_final_state(run):
     assert dataclasses.astuple(outcome.kkt) == dataclasses.astuple(report)
 
 
-@PROPERTY
 @given(x0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2))
 @example(x0=[-1.0, 2.0])
 @example(x0=[-0.5, 1.0])

@@ -4,9 +4,9 @@ The loader converts a matrix entry once when its text is that of its
 mirror.  These tests hold it to what converting every token gives: over
 specs written by ``save_qcqp``, over files whose mirrored entries differ in
 value or only in spelling and spacing, and over malformed files, whose
-message and line number must not change.  The property tests are
-derandomized and keep no example database, so every run draws the same
-cases.
+message and line number must not change.  The property tests run under
+conftest.py's ``repeatable`` hypothesis profile, so every run draws the
+same cases.
 """
 
 import dataclasses
@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pplad import Ball, Box, NonnegativeOrthant, QcqpSpec, WholeSpace
 from pplad.problems import QcqpParseError, _parse_qcqp, load_qcqp_spec, save_qcqp
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None)
 FIELDS = ("Q", "q", "Qj", "qj", "bj")
 
 # signed zeros, subnormals, integers and magnitudes near 1e300; all below
@@ -65,7 +64,6 @@ def assert_bitwise(actual: dict, expected: dict):
         assert a.shape == e.shape and a.tobytes() == e.tobytes(), name  # tells -0.0 from 0.0
 
 
-@PROPERTY
 @given(spec=specs())
 def test_save_then_load_is_bitwise(spec):
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,7 +141,6 @@ def plain_parse(path) -> dict:
     return dict(Q=Q, q=q, Qj=Qj, qj=qj, bj=bj)
 
 
-@PROPERTY
 @given(data=st.data(), n=st.integers(1, 6), m=st.integers(0, 3))
 def test_matrices_read_as_a_plain_parse_reads_them(data, n, m):
     def vector(size):

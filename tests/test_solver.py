@@ -3,13 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from callcount import calls_per_iteration, idle
-from merit import eval_full, zhat
+from merit import eval_full
 import pplad.solver
-from params import FIG1, RHO2, fig1_params, reproduction_params, rho2_params
+from params import RHO2, fig1_params, reproduction_params, rho2_params
 from pplad import (Ball, Box, DimensionMismatch, FullState, KktReport, Problem, RunHistory,
                    SolveOutcome, SolveStatus, grad_x, kkt_report, solve, steps, validate)
 from pplad.problems import BUILTIN_PROBLEMS, DEFAULT_START, example1, example2, example3
@@ -72,9 +72,15 @@ CONTRACT_SHAPES = {"objective": (), "objective_gradient": (2,), "constraints": (
                    "constraint_jacobian": (1, 2), "projection": (2,)}
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(callback=st.sampled_from(sorted(CONTRACT_SHAPES)),
        shape=st.lists(st.integers(0, 3), max_size=3).map(tuple))
+# each callback's output reshaped, as a caller's slip would give it, and a gradient too long
+@example(callback="objective", shape=(1,))
+@example(callback="objective_gradient", shape=(2, 1))
+@example(callback="objective_gradient", shape=(3,))
+@example(callback="constraints", shape=(1, 1))
+@example(callback="constraint_jacobian", shape=(2,))
+@example(callback="projection", shape=(2, 1))
 def test_any_wrong_output_shape_is_named_by_solve_and_validate(callback, shape):
     assume(shape != CONTRACT_SHAPES[callback])
     callbacks = circle_callbacks()
@@ -117,18 +123,6 @@ def unconstrained_quadratic(target):
 class TestSteps:
     """Each update formula, read off one call of the kernel."""
 
-    def test_step_x_fixed_point_at_stationary_state(self):
-        p = example1()
-        # grad f(1,0) = 0 and J(1,0)^T (t,t) = 0: any equal multipliers work
-        s = state(0, [1.0, 0.0], [3.0, 3.0], [3.0, 3.0])
-        assert_allclose(advance(p, fig1_params(), s).x, [1.0, 0.0])
-
-    def test_step_x_hand_arithmetic_with_clamp(self):
-        # x - 0.002 * (-4, 6) = (3.008, 2.988), clamped to (3, 2.988)
-        p = example1()
-        s = state(0, [3.0, 3.0], [0.0, 0.0], [0.0, 0.0])
-        assert_allclose(advance(p, fig1_params(), s).x, [3.0, 2.988])
-
     def test_step_x_whole_space_is_plain_gradient_descent(self):
         p = unconstrained_quadratic([1.0, -1.0])
         s = state(0, [3.0, 3.0], [], [])
@@ -139,18 +133,6 @@ class TestSteps:
         # ||lam - mu||^2 = 2^-60 rounds away beside 1: gamma = rho delta0 / 1 exactly
         params = rho2_params(delta0=1.0)
         assert first_gamma(params, [2.0 + 2.0 ** -30], [2.0]) == 2.0
-
-    def test_gamma_zero_budget(self):
-        # a zero budget takes a zero dual step: mu stays put though lam != mu
-        params = rho2_params()
-        assert params.budget(ZERO_BUDGET_K) == 0.0
-        s = state(ZERO_BUDGET_K, [0.0], [5.0], [1.0])
-        assert advance(constant_constraints([0.0]), params, s).mu.tolist() == [1.0]
-
-    def test_gamma_direct_arithmetic(self):
-        # rho=2, delta=0.5, ||lam-mu||^2 = 3 -> 2*0.5/4 = 0.25
-        params = rho2_params(delta0=0.5)
-        assert first_gamma(params, [np.sqrt(3.0)], [0.0]) == pytest.approx(0.25)
 
     def test_gamma_over_rho_bounded_by_delta(self):
         rng = np.random.default_rng(2)
@@ -169,12 +151,6 @@ class TestSteps:
         frozen = state(ZERO_BUDGET_K, [0.0], [9.0, 0.0], [0.0, 0.0])
         assert_allclose(advance(p, params, frozen).mu, frozen.mu)
 
-    def test_step_mu_direct_arithmetic(self):
-        # gamma = 2*1/(1+1) = 1, gamma/rho = 1/2 -> mu = (0.5, 0)
-        params = rho2_params(delta0=1.0)
-        s = state(0, [0.0], [1.0, 0.0], [0.0, 0.0])
-        assert_allclose(advance(constant_constraints([0.0, 0.0]), params, s).mu, [0.5, 0.0])
-
     def test_step_mu_moves_at_most_half_delta(self):
         rng = np.random.default_rng(4)
         p = constant_constraints([0.0, 0.0])
@@ -191,6 +167,7 @@ class TestSteps:
         p = example1()
         params = fig1_params(delta0=0.5)
         d = np.array([1.0, -1.0])
+        assert params.budget(ZERO_BUDGET_K) == 0.0
         for k, delta in ((0, 0.5), (1000, 0.5 * 0.999 ** 1000), (ZERO_BUDGET_K, 0.0)):
             nxt = advance(p, params, FullState([3.0, 3.0], d, [0.0, 0.0], k=k))
             assert nxt.k == k + 1
@@ -217,17 +194,6 @@ class TestSteps:
         s = state(0, [0.0], [1.0, 1.0], [1.0, 1.0])
         assert_allclose(advance(constant_constraints([0.5, -1.0]), params, s).lam,
                         [2.0, -1.0])
-
-    def test_step_z_cases(self):
-        # z is no state: the successor's z is its closed form zhat(lam, mu)
-        params = fig1_params(step_size=0.1)
-        s = state(0, [0.0], [3.0, 3.0], [3.0, 3.0])
-        nxt = advance(constant_constraints([0.0, 0.0]), params, s)
-        assert_allclose(zhat(FIG1, nxt.lam, nxt.mu), [0.0, 0.0])
-        # lam - mu = rho c = (2, -1) after the step
-        c = np.array([2.0, -1.0]) / FIG1.rho
-        nxt = advance(constant_constraints(c), params, s)
-        assert_allclose(zhat(FIG1, nxt.lam, nxt.mu), [0.001, -0.0005])
 
 
 class TestIterate:
@@ -342,17 +308,13 @@ class TestSolve:
         assert out.history.column("feasibility")[0] == 4.0
 
     @pytest.mark.parametrize("entry,callback", [
-        *(pytest.param("solve", callback, id=callback)
-          for callback in ("objective", "objective_gradient", "constraints",
-                           "constraint_jacobian", "projection")),
-        *(pytest.param(entry, callback, id=f"{entry}-{callback}")
-          for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"),
-                                  ("iterate", "projection"), ("iterate", "constraints"),
-                                  ("grad_x", "objective_gradient"),
-                                  ("grad_x", "constraint_jacobian"),
-                                  ("kkt_report", "constraints"),
-                                  ("kkt_report", "projection"))),
-    ])
+        pytest.param(entry, callback, id=f"{entry}-{callback}")
+        for entry, callback in (("eval_full", "objective"), ("eval_full", "constraints"),
+                                ("iterate", "projection"), ("iterate", "constraints"),
+                                ("grad_x", "objective_gradient"),
+                                ("grad_x", "constraint_jacobian"),
+                                ("kkt_report", "constraints"),
+                                ("kkt_report", "projection"))])
     def test_wrong_callback_shape_raises_at_entry(self, entry, callback):
         # the circle problem with one callback's output reshaped
         callbacks = circle_callbacks()
@@ -365,8 +327,7 @@ class TestSolve:
         p = Problem(n=2, m=1, name="circle", **callbacks)
         x, duals = [1.0, 1.0], [0.5]
         state = FullState(x, duals, duals)
-        call = {"solve": lambda: solve(p, params, x),
-                "eval_full": lambda: eval_full(p, RHO2, state),
+        call = {"eval_full": lambda: eval_full(p, RHO2, state),
                 "iterate": lambda: advance(p, params, state),
                 "grad_x": lambda: grad_x(p, state),
                 "kkt_report": lambda: kkt_report(p, state)}[entry]
