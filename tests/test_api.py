@@ -1,45 +1,95 @@
+"""The public surface of pplad, pinned positively.
+
+``SIGNATURES`` and ``UNPINNED`` are the whole surface: the names ``pplad``
+exports, each callable's module and parameter names, the functions that the
+command line and the benchmark call by module, and the package's modules.  A
+name, keyword or module that is not in these tables does not exist: a call
+with a keyword that is not pinned raises TypeError when Python binds its
+arguments, before anything runs.  An API change edits these tables; no list
+of removed names is kept.
+"""
+
 import ast
-import dataclasses
-import importlib
-import importlib.util
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
-import pytest
-
 import pplad
-from params import fig1_params
-from pplad import (FullState, KktReport, RunHistory, check_trace, example1, example2_spec,
-                   from_qcqp, kkt_report, solve, write_trace_csv)
+import pplad.cli
 
-REMOVED = ("step_x", "step_mu", "step_lambda", "step_z", "gamma", "IterateState",
-           "optimality_residual", "feasibility_residual", "TraceRecord",
-           "project", "projector", "lambda_hat", "eval_reduced", "LipschitzHints",
-           "FdSettings", "CompareResult", "fd_gradient", "perturbation_ratio",
-           "zhat", "eval_full", "read_trace_csv", "iterate", "initial_state",
-           "EvaluationError")
+# each callable of the surface, by its path under pplad: its module and its parameter
+# names in order, '*' before the keyword-only ones
+SIGNATURES = {
+    "Ball": ("model", "(center, radius)"),
+    "Box": ("model", "(lo, hi)"),
+    "DimensionMismatch": ("model", "(what, expected, actual)"),
+    "FullState": ("solver", "(x, lam, mu, *, k)"),
+    "InvariantViolation": ("diagnostics", "(name, k, lhs, rhs)"),
+    "KktReport": ("solver", "(optimality, feasibility)"),
+    "NonnegativeOrthant": ("model", "()"),
+    "PenaltyParams": ("solver", "(alpha, beta)"),
+    "Problem": ("model", "(n, m, objective, objective_gradient, constraints, "
+                         "constraint_jacobian, projection, lipschitz_c, name)"),
+    "QcqpSpec": ("problems", "(Q, q, Qj, qj, bj, projection)"),
+    "RunHistory": ("diagnostics", "(rows)"),
+    "SolveOutcome": ("solver", "(status, final_state, kkt, history, message)"),
+    "SolverParams": ("solver", "(penalty, step_size, delta0, decay, tol_optimality, "
+                               "tol_feasibility, max_iterations)"),
+    "ValidationCheck": ("model", "(name, passed, max_rel_error, message)"),
+    "ValidationReport": ("model", "(problem_name, x0, checks)"),
+    "WholeSpace": ("model", "()"),
+    "check_trace": ("diagnostics", "(problem, history, params)"),
+    "compare": ("model", "(analytic, numeric)"),
+    "example1": ("problems", "()"),
+    "example2": ("problems", "()"),
+    "example2_spec": ("problems", "()"),
+    "example3": ("problems", "()"),
+    "fd_jacobian": ("model", "(fn, x)"),
+    "from_qcqp": ("problems", "(spec, name)"),
+    "grad_x": ("solver", "(problem, state)"),
+    "kkt_report": ("solver", "(problem, state)"),
+    "solve": ("solver", "(problem, params, x0, *, lam0, mu0)"),
+    "steps": ("solver", "(problem, params, x0, *, lam0, mu0)"),
+    "validate": ("model", "(problem, x0)"),
+    "write_trace_csv": ("diagnostics", "(history, path)"),
+    "problems.load_qcqp": ("problems", "(path, name)"),
+    "problems.load_qcqp_spec": ("problems", "(path)"),
+    "problems.save_qcqp": ("problems", "(spec, path)"),
+    "cli.main": ("cli", "(argv)"),
+    "cli.run": ("cli", "(settings)"),
+}
+
+# the exports whose signatures are not pinned: two dicts, an Enum and a Union, whose
+# signatures differ between Python versions; their values are pinned instead
+UNPINNED = ("BUILTIN_PROBLEMS", "DEFAULT_START", "SolveStatus", "ProjectionKind")
 
 
-def test_every_exported_name_resolves_once():
-    assert len(pplad.__all__) == len(set(pplad.__all__))
-    for name in pplad.__all__:
-        assert hasattr(pplad, name), name
+def parameters(obj):
+    """obj's parameter names in order, with '*' before the keyword-only ones."""
+    signature = inspect.signature(obj)
+    bare = [p.replace(default=p.empty, annotation=p.empty)
+            for p in signature.parameters.values()]
+    return str(signature.replace(parameters=bare, return_annotation=signature.empty))
 
 
-def test_removed_names_are_not_exported():
-    assert not set(REMOVED) & set(pplad.__all__)
-    assert not [name for name in REMOVED if hasattr(pplad, name)]
-
-
-def test_the_lagrangian_module_is_gone():
-    # its parameters, state and gradient live in pplad.solver; the z-form merit in the tests
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("pplad.lagrangian")
-
-
-def test_the_derivative_oracle_lives_in_the_model_module():
-    # validate is its only caller in the package; no pplad.numcheck shim is left
-    assert importlib.util.find_spec("pplad.numcheck") is None
-    assert pplad.fd_jacobian.__module__ == pplad.compare.__module__ == "pplad.model"
+def test_the_public_surface_is_exactly_the_pinned_one():
+    exported = [path for path in SIGNATURES if "." not in path] + list(UNPINNED)
+    assert sorted(pplad.__all__) == sorted(exported)
+    public = {name for name, value in vars(pplad).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(exported)
+    for path, (module, expected) in SIGNATURES.items():
+        obj = pplad
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert (obj.__module__, parameters(obj)) == (f"pplad.{module}", expected), path
+    assert [status.value for status in pplad.SolveStatus] == [
+        "converged", "iteration_limit", "diverged", "evaluation_error"]
+    assert typing.get_args(pplad.ProjectionKind) == (
+        pplad.WholeSpace, pplad.Box, pplad.NonnegativeOrthant, pplad.Ball)
+    assert [module.name for module in pkgutil.iter_modules(pplad.__path__)] == [
+        "__main__", "cli", "diagnostics", "model", "problems", "solver"]
 
 
 def test_the_replay_layer_imports_nothing_from_the_package():
@@ -51,50 +101,5 @@ def test_the_replay_layer_imports_nothing_from_the_package():
 
 
 def test_a_violation_derives_its_margin_from_its_sides():
-    fields = [f.name for f in dataclasses.fields(pplad.InvariantViolation)]
-    assert fields == ["name", "k", "lhs", "rhs"]
     violation = pplad.InvariantViolation("mu_bound", 3, 2.0, 0.5)
     assert violation.margin == violation.lhs - violation.rhs == 1.5
-    with pytest.raises(TypeError):
-        pplad.InvariantViolation("mu_bound", 3, 2.0, 1.0, 5.0)
-
-
-@pytest.mark.parametrize("keyword,call", [
-    ("hints", lambda: check_trace(example1(), RunHistory(), None, hints=None)),
-    ("grad_lipschitz", lambda: check_trace(example1(), RunHistory(), fig1_params(),
-                                           grad_lipschitz=1.0)),
-    ("lipschitz_hints", lambda: from_qcqp(example2_spec(), lipschitz_hints=None)),
-    ("z0", lambda: solve(example1(), fig1_params(), [3.0, 3.0], z0=[0.0, 0.0])),
-    ("trace_stride", lambda: solve(example1(), fig1_params(), [3.0, 3.0], trace_stride=5)),
-    ("delta", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], delta=0.5)),
-    ("gamma", lambda: FullState([3.0, 3.0], [0.0, 0.0], [0.0, 0.0], gamma=0.25)),
-    ("stride", lambda: write_trace_csv(RunHistory(), "unwritten.csv", stride=1)),
-    ("takes 2 positional", lambda: write_trace_csv(RunHistory(), "unwritten.csv", 1)),
-    ("divergence_bound", lambda: fig1_params(divergence_bound=1e8)),
-    ("tol_optimality", lambda: kkt_report(example1(), None, tol_optimality=1e-6)),
-    ("satisfied", lambda: KktReport(0.0, 0.0, satisfied=True)),
-], ids=["check_trace-hints", "check_trace-grad_lipschitz", "from_qcqp-lipschitz_hints",
-        "solve-z0", "solve-trace_stride", "FullState-delta", "FullState-gamma",
-        "write_trace_csv-stride", "write_trace_csv-positional-stride",
-        "SolverParams-divergence_bound", "kkt_report-tol_optimality", "KktReport-satisfied"])
-def test_removed_keywords_raise_type_error(keyword, call, tmp_path, monkeypatch):
-    # each raises before it writes a file; the trace CSV holds every row, so no
-    # stride is taken, by keyword or by position
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(TypeError, match=keyword):
-        call()
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_full_state_takes_no_z():
-    # z is the closed form (lam - mu)/alpha, not state: an old (x, z, lam, mu)
-    # call fails instead of binding z to lam, lam to mu and mu to k
-    x, z, lam, mu = [3.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.5, 0.5]
-    with pytest.raises(TypeError):
-        FullState(x, z, lam, mu)
-    with pytest.raises(TypeError, match="z"):
-        FullState(x=x, z=z, lam=lam, mu=mu)
-    state = FullState(x, lam, mu, k=4)
-    assert not hasattr(state, "z")
-    assert [f.name for f in dataclasses.fields(state)] == ["x", "lam", "mu", "k"]
-    assert state.k == 4

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,11 +91,14 @@ class TestSettings:
         assert params.tol_optimality == params.tol_feasibility == 1e-6
         assert params.max_iterations == 200000
         # trace.csv holds every row; report.txt the invariant check of every run
-        report = (tmp_path / "report.txt").read_text()
-        iterations = int(report.split("iterations = ")[1].split("\n")[0])
+        text = (tmp_path / "report.txt").read_text()
+        report = dict(line.split(" = ", 1) for line in text.splitlines())
         trace = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
-        assert trace[:, 0].tolist() == list(range(iterations + 1))
-        assert report.endswith("\ninvariant_violations = 0\n")
+        assert trace[:, 0].tolist() == list(range(int(report["iterations"]) + 1))
+        assert report["status"] == "converged" and text.endswith("\ninvariant_violations = 0\n")
+        x = np.array(report["x"].split(","), dtype=float)
+        assert np.linalg.norm(x - [1.0, 0.0]) <= 1e-3
+        assert report["objective"] == repr(example1().objective(x))
 
     def test_readme_settings_table_lists_exactly_the_settings(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -135,21 +139,6 @@ class TestQcqpFormat:
 
 
 class TestRun:
-    def test_example1_converges_exit_zero(self, tmp_path):
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002")) == 0
-        report = (tmp_path / "r.txt").read_text()
-        assert "status = converged" in report
-        assert "invariant_violations = 0" in report
-        x_line = next(l for l in report.splitlines() if l.startswith("x = "))
-        x = np.array([float(v) for v in x_line[4:].split(",")])
-        assert np.linalg.norm(x - np.array([1.0, 0.0])) <= 1e-3
-        assert f"objective = {example1().objective(x)!r}" in report
-        assert np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0] == 0
-
-    def test_iteration_limit_exit_one(self, tmp_path):
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--max-iters", "1")) == 1
-
     def test_divergence_exit_two(self, tmp_path):
         # unconstrained concave QCQP: projected gradient descent runs away past 1e8
         path = tmp_path / "runaway.qcqp"
@@ -180,28 +169,6 @@ class TestRun:
         self.assert_unwritable_exit_four(capsys, tmp_path / "t.csv", report, report)
         assert (tmp_path / "t.csv").exists()  # the trace is written first
 
-    def test_file_problem_requires_x0(self, tmp_path, capsys):
-        path = tmp_path / "plain.qcqp"
-        path.write_text("dim 1 0\nQ\n1\nq\n0\nprojection whole\n")
-        assert main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.1")) == 5
-        assert capsys.readouterr().err == \
-            "pplad: error: x0 is required for problems loaded from files\n"
-
-    def test_empty_box_exits_five_naming_its_line(self, tmp_path, capsys):
-        # lo = +inf in the first coordinate: no point lies in the box
-        path = tmp_path / "empty.qcqp"
-        path.write_text("dim 2 0\nQ\n1 0\n0 1\nq\n0 0\nprojection box\ninf 0\ninf 1\n")
-        assert main(solve_argv(tmp_path, "--problem", str(path), "--x0", "1,1",
-                               "--step-size", "0.1")) == 5
-        assert capsys.readouterr().err == ("pplad: error: projection box: box is empty: "
-                                           "lo = +inf or hi = -inf in a coordinate (line 7)\n")
-
-    def test_wrong_x0_length_rejected(self, tmp_path, capsys):
-        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--x0", "1,2,3")) == 5
-        assert capsys.readouterr().err == \
-            "pplad: error: x0 has length 3, problem 'example1' needs 2\n"
-
     def test_problem_files_are_read_through_the_module_level_load_qcqp(self, tmp_path,
                                                                        monkeypatch):
         # the benchmark times file loading by replacing this name
@@ -214,8 +181,8 @@ class TestRun:
         assert seen == ["model.qcqp"]
 
     def test_small_decay_emits_warning(self, tmp_path, capsys):
-        main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                        "--max-iters", "2", "--decay", "0.5"))
+        assert main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
+                               "--max-iters", "2", "--decay", "0.5")) == 1
         assert "decay" in capsys.readouterr().err
 
     def test_violations_on_converged_run_exit_three(self, tmp_path, monkeypatch):
@@ -243,10 +210,8 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert b"\ninvariant_violations = 0\n" in outputs[0][0]
         capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "check-invariants" not in capsys.readouterr().out
-        # a bare flag: it takes no value, and is no file name for --trace
+        # hidden from --help (see test_help_lists_every_flag_with_its_default), and a bare
+        # flag: it takes no value, and is no file name for --trace
         (tmp_path / "usage").mkdir()
         monkeypatch.chdir(tmp_path / "usage")
         for flags, message in (
@@ -326,40 +291,45 @@ class TestTraceReplay:
 
 
 class TestMain:
-    def test_flag_override_of_decay_accepted_with_warning(self, tmp_path, capsys):
-        code = main(solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002",
-                               "--decay", "0.5", "--max-iters", "2"))
-        assert code == 1
-        assert "decay" in capsys.readouterr().err
-
-    def test_missing_step_size_exit_five(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(solve_argv(tmp_path, "--problem", "example1"))
-        assert info.value.code == 5
-        err = " ".join(capsys.readouterr().err.split())
-        # the usage line marks both required flags: neither is in brackets
-        assert "usage: pplad [-h] --problem PROBLEM [--x0 X0] --step-size STEP_SIZE" in err
-        assert err.endswith("error: the following arguments are required: --step-size")
-
-    def test_bad_setting_fails_before_the_problem_is_loaded(self, tmp_path, capsys):
-        code = main(solve_argv(tmp_path, "--problem", str(tmp_path / "missing.qcqp"),
-                               "--step-size", "0"))
-        assert code == 5
-        err = capsys.readouterr().err
-        assert "step_size" in err and "missing.qcqp" not in err
-
-    @pytest.mark.parametrize("flags, field", [
-        (["--step-size", "0.002", "--alpha", "inf"], "alpha"),
-        (["--step-size", "inf"], "step_size"),
-        (["--step-size", "-inf"], "step_size"),   # a flag's value may start with '-'
-    ], ids=["alpha-inf", "step_size-inf", "step_size-minus-inf"])
-    def test_non_finite_alpha_or_step_size_exit_five(self, tmp_path, capsys, flags, field):
+    @pytest.mark.parametrize("flags, text, message", [
+        # FILE holds text, or does not exist when text is None: a bad setting is refused
+        # before the problem is read
+        (["--problem", "FILE", "--step-size", "0"], None,
+         "step_size must be finite and > 0, got 0.0"),
         # alpha = inf made rho NaN and step_size = inf ran to the iteration limit
-        code = main(solve_argv(tmp_path, "--problem", "example1", *flags))
-        assert code == 5
-        err = capsys.readouterr().err
-        assert err.startswith(f"pplad: error: {field} must be finite and > 0")
-        assert not (tmp_path / "t.csv").exists()
+        (["--problem", "FILE", "--step-size", "0.002", "--alpha", "inf"], None,
+         "alpha must be finite and > 0, got inf"),
+        (["--problem", "FILE", "--step-size", "inf"], None,
+         "step_size must be finite and > 0, got inf"),
+        (["--problem", "FILE", "--step-size", "-inf"], None,  # a value may start with '-'
+         "step_size must be finite and > 0, got -inf"),
+        (["--problem", "FILE", "--step-size", "0.01"], None,
+         "cannot read problem file '{path}': [Errno 2] No such file or directory: '{path}'"),
+        (["--problem", "FILE", "--step-size", "0.1"], "dim 1 0\nQ\n1\nq\n0\nprojection whole\n",
+         "x0 is required for problems loaded from files"),
+        # lo = +inf in the first coordinate: no point lies in the box
+        (["--problem", "FILE", "--x0", "1,1", "--step-size", "0.1"],
+         "dim 2 0\nQ\n1 0\n0 1\nq\n0 0\nprojection box\ninf 0\ninf 1\n",
+         "projection box: box is empty: lo = +inf or hi = -inf in a coordinate (line 7)"),
+        (["--problem", "example1", "--step-size", "0.002", "--x0", "1,2,3"], None,
+         "x0 has length 3, problem 'example1' needs 2"),
+        (["--problem", "FILE", "--step-size", "0.005"],
+         EXAMPLE2_FILE.replace("10 4 1", "10 nan 1"), "QCQP field Q has NaN or infinite entries"),
+        # Q's mirrored pair (0, 1) and (1, 0) differs, and its sum overflows
+        (["--problem", "FILE", "--step-size", "0.005"],
+         EXAMPLE2_FILE.replace("-2 10 2\n10 4 1", "-2 1.7e308 2\n1.6e308 4 1"),
+         "QCQP field Q overflows when symmetrized as (M + M') / 2"),
+    ], ids=["step_size-zero", "alpha-inf", "step_size-inf", "step_size-minus-inf",
+            "missing-file", "file-without-x0", "empty-box", "wrong-x0-length",
+            "non-finite-file", "overflowing-file"])
+    def test_a_refused_setting_or_problem_exits_five(self, tmp_path, capsys, flags, text,
+                                                     message):
+        path = tmp_path / "p.qcqp"
+        if text is not None:
+            path.write_text(text)
+        assert main(solve_argv(tmp_path, *[str(path) if f == "FILE" else f for f in flags])) == 5
+        assert capsys.readouterr() == ("", f"pplad: error: {message.format(path=path)}\n")
+        assert list(tmp_path.iterdir()) == ([] if text is None else [path])
 
     @pytest.mark.parametrize("key, text", [("max_iters", "1.5"), ("step_size", "abc")])
     def test_bad_flag_text_fails_with_the_parse_message(self, tmp_path, capsys, key, text):
@@ -372,34 +342,27 @@ class TestMain:
             f"pplad: error: argument {flag}: invalid {parse.__name__} value: '{text}'\n")
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("flags, flag", [
-        (["--step-size", "0.002"], "--problem"),
-        (["--problem", "MISSING"], "--step-size"),
-        (["--problem", "MISSING", "--step-size", "fast"], "--step-size"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--step-size", "0.002"], "the following arguments are required: --problem"),
+        (["--problem", "MISSING"], "the following arguments are required: --step-size"),
+        (["--problem", "MISSING", "--step-size", "fast"],
+         "argument --step-size: invalid float value: 'fast'"),
         (["--problem", "MISSING", "--step-size", "0.002", "--max-iters", "1e3"],
-         "--max-iters"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1,,2"], "--x0"),
+         "argument --max-iters: invalid int value: '1e3'"),
+        (["--problem", "MISSING", "--step-size", "0.002", "--x0", "1,,2"],
+         "argument --x0: invalid vector value: '1,,2'"),
         (["--problem", "MISSING", "--step-size", "0.002", "--tol-optimality", "1e-9"],
-         "--tol-optimality"),
-        # the CSV holds every row, and the divergence bound is the solver's constant 1e8
-        (["--problem", "MISSING", "--step-size", "0.002", "--stride", "10"],
-         "unrecognized arguments: --stride 10"),
-        (["--problem", "MISSING", "--step-size", "0.002", "--divergence-bound", "1e4"],
-         "unrecognized arguments: --divergence-bound 1e4"),
-        # settings come from flags only: there is no config file to name
-        (["--config", "run.cfg", "--problem", "MISSING", "--step-size", "0.002"],
-         "unrecognized arguments: --config run.cfg"),
+         "unrecognized arguments: --tol-optimality 1e-9"),
     ], ids=["missing-problem", "missing-step-size", "malformed-number", "malformed-integer",
-            "malformed-vector", "unknown-flag", "stride", "divergence-bound", "config"])
-    def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, flag):
+            "malformed-vector", "unknown-flag"])
+    def test_usage_error_exits_five_before_loading(self, tmp_path, capsys, flags, message):
         missing = str(tmp_path / "missing.qcqp")
         with pytest.raises(SystemExit) as info:
             main(solve_argv(tmp_path, *[missing if f == "MISSING" else f for f in flags]))
         assert info.value.code == 5
-        err = capsys.readouterr().err
-        usage, message = err.split("pplad: error: ")
-        assert usage.startswith("usage: pplad ")
-        assert flag in message and "missing.qcqp" not in err
+        usage, error = capsys.readouterr().err.split("pplad: error: ")
+        assert usage.startswith("usage: pplad ") and "missing.qcqp" not in usage
+        assert error == message + "\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["--x0=1,2", "-h", "--help", "--check-invariant",
@@ -432,6 +395,9 @@ class TestMain:
             flag = "--" + key.replace("_", "-")
             default = f" (default {defaults[key]})" if key in defaults else ""
             assert f"{flag} {key.upper()} {help_text}{default}" in text
+        # no other flag: the removed --stride, --divergence-bound and --config among them
+        assert set(re.findall(r"--[a-z0-9-]+", text)) == {
+            "--help", *("--" + key.replace("_", "-") for key in SETTINGS)}
 
     def test_module_entry_point_exits_with_the_process_code(self, tmp_path):
         # python -m pplad is the one module entry; its exit code is the process's
@@ -449,25 +415,6 @@ class TestMain:
         assert helped.returncode == 0
         assert helped.stdout.startswith("usage: pplad [-h] ")
         assert list(tmp_path.iterdir()) == []
-
-    def test_non_finite_problem_file_exit_five(self, tmp_path, capsys):
-        path = tmp_path / "nan.qcqp"
-        path.write_text(EXAMPLE2_FILE.replace("10 4 1", "10 nan 1"))
-        code = main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.005"))
-        assert code == 5
-        assert capsys.readouterr().err == \
-            "pplad: error: QCQP field Q has NaN or infinite entries\n"
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_problem_file_that_overflows_when_symmetrized_exit_five(self, tmp_path, capsys):
-        path = tmp_path / "huge.qcqp"
-        # Q's mirrored pair (0, 1) and (1, 0) differs, and its sum overflows
-        path.write_text(EXAMPLE2_FILE.replace("-2 10 2\n10 4 1", "-2 1.7e308 2\n1.6e308 4 1"))
-        code = main(solve_argv(tmp_path, "--problem", str(path), "--step-size", "0.005"))
-        assert code == 5
-        assert capsys.readouterr().err == \
-            "pplad: error: QCQP field Q overflows when symmetrized as (M + M') / 2\n"
-        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("value", ["-inf", "0.002"])
     def test_abbreviated_flag_is_unrecognized_and_exits_five(self, tmp_path, capsys, value):
@@ -504,11 +451,6 @@ class TestMain:
         assert f"argument --x0: invalid vector value: '{text}'" in err
         assert "missing.qcqp" not in err
         assert not (tmp_path / "t.csv").exists()
-
-    def test_bad_problem_name_exit_five(self, tmp_path, capsys):
-        code = main(solve_argv(tmp_path, "--problem", "nonexistent.qcqp", "--step-size", "0.01"))
-        assert code == 5
-        assert "problem" in capsys.readouterr().err
 
     def test_stationary_infeasible_start_exit_one(self, tmp_path, capsys):
         # example3 from the origin never moves and c = (-4, 0): not converged

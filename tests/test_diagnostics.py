@@ -250,17 +250,6 @@ class TestKernelIdentities:
 
 
 class TestRunHistory:
-    def test_append_takes_a_row_in_column_order_and_k_is_its_index(self):
-        hist = RunHistory()
-        hist.append([float(i) for i in range(len(COLUMNS))])
-        assert hist.column("k").tolist() == [0] and hist.column("k").dtype == np.int64
-        assert [hist.column(name)[0] for name in COLUMNS] == list(range(len(COLUMNS)))
-        ks, objective = hist.column("k"), hist.column("objective")
-        hist.append([-1.0] * len(COLUMNS))
-        assert ks.tolist() == [0] and objective.tolist() == [0.0]
-        assert hist.column("objective").tolist() == [0.0, -1.0]
-        assert hist.column("k").tolist() == [0, 1] and len(hist) == 2
-
     @pytest.mark.parametrize("size", [len(COLUMNS) - 1, len(COLUMNS) + 1])
     def test_append_rejects_a_row_of_the_wrong_length(self, size):
         hist = RunHistory()

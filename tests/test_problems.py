@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pplad import (Box, DimensionMismatch, QcqpSpec, WholeSpace, compare, fd_jacobian,
@@ -177,11 +178,8 @@ def fresh(spec, x):
     return from_qcqp(spec).constraints(x), from_qcqp(spec).constraint_jacobian(x)
 
 
-def c_and_J(p, x, jacobian_first=False):
-    """c and J of p at x, asked for in either order: the first call fills the cache."""
-    if jacobian_first:
-        J = p.constraint_jacobian(x)
-        return p.constraints(x), J
+def c_and_J(p, x):
+    """c and J of p at x, in the order the solver asks for them: c fills the cache."""
     c = p.constraints(x)
     return c, p.constraint_jacobian(x)
 
@@ -190,6 +188,41 @@ def assert_bitwise(actual, expected):
     for a, e in zip(actual, expected):
         assert a.dtype == e.dtype and a.shape == e.shape
         assert a.tobytes() == e.tobytes()  # also tells -0.0 from 0.0
+
+
+OWNED_SPEC = dense_spec(n=30, m=5, seed=12)
+
+
+def assert_fresh_and_owned(sequence):
+    """Make the calls of ``sequence`` on one Problem of OWNED_SPEC, and check what each gives.
+
+    "c1" is c at x1 and "J3L" is J at x3 given as a list; x1 and x2 are random, and x3
+    and x4 differ only in the signs of their zeros.  A trailing "m" negates the point in
+    place after the call, and a trailing "e" overwrites the call's result.  Each result
+    must be bitwise a fresh Problem's at the point's value then, and no result may share
+    memory with another or with the spec's data.
+    """
+    spec = OWNED_SPEC
+    rng = np.random.default_rng(13)
+    signed = rng.standard_normal(spec.n)
+    signed[::3] = 0.0
+    points = {"1": rng.standard_normal(spec.n), "2": rng.standard_normal(spec.n),
+              "3": signed, "4": np.where(signed == 0.0, -0.0, signed)}
+    p = from_qcqp(spec)
+    results = []
+    for kind, point, *after in sequence.split():
+        call = {"c": "constraints", "J": "constraint_jacobian"}[kind]
+        x = points[point]
+        got = getattr(p, call)(x.tolist() if "L" in after else x)
+        assert_bitwise([got], [getattr(from_qcqp(spec), call)(x.copy())])
+        results.append(got)
+        if "m" in after:
+            np.negative(x, out=x)
+        if "e" in after:
+            got[...] = 7.0
+    for i, a in enumerate(results):
+        for b in (*results[i + 1:], spec.Qj, spec.qj, spec.bj):
+            assert not np.shares_memory(a, b)
 
 
 class TestFromQcqp:
@@ -203,25 +236,6 @@ class TestFromQcqp:
         assert p.objective(x) == 0.0
         assert_allclose(p.objective_gradient(x), np.zeros(3))
         assert_bitwise(c_and_J(p, x), (np.zeros(0), np.zeros((0, 3))))
-
-    def test_random_specs_match_finite_differences(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            n, m = 4, 3
-            def sym():
-                M = rng.standard_normal((n, n))
-                return 0.5 * (M + M.T)
-            spec = QcqpSpec(Q=sym(), q=rng.standard_normal(n),
-                            Qj=tuple(sym() for _ in range(m)),
-                            qj=tuple(rng.standard_normal(n) for _ in range(m)),
-                            bj=tuple(rng.standard_normal(m)),
-                            projection=WholeSpace())
-            p = from_qcqp(spec)
-            x = rng.uniform(-2.0, 2.0, n)
-            err, _ = compare(p.objective_gradient(x), fd_jacobian(p.objective, x))
-            assert err <= 1e-6
-            err, _ = compare(p.constraint_jacobian(x), fd_jacobian(p.constraints, x))
-            assert err <= 1e-6
 
 
 class TestStackedConstraints:
@@ -251,29 +265,13 @@ class TestStackedConstraints:
         assert peak < 2**20
 
     def test_point_mutated_in_place_is_a_new_point(self):
-        spec = dense_spec()
-        p = from_qcqp(spec)
-        x = np.linspace(-1.0, 1.0, spec.n)
-        p.constraints(x)
-        x[3] += 0.5
-        assert_bitwise(c_and_J(p, x), fresh(spec, x))
-        x[7] = -x[7]
-        assert_bitwise(c_and_J(p, x, jacobian_first=True), fresh(spec, x))
+        assert_fresh_and_owned("c1m J1 c1 J1m J1 J2 c2m c2")
 
     def test_signed_zeros_are_different_points(self):
-        spec = dense_spec(n=3, m=2)
-        p = from_qcqp(spec)
-        plus = np.array([0.0, 1.0, 0.0])
-        minus = np.array([-0.0, 1.0, -0.0])
-        for x in (plus, minus, plus):
-            assert_bitwise(c_and_J(p, x), fresh(spec, x))
-            assert_bitwise(c_and_J(p, x, jacobian_first=True), fresh(spec, x))
+        assert_fresh_and_owned("c3 J3 c4 J4 c3 J3 J4 c4 J3 c3")
 
     def test_list_input(self):
-        spec = dense_spec(n=4, m=3)
-        p = from_qcqp(spec)
-        x = [0.5, -1.0, 2.0, 0.25]
-        assert_bitwise(c_and_J(p, x), fresh(spec, np.array(x)))
+        assert_fresh_and_owned("c1L J1L J2L c2")
 
     def test_jacobian_at_the_parked_point_copies_no_key(self):
         # J compares the parked bits with x's own buffer: at the point c parked, it
@@ -318,51 +316,37 @@ class TestStackedConstraints:
         assert wrong == []
 
 
+# one drawn call of assert_fresh_and_owned: c or J, at point 1 to 4, x given as an
+# array or as a list (L), and after it nothing, the point moved in place (m) or the
+# result overwritten (e)
+CALLS = st.builds("{}{}{}{}".format, st.sampled_from("cJ"), st.sampled_from("1234"),
+                  st.sampled_from(["", "L"]), st.sampled_from(["", "m", "e"]))
+
+
 class TestOwnership:
     """c and J are a fresh Problem's in any call order, and each caller owns what it gets.
 
-    A sequence names calls at two points: "c1" is c at x1, "J2" is J at x2.
+    A sequence is up to 14 calls of the grammar ``assert_fresh_and_owned`` reads.
     """
 
     SEQUENCES = ["c1 J1", "J1 c1", "J1 J1", "c1 c1",
                  "c1 J2 J1 c2 c1 J1 J2 J2 c2 c1 c1 J1"]
 
-    @staticmethod
-    def run(sequence, edit=False):
-        """Per call, its result and what a Problem that evaluated nothing gives there.
-
-        With ``edit``, every result is overwritten after a copy of it is kept.
-        """
-        spec = dense_spec(n=30, m=5, seed=12)
-        rng = np.random.default_rng(13)
-        points = {"1": rng.standard_normal(spec.n), "2": rng.standard_normal(spec.n)}
-        p = from_qcqp(spec)
-        results = []
-        for kind, point in sequence.split():
-            call = {"c": "constraints", "J": "constraint_jacobian"}[kind]
-            got = getattr(p, call)(points[point])
-            results.append((got.copy() if edit else got,
-                            getattr(from_qcqp(spec), call)(points[point])))
-            if edit:
-                got[...] = 7.0
-        return spec, results
+    @given(sequence=st.lists(CALLS, max_size=14).map(" ".join))
+    def test_each_result_is_a_fresh_problems_and_owned_by_its_caller(self, sequence):
+        assert_fresh_and_owned(sequence)
 
     @pytest.mark.parametrize("sequence", SEQUENCES)
     def test_every_call_order_matches_a_fresh_problem(self, sequence):
-        for got, expected in self.run(sequence)[1]:
-            assert_bitwise([got], [expected])
+        assert_fresh_and_owned(sequence)
 
     @pytest.mark.parametrize("sequence", SEQUENCES)
     def test_editing_a_result_changes_no_later_result(self, sequence):
-        for got, expected in self.run(sequence, edit=True)[1]:
-            assert_bitwise([got], [expected])
+        assert_fresh_and_owned(" ".join(call + "e" for call in sequence.split()))
 
     def test_no_returned_array_shares_memory(self):
-        spec, results = self.run(self.SEQUENCES[-1])
-        returned = [got for got, _ in results]
-        for i, a in enumerate(returned):
-            for b in (*returned[i + 1:], spec.Qj, spec.qj, spec.bj):
-                assert not np.shares_memory(a, b)
+        # repeated calls at the parked point, where a cache could hand out its own buffer
+        assert_fresh_and_owned("c1 J1 c1 J1 J1L c1L c2 J2")
 
     def test_threads_taking_the_jacobian_at_one_point_get_their_own(self):
         spec = dense_spec(n=60, m=8, seed=14)

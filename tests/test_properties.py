@@ -121,6 +121,8 @@ def test_validate_passes_on_a_correct_qcqp(problem, data):
     x = data.draw(vectors(problem.n, 3.0))
     report = validate(problem, x)
     assert report.passed, report.summary()
+    errors = [check.max_rel_error for check in report.checks if check.name.endswith("_fd")]
+    assert len(errors) == 2 and max(errors) <= 1e-6, report.summary()
 
 
 # each builtin's X as per-coordinate bounds: example1's box, and a box of the
