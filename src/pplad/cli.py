@@ -17,7 +17,7 @@ files are read by ``pplad.problems.load_qcqp``.
 
 Exit codes: 0 converged with no invariant violations, 1 iteration limit,
 2 diverged or evaluation error, 3 converged but invariant violations found,
-4 unwritable output path, 5 usage/setting error.
+4 unwritable output path (found before the solve), 5 usage/setting error.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def run(settings: dict) -> int:
 
     ``problem`` and ``step_size`` have no defaults.  A key not in ``SETTINGS``, or a
     bad setting, raises ValueError before the problem is loaded.  Writes the trace CSV
-    and the report, and an unwritable path raises OSError.
+    and the report, and an unwritable path raises OSError before the solve.
     """
     if unknown := sorted(settings.keys() - SETTINGS.keys()):
         raise ValueError("unknown settings: " + ", ".join(unknown))
@@ -132,6 +132,9 @@ def run(settings: dict) -> int:
     if x0.shape != (problem.n,):
         raise ValueError(f"x0 has length {x0.size}, problem {problem.name!r} "
                          f"needs {problem.n}")
+    # an unwritable output fails here, before the solve; "a" creates but truncates nothing
+    for path in (values["trace"], values["report"]):
+        open(path, "a", encoding="utf-8").close()
 
     if params.decay < 0.9:
         print(f"warning: decay = {params.decay} is far from 1; the dual budget "

@@ -88,7 +88,7 @@ class Box:
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if self.lo.size > 1 and self.lo.size != v.size:
+        if self.lo.size != v.size:
             raise DimensionMismatch("box projection input length", self.lo.size, v.size)
         return np.minimum(np.maximum(v, self.lo), self.hi)
 

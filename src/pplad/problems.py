@@ -166,7 +166,7 @@ def load_qcqp_spec(path: str) -> QcqpSpec:
     conversions of a non-symmetric one.  The values are those a conversion
     of every entry would give.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         fields = _parse_qcqp(fh)
     # built once the file and the parser are released: its owned copies set the peak
     return QcqpSpec(**fields)
@@ -303,15 +303,12 @@ def save_qcqp(spec: QcqpSpec, path: str) -> None:
     for j, (M, v, b) in enumerate(zip(spec.Qj, spec.qj, spec.bj), start=1):
         lines += [f"Q{j}", *map(fmt, M), f"q{j}", fmt(v), f"b{j}", fmt(b)]
     kind = spec.projection
-    for name, (cls, sizes) in _PROJECTIONS.items():
+    for name, (cls, fields) in _PROJECTIONS.items():
         if isinstance(kind, cls):
             break
     else:
         raise TypeError(f"unknown projection kind: {type(kind).__name__}")
-    lines.append(f"projection {name}")
-    for field, size in sizes.items():
-        value = getattr(kind, field)
-        lines.append(fmt(np.broadcast_to(value, (spec.n,)) if size == "n" else value))
+    lines += [f"projection {name}", *(fmt(getattr(kind, field)) for field in fields)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

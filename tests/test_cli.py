@@ -169,6 +169,18 @@ class TestRun:
         self.assert_unwritable_exit_four(capsys, tmp_path / "t.csv", report, report)
         assert (tmp_path / "t.csv").exists()  # the trace is written first
 
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_a_directory_as_an_output_path_exits_four_before_the_solve(self, tmp_path, capsys,
+                                                                       monkeypatch, flag):
+        import pplad.cli as cli_module
+        monkeypatch.setattr(cli_module, "solve",
+                            lambda *args: pytest.fail("solve ran before the outputs were opened"))
+        argv = solve_argv(tmp_path, "--problem", "example1", "--step-size", "0.002")
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", f"pplad: error: [Errno 21] Is a directory: "
+                                           f"'{tmp_path}'\n")
+
     def test_problem_files_are_read_through_the_module_level_load_qcqp(self, tmp_path,
                                                                        monkeypatch):
         # the benchmark times file loading by replacing this name

@@ -16,8 +16,9 @@ def test_every_demo_runs_and_reproduces_the_committed_outputs(tmp_path):
         shutil.copy(script, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script in scripts:
-        proc = subprocess.run([sys.executable, script.name], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        # -W error: a warning fails a demo, as pyproject's filterwarnings fails a test
+        proc = subprocess.run([sys.executable, "-W", "error", script.name], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
     committed = sorted((DEMOS / "output").iterdir())
     assert len(committed) == 7

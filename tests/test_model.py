@@ -68,10 +68,12 @@ def test_projection_idempotent_and_nonexpansive(kind):
 
 
 def test_box_dimension_mismatch_names_sizes():
-    with pytest.raises(DimensionMismatch) as info:
-        Box(lo=[0.0, 0.0], hi=[1.0, 1.0])([1.0, 2.0, 3.0])
-    assert info.value.expected == 2
-    assert info.value.actual == 3
+    # bounds of one entry have length 1, as a Ball's center has its own length
+    for lo, hi in (([0.0, 0.0], [1.0, 1.0]), ([0.0], [1.0]), (0.0, 1.0)):
+        with pytest.raises(DimensionMismatch) as info:
+            Box(lo=lo, hi=hi)([1.0, 2.0, 3.0])
+        assert (info.value.what, info.value.expected, info.value.actual) == (
+            "box projection input length", np.size(lo), 3)
 
 
 def test_ball_dimension_mismatch():
@@ -178,6 +180,20 @@ def test_validate_blames_a_non_finite_projection(bad):
     assert not check.passed and check.message == "non-finite entries"
     for check in report.checks[1:]:
         assert not check.passed and check.message == "skipped: projection failed"
+
+
+def test_validate_skips_the_oracle_check_of_a_failed_evaluator():
+    def constraints(x):
+        raise RuntimeError("no c here")
+
+    broken = dataclasses.replace(example1(), constraints=constraints)
+    report = validate(broken, np.array([3.0, 3.0]))
+    assert report.check("constraints").message == "RuntimeError('no c here')"
+    assert not report.check("constraints").passed
+    skipped = report.check("constraint_jacobian_fd")
+    assert (skipped.passed, skipped.message) == (False, "skipped: evaluator failed")
+    ran = report.check("objective_gradient_fd")
+    assert ran.passed and ran.max_rel_error is not None
 
 
 def test_validation_report_has_no_check_of_an_unknown_name():

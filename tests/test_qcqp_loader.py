@@ -256,11 +256,22 @@ def test_save_rejects_a_projection_of_no_known_kind(tmp_path):
     assert not path.exists()
 
 
+def test_save_writes_one_entry_box_bounds_as_held_and_load_refuses_them(tmp_path):
+    # a box of another length than the spec is not widened to n on the way out
+    spec = QcqpSpec(Q=np.eye(3), q=np.zeros(3), Qj=(), qj=(), bj=(),
+                    projection=Box(lo=[0.0], hi=[1.0]))
+    path = tmp_path / "narrow.qcqp"
+    save_qcqp(spec, str(path))
+    with pytest.raises(QcqpParseError) as info:
+        load_qcqp_spec(str(path))
+    assert str(info.value) == "box lo: expected 3 numbers, got 1 (line 9)"
+
+
 def load_through_a_fifo(tmp_path, text):
     """load_qcqp_spec of a FIFO that one writer thread fills with ``text``."""
     fifo = tmp_path / "problem.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
     writer.start()
     try:
         return load_qcqp_spec(str(fifo))
@@ -275,6 +286,17 @@ def test_a_file_read_through_a_fifo_loads_as_by_path(tmp_path):
     by_path, piped = load_qcqp_spec(str(path)), load_through_a_fifo(tmp_path, path.read_text())
     assert_bitwise({f: getattr(piped, f) for f in FIELDS}, {f: getattr(by_path, f) for f in FIELDS})
     assert type(piped.projection) is type(by_path.projection)
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "valid.qcqp"
+    path.write_text(VALID, encoding="utf-8")
+    expected = load_qcqp_spec(str(path))
+    path.write_text("\ufeff" + VALID, encoding="utf-8")
+    for loaded in (load_qcqp_spec(str(path)), load_through_a_fifo(tmp_path, "\ufeff" + VALID)):
+        assert_bitwise({f: getattr(loaded, f) for f in FIELDS},
+                       {f: getattr(expected, f) for f in FIELDS})
+        assert_bitwise(vars(loaded.projection), vars(expected.projection))
 
 
 @pytest.mark.parametrize("n", [10**10, 2**29], ids=["past-numpy-limit", "past-address-space"])
